@@ -2,7 +2,7 @@
 
 from .exterior import ExteriorAlgebra
 from .fiber import (FiberForm, FiberOperator, HyperkahlerFiber,
-                    bidegree_projector, bidegree_projectors, complex_structure,
+                    bidegree_projector, complex_structure,
                     contraction_operator, holomorphic_symplectic, kahler_form,
                     standard_fiber, wedge_operator, zero_one_star_projector)
 from .gengeo import (GCStructure, GeneralizedTangentSpace, GHCFamily,
@@ -24,7 +24,6 @@ from .torus import (IndexResult, LatticeGaugeField, LatticeOperator,
                     LatticeSpec, SpectralReport, build_gauge_field,
                     covariant_laplacian, dirac_index, dirac_vs_lichnerowicz,
                     dolbeault_pair, lattice_dirac, lichnerowicz_laplacian,
-                    spectrum, verify_corollary_1_2, verify_theorem_1_1,
-                    verify_theorem_3_1, verify_theorem_3_10)
+                    spectrum, verify_theorem)
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line front end: verify | spectrum | index | decompose | brane-check.
 
-Exit codes: 0 success, 1 check failure, 2 configuration error,
-3 indeterminate index.  Identical configuration and seed produce
+Exit codes: 0 success, 1 check failure, 2 configuration (input) error,
+3 indeterminate index.  Only ConfigError maps to 2; any other exception is
+a program fault and propagates.  Identical configuration and seed produce
 byte-identical artifacts; timings are printed to stderr only.
 """
 
@@ -19,17 +20,16 @@ import numpy as np
 from . import torus
 from .fiber import standard_fiber, zero_one_star_projector
 from .gengeo import LinearBraneDatum, fiber_families, hyperbrane_condition
-from .quaternions import TwistorPoint, UnitQuaternion, ZETA_J, sample_zetas, \
-    random_twistor_point, random_unit_quaternion
+from .quaternions import TwistorPoint, sample_zetas, random_twistor_point, \
+    random_unit_quaternion
 from .report import (FLOAT_FMT, CheckResult, SPECTRUM_CSV_HEADER,
-                     report_json, spectrum_csv_rows, write_report,
-                     write_spectrum_csv)
-from .reptheory import antiholomorphic_triple, primitive_decompose
-from .symmetry import check_ids, verify_identity
-from .torus import (LatticeSpec, build_gauge_field, dirac_index,
+                     report_json, spectrum_csv_rows, write_text)
+from .reptheory import antiholomorphic_triple, primitive_decompose, \
+    reconstruct
+from .symmetry import DEFAULT_TOL, check_ids, verify_identity
+from .torus import (THEOREMS, LatticeSpec, build_gauge_field, dirac_index,
                     lichnerowicz_laplacian, spectrum as torus_spectrum,
-                    verify_corollary_1_2, verify_theorem_1_1,
-                    verify_theorem_3_1, verify_theorem_3_10)
+                    verify_theorem)
 
 
 class ConfigError(Exception):
@@ -75,19 +75,26 @@ def _resolve(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, val in fromfile.items():
-            if key in _INT_KEYS:
-                cfg[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                cfg[key] = float(val)
-            else:
-                cfg[key] = val
+            cast = (int if key in _INT_KEYS
+                    else float if key in _FLOAT_KEYS else str)
+            try:
+                cfg[key] = cast(val)
+            except ValueError as exc:
+                raise ConfigError(f"config key {key}: {exc}") from exc
     for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
     if cfg["workers"] in (0, None):
-        cfg["workers"] = int(os.environ.get("HKLAB_WORKERS",
-                                            os.cpu_count() or 1))
+        try:
+            cfg["workers"] = int(os.environ.get("HKLAB_WORKERS",
+                                                os.cpu_count() or 1))
+        except ValueError as exc:
+            raise ConfigError(f"HKLAB_WORKERS: {exc}") from exc
+    if cfg["workers"] < 1:
+        raise ConfigError("workers >= 1 required")
+    if cfg["seed"] < 0:
+        raise ConfigError("seed >= 0 required")
     if cfg["n"] < 1:
         raise ConfigError("n >= 1 required")
     if cfg["N"] < 3:
@@ -96,18 +103,26 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ConfigError("k >= 1 required")
     if not (0.0 < cfg["tau"] < 1.0):
         raise ConfigError("tau must lie in (0, 1)")
+    if cfg["tol"] is not None and not cfg["tol"] >= 0.0:
+        raise ConfigError("tol must be >= 0")
     return cfg
 
 
-def _zeta_list(spec: str, seed: int) -> list[TwistorPoint]:
+def _zeta_list(spec: str) -> list[TwistorPoint]:
     if spec.startswith("list:"):
         pts = []
         for chunk in spec[5:].split(";"):
-            vals = [float(x) for x in chunk.split(",")]
+            try:
+                vals = [float(x) for x in chunk.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"zeta {chunk!r}: {exc}") from exc
             if len(vals) != 3:
                 raise ConfigError("zeta list entries need three components")
-            pts.append(TwistorPoint.from_array(np.array(vals)
-                                               / np.linalg.norm(vals)))
+            norm = np.linalg.norm(vals)
+            if not 0.0 < norm < np.inf:
+                raise ConfigError(f"zeta {chunk!r} must be a finite non-zero "
+                                  "vector")
+            pts.append(TwistorPoint.from_array(np.array(vals) / norm))
         if not pts:
             raise ConfigError("empty zeta list")
         return pts
@@ -120,37 +135,39 @@ def _zeta_list(spec: str, seed: int) -> list[TwistorPoint]:
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     suite = args.suite
+    torus_suite = suite in ("torus", "all")
+    if torus_suite and cfg["m"] == 0:
+        raise ConfigError("the torus suite needs flux m != 0 (thm3.1 "
+                          "already covers m = 0)")
     results: list[CheckResult] = []
     rng = np.random.default_rng(cfg["seed"])
     t0 = time.time()
     if suite in ("fiber", "all"):
         fiber = standard_fiber(cfg["n"])
-        tol = cfg["tol"] if cfg["tol"] else 1e-10
+        tol = DEFAULT_TOL if cfg["tol"] is None else cfg["tol"]
         with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
             futs = [pool.submit(verify_identity, cid, fiber, cfg["seed"], tol)
                     for cid in check_ids()]
             results.extend(f.result() for f in futs)
-    if suite in ("torus", "all"):
+    if torus_suite:
         spec = LatticeSpec(cfg["n"], cfg["N"])
         zeta = random_twistor_point(rng)
         eta = random_unit_quaternion(rng)
         zetas5 = [random_twistor_point(rng) for _ in range(5)]
-        field_m = build_gauge_field(spec, cfg["m"] if cfg["m"] else 1)
-        results.append(verify_theorem_1_1(field_m, zeta, eta,
-                                          k=cfg["k"], seed=cfg["seed"]))
-        results.append(verify_theorem_3_1(build_gauge_field(spec, 0), zetas5,
-                                          eta, k=cfg["k"], seed=cfg["seed"]))
-        results.append(verify_corollary_1_2(field_m, sample_zetas("axes"),
-                                            seed=cfg["seed"]))
-        results.append(verify_theorem_3_10(build_gauge_field(spec, 3),
-                                           seed=cfg["seed"]))
+        field_m = build_gauge_field(spec, cfg["m"])
+        inputs = {
+            "thm1.1": (field_m, zeta, eta, cfg["k"]),
+            "thm3.1": (build_gauge_field(spec, 0), zetas5, eta, cfg["k"]),
+            "cor1.2": (field_m, sample_zetas("axes")),
+            "thm3.10": (build_gauge_field(spec, 3),),
+        }
+        results.extend(verify_theorem(cid, *inputs[cid], seed=cfg["seed"],
+                                      tolerance=cfg["tol"])
+                       for cid in THEOREMS)
     _log(f"verify suite={suite} ran in {time.time() - t0:.1f}s")
     for r in results:
         print(r.summary_line())
-    if cfg["out"]:
-        write_report(results, cfg["out"])
-    else:
-        sys.stdout.write(report_json(results))
+    write_text(report_json(results), cfg["out"])
     failures = [r.check_id for r in results if not r.verdict]
     if failures:
         print("failed checks: " + ", ".join(failures))
@@ -163,7 +180,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = LatticeSpec(cfg["n"], cfg["N"])
     field = build_gauge_field(spec, cfg["m"])
     fiber = torus.model_fiber(cfg["n"])
-    zetas = _zeta_list(cfg["zetas"], cfg["seed"])
+    zetas = _zeta_list(cfg["zetas"])
     t0 = time.time()
 
     def one(z: TwistorPoint) -> list[str]:
@@ -177,12 +194,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         blocks = list(pool.map(one, zetas))
     rows = [row for block in blocks for row in block]
     _log(f"spectrum over {len(zetas)} zetas in {time.time() - t0:.1f}s")
-    if cfg["out"]:
-        write_spectrum_csv(rows, cfg["out"])
-    else:
-        print(SPECTRUM_CSV_HEADER)
-        for row in rows:
-            print(row)
+    write_text("".join(line + "\n" for line in [SPECTRUM_CSV_HEADER, *rows]),
+               cfg["out"])
     return 0
 
 
@@ -190,7 +203,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     spec = LatticeSpec(cfg["n"], cfg["N"])
     field = build_gauge_field(spec, cfg["m"])
-    zetas = _zeta_list(cfg["zetas"], cfg["seed"])
+    zetas = _zeta_list(cfg["zetas"])
     t0 = time.time()
     with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
         results = list(pool.map(
@@ -215,8 +228,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     }
     text = json.dumps(payload, indent=2) + "\n"
     if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(text, cfg["out"])
     if any(not r.determinate for r in results):
         print("indeterminate at this N")
         return 3
@@ -229,7 +241,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     print(f"even kernel count: {r0.even_count}, odd kernel count: "
           f"{r0.odd_count}, threshold: {r0.threshold:.6e}")
     if not cfg["out"]:
-        sys.stdout.write(text)
+        write_text(text)
     return 0
 
 
@@ -248,13 +260,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             f"got {len(vec)}")
     triple = antiholomorphic_triple(fiber)
     comps = primitive_decompose(fiber, vec, triple)
-    recon = np.zeros(fiber.dim, dtype=complex)
-    for (_q, i, t) in comps:
-        v = t
-        for _ in range(i):
-            v = triple.L.matrix @ v
-        recon += v
-    residual = float(np.linalg.norm(recon - vec)
+    residual = float(np.linalg.norm(reconstruct(triple, comps) - vec)
                      / max(1.0, np.linalg.norm(vec)))
     payload = {
         "components": [
@@ -263,11 +269,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         ],
         "reconstruction_residual": FLOAT_FMT % residual,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    write_text(json.dumps(payload, indent=2) + "\n", cfg["out"], echo=True)
     return 0
 
 
@@ -309,7 +311,7 @@ def cmd_brane_check(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     samples = sample_zetas("full")
-    tol = cfg["tol"] if cfg["tol"] else 1e-10
+    tol = 1e-10 if cfg["tol"] is None else cfg["tol"]
     verdict, info = hyperbrane_condition(datum, families[args.family],
                                          samples, tol=tol)
     payload = {
@@ -322,11 +324,7 @@ def cmd_brane_check(args: argparse.Namespace) -> int:
             for z, dv in sorted(info["defects"].items())
         ],
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    write_text(json.dumps(payload, indent=2) + "\n", cfg["out"], echo=True)
     return 0
 
 
@@ -394,9 +392,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

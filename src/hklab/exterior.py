@@ -128,12 +128,3 @@ class ExteriorAlgebra:
         v = np.zeros(self.dim, dtype=complex)
         v[off:off + len(coeffs)] = coeffs
         return v
-
-    def two_form_matrix(self, vec) -> np.ndarray:
-        """Antisymmetric coefficient matrix of a degree-2 element."""
-        w = np.zeros((self.d, self.d), dtype=complex)
-        off = self.degree_offset(2)
-        for idx, (a, b) in enumerate(self.multi_indices(2)):
-            w[a, b] = vec[off + idx]
-            w[b, a] = -vec[off + idx]
-        return w

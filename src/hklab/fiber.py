@@ -232,15 +232,6 @@ def bidegree_projector(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     return FiberOperator(M, f"P^({p},{q})")
 
 
-def bidegree_projectors(fiber: HyperkahlerFiber, zeta: TwistorPoint) -> dict:
-    """All (p, q) projectors of J_zeta, keyed by bidegree."""
-    out = {}
-    for k in range(fiber.d + 1):
-        for (p, q) in _bidegrees_of_degree(fiber.n, k):
-            out[(p, q)] = bidegree_projector(fiber, zeta, p, q)
-    return out
-
-
 def slice_basis(fiber: HyperkahlerFiber, projector: FiberOperator) -> np.ndarray:
     """Orthonormal column basis of the range of an (orthogonal) projector."""
     w, V = np.linalg.eigh(0.5 * (projector.matrix + projector.matrix.conj().T))

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import HyperkahlerFiber, complex_structure, form_coefficient_matrix, \
-    kahler_form
-from .quaternions import TwistorPoint, ZETA_I, ZETA_J, ZETA_K
+from .fiber import HyperkahlerFiber, form_coefficient_matrix, kahler_form
+from .quaternions import TwistorPoint, ZETA_I, ZETA_K
 
 GC_TOL = 1e-12
 

@@ -43,7 +43,7 @@ class TwistorPoint:
     def from_array(v) -> "TwistorPoint":
         v = np.asarray(v, dtype=float)
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # also rejects nan and inf
             raise ValueError("non-unit twistor point rejected")
         v = v / n
         return TwistorPoint(v[0], v[1], v[2])

@@ -9,6 +9,7 @@ timings go to stderr.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,11 +53,6 @@ def report_json(results: list[CheckResult]) -> str:
     return json.dumps([r.to_json_dict() for r in results], indent=2) + "\n"
 
 
-def write_report(results: list[CheckResult], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_json(results))
-
-
 def spectrum_csv_rows(zeta, slice_label: str, eigenvalues) -> list[str]:
     """Rows of the spectrum CSV: zeta_i,zeta_j,zeta_k,slice,rank,eigenvalue."""
     if "," in slice_label:
@@ -71,8 +67,10 @@ def spectrum_csv_rows(zeta, slice_label: str, eigenvalues) -> list[str]:
 SPECTRUM_CSV_HEADER = "zeta_i,zeta_j,zeta_k,slice,rank,eigenvalue"
 
 
-def write_spectrum_csv(rows: list[str], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SPECTRUM_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def write_text(text: str, path: str | None = None, echo: bool = False) -> None:
+    """Write an artifact to path (LF newlines); stdout if no path or echo."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    if echo or not path:
+        sys.stdout.write(text)

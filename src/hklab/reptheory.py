@@ -179,15 +179,13 @@ def primitive_decompose(fiber: HyperkahlerFiber, s, triple: LefschetzTriple,
 
 def reconstruct(triple: LefschetzTriple,
                 components: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
-    out = None
     L = triple.L.matrix
+    out = np.zeros(L.shape[0], dtype=complex)
     for (_q, i, t) in components:
         v = t
         for _ in range(i):
             v = L @ v
-        out = v if out is None else out + v
-    if out is None:
-        raise ValueError("no components to reconstruct")
+        out = out + v
     return out
 
 

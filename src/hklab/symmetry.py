@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import ExteriorAlgebra
 from .fiber import (FiberForm, FiberOperator, HyperkahlerFiber,
                     bidegree_projector, complex_structure,
                     form_coefficient_matrix, holomorphic_symplectic,
@@ -232,8 +231,9 @@ def _check_eq24(fiber, rng) -> float:
     triple = antiholomorphic_triple(fiber)
     L, A = triple.L.matrix, triple.Lambda.matrix
     v = rng.normal(size=fiber.dim) + 1j * rng.normal(size=fiber.dim)
+    comps = primitive_decompose(fiber, v, triple)
     worst = 0.0
-    for (q, _i, t) in primitive_decompose(fiber, v, triple):
+    for (q, _i, t) in comps:
         m = fiber.n - q
         rung = t
         for i in range(m):
@@ -241,8 +241,7 @@ def _check_eq24(fiber, rng) -> float:
             rhs = (i + 1) * (m - i) * rung
             worst = max(worst, rel_residual(lhs, rhs))
             rung = L @ rung
-    recon = sum(np.linalg.matrix_power(L, i) @ t
-                for (_q, i, t) in primitive_decompose(fiber, v, triple))
+    recon = sum(np.linalg.matrix_power(L, i) @ t for (_q, i, t) in comps)
     worst = max(worst, rel_residual(recon, v))
     return worst
 

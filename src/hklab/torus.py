@@ -18,6 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,8 +32,7 @@ from .quaternions import (QUAT_J, TwistorPoint, UnitQuaternion, ZETA_J,
 from .report import CheckResult
 from .reptheory import antiholomorphic_triple
 from .symmetry import (chi, chi_k, clifford, clifford_2form,
-                       exp_antihermitian, hodge_star_twisted, rel_residual,
-                       rho_sp1)
+                       exp_antihermitian, hodge_star_twisted, rho_sp1)
 
 DENSE_LIMIT = 1200
 
@@ -282,8 +282,7 @@ def dolbeault_pair(field: LatticeGaugeField,
 
 def lift_fiber(field_or_spec, op: FiberOperator | np.ndarray) -> sp.csr_matrix:
     """Tensor a fiber operator with the identity on lattice sites."""
-    spec = field_or_spec.spec if isinstance(field_or_spec, LatticeGaugeField) \
-        else field_or_spec
+    spec = getattr(field_or_spec, "spec", field_or_spec)
     M = op.matrix if isinstance(op, FiberOperator) else op
     return sp.kron(sp.identity(spec.sites, dtype=complex, format="csr"),
                    sp.csr_matrix(M), format="csr")
@@ -292,8 +291,7 @@ def lift_fiber(field_or_spec, op: FiberOperator | np.ndarray) -> sp.csr_matrix:
 def slice_isometry(field_or_spec, fiber: HyperkahlerFiber,
                    projector: FiberOperator) -> sp.csr_matrix:
     """Isometry from (sites x slice) onto the projector range."""
-    spec = field_or_spec.spec if isinstance(field_or_spec, LatticeGaugeField) \
-        else field_or_spec
+    spec = getattr(field_or_spec, "spec", field_or_spec)
     Q = slice_basis(fiber, projector)
     return sp.kron(sp.identity(spec.sites, dtype=complex, format="csr"),
                    sp.csr_matrix(Q), format="csr")
@@ -304,49 +302,46 @@ def restrict(op: LatticeOperator, isometry: sp.spmatrix) -> sp.csr_matrix:
 
 
 def lowest_eigenvalues(M: sp.spmatrix, k: int, method: str = "auto",
-                       seed: int = 0, sigma: float = -1.0) -> np.ndarray:
+                       seed: int = 0, sigma: float = -1.0,
+                       vectors: bool = False
+                       ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """k smallest eigenvalues of a sparse Hermitian matrix, ascending.
 
     method 'auto' solves densely below DENSE_LIMIT (or when most of the
     spectrum is requested) and by Lanczos otherwise; 'shift-invert' is an
     independent backend used as a cross-check (sigma must lie below the
     spectrum).  Start vectors are seeded, so results are deterministic.
+    With vectors=True the result is (eigenvalues, V) with orthonormal
+    columns V: Lanczos Ritz vectors inside a degenerate level need not be
+    orthonormal, so the iterative backends orthonormalise them by QR.
     """
     dim = M.shape[0]
     k = min(k, dim)
     if method == "auto":
         method = "dense" if (dim <= DENSE_LIMIT or 3 * k > dim) else "lanczos"
     if method == "dense" or k >= dim - 1:
-        w = np.linalg.eigvalsh(np.asarray(M.todense()))
-        return w[:k]
-    rng = np.random.default_rng(0xC0FFEE ^ seed ^ dim)
-    v0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    ncv = min(dim - 1, max(2 * k + 20, 40))
-    if method == "lanczos":
-        w = spla.eigsh(M.tocsc(), k=k, which="SA", v0=v0, ncv=ncv,
-                       maxiter=50 * dim, return_eigenvectors=False)
-    elif method == "shift-invert":
-        w = spla.eigsh(M.tocsc(), k=k, sigma=sigma, which="LM", v0=v0,
-                       ncv=ncv, return_eigenvectors=False)
-    else:
-        raise ValueError(f"unknown eigensolver method {method!r}")
-    return np.sort(w)
-
-
-def lowest_eigenpairs(M: sp.spmatrix, k: int, seed: int = 0):
-    """(eigenvalues, eigenvectors) of the k lowest modes, ascending."""
-    dim = M.shape[0]
-    k = min(k, dim)
-    if dim <= DENSE_LIMIT or k >= dim - 1:
-        w, V = np.linalg.eigh(np.asarray(M.todense()))
+        A = np.asarray(M.todense())
+        if not vectors:
+            return np.linalg.eigvalsh(A)[:k]
+        w, V = np.linalg.eigh(A)
         return w[:k], V[:, :k]
     rng = np.random.default_rng(0xC0FFEE ^ seed ^ dim)
     v0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     ncv = min(dim - 1, max(2 * k + 20, 40))
-    w, V = spla.eigsh(M.tocsc(), k=k, which="SA", v0=v0, ncv=ncv,
-                      maxiter=50 * dim)
+    if method == "lanczos":
+        out = spla.eigsh(M.tocsc(), k=k, which="SA", v0=v0, ncv=ncv,
+                         maxiter=50 * dim, return_eigenvectors=vectors)
+    elif method == "shift-invert":
+        out = spla.eigsh(M.tocsc(), k=k, sigma=sigma, which="LM", v0=v0,
+                         ncv=ncv, return_eigenvectors=vectors)
+    else:
+        raise ValueError(f"unknown eigensolver method {method!r}")
+    if not vectors:
+        return np.sort(out)
+    w, V = out
     order = np.argsort(w)
-    return w[order], V[:, order]
+    Q, _ = np.linalg.qr(V[:, order])
+    return w[order], Q
 
 
 def spectrum(op: LatticeOperator, projector: FiberOperator | None, k: int,
@@ -354,11 +349,10 @@ def spectrum(op: LatticeOperator, projector: FiberOperator | None, k: int,
              kernel_tau: float = 0.5, method: str = "auto",
              seed: int = 0) -> SpectralReport:
     """Lowest-k spectrum of the operator restricted to a fiber slice."""
-    fiber = model_fiber(op.spec.n)
     M = op.matrix
     if projector is not None:
-        V = slice_isometry(op.spec, fiber, projector)
-        M = (V.getH() @ M @ V).tocsr()
+        M = restrict(op, slice_isometry(op.spec, model_fiber(op.spec.n),
+                                        projector))
     herm = spla.norm(M - M.getH()) / max(1.0, spla.norm(M))
     if herm > 1e-10:
         raise ValueError(f"operator is not Hermitian on the slice ({herm:.1e})")
@@ -544,21 +538,6 @@ def theorem_1_1_details(field: LatticeGaugeField, zeta: TwistorPoint,
     }
 
 
-def verify_theorem_1_1(field: LatticeGaugeField, zeta: TwistorPoint,
-                       eta: UnitQuaternion, k: int = 20,
-                       seed: int = 0) -> CheckResult:
-    det = theorem_1_1_details(field, zeta, eta, k=k, seed=seed)
-    residual = max(det["conjugation_residual"], det["spectral_deviation"],
-                   det["dirac_square_deviation"])
-    return CheckResult(
-        check_id="thm1.1",
-        citation="the twistor family of flux Dirac Laplacians is conjugated "
-                 "along the sphere by the chi intertwiners",
-        residual=residual, tolerance=1e-9,
-        params={"n": field.spec.n, "N": field.spec.N, "m": field.m,
-                "seed": seed})
-
-
 def theorem_3_1_details(field: LatticeGaugeField, zetas: list[TwistorPoint],
                         eta: UnitQuaternion, k: int = 16,
                         seed: int = 0) -> dict:
@@ -592,25 +571,6 @@ def theorem_3_1_details(field: LatticeGaugeField, zetas: list[TwistorPoint],
             "harmonic_counts": counts}
 
 
-def verify_theorem_3_1(field: LatticeGaugeField, zetas: list[TwistorPoint],
-                       eta: UnitQuaternion, k: int = 16,
-                       seed: int = 0) -> CheckResult:
-    det = theorem_3_1_details(field, zetas, eta, k=k, seed=seed)
-    n = field.spec.n
-    from math import comb
-    expected = [comb(2 * n, q) for q in range(2 * n + 1)]
-    count_err = 0.0 if det["harmonic_counts"] == expected else 1.0
-    residual = max(det["conjugation_residual"], det["spectral_deviation"],
-                   count_err)
-    return CheckResult(
-        check_id="thm3.1",
-        citation="hypercomplex rotations intertwine the Dolbeault Laplacians "
-                 "of the flux-free bundle; harmonic counts match flat Hodge "
-                 "theory",
-        residual=residual, tolerance=1e-10,
-        params={"n": n, "N": field.spec.N, "m": field.m, "seed": seed})
-
-
 def corollary_1_2_details(field: LatticeGaugeField,
                           zetas: list[TwistorPoint], seed: int = 0) -> dict:
     """Smallest (0, odd) eigenvalue of the flux Laplacian per sampled zeta."""
@@ -625,21 +585,6 @@ def corollary_1_2_details(field: LatticeGaugeField,
     gaps = np.array(gaps)
     return {"gaps": gaps, "min_gap": float(gaps.min()),
             "deviation": float(np.abs(gaps - gaps[0]).max())}
-
-
-def verify_corollary_1_2(field: LatticeGaugeField, zetas: list[TwistorPoint],
-                         seed: int = 0) -> CheckResult:
-    det = corollary_1_2_details(field, zetas, seed=seed)
-    # require at least a quarter of the continuum gap 4 pi m
-    vanishing_ok = det["min_gap"] > np.pi * max(field.m, 1)
-    residual = det["deviation"] if vanishing_ok else float("inf")
-    return CheckResult(
-        check_id="cor1.2",
-        citation="odd-degree spinor kernel vanishes under prequantum flux; "
-                 "the positive gap is zeta independent",
-        residual=residual, tolerance=1e-9,
-        params={"n": field.spec.n, "N": field.spec.N, "m": field.m,
-                "seed": seed})
 
 
 def theorem_3_10_details(field: LatticeGaugeField, seed: int = 0) -> dict:
@@ -674,14 +619,66 @@ def theorem_3_10_details(field: LatticeGaugeField, seed: int = 0) -> dict:
     return out
 
 
-def verify_theorem_3_10(field: LatticeGaugeField, seed: int = 0) -> CheckResult:
-    det = theorem_3_10_details(field, seed=seed)
-    residual = max(det.values())
+def _thm11_residual(det: dict, field: LatticeGaugeField) -> float:
+    return max(det["conjugation_residual"], det["spectral_deviation"],
+               det["dirac_square_deviation"])
+
+
+def _thm31_residual(det: dict, field: LatticeGaugeField) -> float:
+    n = field.spec.n
+    expected = [comb(2 * n, q) for q in range(2 * n + 1)]
+    count_err = 0.0 if det["harmonic_counts"] == expected else 1.0
+    return max(det["conjugation_residual"], det["spectral_deviation"],
+               count_err)
+
+
+def _cor12_residual(det: dict, field: LatticeGaugeField) -> float:
+    # require at least a quarter of the continuum gap 4 pi m
+    vanishing_ok = det["min_gap"] > np.pi * max(field.m, 1)
+    return det["deviation"] if vanishing_ok else float("inf")
+
+
+def _thm310_residual(det: dict, field: LatticeGaugeField) -> float:
+    return max(det.values())
+
+
+THEOREMS = {
+    "thm1.1": (
+        "the twistor family of flux Dirac Laplacians is conjugated along the "
+        "sphere by the chi intertwiners",
+        1e-9, theorem_1_1_details, _thm11_residual),
+    "thm3.1": (
+        "hypercomplex rotations intertwine the Dolbeault Laplacians of the "
+        "flux-free bundle; harmonic counts match flat Hodge theory",
+        1e-10, theorem_3_1_details, _thm31_residual),
+    "cor1.2": (
+        "odd-degree spinor kernel vanishes under prequantum flux; the "
+        "positive gap is zeta independent",
+        1e-9, corollary_1_2_details, _cor12_residual),
+    "thm3.10": (
+        "chi(k) = rho(k) rho_j(k) intertwines the +-J Dirac operators; star "
+        "and Lefschetz-ladder sub-identities",
+        1e-10, theorem_3_10_details, _thm310_residual),
+}
+
+
+def verify_theorem(check_id: str, field: LatticeGaugeField, *inputs,
+                   seed: int = 0,
+                   tolerance: float | None = None) -> CheckResult:
+    """Run one registered theorem check on a gauge field.
+
+    `inputs` follow the field as positional arguments of the check's
+    `*_details` function (k included); the registered reduction turns its
+    dict into one residual, judged against the registered tolerance unless
+    one is given.
+    """
+    if check_id not in THEOREMS:
+        raise KeyError(f"unknown check_id: {check_id!r}")
+    citation, default_tol, details, reduce = THEOREMS[check_id]
+    det = details(field, *inputs, seed=seed)
     return CheckResult(
-        check_id="thm3.10",
-        citation="chi(k) = rho(k) rho_j(k) intertwines the +-J Dirac "
-                 "operators; star and Lefschetz-ladder sub-identities",
-        residual=residual, tolerance=1e-10,
+        check_id=check_id, citation=citation, residual=reduce(det, field),
+        tolerance=default_tol if tolerance is None else tolerance,
         params={"n": field.spec.n, "N": field.spec.N, "m": field.m,
                 "seed": seed})
 
@@ -773,11 +770,9 @@ def dirac_vs_lichnerowicz(field: LatticeGaugeField, zeta: TwistorPoint,
     extra = max(4, num_modes // 2)
     while True:
         k = min(num_modes + extra, dim)
-        w, modes = lowest_eigenpairs(delta, k, seed=seed)
+        w, Q = lowest_eigenvalues(delta, k, seed=seed, vectors=True)
         end = _level_end(w, min(num_modes, k) - 1)
         if end is not None or k == dim:
             break
         extra *= 2
-    # Lanczos vectors inside a degenerate level need not be orthonormal
-    Q, _ = np.linalg.qr(modes[:, :end or k])
-    return float(np.linalg.norm((dsq - delta) @ Q, 2))
+    return float(np.linalg.norm((dsq - delta) @ Q[:, :end or k], 2))

@@ -124,6 +124,15 @@ def test_decompose_primitive_single_term(tmp_path, rng):
     assert payload["components"][0]["i"] == 0
 
 
+def test_decompose_zero_element(tmp_path):
+    src = tmp_path / "zero.txt"
+    src.write_text("0 " * 16)
+    r = run_cli("decompose", "--n", "1", "--input", str(src))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {
+        "components": [], "reconstruction_residual": "0.000000000000e+00"}
+
+
 def test_decompose_parse_failure(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not numbers at all")
@@ -174,3 +183,33 @@ def test_config_file_precedence(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 5\n")
     assert run_cli("spectrum", "--config", str(bad)).returncode == 2
+
+
+def _library_fault(*args, **kwargs):
+    raise ValueError("library fault")
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    pytest.param(["spectrum", "--N", "3", "--m", "1", "--k", "2",
+                  "--zetas", "list:0,0,0"], 2, "zeta '0,0,0'",
+                 id="zero-zeta"),
+    pytest.param(["verify", "--suite", "torus", "--N", "3", "--m", "0"], 2,
+                 "m != 0", id="torus-flux-free"),
+    pytest.param(["verify", "--suite", "fiber", "--tol", "0"], 1,
+                 "failed checks", id="tol-zero"),
+    pytest.param(["verify", "--suite", "fiber", "--tol", "-1"], 2,
+                 "tol must be >= 0", id="tol-negative"),
+    pytest.param(["verify", "--suite", "fiber"], None, "library fault",
+                 id="program-fault-propagates"),
+])
+def test_exit_codes(monkeypatch, capsys, argv, code, message):
+    """Exit 2 is for input errors only; a library fault is not one."""
+    from hklab import cli
+    if code is None:
+        monkeypatch.setattr(cli, "verify_identity", _library_fault)
+        with pytest.raises(ValueError, match=message):
+            cli.main(argv)
+        return
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err

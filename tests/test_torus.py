@@ -16,9 +16,7 @@ from hklab.torus import (LatticeGaugeField, LatticeOperator, LatticeSpec,
                          lowest_eigenvalues, model_fiber, near_zero_cluster,
                          scalar_covariant_laplacian, slice_isometry, restrict,
                          spectrum, theorem_1_1_details, theorem_3_10_details,
-                         theorem_3_1_details, verify_corollary_1_2,
-                         verify_theorem_1_1, verify_theorem_3_1,
-                         verify_theorem_3_10)
+                         theorem_3_1_details, verify_theorem)
 
 from .oracles import (chern_weil_index, flux_slice_spectrum,
                       flux_zero_one_star_spectrum, free_mode_energy,
@@ -224,6 +222,12 @@ def test_cross_solver_agreement():
     shinv = lowest_eigenvalues(M, 10, method="shift-invert", sigma=-30.0)
     assert np.abs(dense - lanczos).max() < 1e-9
     assert np.abs(dense - shinv).max() < 1e-9
+    # raw Ritz vectors inside the 4-fold level at 8-11 are up to 0.1 from
+    # orthonormal; the solver returns an orthonormal basis
+    w, V = lowest_eigenvalues(M, 15, method="lanczos", vectors=True)
+    assert np.abs(V.conj().T @ V - np.eye(15)).max() < 1e-12
+    assert np.linalg.norm(M @ V - V * w, 2) < 1e-9
+    assert np.abs(w - lowest_eigenvalues(M, 15, method="dense")).max() < 1e-9
 
 
 def test_spectrum_determinism_and_truncation(rng):
@@ -264,17 +268,18 @@ def test_spectral_sp1_invariance_k32():
 
 def test_verify_theorem_1_1(rng):
     f1 = build_gauge_field(LatticeSpec(1, 4), 1)
-    res = verify_theorem_1_1(f1, random_twistor_point(rng),
-                             random_unit_quaternion(rng), k=20)
+    res = verify_theorem("thm1.1", f1, random_twistor_point(rng),
+                         random_unit_quaternion(rng), 20)
     assert res.verdict
-    res_id = verify_theorem_1_1(f1, ZETA_J, UnitQuaternion.identity(), k=8)
+    res_id = verify_theorem("thm1.1", f1, ZETA_J, UnitQuaternion.identity(),
+                            8)
     assert res_id.residual < 1e-12
 
 
 def test_verify_theorem_3_1(rng):
     f0 = build_gauge_field(LatticeSpec(1, 4), 0)
     zetas = [random_twistor_point(rng) for _ in range(5)]
-    res = verify_theorem_3_1(f0, zetas, random_unit_quaternion(rng))
+    res = verify_theorem("thm3.1", f0, zetas, random_unit_quaternion(rng))
     assert res.verdict
     det = theorem_3_1_details(f0, [ZETA_J], UnitQuaternion.identity())
     assert det["harmonic_counts"] == hodge_numbers(1)
@@ -286,22 +291,28 @@ def test_verify_theorem_3_1(rng):
 def test_verify_corollary_1_2_and_flat_control(rng):
     f1 = build_gauge_field(LatticeSpec(1, 4), 1)
     zetas = [ZETA_J, MINUS_J, random_twistor_point(rng)]
-    res = verify_corollary_1_2(f1, zetas)
+    res = verify_theorem("cor1.2", f1, zetas)
     assert res.verdict
     # flat bundle control: harmonic odd forms exist, vanishing must fail
     f0 = build_gauge_field(LatticeSpec(1, 4), 0)
     det0 = corollary_1_2_details(f0, [ZETA_J])
     assert det0["min_gap"] < 1e-8
-    assert not verify_corollary_1_2(f0, [ZETA_J]).verdict
+    assert not verify_theorem("cor1.2", f0, [ZETA_J]).verdict
 
 
 def test_verify_theorem_3_10_generic_bundle():
     f3 = build_gauge_field(LatticeSpec(1, 3), 3)
-    res = verify_theorem_3_10(f3)
+    res = verify_theorem("thm3.10", f3)
     assert res.verdict
     det = theorem_3_10_details(f3)
     for key, val in det.items():
         assert val < 1e-10, (key, val)
+    # the runner's tolerance override and params
+    res = verify_theorem("thm3.10", f3, seed=4, tolerance=0.0)
+    assert not res.verdict and res.tolerance == 0.0
+    assert res.params == {"n": 1, "N": 3, "m": 3, "seed": 4}
+    with pytest.raises(KeyError, match="thm9.9"):
+        verify_theorem("thm9.9", f3)
 
 
 # ----- index -----------------------------------------------------------------
