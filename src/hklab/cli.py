@@ -59,19 +59,20 @@ def _parse_config_file(path: str) -> dict:
 
 _DEFAULTS = {
     "n": 1, "N": 4, "m": 1, "k": 16, "seed": 0, "tol": None, "tau": 0.5,
-    "zetas": "axes", "workers": 0, "out": None,
+    "zetas": "axes", "workers": 0, "out": None, "suite": "all",
 }
+_SUITES = ("fiber", "torus", "all")
 
 _INT_KEYS = {"n", "N", "m", "k", "seed", "workers"}
 _FLOAT_KEYS = {"tol", "tau"}
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flags > config file > defaults."""
-    cfg = dict(_DEFAULTS)
+def _resolve(args: argparse.Namespace, **defaults) -> dict:
+    """Merge flags > config file > defaults (`defaults` override _DEFAULTS)."""
+    cfg = {**_DEFAULTS, **defaults}
     if getattr(args, "config", None):
         fromfile = _parse_config_file(args.config)
-        unknown = set(fromfile) - set(_DEFAULTS) - {"suite"}
+        unknown = set(fromfile) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, val in fromfile.items():
@@ -99,8 +100,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ConfigError("n >= 1 required")
     if cfg["N"] < 3:
         raise ConfigError("N >= 3 required")
-    if cfg["k"] < 1:
+    if cfg["k"] is not None and cfg["k"] < 1:
         raise ConfigError("k >= 1 required")
+    if cfg["suite"] not in _SUITES:
+        raise ConfigError(f"suite must be one of {', '.join(_SUITES)}")
     if not (0.0 < cfg["tau"] < 1.0):
         raise ConfigError("tau must lie in (0, 1)")
     if cfg["tol"] is not None and not cfg["tol"] >= 0.0:
@@ -134,7 +137,7 @@ def _zeta_list(spec: str) -> list[TwistorPoint]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    suite = args.suite
+    suite = cfg["suite"]
     torus_suite = suite in ("torus", "all")
     if torus_suite and cfg["m"] == 0:
         raise ConfigError("the torus suite needs flux m != 0 (thm3.1 "
@@ -200,14 +203,17 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    # k stays None unless a flag or the config file sets it, so dirac_index
+    # keeps its own default rule
+    cfg = _resolve(args, k=None)
     spec = LatticeSpec(cfg["n"], cfg["N"])
     field = build_gauge_field(spec, cfg["m"])
     zetas = _zeta_list(cfg["zetas"])
     t0 = time.time()
     with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
         results = list(pool.map(
-            lambda z: dirac_index(field, z, tau=cfg["tau"], seed=cfg["seed"]),
+            lambda z: dirac_index(field, z, tau=cfg["tau"], k=cfg["k"],
+                                  seed=cfg["seed"]),
             zetas))
     _log(f"index over {len(zetas)} zetas in {time.time() - t0:.1f}s")
     payload = {
@@ -359,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flat key=value config file")
 
     p = sub.add_parser("verify", help="run identity and theorem checks")
-    p.add_argument("--suite", choices=("fiber", "torus", "all"), default="all")
+    p.add_argument("--suite", choices=_SUITES, default=None,
+                   help="check suite (default all)")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -116,12 +116,18 @@ class LatticeGaugeField:
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """Sparse operator on (sites x form fiber) space."""
+    """Sparse operator on (sites x form fiber) space.
+
+    `kronecker_parts` is (field, F) when the matrix is
+    scalar_covariant_laplacian(field) (x) 1 + 1 (x) F, which lets
+    `spectrum` solve it by plane separation.
+    """
 
     matrix: sp.spmatrix
     label: str
     spec: LatticeSpec
     fiber_dim: int
+    kronecker_parts: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -135,7 +141,11 @@ class LatticeOperator:
 
 @dataclass
 class SpectralReport:
-    """Lowest eigenvalues of a slice-restricted operator."""
+    """Lowest eigenvalues of a slice-restricted operator.
+
+    `dim` is the slice dimension; `separable` is True when the eigenvalues
+    came from the plane-separated engine rather than the assembled matrix.
+    """
 
     zeta: TwistorPoint
     slice_label: str
@@ -143,6 +153,8 @@ class SpectralReport:
     kernel_count: int | None
     kernel_threshold: float
     citation: str = ""
+    dim: int = 0
+    separable: bool = False
 
     def __post_init__(self):
         ev = np.sort(np.asarray(self.eigenvalues, dtype=float))
@@ -238,15 +250,21 @@ def lichnerowicz_laplacian(field: LatticeGaugeField,
     independent to solver precision.
     """
     fiber = model_fiber(field.spec.n)
-    wJ = kahler_form(fiber, ZETA_J)
-    cw = clifford_2form(fiber, zeta, wJ).matrix
+    F = flux_fiber_matrix(field, zeta)
     M = sp.kron(scalar_covariant_laplacian(field),
                 sp.identity(fiber.dim, dtype=complex, format="csr"))
-    M = M - (2j * np.pi * field.m) * sp.kron(
-        sp.identity(field.spec.sites, dtype=complex, format="csr"),
-        sp.csr_matrix(cw))
+    M = M + sp.kron(sp.identity(field.spec.sites, dtype=complex, format="csr"),
+                    sp.csr_matrix(F))
     return LatticeOperator(M.tocsr(), f"Delta_Lich(m={field.m})",
-                           field.spec, fiber.dim)
+                           field.spec, fiber.dim, kronecker_parts=(field, F))
+
+
+def flux_fiber_matrix(field: LatticeGaugeField,
+                      zeta: TwistorPoint) -> np.ndarray:
+    """F = -2 pi i m c_zeta(omega_J), the fiber part of the flux Laplacian."""
+    fiber = model_fiber(field.spec.n)
+    cw = clifford_2form(fiber, zeta, kahler_form(fiber, ZETA_J)).matrix
+    return -((2j * np.pi * field.m) * cw)
 
 
 def lattice_dirac(field: LatticeGaugeField, zeta: TwistorPoint) -> LatticeOperator:
@@ -305,10 +323,11 @@ def lowest_eigenvalues(M: sp.spmatrix, k: int, method: str = "auto",
                        seed: int = 0, sigma: float = -1.0,
                        vectors: bool = False
                        ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenvalues of a sparse Hermitian matrix, ascending.
+    """k smallest eigenvalues of a Hermitian matrix, ascending.
 
-    method 'auto' solves densely below DENSE_LIMIT (or when most of the
-    spectrum is requested) and by Lanczos otherwise; 'shift-invert' is an
+    M is sparse, or a dense array for the dense solve.  method 'auto'
+    solves densely below DENSE_LIMIT (or when most of the spectrum is
+    requested) and by Lanczos otherwise; 'shift-invert' is an
     independent backend used as a cross-check (sigma must lie below the
     spectrum).  Start vectors are seeded, so results are deterministic.
     With vectors=True the result is (eigenvalues, V) with orthonormal
@@ -320,7 +339,7 @@ def lowest_eigenvalues(M: sp.spmatrix, k: int, method: str = "auto",
     if method == "auto":
         method = "dense" if (dim <= DENSE_LIMIT or 3 * k > dim) else "lanczos"
     if method == "dense" or k >= dim - 1:
-        A = np.asarray(M.todense())
+        A = np.asarray(M.todense() if sp.issparse(M) else M)
         if not vectors:
             return np.linalg.eigvalsh(A)[:k]
         w, V = np.linalg.eigh(A)
@@ -344,27 +363,106 @@ def lowest_eigenvalues(M: sp.spmatrix, k: int, method: str = "auto",
     return w[order], Q
 
 
+def plane_laplacians(field: LatticeGaugeField) -> list[np.ndarray] | None:
+    """Dense N^2 x N^2 magnetic Laplacians of the flux planes, or None.
+
+    The planes are (e_{4b}, e_{4b+2}) and (e_{4b+1}, e_{4b+3}) per block,
+    with sites ordered x_a N + x_b.  When every link depends only on the two
+    coordinates of its own plane, as those of `build_gauge_field` do, the
+    scalar Laplacian is exactly the Kronecker sum of these.  Otherwise (a
+    generic gauge transform, say) the result is None: the test is exact
+    equality, so a field is never treated as separable by approximation.
+    """
+    spec = field.spec
+    N, d = spec.N, spec.d
+    links = field.links.reshape((N,) * d + (d,))
+    idx = np.arange(N * N).reshape(N, N)
+    eye = np.eye(N * N, dtype=complex)
+    out = []
+    for b in range(spec.n):
+        for plane in ((4 * b, 4 * b + 2), (4 * b + 1, 4 * b + 3)):
+            others = tuple(ax for ax in range(d) if ax not in plane)
+            origin = tuple(0 if ax in others else slice(None)
+                           for ax in range(d))
+            H = np.zeros((N * N, N * N), dtype=complex)
+            for pos, axis in enumerate(plane):
+                U = links[..., axis]
+                U0 = U[origin]
+                if not np.array_equal(U, np.broadcast_to(
+                        np.expand_dims(U0, others), U.shape)):
+                    return None
+                A = np.zeros((N * N, N * N), dtype=complex)
+                A[idx.ravel(), np.roll(idx, -1, axis=pos).ravel()] = U0.ravel()
+                H = H + (2.0 * eye - A - A.conj().T)
+            out.append(N**2 * H)
+    return out
+
+
+def _check_hermitian(M) -> None:
+    norm = spla.norm if sp.issparse(M) else np.linalg.norm
+    herm = norm(M - M.conj().T) / max(1.0, norm(M))
+    if herm > 1e-10:
+        raise ValueError(f"operator is not Hermitian on the slice ({herm:.1e})")
+
+
+def separable_spectrum(planes: list[np.ndarray], fiber_matrix: np.ndarray,
+                       basis: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """k lowest eigenvalues of sum_P H_P (x) 1 + 1 (x) Q^H F Q, and its dim.
+
+    This is the operator scalar (x) 1 + 1 (x) F restricted to sites x
+    range(Q) when the scalar part is the Kronecker sum of the plane
+    Laplacians H_P.  Every factor is diagonalized densely (F numerically,
+    so any fiber operator works) and the sorted lists are folded into
+    their k smallest sums.  The k smallest sums of two sorted lists use
+    only the first k entries of each, so the fold is exact and returns
+    every copy of a degenerate level.
+    """
+    factors = [*planes, basis.conj().T @ fiber_matrix @ basis]
+    dim = int(np.prod([len(H) for H in factors]))
+    k = min(k, dim)
+    sums = np.zeros(1)
+    for H in factors:
+        _check_hermitian(H)
+        w = lowest_eigenvalues(H, k, method="dense")
+        sums = np.sort(np.add.outer(sums, w), axis=None)[:k]
+    return sums, dim
+
+
 def spectrum(op: LatticeOperator, projector: FiberOperator | None, k: int,
              zeta: TwistorPoint = ZETA_J, slice_label: str = "full",
              kernel_tau: float = 0.5, method: str = "auto",
              seed: int = 0) -> SpectralReport:
-    """Lowest-k spectrum of the operator restricted to a fiber slice."""
-    M = op.matrix
-    if projector is not None:
-        M = restrict(op, slice_isometry(op.spec, model_fiber(op.spec.n),
-                                        projector))
-    herm = spla.norm(M - M.getH()) / max(1.0, spla.norm(M))
-    if herm > 1e-10:
-        raise ValueError(f"operator is not Hermitian on the slice ({herm:.1e})")
-    if k > M.shape[0]:
-        warnings.warn(f"k={k} exceeds slice dimension {M.shape[0]}; truncated")
-        k = M.shape[0]
-    w = lowest_eigenvalues(M, k, method=method, seed=seed)
+    """Lowest-k spectrum of the operator restricted to a fiber slice.
+
+    With method 'auto' an operator built by `lichnerowicz_laplacian` on a
+    plane-separable field is solved by `separable_spectrum` without
+    touching the assembled matrix; any other operator, field or method
+    restricts the assembled matrix and calls `lowest_eigenvalues`.
+    """
+    planes = None
+    if method == "auto" and op.kronecker_parts is not None:
+        field, F = op.kronecker_parts
+        planes = plane_laplacians(field)
+    if planes is not None:
+        basis = (np.eye(op.fiber_dim) if projector is None
+                 else slice_basis(model_fiber(op.spec.n), projector))
+        w, dim = separable_spectrum(planes, F, basis, k)
+    else:
+        M = op.matrix
+        if projector is not None:
+            M = restrict(op, slice_isometry(op.spec, model_fiber(op.spec.n),
+                                            projector))
+        _check_hermitian(M)
+        dim = M.shape[0]
+        w = lowest_eigenvalues(M, min(k, dim), method=method, seed=seed)
+    if k > dim:
+        warnings.warn(f"k={k} exceeds slice dimension {dim}; truncated")
     thresh = _kernel_threshold(w, kernel_tau)
     return SpectralReport(
         zeta=zeta, slice_label=slice_label, eigenvalues=w,
         kernel_count=None if thresh is None else int(np.sum(w < thresh)),
-        kernel_threshold=float("nan") if thresh is None else thresh)
+        kernel_threshold=float("nan") if thresh is None else thresh,
+        dim=dim, separable=planes is not None)
 
 
 CLUSTER_RATIO = 6.0
@@ -420,6 +518,30 @@ def _kernel_threshold(w: np.ndarray, tau: float) -> float | None:
     return None if cluster is None else cluster.threshold(tau)
 
 
+def _flux_slices(field: LatticeGaugeField, zeta: TwistorPoint,
+                 projectors: list[FiberOperator], k: int,
+                 seed: int) -> list[tuple[np.ndarray, int]]:
+    """(k lowest eigenvalues, slice dim) of the flux Laplacian per slice.
+
+    Plane-separated when the field allows it, so the sites x fiber matrix
+    is never assembled; otherwise the assembled Lichnerowicz Laplacian is
+    restricted to each slice and solved by `lowest_eigenvalues`.
+    """
+    fiber = model_fiber(field.spec.n)
+    planes = plane_laplacians(field)
+    if planes is not None:
+        F = flux_fiber_matrix(field, zeta)
+        return [separable_spectrum(planes, F, slice_basis(fiber, P), k)
+                for P in projectors]
+    delta = lichnerowicz_laplacian(field, zeta)
+    out = []
+    for P in projectors:
+        M = restrict(delta, slice_isometry(field, fiber, P))
+        out.append((lowest_eigenvalues(M, min(k, M.shape[0]), seed=seed),
+                    M.shape[0]))
+    return out
+
+
 @dataclass
 class IndexResult:
     """Even minus odd near-kernel count of the flux Laplacian on (0, *).
@@ -449,7 +571,9 @@ def dirac_index(field: LatticeGaugeField, zeta: TwistorPoint,
     """Count even/odd (0, *) eigenvalues below tau times the gap.
 
     Uses the Lichnerowicz-form Laplacian so that lattice doublers cannot
-    contaminate the kernel counts.  The gap is the first eigenvalue of the
+    contaminate the kernel counts; its slice spectra come from
+    `_flux_slices`, plane-separated with exact multiplicities when the
+    field allows it.  The gap is the first eigenvalue of the
     combined even + odd list above its near-zero cluster
     (`near_zero_cluster`).  The result is flagged indeterminate, and nothing
     is counted, when no such gap was returned, when tau * gap does not lie
@@ -459,14 +583,11 @@ def dirac_index(field: LatticeGaugeField, zeta: TwistorPoint,
     fiber = model_fiber(field.spec.n)
     if k is None:
         k = max(8, 2 * field.m * field.m + 6)
-    delta = lichnerowicz_laplacian(field, zeta)
-    out, complete = {}, {}
-    for parity in ("even", "odd"):
-        P = zero_one_star_projector(fiber, zeta, parity)
-        V = slice_isometry(field, fiber, P)
-        M = restrict(delta, V)
-        out[parity] = lowest_eigenvalues(M, min(k, M.shape[0]), seed=seed)
-        complete[parity] = len(out[parity]) == M.shape[0]
+    parities = ("even", "odd")
+    slices = _flux_slices(field, zeta, [
+        zero_one_star_projector(fiber, zeta, p) for p in parities], k, seed)
+    out = {p: w for p, (w, _dim) in zip(parities, slices)}
+    complete = {p: len(w) == dim for p, (w, dim) in zip(parities, slices)}
     cluster = near_zero_cluster(np.concatenate([out["even"], out["odd"]]))
     result = IndexResult(
         value=None, determinate=False, even_count=None, odd_count=None,
@@ -577,10 +698,8 @@ def corollary_1_2_details(field: LatticeGaugeField,
     fiber = model_fiber(field.spec.n)
     gaps = []
     for z in zetas:
-        delta = lichnerowicz_laplacian(field, z)
-        P = zero_one_star_projector(fiber, z, "odd")
-        V = slice_isometry(field, fiber, P)
-        w = lowest_eigenvalues(restrict(delta, V), 2, seed=seed)
+        [(w, _dim)] = _flux_slices(
+            field, z, [zero_one_star_projector(fiber, z, "odd")], 2, seed)
         gaps.append(float(w[0]))
     gaps = np.array(gaps)
     return {"gaps": gaps, "min_gap": float(gaps.min()),

@@ -213,3 +213,29 @@ def test_exit_codes(monkeypatch, capsys, argv, code, message):
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert message in captured.out + captured.err
+
+
+def test_index_honours_k(tmp_path):
+    """--k (or a config-file k) reaches dirac_index; k = 2 ends the even
+    list inside the 4-fold cluster, so the index is indeterminate."""
+    from hklab import cli
+    argv = ["index", "--N", "4", "--m", "2", "--zetas", "j"]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--k", "2"]) == 3
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("k = 2\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == 3
+
+
+def test_verify_suite_from_config_file(tmp_path):
+    from hklab import cli
+    from hklab.symmetry import check_ids
+    cfg = tmp_path / "fiber.cfg"
+    cfg.write_text("suite = fiber\n")
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--config", str(cfg), "--N", "3",
+                     "--out", str(out)]) == 0
+    ids = [e["check_id"] for e in json.loads(out.read_text())]
+    assert ids == list(check_ids()) and len(ids) == 7
+    cfg.write_text("suite = everything\n")
+    assert cli.main(["verify", "--config", str(cfg)]) == 2

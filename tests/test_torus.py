@@ -1,8 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hklab.fiber import bidegree_projector, zero_one_star_projector
 from hklab.quaternions import (QUAT_K, TwistorPoint, UnitQuaternion, ZETA_J,
@@ -14,8 +18,9 @@ from hklab.torus import (LatticeGaugeField, LatticeOperator, LatticeSpec,
                          dirac_index, dirac_vs_lichnerowicz, dolbeault_pair,
                          lattice_dirac, lichnerowicz_laplacian,
                          lowest_eigenvalues, model_fiber, near_zero_cluster,
-                         scalar_covariant_laplacian, slice_isometry, restrict,
-                         spectrum, theorem_1_1_details, theorem_3_10_details,
+                         plane_laplacians, scalar_covariant_laplacian,
+                         slice_isometry, restrict, spectrum,
+                         theorem_1_1_details, theorem_3_10_details,
                          theorem_3_1_details, verify_theorem)
 
 from .oracles import (chern_weil_index, flux_slice_spectrum,
@@ -196,20 +201,107 @@ def test_lichnerowicz_flat_equals_covariant():
 
 
 def test_spectrum_matches_plane_separated_oracle():
-    """Feature path (sparse assembly + solver) against the independent
-    plane-separated dense construction."""
+    """Both library paths against the independent oracle: the separable
+    engine ('auto') and the assembled sparse operator ('dense'), on every
+    (0, q) slice and on the whole (0, *) slice."""
     N, m = 4, 1
     f1 = build_gauge_field(LatticeSpec(1, N), m)
     fiber = model_fiber(1)
     delta = lichnerowicz_laplacian(f1, ZETA_J)
-    for q in range(3):
-        rep = spectrum(delta, bidegree_projector(fiber, ZETA_J, 0, q), 8,
-                       zeta=ZETA_J, method="dense")
-        oracle = flux_slice_spectrum(N, m, q, 8)
-        assert np.abs(rep.eigenvalues - oracle).max() < 1e-9
-    rep = spectrum(delta, zero_one_star_projector(fiber, ZETA_J), 12)
-    assert np.abs(rep.eigenvalues
-                  - flux_zero_one_star_spectrum(N, m, 12)).max() < 1e-9
+    cases = [(bidegree_projector(fiber, ZETA_J, 0, q), 8,
+              flux_slice_spectrum(N, m, q, 8)) for q in range(3)]
+    cases.append((zero_one_star_projector(fiber, ZETA_J), 12,
+                  flux_zero_one_star_spectrum(N, m, 12)))
+    for P, k, oracle in cases:
+        for method, separable in (("auto", True), ("dense", False)):
+            rep = spectrum(delta, P, k, zeta=ZETA_J, method=method)
+            assert rep.separable is separable
+            assert rep.dim == f1.spec.sites * round(np.trace(P.matrix).real)
+            assert np.abs(rep.eigenvalues - oracle).max() < 1e-9
+
+
+def _parity_oracle(N: int, m: int, parity: str, count: int) -> np.ndarray:
+    qs = (0, 2) if parity == "even" else (1,)
+    w = np.concatenate([flux_slice_spectrum(N, m, q, count) for q in qs])
+    return np.sort(w)[:count]
+
+
+@pytest.mark.parametrize("N,m,zeta,k", [
+    (6, 0, ZETA_J, 8),
+    (8, 2, fibonacci_sphere(20)[0], 14),
+])
+def test_index_eigenvalues_have_exact_multiplicities(N, m, zeta, k):
+    """Windows that end inside a degenerate Landau level hold every copy
+    below their top; an iterative solver may return fewer."""
+    res = dirac_index(build_gauge_field(LatticeSpec(1, N), m), zeta, k=k)
+    for parity, w in (("even", res.even_eigenvalues),
+                      ("odd", res.odd_eigenvalues)):
+        assert len(w) == k
+        assert np.abs(w - _parity_oracle(N, m, parity, k)).max() < 1e-9
+    if m == 0:  # 0, 0, 36 x 6
+        assert np.allclose(res.even_eigenvalues, [0.0] * 2 + [36.0] * 6)
+
+
+@settings(max_examples=12, deadline=None)
+@given(N=st.sampled_from([3, 4]), m=st.integers(0, 3),
+       zeta_seed=st.integers(0, 2**16), k=st.integers(1, 40),
+       part=st.sampled_from(["all", "even", "odd", 0, 1, 2]))
+def test_separable_spectrum_equals_assembled_dense(N, m, zeta_seed, k, part):
+    f = build_gauge_field(LatticeSpec(1, N), m)
+    z = random_twistor_point(np.random.default_rng(zeta_seed))
+    fiber = model_fiber(1)
+    P = (zero_one_star_projector(fiber, z, part) if isinstance(part, str)
+         else bidegree_projector(fiber, z, 0, part))
+    delta = lichnerowicz_laplacian(f, z)
+    sep = spectrum(delta, P, k, zeta=z)
+    dense = spectrum(delta, P, k, zeta=z, method="dense")
+    assert sep.separable and not dense.separable
+    assert sep.dim == dense.dim
+    assert np.abs(sep.eigenvalues - dense.eigenvalues).max() < 1e-9
+
+
+def test_separable_engine_never_assembles(monkeypatch):
+    import hklab.torus as torus
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled the sites x fiber operator")
+
+    f = build_gauge_field(LatticeSpec(1, 6), 1)
+    monkeypatch.setattr(torus, "lichnerowicz_laplacian", no_assembly)
+    assert dirac_index(f, ZETA_J).value == 1
+    det = corollary_1_2_details(f, [ZETA_J, MINUS_J])
+    assert det["deviation"] < 1e-9
+
+
+def test_non_separable_field_takes_assembled_path(rng):
+    f = build_gauge_field(LatticeSpec(1, 4), 2)
+    g = f.gauge_transformed(np.exp(2j * np.pi * rng.random(f.spec.sites)))
+    assert len(plane_laplacians(f)) == 2
+    assert plane_laplacians(g) is None
+    fiber = model_fiber(1)
+    P = zero_one_star_projector(fiber, ZETA_J)
+    a = spectrum(lichnerowicz_laplacian(f, ZETA_J), P, 12)
+    b = spectrum(lichnerowicz_laplacian(g, ZETA_J), P, 12)
+    assert a.separable and not b.separable and a.dim == b.dim
+    assert np.abs(a.eigenvalues - b.eigenvalues).max() < 1e-9
+    res_f, res_g = dirac_index(f, ZETA_J), dirac_index(g, ZETA_J)
+    assert res_f.value == res_g.value == 4
+    assert np.abs(res_f.even_eigenvalues
+                  - res_g.even_eigenvalues).max() < 1e-9
+
+
+def test_library_does_not_import_tests():
+    src = Path(__file__).resolve().parent.parent / "src" / "hklab"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "tests" or n.startswith("tests.")
+                           for n in names), (path.name, names)
 
 
 def test_cross_solver_agreement():
@@ -329,6 +421,21 @@ def test_index_against_oracles(m, expected, fiber1):
     else:
         h = hodge_numbers(1)
         assert res.even_count == h[0] + h[2] and res.odd_count == h[1]
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_index_on_T8(m, fiber2):
+    """First T^8 (n = 2) index: 0 and 1 at N = 4, on the j axis and a
+    generic point, against the curvature integral and the theta count."""
+    f = build_gauge_field(LatticeSpec(2, 4), m)
+    for z in (ZETA_J, fibonacci_sphere(20)[0]):
+        res = dirac_index(f, z, k=16)
+        assert res.determinate
+        assert res.value == m == chern_weil_index(fiber2, m)
+        if m > 0:
+            assert res.value == theta_ground_count(f)
+        else:
+            assert (res.even_count, res.odd_count) == (8, 8)
 
 
 def test_index_zeta_independence():
