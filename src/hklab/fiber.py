@@ -215,20 +215,25 @@ def bidegree_projector(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     """Spectral projector onto the (p, q)_{J_zeta} slice of the algebra.
 
     Built as the Lagrange interpolant of the type derivation on the
-    total-degree-(p+q) block, so one code path serves every zeta.
+    total-degree-(p+q) block alone (size C(4n, p+q)), so one code path
+    serves every zeta.
     """
     if not (0 <= p <= 2 * fiber.n and 0 <= q <= 2 * fiber.n):
         raise ValueError(f"bidegree ({p}, {q}) out of range for n = {fiber.n}")
-    D = type_derivation(fiber, zeta)
     k = p + q
     alg = fiber.algebra
-    M = alg.degree_projector(k).astype(complex)
+    block = slice(alg.degree_offset(k), alg.degree_offset(k + 1))
+    D = type_derivation(fiber, zeta)[block, block]
+    eye = np.eye(D.shape[0])
+    B = eye.astype(complex)
     lam = (p - q) * 1j
     for (p2, q2) in _bidegrees_of_degree(fiber.n, k):
         if (p2, q2) == (p, q):
             continue
         lam2 = (p2 - q2) * 1j
-        M = (D - lam2 * np.eye(alg.dim)) @ M / (lam - lam2)
+        B = (D - lam2 * eye) @ B / (lam - lam2)
+    M = np.zeros((alg.dim, alg.dim), dtype=complex)
+    M[block, block] = B
     return FiberOperator(M, f"P^({p},{q})")
 
 

@@ -579,10 +579,16 @@ def dirac_index(field: LatticeGaugeField, zeta: TwistorPoint,
     is counted, when no such gap was returned, when tau * gap does not lie
     strictly between the cluster and the gap, or when a parity's returned
     eigenvalues end below the threshold.
+
+    The default window k = max(2^{2n+1}, 2 m^{2n} + 6) per parity is four
+    times the flux-free kernel 2^{2n-1} of a parity and clears the m^{2n}
+    lowest-Landau-level modes of the even slice; at n = 1 it is
+    max(8, 2 m^2 + 6).
     """
-    fiber = model_fiber(field.spec.n)
+    n = field.spec.n
+    fiber = model_fiber(n)
     if k is None:
-        k = max(8, 2 * field.m * field.m + 6)
+        k = max(2 ** (2 * n + 1), 2 * field.m ** (2 * n) + 6)
     parities = ("even", "odd")
     slices = _flux_slices(field, zeta, [
         zero_one_star_projector(fiber, zeta, p) for p in parities], k, seed)

@@ -3,12 +3,14 @@
 Everything here is written against closed forms or brute force, not against
 the library's own operator paths: combinatorial Hodge numbers, the curvature
 integral by exterior-algebra exponentiation, theta-style section counts via
-the Pfaffian of the integer flux matrix, continuum Landau levels, and a
-plane-separated dense construction of the flux-torus spectra.
+the Pfaffian of the integer flux matrix, continuum Landau levels, a
+plane-separated dense construction of the flux-torus spectra, and a dense
+exterior algebra built from the subset-and-sign definition of the wedge.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import comb, pi
 
 import numpy as np
@@ -142,3 +144,88 @@ def sl2_joint_spectrum_prediction(n: int) -> dict[tuple[int, int], int]:
             key = (2 * i - m, m * (m + 2))
             out[key] = out.get(key, 0) + dim
     return out
+
+
+class DenseExterior:
+    """Dense reference for the exterior-algebra operators and the fiber
+    operators made from them.
+
+    Basis e^S over subsets S of {0..d-1}, degree-major and lexicographic
+    inside each degree; e^a e^S = (-1)^{#{s in S : s < a}} e^{S + a} for a
+    not in S.  Every operator is a sum of products of these dense
+    generators and their transposes, as in the definitions.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        basis = [S for k in range(d + 1)
+                 for S in itertools.combinations(range(d), k)]
+        index = {S: i for i, S in enumerate(basis)}
+        self.basis = basis
+        self.dim = len(basis)
+        self.degrees = np.array([len(S) for S in basis])
+        self.eps = []
+        for a in range(d):
+            E = np.zeros((self.dim, self.dim))
+            for S, i in index.items():
+                if a not in S:
+                    sign = (-1.0) ** sum(s < a for s in S)
+                    E[index[tuple(sorted(S + (a,)))], i] = sign
+            self.eps.append(E)
+
+    def wedge_1form(self, c) -> np.ndarray:
+        return sum(c[a] * self.eps[a] for a in range(self.d))
+
+    def contraction(self, v) -> np.ndarray:
+        return sum(v[a] * self.eps[a].T for a in range(self.d))
+
+    def wedge_2form(self, W) -> np.ndarray:
+        return sum(W[a, b] * (self.eps[a] @ self.eps[b])
+                   for a in range(self.d) for b in range(a + 1, self.d))
+
+    def derivation(self, A) -> np.ndarray:
+        return sum(A[a, b] * (self.eps[a] @ self.eps[b].T)
+                   for a in range(self.d) for b in range(self.d))
+
+    def wedge_element(self, v) -> np.ndarray:
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        for c, S in zip(v, self.basis):
+            P = np.eye(self.dim)
+            for a in S:
+                P = P @ self.eps[a]
+            M += c * P
+        return M
+
+    def clifford_2form(self, J, W) -> np.ndarray:
+        """sum_{a<b} W_ab c(e^a) c(e^b) with c(e^a) = sqrt(2) (wedge of the
+        (0,1) part of e^a minus contraction by its (1,0) part), metric Id
+        and complex structure J on vectors."""
+        A = J.T
+        eye = np.eye(self.d)
+        c = [np.sqrt(2.0) * (self.wedge_1form(0.5 * (e + 1j * A @ e))
+                             - self.contraction(0.5 * (e - 1j * A @ e)))
+             for e in eye]
+        return sum(W[a, b] * (c[a] @ c[b])
+                   for a in range(self.d) for b in range(a + 1, self.d))
+
+    def bidegree_projectors(self, J) -> dict[tuple[int, int], np.ndarray]:
+        """Spectral projectors of -i D_J, D_J the type derivation, on each
+        degree block: (p, q) has degree p + q and eigenvalue p - q."""
+        H = -1j * self.derivation(J.T)
+        out = {}
+        for k in range(self.d + 1):
+            idx = np.flatnonzero(self.degrees == k)
+            w, V = np.linalg.eigh(H[np.ix_(idx, idx)])
+            for q in range(k + 1):
+                sel = V[:, np.abs(w - (k - 2 * q)) < 0.5]
+                P = np.zeros((self.dim, self.dim), dtype=complex)
+                P[np.ix_(idx, idx)] = sel @ sel.conj().T
+                out[k - q, q] = P
+        return out
+
+
+def dense_exp_antihermitian(G, t: float = 1.0) -> np.ndarray:
+    """exp(t G) through one eigendecomposition of the whole i G."""
+    H = 1j * np.asarray(G, dtype=complex)
+    w, V = np.linalg.eigh(0.5 * (H + H.conj().T))
+    return (V * np.exp(-1j * t * w)) @ V.conj().T

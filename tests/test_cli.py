@@ -227,6 +227,16 @@ def test_index_honours_k(tmp_path):
     assert cli.main(argv + ["--config", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_index_default_window_on_T8(m, capsys):
+    """n = 2 without --k: the default window grows with n, so the index
+    is determinate at m = 0 (8 + 8 zero modes) and m = 1."""
+    from hklab import cli
+    argv = ["index", "--n", "2", "--N", "4", "--m", str(m), "--zetas", "j"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == str(m)
+
+
 def test_verify_suite_from_config_file(tmp_path):
     from hklab import cli
     from hklab.symmetry import check_ids

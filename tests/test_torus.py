@@ -438,6 +438,22 @@ def test_index_on_T8(m, fiber2):
             assert (res.even_count, res.odd_count) == (8, 8)
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_index_default_window_on_T8(m):
+    """Without k the window grows with n: 2^{2n+1} = 32 per parity at
+    N = 4, enough to pass the 8 + 8 flux-free zero modes."""
+    f = build_gauge_field(LatticeSpec(2, 4), m)
+    res = dirac_index(f, ZETA_J)
+    assert res.determinate and res.value == m
+    assert len(res.even_eigenvalues) == len(res.odd_eigenvalues) == 32
+
+
+def test_index_default_window_n1_unchanged():
+    for m in range(4):
+        res = dirac_index(build_gauge_field(LatticeSpec(1, 4), m), ZETA_J)
+        assert len(res.even_eigenvalues) == max(8, 2 * m * m + 6)
+
+
 def test_index_zeta_independence():
     f = build_gauge_field(LatticeSpec(1, 6), 1)
     vals = {dirac_index(f, z).value for z in sample_zetas("axes")}
