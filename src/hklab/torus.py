@@ -11,13 +11,22 @@ Two discretizations coexist deliberately.  Kernel and gap counting uses the
 Lichnerowicz-form Laplacian built from forward differences (free of fermion
 doubling), while first-order operator identities use the symmetric-difference
 Dirac operator; a Richardson test reconciles the two at rate 1/N^2.
+
+Every lattice operator is a short sum of Kronecker terms S_i (x) f_i: a
+sites x sites factor (scalar Laplacian, central difference, identity) times
+a fiber matrix.  `LatticeOperator` keeps the terms.  Operator identities are
+fiber identities tensored with the lattice, so their residuals are Frobenius
+norms taken from ||sum S_i (x) f_i||^2 = sum_ij <S_i, S_j> <f_i, f_j>: a
+small site Gram matrix and fiber-sized products, never the sites x fiber
+matrix.  That matrix is assembled only for eigensolves and slice
+restrictions that need it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -113,30 +122,171 @@ class LatticeGaugeField:
             new[:, a] = g * self.links[:, a] * np.conj(g[ia])
         return LatticeGaugeField(self.spec, self.m, new)
 
+    @cached_property
+    def laplacian(self) -> sp.csr_matrix:
+        """scalar_covariant_laplacian(self), built once and shared by the
+        operators made from this field."""
+        return _site(scalar_covariant_laplacian(self))
 
-@dataclass(frozen=True)
+
+def _fiber_matrix(x) -> np.ndarray:
+    return x.matrix if isinstance(x, FiberOperator) else np.asarray(x)
+
+
+def _site(S) -> sp.csr_matrix:
+    """S as a canonical complex CSR matrix, the form `_site_sign` compares."""
+    if not (sp.issparse(S) and S.format == "csr" and S.dtype == complex
+            and S.has_canonical_format):
+        S = sp.csr_matrix(S, dtype=complex, copy=True)
+        S.sum_duplicates()
+    return S
+
+
+def _site_sign(A: sp.csr_matrix, B: sp.csr_matrix) -> int:
+    """+1 or -1 when B equals +A or -A entry for entry, else 0."""
+    if A is B:
+        return 1
+    if (A.shape != B.shape or A.nnz != B.nnz
+            or not np.array_equal(A.indptr, B.indptr)
+            or not np.array_equal(A.indices, B.indices)):
+        return 0
+    if np.array_equal(A.data, B.data):
+        return 1
+    return -1 if np.array_equal(A.data, -B.data) else 0
+
+
+@lru_cache(maxsize=8)
+def _site_identity(spec: LatticeSpec) -> sp.csr_matrix:
+    return sp.identity(spec.sites, dtype=complex, format="csr")
+
+
+@dataclass(frozen=True, eq=False)
 class LatticeOperator:
-    """Sparse operator on (sites x form fiber) space.
+    """Operator on (sites x form fiber) space as a short sum of Kronecker terms.
 
-    `kronecker_parts` is (field, F) when the matrix is
-    scalar_covariant_laplacian(field) (x) 1 + 1 (x) F, which lets
-    `spectrum` solve it by plane separation.
+    `terms` are (S, f) pairs, S a sites x sites sparse matrix (kept as
+    canonical CSR) and f a dense fiber matrix; the operator is
+    sum_i S_i (x) f_i.  Sums, scalar multiples, products with a fiber lift
+    1 (x) x on either side (`x @ op`, `op @ x` for a FiberOperator or a
+    fiber-sized array x) and the adjoint act on the terms, and
+    `frobenius_norm` never forms the sites x fiber matrix.  `matrix`
+    assembles it, once, for the eigensolvers and slice restrictions.
+    `field` is the gauge field the site factors were built from, which lets
+    `spectrum` recognize scalar_covariant_laplacian(field) (x) c + 1 (x) F.
     """
 
-    matrix: sp.spmatrix
+    terms: tuple
     label: str
     spec: LatticeSpec
     fiber_dim: int
-    kronecker_parts: tuple | None = None
+    field: LatticeGaugeField | None = None
+
+    # ndarray @ op defers to __rmatmul__ instead of broadcasting over op
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(
+            (_site(S), np.asarray(f)) for S, f in self.terms))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.spec.sites * self.fiber_dim
+
+    @property
+    def nnz(self) -> int:
+        """Entries the terms store: site nonzeros plus dense fiber entries."""
+        return sum(S.nnz + f.size for S, f in self.terms)
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        M = sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        for S, f in self.terms:
+            M = M + sp.kron(S, sp.csr_matrix(f), format="csr")
+        return M
+
+    def _with(self, terms, label: str,
+              other: "LatticeOperator | None" = None) -> "LatticeOperator":
+        field = self.field
+        if other is not None:
+            if (other.spec, other.fiber_dim) != (self.spec, self.fiber_dim):
+                raise ValueError("operators act on different spaces")
+            if other.field is not field:
+                field = None
+        return LatticeOperator(tuple(terms), label, self.spec,
+                               self.fiber_dim, field)
+
+    def __add__(self, other: "LatticeOperator") -> "LatticeOperator":
+        return self._with(self.terms + other.terms,
+                          f"{self.label} + {other.label}", other)
+
+    def __sub__(self, other: "LatticeOperator") -> "LatticeOperator":
+        return self._with(self.terms + tuple((S, -f) for S, f in other.terms),
+                          f"{self.label} - {other.label}", other)
+
+    def __mul__(self, c) -> "LatticeOperator":
+        return self._with(((S, c * f) for S, f in self.terms),
+                          f"{c}*{self.label}")
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, x) -> "LatticeOperator":
+        x = _fiber_matrix(x)
+        return self._with(((S, f @ x) for S, f in self.terms),
+                          f"{self.label}*x")
+
+    def __rmatmul__(self, x) -> "LatticeOperator":
+        x = _fiber_matrix(x)
+        return self._with(((S, x @ f) for S, f in self.terms),
+                          f"x*{self.label}")
+
+    def adjoint(self) -> "LatticeOperator":
+        return self._with(((S.getH(), f.conj().T) for S, f in self.terms),
+                          f"{self.label}^*")
+
+    def _merged_terms(self) -> tuple[list[sp.csr_matrix], list[np.ndarray]]:
+        """Site factors and fiber parts, terms whose site factors are equal
+        up to sign summed into one.  An identity that holds fiber by fiber
+        (X c = c' X) thus cancels in fiber-sized arithmetic, and the site
+        factors left are linearly independent for every builder's operator.
+        """
+        sites: list[sp.csr_matrix] = []
+        fibers: list[np.ndarray] = []
+        for S, f in self.terms:
+            for i, T in enumerate(sites):
+                sign = _site_sign(T, S)
+                if sign:
+                    fibers[i] = fibers[i] + sign * f
+                    break
+            else:
+                sites.append(S)
+                fibers.append(f)
+        return sites, fibers
+
+    def frobenius_norm(self) -> float:
+        """||sum_i S_i (x) f_i||_F from the site Gram matrix.
+
+        ||.||^2 = sum_ij <S_i, S_j> <f_i, f_j> (Van Loan 2000).  The Gram
+        matrix G of the merged site factors is factored as W diag(lam) W^H
+        and the norm is sqrt(sum_c lam_c ||sum_j conj(W_jc) f_j||^2) with
+        lam clipped at 0; the raw quadratic form can cancel below zero.
+        """
+        sites, fibers = self._merged_terms()
+        if not sites:
+            return 0.0
+        G = np.empty((len(sites), len(sites)), dtype=complex)
+        for i, A in enumerate(sites):
+            Ac = A.conj()
+            for j in range(i, len(sites)):
+                G[i, j] = Ac.multiply(sites[j]).sum()
+                G[j, i] = np.conj(G[i, j])
+        lam, W = np.linalg.eigh(G)
+        g = np.tensordot(W.conj().T, np.stack(fibers), axes=1)
+        sq = np.sum(np.abs(g) ** 2, axis=(1, 2))
+        return float(np.sqrt(np.clip(lam, 0.0, None) @ sq))
 
     def hermitian_residual(self) -> float:
-        M = self.matrix
-        num = spla.norm(M - M.getH())
-        return float(num / max(1.0, spla.norm(M)))
+        return ((self - self.adjoint()).frobenius_norm()
+                / max(1.0, self.frobenius_norm()))
 
 
 @dataclass
@@ -226,9 +376,8 @@ def scalar_covariant_laplacian(field: LatticeGaugeField) -> sp.csr_matrix:
 def covariant_laplacian(field: LatticeGaugeField) -> LatticeOperator:
     """nabla* nabla on form-valued sections: scalar Laplacian (x) identity."""
     fdim = model_fiber(field.spec.n).dim
-    M = sp.kron(scalar_covariant_laplacian(field),
-                sp.identity(fdim, dtype=complex, format="csr"), format="csr")
-    return LatticeOperator(M, "nabla*nabla", field.spec, fdim)
+    return LatticeOperator(((field.laplacian, np.eye(fdim, dtype=complex)),),
+                           "nabla*nabla", field.spec, fdim, field)
 
 
 def central_differences(field: LatticeGaugeField) -> list[sp.csr_matrix]:
@@ -249,14 +398,11 @@ def lichnerowicz_laplacian(field: LatticeGaugeField,
     by the fiberwise intertwiners; spectra on (0, *) slices are zeta
     independent to solver precision.
     """
-    fiber = model_fiber(field.spec.n)
-    F = flux_fiber_matrix(field, zeta)
-    M = sp.kron(scalar_covariant_laplacian(field),
-                sp.identity(fiber.dim, dtype=complex, format="csr"))
-    M = M + sp.kron(sp.identity(field.spec.sites, dtype=complex, format="csr"),
-                    sp.csr_matrix(F))
-    return LatticeOperator(M.tocsr(), f"Delta_Lich(m={field.m})",
-                           field.spec, fiber.dim, kronecker_parts=(field, F))
+    cov = covariant_laplacian(field)
+    return LatticeOperator(
+        cov.terms + ((_site_identity(field.spec),
+                      flux_fiber_matrix(field, zeta)),),
+        f"Delta_Lich(m={field.m})", field.spec, cov.fiber_dim, field)
 
 
 def flux_fiber_matrix(field: LatticeGaugeField,
@@ -270,13 +416,9 @@ def flux_fiber_matrix(field: LatticeGaugeField,
 def lattice_dirac(field: LatticeGaugeField, zeta: TwistorPoint) -> LatticeOperator:
     """D = sum_a c_zeta(e^a) nabla_a with symmetric differences; Hermitian."""
     fiber = model_fiber(field.spec.n)
-    diffs = central_differences(field)
-    M = None
-    for a in range(field.spec.d):
-        c = sp.csr_matrix(clifford(fiber, zeta, np.eye(fiber.d)[a]).matrix)
-        term = sp.kron(diffs[a], c)
-        M = term if M is None else M + term
-    return LatticeOperator(M.tocsr(), "D", field.spec, fiber.dim)
+    terms = tuple((S, clifford(fiber, zeta, np.eye(fiber.d)[a]).matrix)
+                  for a, S in enumerate(central_differences(field)))
+    return LatticeOperator(terms, "D", field.spec, fiber.dim, field)
 
 
 def dolbeault_pair(field: LatticeGaugeField,
@@ -286,16 +428,12 @@ def dolbeault_pair(field: LatticeGaugeField,
     alg = fiber.algebra
     from .fiber import complex_structure
     A = complex_structure(fiber, zeta).T
-    diffs = central_differences(field)
-    M = None
-    for a in range(field.spec.d):
+    terms = []
+    for a, S in enumerate(central_differences(field)):
         e = np.eye(fiber.d)[a]
-        a01 = 0.5 * (e + 1j * (A @ e))
-        term = sp.kron(diffs[a], sp.csr_matrix(alg.wedge_1form(a01)))
-        M = term if M is None else M + term
-    dbar = LatticeOperator(M.tocsr(), "dbar", field.spec, fiber.dim)
-    dbar_star = LatticeOperator(M.getH().tocsr(), "dbar*", field.spec, fiber.dim)
-    return dbar, dbar_star
+        terms.append((S, alg.wedge_1form(0.5 * (e + 1j * (A @ e)))))
+    dbar = LatticeOperator(tuple(terms), "dbar", field.spec, fiber.dim, field)
+    return dbar, replace(dbar.adjoint(), label="dbar*")
 
 
 def lift_fiber(field_or_spec, op: FiberOperator | np.ndarray) -> sp.csr_matrix:
@@ -334,6 +472,8 @@ def lowest_eigenvalues(M: sp.spmatrix, k: int, method: str = "auto",
     columns V: Lanczos Ritz vectors inside a degenerate level need not be
     orthonormal, so the iterative backends orthonormalise them by QR.
     """
+    if method not in ("auto", "dense", "lanczos", "shift-invert"):
+        raise ValueError(f"unknown eigensolver method {method!r}")
     dim = M.shape[0]
     k = min(k, dim)
     if method == "auto":
@@ -350,11 +490,9 @@ def lowest_eigenvalues(M: sp.spmatrix, k: int, method: str = "auto",
     if method == "lanczos":
         out = spla.eigsh(M.tocsc(), k=k, which="SA", v0=v0, ncv=ncv,
                          maxiter=50 * dim, return_eigenvectors=vectors)
-    elif method == "shift-invert":
+    else:
         out = spla.eigsh(M.tocsc(), k=k, sigma=sigma, which="LM", v0=v0,
                          ncv=ncv, return_eigenvectors=vectors)
-    else:
-        raise ValueError(f"unknown eigensolver method {method!r}")
     if not vectors:
         return np.sort(out)
     w, V = out
@@ -434,16 +572,16 @@ def spectrum(op: LatticeOperator, projector: FiberOperator | None, k: int,
              seed: int = 0) -> SpectralReport:
     """Lowest-k spectrum of the operator restricted to a fiber slice.
 
-    With method 'auto' an operator built by `lichnerowicz_laplacian` on a
-    plane-separable field is solved by `separable_spectrum` without
-    touching the assembled matrix; any other operator, field or method
-    restricts the assembled matrix and calls `lowest_eigenvalues`.
+    With method 'auto' an operator whose terms are c L (x) 1 and 1 (x) F,
+    L the scalar Laplacian of a plane-separable field (as built by
+    `lichnerowicz_laplacian` and `covariant_laplacian`, or a multiple of
+    them), is solved by `separable_spectrum` without assembling it; any
+    other operator, field or method restricts the assembled matrix and
+    calls `lowest_eigenvalues`.
     """
-    planes = None
-    if method == "auto" and op.kronecker_parts is not None:
-        field, F = op.kronecker_parts
-        planes = plane_laplacians(field)
-    if planes is not None:
+    parts = _separable_parts(op) if method == "auto" else None
+    if parts is not None:
+        planes, F = parts
         basis = (np.eye(op.fiber_dim) if projector is None
                  else slice_basis(model_fiber(op.spec.n), projector))
         w, dim = separable_spectrum(planes, F, basis, k)
@@ -462,7 +600,30 @@ def spectrum(op: LatticeOperator, projector: FiberOperator | None, k: int,
         zeta=zeta, slice_label=slice_label, eigenvalues=w,
         kernel_count=None if thresh is None else int(np.sum(w < thresh)),
         kernel_threshold=float("nan") if thresh is None else thresh,
-        dim=dim, separable=planes is not None)
+        dim=dim, separable=parts is not None)
+
+
+def _separable_parts(op: LatticeOperator
+                     ) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """(c H_P per plane, F) when op = c L (x) 1 + 1 (x) F, else None.
+
+    L is the scalar Laplacian of op's field, whose plane Laplacians H_P
+    must exist; after merging, the site factors must be the identity and L
+    themselves, and L's fiber part a real multiple of the identity.
+    """
+    planes = None if op.field is None else plane_laplacians(op.field)
+    if planes is None:
+        return None
+    c, F = 0.0, np.zeros((op.fiber_dim, op.fiber_dim), dtype=complex)
+    for S, f in zip(*op._merged_terms()):
+        if _site_sign(_site_identity(op.spec), S) == 1:
+            F = f
+        elif (_site_sign(op.field.laplacian, S) == 1
+              and np.array_equal(f, f[0, 0].real * np.eye(op.fiber_dim))):
+            c = f[0, 0].real
+        else:
+            return None
+    return [c * H for H in planes], F
 
 
 CLUSTER_RATIO = 6.0
@@ -641,9 +802,9 @@ def theorem_1_1_details(field: LatticeGaugeField, zeta: TwistorPoint,
     zp = adjoint_action(eta, zeta)
     dz = lichnerowicz_laplacian(field, zeta)
     dzp = lichnerowicz_laplacian(field, zp)
-    X = lift_fiber(field, chi(fiber, eta, zeta))
-    num = spla.norm(X @ dz.matrix - dzp.matrix @ X)
-    conj_residual = float(num / max(1.0, spla.norm(dz.matrix)))
+    X = chi(fiber, eta, zeta)
+    conj_residual = ((X @ dz - dzp @ X).frobenius_norm()
+                     / max(1.0, dz.frobenius_norm()))
     wz = spectrum(dz, zero_one_star_projector(fiber, zeta), k,
                   zeta=zeta, slice_label="0*", seed=seed).eigenvalues
     wp = spectrum(dzp, zero_one_star_projector(fiber, zp), k,
@@ -672,27 +833,17 @@ def theorem_3_1_details(field: LatticeGaugeField, zetas: list[TwistorPoint],
     if field.m != 0:
         raise ValueError("the flux-free statement needs m = 0")
     fiber = model_fiber(field.spec.n)
-    delta = lichnerowicz_laplacian(field, zetas[0])
-    half = LatticeOperator((0.5 * delta.matrix).tocsr(), "Delta_dbar",
-                           field.spec, delta.fiber_dim)
-    R = lift_fiber(field, rho_sp1(fiber, eta))
-    conj_residual = float(spla.norm(R @ half.matrix - half.matrix @ R)
-                          / max(1.0, spla.norm(half.matrix)))
-    spectra = []
-    for z in zetas:
-        w = spectrum(half, zero_one_star_projector(fiber, z), k,
-                     zeta=z, slice_label="0*", seed=seed).eigenvalues
-        spectra.append(w)
-    spectra = np.array(spectra)
+    half = 0.5 * lichnerowicz_laplacian(field, zetas[0])
+    R = rho_sp1(fiber, eta)
+    conj_residual = ((R @ half - half @ R).frobenius_norm()
+                     / max(1.0, half.frobenius_norm()))
+    spectra = np.array([
+        spectrum(half, zero_one_star_projector(fiber, z), k, zeta=z,
+                 slice_label="0*", seed=seed).eigenvalues for z in zetas])
     deviation = float(np.abs(spectra - spectra[0]).max())
-    counts = []
-    for q in range(2 * fiber.n + 1):
-        P = bidegree_projector(fiber, zetas[0], 0, q)
-        V = slice_isometry(field, fiber, P)
-        M = restrict(half, V)
-        w = lowest_eigenvalues(M, min(k, M.shape[0]), seed=seed)
-        thresh = _kernel_threshold(w, 0.5)
-        counts.append(None if thresh is None else int(np.sum(w < thresh)))
+    counts = [spectrum(half, bidegree_projector(fiber, zetas[0], 0, q), k,
+                       zeta=zetas[0], seed=seed).kernel_count
+              for q in range(2 * fiber.n + 1)]
     return {"conjugation_residual": conj_residual,
             "spectral_deviation": deviation,
             "harmonic_counts": counts}
@@ -716,30 +867,31 @@ def theorem_3_10_details(field: LatticeGaugeField, seed: int = 0) -> dict:
     """Sub-identities of the +-J Dirac intertwining as lattice operators."""
     fiber = model_fiber(field.spec.n)
     minus_j = TwistorPoint(0.0, -1.0, 0.0)
-    dj = lattice_dirac(field, ZETA_J).matrix
-    dmj = lattice_dirac(field, minus_j).matrix
-    scale = max(1.0, spla.norm(dj))
-    X = lift_fiber(field, chi_k(fiber))
-    S = lift_fiber(field, hodge_star_twisted(fiber))
+    dj = lattice_dirac(field, ZETA_J)
+    dmj = lattice_dirac(field, minus_j)
+    scale = max(1.0, dj.frobenius_norm())
+
+    def rel(op: LatticeOperator) -> float:
+        return op.frobenius_norm() / scale
+
+    X = chi_k(fiber)
+    S = hodge_star_twisted(fiber)
     tri = antiholomorphic_triple(fiber)
-    L = lift_fiber(field, tri.L)
-    A = lift_fiber(field, tri.Lambda)
-    ladder = lift_fiber(field, exp_antihermitian(
-        tri.L.matrix - tri.Lambda.matrix, -np.pi / 2))
+    L, A = tri.L, tri.Lambda
+    ladder = exp_antihermitian(L.matrix - A.matrix, -np.pi / 2)
     out = {
-        "chi_k_intertwine": float(spla.norm(X @ dj - dmj @ X) / scale),
-        "star_intertwine": float(spla.norm(S @ dj - dmj @ S) / scale),
-        "ladder_commute": float(spla.norm(ladder @ dmj - dmj @ ladder) / scale),
-        "L_commute": float(spla.norm(L @ dmj - dmj @ L) / scale),
-        "Lambda_commute": float(spla.norm(A @ dmj - dmj @ A) / scale),
+        "chi_k_intertwine": rel(X @ dj - dmj @ X),
+        "star_intertwine": rel(S @ dj - dmj @ S),
+        "ladder_commute": rel(ladder @ dmj - dmj @ ladder),
+        "L_commute": rel(L @ dmj - dmj @ L),
+        "Lambda_commute": rel(A @ dmj - dmj @ A),
     }
     # D preserves every (p, *) tower of J
     worst = 0.0
     for p in range(2 * fiber.n + 1):
         PP = sum(bidegree_projector(fiber, ZETA_J, p, q).matrix
                  for q in range(2 * fiber.n + 1))
-        Pl = lift_fiber(field, PP)
-        worst = max(worst, float(spla.norm(Pl @ dj @ Pl - dj @ Pl) / scale))
+        worst = max(worst, rel(PP @ dj @ PP - dj @ PP))
     out["p_tower_preserved"] = worst
     return out
 
@@ -820,40 +972,35 @@ def exact_symmetry_details(field: LatticeGaugeField, zeta: TwistorPoint,
     """
     from .symmetry import rho_j_sp1, ten_operators
     fiber = model_fiber(field.spec.n)
+    cov = covariant_laplacian(field)
 
-    def anchored(xi: TwistorPoint) -> sp.csr_matrix:
+    def anchored(xi: TwistorPoint) -> LatticeOperator:
         # family anchored at j: scalar part plus the rotated flux remainder
-        return (sp.kron(scalar_covariant_laplacian(field),
-                        sp.identity(fiber.dim, format="csr"))
-                - (2j * np.pi * field.m)
-                * lift_fiber(field, clifford_2form(fiber, ZETA_J,
-                                                   kahler_form(fiber, xi)))
-                ).tocsr()
+        cw = clifford_2form(fiber, ZETA_J, kahler_form(fiber, xi)).matrix
+        return LatticeOperator(
+            cov.terms + ((_site_identity(field.spec),
+                          -(2j * np.pi * field.m) * cw),),
+            "anchored", field.spec, fiber.dim, field)
 
     out = {}
     # scalar Laplacian commutes with all ten fiber operators
-    cov = covariant_laplacian(field).matrix
-    scale = max(1.0, spla.norm(cov))
-    worst = 0.0
-    for op in ten_operators(fiber).as_list():
-        L = lift_fiber(field, op)
-        worst = max(worst, float(spla.norm(cov @ L - L @ cov) / scale))
-    out["scalar_laplacian_commutes"] = worst
+    scale = max(1.0, cov.frobenius_norm())
+    out["scalar_laplacian_commutes"] = max(
+        (cov @ op - op @ cov).frobenius_norm() / scale
+        for op in ten_operators(fiber).as_list())
     # Hopf-section conjugation onto the anchored family
-    alpha = hopf_section(zeta)
-    R = lift_fiber(field, rho_sp1(fiber, alpha))
-    dz = lichnerowicz_laplacian(field, zeta).matrix
+    R = rho_sp1(fiber, hopf_section(zeta)).matrix
+    dz = lichnerowicz_laplacian(field, zeta)
     mirrored = adjoint_action(QUAT_J, zeta)
-    lhs = R.getH() @ dz @ R
-    out["hopf_conjugation"] = float(
-        spla.norm(lhs - anchored(mirrored)) / max(1.0, spla.norm(dz)))
+    out["hopf_conjugation"] = (
+        (R.conj().T @ dz @ R - anchored(mirrored)).frobenius_norm()
+        / max(1.0, dz.frobenius_norm()))
     # Clifford rotation moves the anchored family by the adjoint action
-    Rj = lift_fiber(field, rho_j_sp1(fiber, eta))
-    xi = mirrored
-    lhs = Rj @ anchored(xi) @ Rj.getH()
-    rhs = anchored(adjoint_action(eta, xi))
-    out["clifford_rotation"] = float(
-        spla.norm(lhs - rhs) / max(1.0, spla.norm(rhs)))
+    Rj = rho_j_sp1(fiber, eta).matrix
+    rhs = anchored(adjoint_action(eta, mirrored))
+    out["clifford_rotation"] = (
+        (Rj @ anchored(mirrored) @ Rj.conj().T - rhs).frobenius_norm()
+        / max(1.0, rhs.frobenius_norm()))
     return out
 
 
@@ -889,8 +1036,7 @@ def dirac_vs_lichnerowicz(field: LatticeGaugeField, zeta: TwistorPoint,
     V = slice_isometry(field, fiber, zero_one_star_projector(fiber, zeta))
     delta = restrict(lichnerowicz_laplacian(field, zeta), V)
     d = lattice_dirac(field, zeta).matrix
-    dsq = restrict(LatticeOperator((d @ d).tocsr(), "D^2", field.spec,
-                                   fiber.dim), V)
+    dsq = (V.getH() @ (d @ d) @ V).tocsr()
     dim = delta.shape[0]
     extra = max(4, num_modes // 2)
     while True:
