@@ -15,7 +15,6 @@ into one dense output.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
@@ -92,15 +91,6 @@ class ExteriorAlgebra:
         src = np.broadcast_to(self._cols, vals.shape)
         return self._scatter(rows[keep], src[keep], vals[keep])
 
-    def wedge_monomial(self, s: tuple[int, ...]) -> np.ndarray:
-        """Left wedge with e^{s_0} ^ e^{s_1} ^ ... in the order given."""
-        dst, sign = self._cols, np.ones(self.dim)
-        for a in reversed(s):
-            sign = sign * self._sign[a, dst]
-            dst = self._dst[a, dst]
-        keep = sign != 0
-        return self._scatter(dst[keep], self._cols[keep], sign[keep])
-
     def wedge_element(self, vec) -> np.ndarray:
         """Left multiplication by an arbitrary element of the algebra."""
         vec = np.asarray(vec, dtype=complex)
@@ -140,7 +130,6 @@ class ExteriorAlgebra:
         M[self._cols, self._cols] = diag
         return M
 
-    @lru_cache(maxsize=None)
     def degree_projector(self, k: int) -> np.ndarray:
         return np.diag((self.degrees == k).astype(float))
 
@@ -162,7 +151,11 @@ class ExteriorAlgebra:
     def twisted_star(self) -> np.ndarray:
         """Star with the extra (-1)^{k(k+1)/2} sign on each source degree k."""
         signs = np.array([(-1.0) ** ((k * (k + 1) // 2) % 2) for k in self.degrees])
-        return self.hodge_star() @ np.diag(signs)
+        M = self.hodge_star()
+        # scale the one nonzero of each column; zeros stay +0.0
+        rows, cols = np.nonzero(M)
+        M[rows, cols] *= signs[cols]
+        return M
 
     def form_vector(self, k: int, coeffs) -> np.ndarray:
         """Embed degree-k coefficients (lex multi-index order) in the full algebra."""

@@ -6,12 +6,25 @@ identity, and I, J, K acting blockwise by left quaternion multiplication
 downstream: omega_I = e^01 + e^23, omega_J = e^02 - e^13, omega_K = e^03 + e^12
 per block, and the J-holomorphic symplectic form Omega = (omega_K + i omega_I)/2
 has bidegree (2, 0) for J.
+
+Every zeroth-order operator of the paper (Lefschetz operators, type
+derivations, Clifford actions, the star, the Sp(1) rotations) maps each
+exterior degree to one or a few others.  A FiberOperator therefore keeps,
+next to its dense matrix, the map from (degree out, degree in) to its
+nonzero blocks, read off the matrix once; the degree offsets follow from
+the dimension 2^{4n}.  Products of fiber operators, sums, scalar
+multiples, adjoints, inner products and Frobenius norms work block by
+block and skip the exact zeros a dense product would multiply.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,29 +32,150 @@ from .exterior import ExteriorAlgebra
 from .quaternions import TwistorPoint
 
 
-@dataclass(frozen=True)
-class FiberOperator:
-    """Complex matrix acting on Lambda(V* (x) C), tagged with a symbol label."""
+@lru_cache(maxsize=None)
+def _degree_offsets(dim: int) -> tuple[int, ...]:
+    """Start of each exterior degree 0..d in a dim = 2^d algebra, then dim."""
+    d = dim.bit_length() - 1
+    if dim != 1 << d:
+        raise ValueError(f"dimension {dim} is not that of an exterior algebra")
+    return tuple(itertools.accumulate((math.comb(d, k) for k in range(d + 1)),
+                                      initial=0))
 
-    matrix: np.ndarray
-    label: str = ""
+
+class FiberOperator:
+    """Complex matrix acting on Lambda(V* (x) C), tagged with a symbol label.
+
+    Besides the dense `matrix` the operator has a degree-block form,
+    `blocks`: a dict from (k_out, k_in) to the block that maps exterior
+    degree k_in to degree k_out; every block missing from it is exactly
+    zero.  Builders return dense matrices, whose nonzero blocks are read
+    off once; products with another FiberOperator, sums, differences,
+    scalar multiples, the adjoint, `inner` and `frobenius_norm` then act
+    on blocks, and an operator made that way builds `matrix` on first use.
+    A product with anything else (an array, a lattice operator) is taken
+    with the dense matrix.  Operators are values: neither form is
+    modified after it is made.
+    """
+
+    def __init__(self, matrix: np.ndarray, label: str = ""):
+        self._matrix = np.asarray(matrix)
+        self._blocks = None
+        self._offsets = _degree_offsets(self._matrix.shape[0])
+        self.label = label
+
+    @classmethod
+    def _from_blocks(cls, offsets, blocks: dict, label: str) -> "FiberOperator":
+        op = cls.__new__(cls)
+        op._matrix, op._blocks, op._offsets, op.label = None, blocks, offsets, label
+        return op
+
+    @classmethod
+    def zero(cls, dim: int, label: str = "0") -> "FiberOperator":
+        return cls._from_blocks(_degree_offsets(dim), {}, label)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._offsets[-1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            off = self._offsets
+            M = np.zeros((self.dim, self.dim), dtype=complex)
+            for (a, b), X in self._blocks.items():
+                M[off[a]:off[a + 1], off[b]:off[b + 1]] = X
+            self._matrix = M
+        return self._matrix
+
+    @property
+    def blocks(self) -> dict:
+        if self._blocks is None:
+            off = self._offsets
+            starts = off[:-1]
+            occupied = np.logical_or.reduceat(
+                np.logical_or.reduceat(self._matrix != 0, starts, axis=0),
+                starts, axis=1)
+            self._blocks = {
+                (a, b): self._matrix[off[a]:off[a + 1], off[b]:off[b + 1]]
+                for a, b in zip(*map(np.ndarray.tolist, np.nonzero(occupied)))}
+        return self._blocks
+
+    def relabel(self, label: str) -> "FiberOperator":
+        """The same operator under another label, sharing both forms."""
+        op = copy.copy(self)
+        op.label = label
+        return op
+
+    def _check_space(self, other: "FiberOperator") -> None:
+        if other._offsets != self._offsets:
+            raise ValueError(f"operators of dimension {self.dim} and "
+                             f"{other.dim} act on different algebras")
 
     def __matmul__(self, other):
-        m = other.matrix if isinstance(other, FiberOperator) else other
-        out = self.matrix @ m
-        if isinstance(other, FiberOperator):
-            return FiberOperator(out, f"{self.label}*{other.label}")
-        return out
+        if not isinstance(other, FiberOperator):
+            return self.matrix @ other
+        self._check_space(other)
+        rows: dict[int, list] = {}
+        for (b, c), Y in other.blocks.items():
+            rows.setdefault(b, []).append((c, Y))
+        out: dict = {}
+        for (a, b), X in self.blocks.items():
+            for c, Y in rows.get(b, ()):
+                P = X @ Y
+                # not +=: blocks of one operator may differ in dtype
+                out[a, c] = out[a, c] + P if (a, c) in out else P
+        return self._from_blocks(self._offsets, out,
+                                 f"{self.label}*{other.label}")
+
+    def _combine(self, other: "FiberOperator", op,
+                 label: str) -> "FiberOperator":
+        # a block missing on one side enters as the scalar 0, entry for
+        # entry what the dense sum or difference computes
+        self._check_space(other)
+        out = dict(self.blocks)
+        for key, Y in other.blocks.items():
+            out[key] = op(out[key] if key in out else 0, Y)
+        return self._from_blocks(self._offsets, out, label)
+
+    def __add__(self, other: "FiberOperator") -> "FiberOperator":
+        return self._combine(other, operator.add,
+                             f"{self.label} + {other.label}")
+
+    def __sub__(self, other: "FiberOperator") -> "FiberOperator":
+        return self._combine(other, operator.sub,
+                             f"{self.label} - {other.label}")
+
+    def __mul__(self, c) -> "FiberOperator":
+        return self._from_blocks(self._offsets,
+                                 {k: X * c for k, X in self.blocks.items()},
+                                 f"{self.label}*{c}")
+
+    def __rmul__(self, c) -> "FiberOperator":
+        return self._from_blocks(self._offsets,
+                                 {k: c * X for k, X in self.blocks.items()},
+                                 f"{c}*{self.label}")
+
+    def __neg__(self) -> "FiberOperator":
+        return self._from_blocks(self._offsets,
+                                 {k: -X for k, X in self.blocks.items()},
+                                 f"-{self.label}")
 
     def adjoint(self) -> "FiberOperator":
-        return FiberOperator(self.matrix.conj().T, f"{self.label}^*")
+        return self._from_blocks(
+            self._offsets,
+            {(b, a): X.conj().T for (a, b), X in self.blocks.items()},
+            f"{self.label}^*")
 
-    def inverse(self) -> "FiberOperator":
-        return FiberOperator(np.linalg.inv(self.matrix), f"{self.label}^-1")
+    def inner(self, other: "FiberOperator") -> complex:
+        """Frobenius inner product tr(self^* other), over shared blocks."""
+        self._check_space(other)
+        theirs = other.blocks
+        return sum((np.vdot(X, theirs[k]) for k, X in self.blocks.items()
+                    if k in theirs), 0j)
+
+    def frobenius_norm(self) -> float:
+        return math.sqrt(sum(np.vdot(X, X).real
+                             for X in self.blocks.values()))
 
     def selfadjoint_residual(self) -> float:
         return float(np.linalg.norm(self.matrix - self.matrix.conj().T, 2))

@@ -81,11 +81,11 @@ class LefschetzTriple:
     sl2_closed: bool = True
 
     def sl2_residual(self) -> float:
-        L, A, H = self.L.matrix, self.Lambda.matrix, self.H.matrix
-        r1 = np.linalg.norm(H @ L - L @ H - 2.0 * L)
-        r2 = np.linalg.norm(H @ A - A @ H + 2.0 * A)
-        scale = max(1.0, np.linalg.norm(L), np.linalg.norm(A))
-        return float(max(r1, r2) / scale)
+        L, A, H = self.L, self.Lambda, self.H
+        r1 = (H @ L - L @ H - 2.0 * L).frobenius_norm()
+        r2 = (H @ A - A @ H + 2.0 * A).frobenius_norm()
+        scale = max(1.0, L.frobenius_norm(), A.frobenius_norm())
+        return max(r1, r2) / scale
 
     def casimir(self) -> np.ndarray:
         L, A, H = self.L.matrix, self.Lambda.matrix, self.H.matrix
@@ -101,11 +101,12 @@ def lefschetz_triple(fiber: HyperkahlerFiber, phi: FiberForm) -> LefschetzTriple
     """
     if phi.degree != 2:
         raise ValueError("a Lefschetz triple requires a 2-form")
-    L = wedge_operator(fiber, phi)
-    A = L.adjoint()
-    H = FiberOperator(L.matrix @ A.matrix - A.matrix @ L.matrix, "H")
-    triple = LefschetzTriple(FiberOperator(L.matrix, "L"),
-                             FiberOperator(A.matrix, "Lambda"), H)
+    L = wedge_operator(fiber, phi).relabel("L")
+    # conj().T of the dense matrix: Lambda's matrix is L's conjugate
+    # transpose entry for entry, signed zeros included
+    A = FiberOperator(L.matrix.conj().T, "Lambda")
+    H = (L @ A - A @ L).relabel("H")
+    triple = LefschetzTriple(L, A, H)
     if triple.sl2_residual() > 1e-10:
         triple = LefschetzTriple(triple.L, triple.Lambda, triple.H,
                                  sl2_closed=False)

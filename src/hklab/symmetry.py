@@ -20,28 +20,41 @@ Orientation facts of this realization, fixed by the basis convention of
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fiber import (FiberForm, FiberOperator, HyperkahlerFiber,
                     bidegree_projector, complex_structure,
-                    form_coefficient_matrix, holomorphic_symplectic,
-                    kahler_form, type_derivation, wedge_operator)
+                    contraction_operator, form_coefficient_matrix,
+                    holomorphic_symplectic, kahler_form, type_derivation,
+                    wedge_operator)
 from .quaternions import (QUAT_J, QUAT_K, TwistorPoint, UnitQuaternion,
                           ZETA_I, ZETA_J, ZETA_K, adjoint_action,
                           hopf_section, random_twistor_point,
                           random_unit_quaternion)
 from .report import CheckResult
 from .reptheory import antiholomorphic_triple, irrep_operators, \
-    primitive_decompose
+    primitive_decompose, reconstruct
 
 DEFAULT_TOL = 1e-10
 GRAM_RTOL = 1e-12
 
 
 def rel_residual(A, B) -> float:
+    """||A - B||_F / max(1, ||A||_F, ||B||_F).
+
+    When either side is a FiberOperator both are taken as FiberOperators
+    and the norms are summed over degree blocks.
+    """
+    if isinstance(A, FiberOperator) or isinstance(B, FiberOperator):
+        A, B = (X if isinstance(X, FiberOperator) else FiberOperator(X)
+                for X in (A, B))
+        den = max(1.0, A.frobenius_norm(), B.frobenius_norm())
+        return (A - B).frobenius_norm() / den
     A = np.asarray(A)
     B = np.asarray(B)
     den = max(1.0, float(np.linalg.norm(A)), float(np.linalg.norm(B)))
@@ -112,27 +125,24 @@ class OperatorAlgebra:
                 + [self.ad[a] for a in self.AXES]
                 + [self.H])
 
-    def ad_zeta(self, zeta: TwistorPoint) -> np.ndarray:
-        z = zeta.as_array()
-        return (z[0] * self.ad["I"].matrix + z[1] * self.ad["J"].matrix
-                + z[2] * self.ad["K"].matrix)
-
-    def _gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Eigenpairs of the Frobenius Gram matrix tr(A_i^* A_j) of the ten
         operators, and the mask of eigenvalues above GRAM_RTOL times the
-        largest (the Gram's own roundoff is a few eps times the largest)."""
-        ops = [op.matrix for op in self.as_list()]
+        largest (the Gram's own roundoff is a few eps times the largest).
+        Formed once per algebra, over degree blocks."""
+        ops = self.as_list()
         G = np.zeros((len(ops), len(ops)), dtype=complex)
         for i, A in enumerate(ops):
             for j in range(i, len(ops)):
-                G[i, j] = np.vdot(A, ops[j])
+                G[i, j] = A.inner(ops[j])
                 G[j, i] = np.conj(G[i, j])
         w, Q = np.linalg.eigh(G)
         return w, Q, w > GRAM_RTOL * w.max()
 
     def rank(self) -> int:
         """Dimension of the span of the ten operators."""
-        return int(self._gram()[2].sum())
+        return int(self.gram[2].sum())
 
     def closure(self) -> tuple[float, np.ndarray]:
         """Least-squares closure of the span under commutators.
@@ -140,24 +150,33 @@ class OperatorAlgebra:
         Returns the worst relative projection residual and the table of
         expansion coefficients, one row per ordered commutator pair.  The
         projection solves the normal equations through one decomposition
-        of the 10 x 10 Gram matrix.
+        of the 10 x 10 Gram matrix.  Each operator shifts the exterior
+        degree by one amount (-2, 0 or +2), so a commutator shifts it by
+        the sum, and only the operators with that shift enter its right
+        hand side and its projection: the others share no block with it.
         """
-        ops = [op.matrix for op in self.as_list()]
-        w, Q, ok = self._gram()
+        ops = self.as_list()
+        by_shift: dict[int, list[int]] = {}
+        shifts = []
+        for k, op in enumerate(ops):
+            (shift,) = {a - b for a, b in op.blocks}
+            shifts.append(shift)
+            by_shift.setdefault(shift, []).append(k)
+        w, Q, ok = self.gram
         w_inv = np.zeros_like(w)
         w_inv[ok] = 1.0 / w[ok]
         worst = 0.0
         rows = []
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                C = ops[i] @ ops[j] - ops[j] @ ops[i]
-                b = np.array([np.vdot(B, C) for B in ops])
-                x = Q @ (w_inv * (Q.conj().T @ b))
-                proj = np.zeros_like(C)
-                for xk, B in zip(x, ops):
-                    proj += xk * B
-                worst = max(worst, rel_residual(proj, C))
-                rows.append(x)
+        for i, j in itertools.combinations(range(len(ops)), 2):
+            C = ops[i] @ ops[j] - ops[j] @ ops[i]
+            same = by_shift.get(shifts[i] + shifts[j], [])
+            b = np.zeros(len(ops), dtype=complex)
+            for k in same:
+                b[k] = ops[k].inner(C)
+            x = Q @ (w_inv * (Q.conj().T @ b))
+            proj = sum((x[k] * ops[k] for k in same), FiberOperator.zero(C.dim))
+            worst = max(worst, rel_residual(proj, C))
+            rows.append(x)
         return worst, np.array(rows)
 
 
@@ -261,8 +280,7 @@ def hodge_star_twisted(fiber: HyperkahlerFiber) -> FiberOperator:
 
 def chi_k(fiber: HyperkahlerFiber) -> FiberOperator:
     """chi(k) = rho(k) rho_j(k), the +-J Dirac intertwiner."""
-    M = rho_sp1(fiber, QUAT_K).matrix @ rho_j_sp1(fiber, QUAT_K).matrix
-    return FiberOperator(M, "chi(k)")
+    return (rho_sp1(fiber, QUAT_K) @ rho_j_sp1(fiber, QUAT_K)).relabel("chi(k)")
 
 
 def chi(fiber: HyperkahlerFiber, eta: UnitQuaternion,
@@ -278,13 +296,16 @@ def chi(fiber: HyperkahlerFiber, eta: UnitQuaternion,
     h = QUAT_J * eta * QUAT_J.conjugate()
     front = rho_sp1(fiber, hopf_section(zp))
     back = rho_sp1(fiber, hopf_section(zeta).conjugate())  # = rho(alpha_zeta)^-1
-    M = front.matrix @ rho_j_sp1(fiber, h).matrix @ back.matrix
-    return FiberOperator(M, "chi(eta)")
+    return (front @ rho_j_sp1(fiber, h) @ back).relabel("chi(eta)")
 
 
 # ---------------------------------------------------------------------------
 # named identity checks
 # ---------------------------------------------------------------------------
+
+def _exp(G: FiberOperator, t: float) -> FiberOperator:
+    return FiberOperator(exp_antihermitian(G.matrix, t))
+
 
 def _check_prop21_closure(fiber, rng) -> float:
     algebra = ten_operators(fiber)
@@ -295,7 +316,7 @@ def _check_prop21_closure(fiber, rng) -> float:
 
 def _check_eq24(fiber, rng) -> float:
     triple = antiholomorphic_triple(fiber)
-    L, A = triple.L.matrix, triple.Lambda.matrix
+    L, A = triple.L, triple.Lambda
     v = rng.normal(size=fiber.dim) + 1j * rng.normal(size=fiber.dim)
     comps = primitive_decompose(fiber, v, triple)
     worst = 0.0
@@ -307,37 +328,36 @@ def _check_eq24(fiber, rng) -> float:
             rhs = (i + 1) * (m - i) * rung
             worst = max(worst, rel_residual(lhs, rhs))
             rung = L @ rung
-    recon = sum(np.linalg.matrix_power(L, i) @ t for (_q, i, t) in comps)
-    worst = max(worst, rel_residual(recon, v))
+    worst = max(worst, rel_residual(reconstruct(triple, comps), v))
     return worst
 
 
 def _check_prop25_factor(fiber, rng) -> float:
     triple = antiholomorphic_triple(fiber)
-    L, A, H = triple.L.matrix, triple.Lambda.matrix, triple.H.matrix
+    L, A, H = triple.L, triple.Lambda, triple.H
     worst = 0.0
     # generator correspondence: c_j(omega_u)/2 against the sl(2) basis image
     for _ in range(4):
         u = random_twistor_point(rng)
-        G = 0.5 * clifford_2form(fiber, ZETA_J, kahler_form(fiber, u)).matrix
+        G = 0.5 * clifford_2form(fiber, ZETA_J, kahler_form(fiber, u))
         model = (u.zeta_J * 1j * H + u.zeta_K * (L - A)
                  + u.zeta_I * 1j * (L + A))
         worst = max(worst, rel_residual(G, model))
     # closed forms of the axis elements
-    worst = max(worst, rel_residual(rho_j_sp1(fiber, QUAT_K).matrix,
-                                    exp_antihermitian(L - A, math.pi / 2)))
-    worst = max(worst, rel_residual(rho_j_sp1(fiber, QUAT_J).matrix,
-                                    exp_antihermitian(1j * H, math.pi / 2)))
+    worst = max(worst, rel_residual(rho_j_sp1(fiber, QUAT_K),
+                                    _exp(L - A, math.pi / 2)))
+    worst = max(worst, rel_residual(rho_j_sp1(fiber, QUAT_J),
+                                    _exp(1j * H, math.pi / 2)))
     worst = max(worst, rel_residual(
-        rho_j_sp1(fiber, UnitQuaternion(0, 1, 0, 0)).matrix,
-        exp_antihermitian(1j * (L + A), math.pi / 2)))
+        rho_j_sp1(fiber, UnitQuaternion(0, 1, 0, 0)),
+        _exp(1j * (L + A), math.pi / 2)))
     # representation property on random pairs
     for _ in range(4):
         e1 = random_unit_quaternion(rng)
         e2 = random_unit_quaternion(rng)
         worst = max(worst, rel_residual(
-            rho_j_sp1(fiber, e1 * e2).matrix,
-            rho_j_sp1(fiber, e1).matrix @ rho_j_sp1(fiber, e2).matrix))
+            rho_j_sp1(fiber, e1 * e2),
+            rho_j_sp1(fiber, e1) @ rho_j_sp1(fiber, e2)))
     # U_1 irrep matches the 2 x 2 model
     L1, A1, H1 = (M.astype(complex) for M in irrep_operators(1))
     worst = max(worst, rel_residual(L1 @ A1 - A1 @ L1, H1))
@@ -350,74 +370,70 @@ def _check_prop26_equivariance(fiber, rng) -> float:
         eta = random_unit_quaternion(rng)
         zeta = random_twistor_point(rng)
         alpha = rng.normal(size=fiber.d) + 1j * rng.normal(size=fiber.d)
-        R = rho_sp1(fiber, eta).matrix
+        R = rho_sp1(fiber, eta)
         r1 = rho_sp1_oneform(fiber, eta)
-        lhs = R @ clifford(fiber, zeta, alpha).matrix @ R.conj().T
+        lhs = R @ clifford(fiber, zeta, alpha) @ R.adjoint()
         zrot = adjoint_action(eta.conjugate(), zeta)
-        rhs = clifford(fiber, zrot, r1 @ alpha).matrix
+        rhs = clifford(fiber, zrot, r1 @ alpha)
         worst = max(worst, rel_residual(lhs, rhs))
     return worst
 
 
 def _check_lemma311_weil(fiber, rng) -> float:
-    algebra = ten_operators(fiber)
-    star = hodge_star_twisted(fiber).matrix
-    rk = rho_sp1(fiber, QUAT_K).matrix
-    LK, AK = algebra.L["K"].matrix, algebra.Lambda["K"].matrix
+    star = hodge_star_twisted(fiber)
+    rk = rho_sp1(fiber, QUAT_K)
+    LK = wedge_operator(fiber, kahler_form(fiber, ZETA_K))
     triple = antiholomorphic_triple(fiber)
-    L, A = triple.L.matrix, triple.Lambda.matrix
-    ladder = exp_antihermitian(L - A, math.pi / 2)
-    worst = rel_residual(star, exp_antihermitian(LK - AK, math.pi / 2) @ rk)
+    ladder = _exp(triple.L - triple.Lambda, math.pi / 2)
+    worst = rel_residual(star, _exp(LK - LK.adjoint(), math.pi / 2) @ rk)
     worst = max(worst, rel_residual(star, ladder @ rk @ ladder))
-    omega = holomorphic_symplectic(fiber)
-    Lo = wedge_operator(fiber, omega).matrix
-    ladder_o = exp_antihermitian(Lo - Lo.conj().T, math.pi / 2)
+    Lo = wedge_operator(fiber, holomorphic_symplectic(fiber))
+    ladder_o = _exp(Lo - Lo.adjoint(), math.pi / 2)
     worst = max(worst, rel_residual(rk @ ladder, ladder_o @ rk))
     # bidegree bookkeeping of the two factors
     nn = 2 * fiber.n
     for (p, q) in [(0, 0), (1, 0), (1, 1), (0, 2)]:
-        P = bidegree_projector(fiber, ZETA_J, p, q).matrix
-        Q1 = bidegree_projector(fiber, ZETA_J, p, nn - q).matrix
+        P = bidegree_projector(fiber, ZETA_J, p, q)
+        Q1 = bidegree_projector(fiber, ZETA_J, p, nn - q)
         worst = max(worst, rel_residual(Q1 @ ladder @ P, ladder @ P))
-        Q2 = bidegree_projector(fiber, ZETA_J, nn - q, nn - p).matrix
+        Q2 = bidegree_projector(fiber, ZETA_J, nn - q, nn - p)
         worst = max(worst, rel_residual(Q2 @ star @ P, star @ P))
     return worst
 
 
 def _check_lemma313_commute(fiber, rng) -> float:
     triple = antiholomorphic_triple(fiber)
-    L, A = triple.L.matrix, triple.Lambda.matrix
+    L, A = triple.L, triple.Lambda
     minus_j = TwistorPoint(0.0, -1.0, 0.0)
     worst = 0.0
     for _ in range(4):
         xi = rng.normal(size=fiber.d) + 1j * rng.normal(size=fiber.d)
-        c = clifford(fiber, minus_j, xi).matrix
+        c = clifford(fiber, minus_j, xi)
         worst = max(worst, rel_residual(L @ c, c @ L))
         worst = max(worst, rel_residual(A @ c, c @ A))
     # Kahler-identity symbol: [L_omega, -iota(sharp xi)] = wedge(J_zeta xi)
-    alg = fiber.algebra
     for _ in range(4):
         zeta = random_twistor_point(rng)
         xi = rng.normal(size=fiber.d)
-        Lw = wedge_operator(fiber, kahler_form(fiber, zeta)).matrix
-        sym = -alg.contraction(np.linalg.solve(fiber.g, xi))
+        Lw = wedge_operator(fiber, kahler_form(fiber, zeta))
+        sym = -contraction_operator(fiber, np.linalg.solve(fiber.g, xi))
         Jz = complex_structure(fiber, zeta)
-        worst = max(worst, rel_residual(Lw @ sym - sym @ Lw,
-                                        alg.wedge_1form(Jz @ xi)))
+        wedge = wedge_operator(fiber, FiberForm(1, Jz @ xi))
+        worst = max(worst, rel_residual(Lw @ sym - sym @ Lw, wedge))
     return worst
 
 
 def _check_thm310_fiber(fiber, rng) -> float:
-    star = hodge_star_twisted(fiber).matrix
+    star = hodge_star_twisted(fiber)
     triple = antiholomorphic_triple(fiber)
-    L, A = triple.L.matrix, triple.Lambda.matrix
-    ck = chi_k(fiber).matrix
-    worst = rel_residual(ck, exp_antihermitian(L - A, -math.pi / 2) @ star)
+    ck = chi_k(fiber)
+    worst = rel_residual(ck, _exp(triple.L - triple.Lambda, -math.pi / 2)
+                         @ star)
     minus_j = TwistorPoint(0.0, -1.0, 0.0)
     for a in range(fiber.d):
         e = np.eye(fiber.d)[a]
-        worst = max(worst, rel_residual(ck @ clifford(fiber, ZETA_J, e).matrix,
-                                        clifford(fiber, minus_j, e).matrix @ ck))
+        worst = max(worst, rel_residual(ck @ clifford(fiber, ZETA_J, e),
+                                        clifford(fiber, minus_j, e) @ ck))
     return worst
 
 

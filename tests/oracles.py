@@ -4,8 +4,9 @@ Everything here is written against closed forms or brute force, not against
 the library's own operator paths: combinatorial Hodge numbers, the curvature
 integral by exterior-algebra exponentiation, theta-style section counts via
 the Pfaffian of the integer flux matrix, continuum Landau levels, a
-plane-separated dense construction of the flux-torus spectra, and a dense
-exterior algebra built from the subset-and-sign definition of the wedge.
+plane-separated dense construction of the flux-torus spectra, a dense
+exterior algebra built from the subset-and-sign definition of the wedge,
+and the commutator closure of an operator list by dense products.
 """
 
 from __future__ import annotations
@@ -229,3 +230,33 @@ def dense_exp_antihermitian(G, t: float = 1.0) -> np.ndarray:
     H = 1j * np.asarray(G, dtype=complex)
     w, V = np.linalg.eigh(0.5 * (H + H.conj().T))
     return (V * np.exp(-1j * t * w)) @ V.conj().T
+
+
+def dense_closure(ops, rtol: float = 1e-12) -> tuple[float, np.ndarray]:
+    """Least-squares commutator closure of a list of dense operators.
+
+    The product loop over full matrices: every commutator from two dense
+    products, its right hand side and projection against all operators,
+    and the normal equations solved through the eigenpairs of the
+    Frobenius Gram matrix, eigenvalues at or below rtol times the largest
+    dropped.  Returns the worst relative residual ||P C - C|| /
+    max(1, ||P C||, ||C||) and one row of coefficients per pair i < j.
+    """
+    ops = [np.asarray(A, dtype=complex) for A in ops]
+    G = np.array([[np.vdot(A, B) for B in ops] for A in ops])
+    w, Q = np.linalg.eigh(G)
+    ok = w > rtol * w.max()
+    w_inv = np.zeros_like(w)
+    w_inv[ok] = 1.0 / w[ok]
+    worst = 0.0
+    rows = []
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            C = ops[i] @ ops[j] - ops[j] @ ops[i]
+            b = np.array([np.vdot(B, C) for B in ops])
+            x = Q @ (w_inv * (Q.conj().T @ b))
+            proj = sum(xk * B for xk, B in zip(x, ops))
+            den = max(1.0, np.linalg.norm(proj), np.linalg.norm(C))
+            worst = max(worst, float(np.linalg.norm(proj - C) / den))
+            rows.append(x)
+    return worst, np.array(rows)

@@ -134,3 +134,10 @@ def test_algebra_holds_no_dense_generators():
     alg = ExteriorAlgebra(12)  # n = 3: dim 4096, a dense generator is 128 MB
     held = sum(getattr(v, "nbytes", 0) for v in vars(alg).values())
     assert alg.dim == 4096 and held < 2 * 2**20
+
+
+def test_degree_projector_is_a_fresh_array_per_call():
+    alg = ExteriorAlgebra(4)
+    P = alg.degree_projector(2)
+    P[0, 0] = 7.0
+    assert alg.degree_projector(2)[0, 0] == 0.0

@@ -194,3 +194,6 @@ def test_twisted_star_degree_signs():
     assert np.allclose(tw[:, 1], -star[:, 1])
     # star is an isometry
     assert np.abs(star.T @ star - np.eye(16)).max() == 0.0
+    # column scaling gives the product with the sign diagonal bit for bit
+    signs = (-1.0) ** (alg.degrees * (alg.degrees + 1) // 2 % 2)
+    assert tw.tobytes() == (star @ np.diag(signs)).tobytes()
