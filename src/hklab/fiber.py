@@ -8,181 +8,22 @@ per block, and the J-holomorphic symplectic form Omega = (omega_K + i omega_I)/2
 has bidegree (2, 0) for J.
 
 Every zeroth-order operator of the paper (Lefschetz operators, type
-derivations, Clifford actions, the star, the Sp(1) rotations) maps each
-exterior degree to one or a few others.  A FiberOperator therefore keeps,
-next to its dense matrix, the map from (degree out, degree in) to its
-nonzero blocks, read off the matrix once; the degree offsets follow from
-the dimension 2^{4n}.  Products of fiber operators, sums, scalar
-multiples, adjoints, inner products and Frobenius norms work block by
-block and skip the exact zeros a dense product would multiply.
+derivations, Clifford actions, the star, the Sp(1) rotations, the bidegree
+projectors) maps each exterior degree to one or a few others.  The builders
+here return FiberOperators made block by block, from the degree-block
+scatters of `ExteriorAlgebra` or from per-degree block computations, so no
+2^{4n} x 2^{4n} array is formed unless a caller asks for `.matrix`.
 """
 
 from __future__ import annotations
 
-import copy
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .exterior import ExteriorAlgebra
+from .exterior import ExteriorAlgebra, FiberOperator
 from .quaternions import TwistorPoint
-
-
-@lru_cache(maxsize=None)
-def _degree_offsets(dim: int) -> tuple[int, ...]:
-    """Start of each exterior degree 0..d in a dim = 2^d algebra, then dim."""
-    d = dim.bit_length() - 1
-    if dim != 1 << d:
-        raise ValueError(f"dimension {dim} is not that of an exterior algebra")
-    return tuple(itertools.accumulate((math.comb(d, k) for k in range(d + 1)),
-                                      initial=0))
-
-
-class FiberOperator:
-    """Complex matrix acting on Lambda(V* (x) C), tagged with a symbol label.
-
-    Besides the dense `matrix` the operator has a degree-block form,
-    `blocks`: a dict from (k_out, k_in) to the block that maps exterior
-    degree k_in to degree k_out; every block missing from it is exactly
-    zero.  Builders return dense matrices, whose nonzero blocks are read
-    off once; products with another FiberOperator, sums, differences,
-    scalar multiples, the adjoint, `inner` and `frobenius_norm` then act
-    on blocks, and an operator made that way builds `matrix` on first use.
-    A product with anything else (an array, a lattice operator) is taken
-    with the dense matrix.  Operators are values: neither form is
-    modified after it is made.
-    """
-
-    def __init__(self, matrix: np.ndarray, label: str = ""):
-        self._matrix = np.asarray(matrix)
-        self._blocks = None
-        self._offsets = _degree_offsets(self._matrix.shape[0])
-        self.label = label
-
-    @classmethod
-    def _from_blocks(cls, offsets, blocks: dict, label: str) -> "FiberOperator":
-        op = cls.__new__(cls)
-        op._matrix, op._blocks, op._offsets, op.label = None, blocks, offsets, label
-        return op
-
-    @classmethod
-    def zero(cls, dim: int, label: str = "0") -> "FiberOperator":
-        return cls._from_blocks(_degree_offsets(dim), {}, label)
-
-    @property
-    def dim(self) -> int:
-        return self._offsets[-1]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            off = self._offsets
-            M = np.zeros((self.dim, self.dim), dtype=complex)
-            for (a, b), X in self._blocks.items():
-                M[off[a]:off[a + 1], off[b]:off[b + 1]] = X
-            self._matrix = M
-        return self._matrix
-
-    @property
-    def blocks(self) -> dict:
-        if self._blocks is None:
-            off = self._offsets
-            starts = off[:-1]
-            occupied = np.logical_or.reduceat(
-                np.logical_or.reduceat(self._matrix != 0, starts, axis=0),
-                starts, axis=1)
-            self._blocks = {
-                (a, b): self._matrix[off[a]:off[a + 1], off[b]:off[b + 1]]
-                for a, b in zip(*map(np.ndarray.tolist, np.nonzero(occupied)))}
-        return self._blocks
-
-    def relabel(self, label: str) -> "FiberOperator":
-        """The same operator under another label, sharing both forms."""
-        op = copy.copy(self)
-        op.label = label
-        return op
-
-    def _check_space(self, other: "FiberOperator") -> None:
-        if other._offsets != self._offsets:
-            raise ValueError(f"operators of dimension {self.dim} and "
-                             f"{other.dim} act on different algebras")
-
-    def __matmul__(self, other):
-        if not isinstance(other, FiberOperator):
-            return self.matrix @ other
-        self._check_space(other)
-        rows: dict[int, list] = {}
-        for (b, c), Y in other.blocks.items():
-            rows.setdefault(b, []).append((c, Y))
-        out: dict = {}
-        for (a, b), X in self.blocks.items():
-            for c, Y in rows.get(b, ()):
-                P = X @ Y
-                # not +=: blocks of one operator may differ in dtype
-                out[a, c] = out[a, c] + P if (a, c) in out else P
-        return self._from_blocks(self._offsets, out,
-                                 f"{self.label}*{other.label}")
-
-    def _combine(self, other: "FiberOperator", op,
-                 label: str) -> "FiberOperator":
-        # a block missing on one side enters as the scalar 0, entry for
-        # entry what the dense sum or difference computes
-        self._check_space(other)
-        out = dict(self.blocks)
-        for key, Y in other.blocks.items():
-            out[key] = op(out[key] if key in out else 0, Y)
-        return self._from_blocks(self._offsets, out, label)
-
-    def __add__(self, other: "FiberOperator") -> "FiberOperator":
-        return self._combine(other, operator.add,
-                             f"{self.label} + {other.label}")
-
-    def __sub__(self, other: "FiberOperator") -> "FiberOperator":
-        return self._combine(other, operator.sub,
-                             f"{self.label} - {other.label}")
-
-    def __mul__(self, c) -> "FiberOperator":
-        return self._from_blocks(self._offsets,
-                                 {k: X * c for k, X in self.blocks.items()},
-                                 f"{self.label}*{c}")
-
-    def __rmul__(self, c) -> "FiberOperator":
-        return self._from_blocks(self._offsets,
-                                 {k: c * X for k, X in self.blocks.items()},
-                                 f"{c}*{self.label}")
-
-    def __neg__(self) -> "FiberOperator":
-        return self._from_blocks(self._offsets,
-                                 {k: -X for k, X in self.blocks.items()},
-                                 f"-{self.label}")
-
-    def adjoint(self) -> "FiberOperator":
-        return self._from_blocks(
-            self._offsets,
-            {(b, a): X.conj().T for (a, b), X in self.blocks.items()},
-            f"{self.label}^*")
-
-    def inner(self, other: "FiberOperator") -> complex:
-        """Frobenius inner product tr(self^* other), over shared blocks."""
-        self._check_space(other)
-        theirs = other.blocks
-        return sum((np.vdot(X, theirs[k]) for k, X in self.blocks.items()
-                    if k in theirs), 0j)
-
-    def frobenius_norm(self) -> float:
-        return math.sqrt(sum(np.vdot(X, X).real
-                             for X in self.blocks.values()))
-
-    def selfadjoint_residual(self) -> float:
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T, 2))
-
-    def unitary_residual(self) -> float:
-        M = self.matrix
-        return float(np.linalg.norm(M.conj().T @ M - np.eye(self.dim), 2))
 
 
 @dataclass(frozen=True)
@@ -318,57 +159,68 @@ def wedge_operator(fiber: HyperkahlerFiber, form: FiberForm) -> FiberOperator:
     """Left exterior multiplication by the given form."""
     alg = fiber.algebra
     if form.degree == 1:
-        M = alg.wedge_1form(form.coefficients)
+        op = alg.wedge_1form(form.coefficients)
     elif form.degree == 2:
-        M = alg.wedge_2form(form_coefficient_matrix(fiber, form))
+        op = alg.wedge_2form(form_coefficient_matrix(fiber, form))
     else:
-        M = alg.wedge_element(form.vector(fiber))
-    return FiberOperator(M, f"wedge(deg {form.degree})")
+        op = alg.wedge_element(form.vector(fiber))
+    return op.relabel(f"wedge(deg {form.degree})")
 
 
 def contraction_operator(fiber: HyperkahlerFiber, vector) -> FiberOperator:
     """Interior product with a (complex) fiber vector."""
-    return FiberOperator(fiber.algebra.contraction(vector), "contraction")
+    return fiber.algebra.contraction(vector).relabel("contraction")
 
 
-def type_derivation(fiber: HyperkahlerFiber, zeta: TwistorPoint) -> np.ndarray:
+def type_derivation(fiber: HyperkahlerFiber,
+                    zeta: TwistorPoint) -> FiberOperator:
     """Derivation with eigenvalue (p - q) sqrt(-1) on the (p, q)_zeta slice.
 
     It extends precomposition with J_zeta on 1-forms, i.e. the coefficient
     action of J_zeta^T; (1, 0)-forms are its +i eigenvectors.
     """
-    return fiber.algebra.derivation(complex_structure(fiber, zeta).T)
+    return fiber.algebra.derivation(
+        complex_structure(fiber, zeta).T).relabel("D_zeta")
 
 
 def _bidegrees_of_degree(n: int, k: int) -> list[tuple[int, int]]:
     return [(k - q, q) for q in range(k + 1) if k - q <= 2 * n and q <= 2 * n]
 
 
+def bidegree_projectors(fiber: HyperkahlerFiber, zeta: TwistorPoint,
+                        bidegrees) -> dict[tuple[int, int], FiberOperator]:
+    """Spectral projectors onto the (p, q)_{J_zeta} slices, by bidegree.
+
+    Each is the Lagrange interpolant of the type derivation on the
+    total-degree-(p+q) block alone (size C(4n, p+q)), so one code path
+    serves every zeta; the derivation is built once for all of them, and
+    each projector is the one diagonal block it occupies.
+    """
+    n, alg = fiber.n, fiber.algebra
+    D = type_derivation(fiber, zeta).blocks
+    out = {}
+    for p, q in bidegrees:
+        if not (0 <= p <= 2 * n and 0 <= q <= 2 * n):
+            raise ValueError(f"bidegree ({p}, {q}) out of range for n = {n}")
+        k = p + q
+        size = alg.offsets[k + 1] - alg.offsets[k]
+        Dk = D.get((k, k), np.zeros((size, size), dtype=complex))
+        eye = np.eye(size)
+        B = eye.astype(complex)
+        lam = (p - q) * 1j
+        for (p2, q2) in _bidegrees_of_degree(n, k):
+            if (p2, q2) == (p, q):
+                continue
+            lam2 = (p2 - q2) * 1j
+            B = (Dk - lam2 * eye) @ B / (lam - lam2)
+        out[p, q] = alg.blocked({(k, k): B}, f"P^({p},{q})")
+    return out
+
+
 def bidegree_projector(fiber: HyperkahlerFiber, zeta: TwistorPoint,
                        p: int, q: int) -> FiberOperator:
-    """Spectral projector onto the (p, q)_{J_zeta} slice of the algebra.
-
-    Built as the Lagrange interpolant of the type derivation on the
-    total-degree-(p+q) block alone (size C(4n, p+q)), so one code path
-    serves every zeta.
-    """
-    if not (0 <= p <= 2 * fiber.n and 0 <= q <= 2 * fiber.n):
-        raise ValueError(f"bidegree ({p}, {q}) out of range for n = {fiber.n}")
-    k = p + q
-    alg = fiber.algebra
-    block = slice(alg.degree_offset(k), alg.degree_offset(k + 1))
-    D = type_derivation(fiber, zeta)[block, block]
-    eye = np.eye(D.shape[0])
-    B = eye.astype(complex)
-    lam = (p - q) * 1j
-    for (p2, q2) in _bidegrees_of_degree(fiber.n, k):
-        if (p2, q2) == (p, q):
-            continue
-        lam2 = (p2 - q2) * 1j
-        B = (D - lam2 * eye) @ B / (lam - lam2)
-    M = np.zeros((alg.dim, alg.dim), dtype=complex)
-    M[block, block] = B
-    return FiberOperator(M, f"P^({p},{q})")
+    """Spectral projector onto the (p, q)_{J_zeta} slice of the algebra."""
+    return bidegree_projectors(fiber, zeta, [(p, q)])[p, q]
 
 
 def slice_basis(fiber: HyperkahlerFiber, projector: FiberOperator) -> np.ndarray:
@@ -390,5 +242,6 @@ def zero_one_star_projector(fiber: HyperkahlerFiber, zeta: TwistorPoint,
         qs = range(1, 2 * fiber.n + 1, 2)
     elif parity != "all":
         raise ValueError("parity must be 'all', 'even' or 'odd'")
-    M = sum(bidegree_projector(fiber, zeta, 0, q).matrix for q in qs)
-    return FiberOperator(M, f"P^(0,{parity})")
+    projectors = bidegree_projectors(fiber, zeta, [(0, q) for q in qs])
+    return sum(projectors.values(),
+               FiberOperator.zero(fiber.dim)).relabel(f"P^(0,{parity})")

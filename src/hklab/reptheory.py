@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fiber import (FiberForm, FiberOperator, HyperkahlerFiber,
-                    bidegree_projector, holomorphic_symplectic, wedge_operator)
+                    bidegree_projectors, holomorphic_symplectic,
+                    wedge_operator)
 from .quaternions import ZETA_J
 
 SL2_TOL = 1e-12
@@ -102,9 +103,7 @@ def lefschetz_triple(fiber: HyperkahlerFiber, phi: FiberForm) -> LefschetzTriple
     if phi.degree != 2:
         raise ValueError("a Lefschetz triple requires a 2-form")
     L = wedge_operator(fiber, phi).relabel("L")
-    # conj().T of the dense matrix: Lambda's matrix is L's conjugate
-    # transpose entry for entry, signed zeros included
-    A = FiberOperator(L.matrix.conj().T, "Lambda")
+    A = L.adjoint().relabel("Lambda")
     H = (L @ A - A @ L).relabel("H")
     triple = LefschetzTriple(L, A, H)
     if triple.sl2_residual() > 1e-10:
@@ -118,14 +117,16 @@ def antiholomorphic_triple(fiber: HyperkahlerFiber) -> LefschetzTriple:
     return lefschetz_triple(fiber, holomorphic_symplectic(fiber).conjugate())
 
 
-def _weight_projectors(fiber: HyperkahlerFiber):
-    """Projectors onto the antiholomorphic-degree-q slices of J."""
-    out = {}
-    for q in range(2 * fiber.n + 1):
-        P = sum(bidegree_projector(fiber, ZETA_J, p, q).matrix
-                for p in range(2 * fiber.n + 1))
-        out[q] = P
-    return out
+def _weight_projectors(fiber: HyperkahlerFiber) -> dict[int, FiberOperator]:
+    """Projectors onto the antiholomorphic-degree-q slices of J, each the
+    blockwise sum of the (p, q)_J projectors over p (one diagonal degree
+    block apiece), from one type derivation."""
+    nn = 2 * fiber.n
+    projectors = bidegree_projectors(
+        fiber, ZETA_J, [(p, q) for q in range(nn + 1) for p in range(nn + 1)])
+    return {q: sum((projectors[p, q] for p in range(nn + 1)),
+                   FiberOperator.zero(fiber.dim)).relabel(f"P^(*,{q})")
+            for q in range(nn + 1)}
 
 
 def primitive_decompose(fiber: HyperkahlerFiber, s, triple: LefschetzTriple,
@@ -137,7 +138,7 @@ def primitive_decompose(fiber: HyperkahlerFiber, s, triple: LefschetzTriple,
     constants Lambda L^{j} t = j (m - j + 1) L^{j-1} t, m = n - q.
     """
     s = np.asarray(s, dtype=complex)
-    L, A = triple.L.matrix, triple.Lambda.matrix
+    L, A = triple.L, triple.Lambda
     n = fiber.n
     comps: list[tuple[int, int, np.ndarray]] = []
     qproj = _weight_projectors(fiber)
@@ -180,8 +181,8 @@ def primitive_decompose(fiber: HyperkahlerFiber, s, triple: LefschetzTriple,
 
 def reconstruct(triple: LefschetzTriple,
                 components: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
-    L = triple.L.matrix
-    out = np.zeros(L.shape[0], dtype=complex)
+    L = triple.L
+    out = np.zeros(L.dim, dtype=complex)
     for (_q, i, t) in components:
         v = t
         for _ in range(i):
@@ -204,7 +205,7 @@ def phi_isomorphism(fiber: HyperkahlerFiber, m: int, q: int, s, i: int,
     if not (0 <= i <= m):
         raise ValueError("ladder index i out of range")
     s = np.asarray(s, dtype=complex)
-    prim_res = np.linalg.norm(triple.Lambda.matrix @ s)
+    prim_res = np.linalg.norm(triple.Lambda @ s)
     if prim_res > 1e-8 * max(1.0, np.linalg.norm(s)):
         raise ValueError(f"input is not primitive: |Lambda s| = {prim_res:.3e}")
     qs = _weight_projectors(fiber)[q] @ s
@@ -212,17 +213,27 @@ def phi_isomorphism(fiber: HyperkahlerFiber, m: int, q: int, s, i: int,
         raise ValueError(f"input is not of antiholomorphic degree q = {q}")
     v = s
     for _ in range(i):
-        v = triple.L.matrix @ v
+        v = triple.L @ v
     return (math.factorial(m - i) / math.factorial(m)) * v
 
 
 def primitive_space_dimension(fiber: HyperkahlerFiber, q: int,
                               triple: LefschetzTriple | None = None) -> int:
-    """dim of the primitive (., q)_J subspace by brute-force kernel computation."""
+    """dim of the primitive (., q)_J subspace by brute-force kernel computation.
+
+    The range of the weight projector is spanned degree block by degree
+    block, and Lambda maps each degree to its own target degree, so the
+    kernel is counted per block.
+    """
     if triple is None:
         triple = antiholomorphic_triple(fiber)
     P = _weight_projectors(fiber)[q]
-    w, V = np.linalg.eigh(0.5 * (P + P.conj().T))
-    cols = V[:, w > 0.5]
-    sv = np.linalg.svd(triple.Lambda.matrix @ cols, compute_uv=False)
-    return cols.shape[1] - int(np.sum(sv > 1e-9))
+    off = fiber.algebra.offsets
+    count = 0
+    for (k, _k), B in P.blocks.items():
+        w, V = np.linalg.eigh(0.5 * (B + B.conj().T))
+        cols = np.zeros((P.dim, int(np.sum(w > 0.5))), dtype=complex)
+        cols[off[k]:off[k + 1]] = V[:, w > 0.5]
+        sv = np.linalg.svd(triple.Lambda @ cols, compute_uv=False)
+        count += cols.shape[1] - int(np.sum(sv > 1e-9))
+    return count

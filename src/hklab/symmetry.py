@@ -84,13 +84,11 @@ def _pattern_blocks(pattern: np.ndarray) -> list[np.ndarray]:
     return [np.array([b for b in blocks if len(b) == s]) for s in sizes]
 
 
-def exp_antihermitian(G, t: float = 1.0) -> np.ndarray:
-    """exp(t G) for an anti-Hermitian G, by eigendecomposition of i G.
-
-    Each connected block of G's nonzero pattern is exponentiated on its
-    own (equal-size blocks in one stacked eigh), so entries outside the
-    blocks are exact zeros.
-    """
+def _exp_factor(G: np.ndarray, t: float) -> np.ndarray:
+    """exp(t G) for one dense anti-Hermitian factor, by eigendecomposition
+    of i G; each connected block of G's nonzero pattern is exponentiated
+    on its own (equal-size blocks in one stacked eigh), so entries outside
+    the blocks are exact zeros."""
     G = np.asarray(G, dtype=complex)
     H = 1j * G
     Hc = H.conj().T.copy()  # contiguous: strided sums are much slower
@@ -105,6 +103,34 @@ def exp_antihermitian(G, t: float = 1.0) -> np.ndarray:
         out[block] = (V * np.exp(-1j * t * w)[:, None, :]) @ \
             V.conj().transpose(0, 2, 1)
     return out
+
+
+def exp_antihermitian(G, t: float = 1.0):
+    """exp(t G) for an anti-Hermitian G, a FiberOperator or a plain array.
+
+    The result is of the kind of G.  G is split into factors whose
+    Kronecker product structure exp(t G) inherits, and each factor is
+    exponentiated by `_exp_factor`; the number of factors is the only
+    difference between inputs.  A fiber operator that
+    `ExteriorAlgebra.quaternion_factors` writes as a Kronecker sum of n
+    16 x 16 factors, one per quaternion block, has the Kronecker product of
+    their exponentials as its exponential, gathered by degree blocks
+    (`quaternion_product`), so no 2^{4n} x 2^{4n} array is formed.  An
+    operator that fails that test, every n = 1 operator and a plain array
+    (such as a 1-form action) are a single factor, whose exponential is
+    the result.
+    """
+    op = G if isinstance(G, FiberOperator) else None
+    alg = op.algebra if op is not None else None
+    factors = alg.quaternion_factors(op) if alg is not None else None
+    if factors is None:
+        factors = [G if op is None else op.matrix]
+    exps = [_exp_factor(F, t) for F in factors]
+    if len(exps) > 1:
+        return alg.quaternion_product(exps).relabel("exp")
+    if op is None:
+        return exps[0]
+    return FiberOperator(exps[0], "exp", alg)
 
 
 @dataclass(frozen=True)
@@ -188,11 +214,11 @@ def ten_operators(fiber: HyperkahlerFiber) -> OperatorAlgebra:
     ad = {}
     for name, z in zetas.items():
         W = wedge_operator(fiber, kahler_form(fiber, z))
-        L[name] = FiberOperator(W.matrix, f"L_omega{name}")
-        Lam[name] = FiberOperator(W.matrix.conj().T, f"Lambda_omega{name}")
-        ad[name] = FiberOperator(type_derivation(fiber, z), f"ad({name})")
-    H = FiberOperator(np.diag((fiber.algebra.degrees - 2.0 * fiber.n)
-                              .astype(complex)), "H")
+        L[name] = W.relabel(f"L_omega{name}")
+        Lam[name] = W.adjoint().relabel(f"Lambda_omega{name}")
+        ad[name] = type_derivation(fiber, z).relabel(f"ad({name})")
+    H = fiber.algebra.graded_scalar(
+        np.arange(fiber.d + 1) - 2.0 * fiber.n).relabel("H")
     return OperatorAlgebra(fiber, L, Lam, ad, H)
 
 
@@ -204,9 +230,10 @@ def rho_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
     """
     theta, u = eta.axis_angle()
     if theta == 0.0:
-        return FiberOperator(np.eye(fiber.dim, dtype=complex), "rho(1)")
+        return fiber.algebra.graded_scalar(np.ones(fiber.d + 1)).relabel(
+            "rho(1)")
     G = type_derivation(fiber, TwistorPoint.from_array(u))
-    return FiberOperator(exp_antihermitian(G, theta), "rho(eta)")
+    return exp_antihermitian(G, theta).relabel("rho(eta)")
 
 
 def rho_sp1_oneform(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> np.ndarray:
@@ -230,9 +257,9 @@ def clifford(fiber: HyperkahlerFiber, zeta: TwistorPoint, alpha) -> FiberOperato
     A = complex_structure(fiber, zeta).T
     a10 = 0.5 * (alpha - 1j * (A @ alpha))
     a01 = 0.5 * (alpha + 1j * (A @ alpha))
-    alg = fiber.algebra
-    M = alg.wedge_1form(a01) - alg.contraction(np.linalg.solve(fiber.g, a10))
-    return FiberOperator(math.sqrt(2.0) * M, "c_zeta(alpha)")
+    M = fiber.algebra.wedge_minus_contraction(
+        a01, np.linalg.solve(fiber.g, a10))
+    return (math.sqrt(2.0) * M).relabel("c_zeta(alpha)")
 
 
 def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
@@ -246,36 +273,36 @@ def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     With c(e^a) = sqrt(2) (wedge(u_a) - iota(v_a)), u_a and v_a the columns
     of U and V below, the anticommutation relations turn the sum into
     wedge(2 U W U^T) + derivation(-2 U W V^T) + (contraction by the 2-form
-    2 V W V^T) - sum_ab W_ab (V^T U)_ab, so no dense product is formed.
+    2 V W V^T) - sum_ab W_ab (V^T U)_ab, scattered into degree blocks at
+    once, so no dense product is formed.
     """
     W = form_coefficient_matrix(fiber, form)
     A = complex_structure(fiber, zeta).T
     eye = np.eye(fiber.d)
     U = 0.5 * (eye + 1j * A)
     V = np.linalg.solve(fiber.g, 0.5 * (eye - 1j * A))
-    alg = fiber.algebra
     # iota_k iota_l = (e^l e^k)^T, so sum Y_kl iota_k iota_l is the
     # transpose of the wedge with -Y
-    M = (alg.wedge_2form(2.0 * U @ W @ U.T)
-         + alg.derivation(-2.0 * U @ W @ V.T)
-         + alg.wedge_2form(-2.0 * V @ W @ V.T).T)
-    M[np.diag_indices(fiber.dim)] -= np.sum(W * (V.T @ U))
-    return FiberOperator(M, "c_zeta(form)")
+    return fiber.algebra.quadratic(
+        2.0 * U @ W @ U.T, -2.0 * U @ W @ V.T, -2.0 * V @ W @ V.T,
+        -np.sum(W * (V.T @ U))).relabel("c_zeta(form)")
 
 
 def rho_j_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
     """exp(theta c_j(omega_u)/2), the Clifford Sp(1) action fixing J."""
     theta, u = eta.axis_angle()
     if theta == 0.0:
-        return FiberOperator(np.eye(fiber.dim, dtype=complex), "rho_j(1)")
+        return fiber.algebra.graded_scalar(np.ones(fiber.d + 1)).relabel(
+            "rho_j(1)")
     zu = TwistorPoint.from_array(u)
-    G = 0.5 * clifford_2form(fiber, ZETA_J, kahler_form(fiber, zu)).matrix
-    return FiberOperator(exp_antihermitian(G, theta), "rho_j(eta)")
+    G = 0.5 * clifford_2form(fiber, ZETA_J, kahler_form(fiber, zu))
+    return exp_antihermitian(G, theta).relabel("rho_j(eta)")
 
 
 def hodge_star_twisted(fiber: HyperkahlerFiber) -> FiberOperator:
     """Degree-signed Hodge star: * s = (-1)^{k(k+1)/2} star s on degree k."""
-    return FiberOperator(fiber.algebra.twisted_star().astype(complex), "*")
+    # complex blocks, as every other fiber operator has
+    return ((1 + 0j) * fiber.algebra.twisted_star()).relabel("*")
 
 
 def chi_k(fiber: HyperkahlerFiber) -> FiberOperator:
@@ -302,10 +329,6 @@ def chi(fiber: HyperkahlerFiber, eta: UnitQuaternion,
 # ---------------------------------------------------------------------------
 # named identity checks
 # ---------------------------------------------------------------------------
-
-def _exp(G: FiberOperator, t: float) -> FiberOperator:
-    return FiberOperator(exp_antihermitian(G.matrix, t))
-
 
 def _check_prop21_closure(fiber, rng) -> float:
     algebra = ten_operators(fiber)
@@ -345,12 +368,12 @@ def _check_prop25_factor(fiber, rng) -> float:
         worst = max(worst, rel_residual(G, model))
     # closed forms of the axis elements
     worst = max(worst, rel_residual(rho_j_sp1(fiber, QUAT_K),
-                                    _exp(L - A, math.pi / 2)))
+                                    exp_antihermitian(L - A, math.pi / 2)))
     worst = max(worst, rel_residual(rho_j_sp1(fiber, QUAT_J),
-                                    _exp(1j * H, math.pi / 2)))
+                                    exp_antihermitian(1j * H, math.pi / 2)))
     worst = max(worst, rel_residual(
         rho_j_sp1(fiber, UnitQuaternion(0, 1, 0, 0)),
-        _exp(1j * (L + A), math.pi / 2)))
+        exp_antihermitian(1j * (L + A), math.pi / 2)))
     # representation property on random pairs
     for _ in range(4):
         e1 = random_unit_quaternion(rng)
@@ -384,11 +407,12 @@ def _check_lemma311_weil(fiber, rng) -> float:
     rk = rho_sp1(fiber, QUAT_K)
     LK = wedge_operator(fiber, kahler_form(fiber, ZETA_K))
     triple = antiholomorphic_triple(fiber)
-    ladder = _exp(triple.L - triple.Lambda, math.pi / 2)
-    worst = rel_residual(star, _exp(LK - LK.adjoint(), math.pi / 2) @ rk)
+    ladder = exp_antihermitian(triple.L - triple.Lambda, math.pi / 2)
+    worst = rel_residual(
+        star, exp_antihermitian(LK - LK.adjoint(), math.pi / 2) @ rk)
     worst = max(worst, rel_residual(star, ladder @ rk @ ladder))
     Lo = wedge_operator(fiber, holomorphic_symplectic(fiber))
-    ladder_o = _exp(Lo - Lo.adjoint(), math.pi / 2)
+    ladder_o = exp_antihermitian(Lo - Lo.adjoint(), math.pi / 2)
     worst = max(worst, rel_residual(rk @ ladder, ladder_o @ rk))
     # bidegree bookkeeping of the two factors
     nn = 2 * fiber.n
@@ -427,8 +451,8 @@ def _check_thm310_fiber(fiber, rng) -> float:
     star = hodge_star_twisted(fiber)
     triple = antiholomorphic_triple(fiber)
     ck = chi_k(fiber)
-    worst = rel_residual(ck, _exp(triple.L - triple.Lambda, -math.pi / 2)
-                         @ star)
+    worst = rel_residual(
+        ck, exp_antihermitian(triple.L - triple.Lambda, -math.pi / 2) @ star)
     minus_j = TwistorPoint(0.0, -1.0, 0.0)
     for a in range(fiber.d):
         e = np.eye(fiber.d)[a]

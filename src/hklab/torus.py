@@ -34,8 +34,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projector,
-                    kahler_form, slice_basis, standard_fiber,
-                    zero_one_star_projector)
+                    bidegree_projectors, kahler_form, slice_basis,
+                    standard_fiber, zero_one_star_projector)
 from .quaternions import (QUAT_J, TwistorPoint, UnitQuaternion, ZETA_J,
                           adjoint_action, hopf_section)
 from .report import CheckResult
@@ -44,6 +44,9 @@ from .symmetry import (chi, chi_k, clifford, clifford_2form,
                        exp_antihermitian, hodge_star_twisted, rho_sp1)
 
 DENSE_LIMIT = 1200
+# entries generated per batch of site rows while assembling a lattice
+# operator; bounds the working memory, not the result
+ASSEMBLY_BATCH = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -199,10 +202,25 @@ class LatticeOperator:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        M = sp.csr_matrix((self.dim, self.dim), dtype=complex)
-        for S, f in self.terms:
-            M = M + sp.kron(S, sp.csr_matrix(f), format="csr")
-        return M
+        """sum_i S_i (x) f_i as one CSR matrix, built once.
+
+        The terms' Kronecker products are summed for a batch of site rows
+        at a time, in term order, and the batches are stacked into one CSR
+        matrix.  Each entry is thus summed (and dropped when it is zero)
+        as adding the whole products would, while only one batch of them
+        is ever held.
+        """
+        fibers = [sp.csr_matrix(f) for _, f in self.terms]
+        per_row = sum(S.nnz * f.nnz for (S, _), f in zip(self.terms, fibers))
+        step = max(1, ASSEMBLY_BATCH * self.spec.sites // max(1, per_row))
+        batches = []
+        for x0 in range(0, self.spec.sites, step):
+            rows = min(step, self.spec.sites - x0) * self.fiber_dim
+            B = sp.csr_matrix((rows, self.dim), dtype=complex)
+            for (S, _), f in zip(self.terms, fibers):
+                B = B + sp.kron(S[x0:x0 + step], f, format="csr")
+            batches.append(B)
+        return sp.vstack(batches, format="csr")
 
     def _with(self, terms, label: str,
               other: "LatticeOperator | None" = None) -> "LatticeOperator":
@@ -375,7 +393,7 @@ def scalar_covariant_laplacian(field: LatticeGaugeField) -> sp.csr_matrix:
 
 def covariant_laplacian(field: LatticeGaugeField) -> LatticeOperator:
     """nabla* nabla on form-valued sections: scalar Laplacian (x) identity."""
-    fdim = model_fiber(field.spec.n).dim
+    fdim = 1 << field.spec.d  # the fiber algebra Lambda(R^{4n}) (x) C
     return LatticeOperator(((field.laplacian, np.eye(fdim, dtype=complex)),),
                            "nabla*nabla", field.spec, fdim, field)
 
@@ -431,7 +449,7 @@ def dolbeault_pair(field: LatticeGaugeField,
     terms = []
     for a, S in enumerate(central_differences(field)):
         e = np.eye(fiber.d)[a]
-        terms.append((S, alg.wedge_1form(0.5 * (e + 1j * (A @ e)))))
+        terms.append((S, alg.wedge_1form(0.5 * (e + 1j * (A @ e))).matrix))
     dbar = LatticeOperator(tuple(terms), "dbar", field.spec, fiber.dim, field)
     return dbar, replace(dbar.adjoint(), label="dbar*")
 
@@ -878,7 +896,7 @@ def theorem_3_10_details(field: LatticeGaugeField, seed: int = 0) -> dict:
     S = hodge_star_twisted(fiber)
     tri = antiholomorphic_triple(fiber)
     L, A = tri.L, tri.Lambda
-    ladder = exp_antihermitian(L.matrix - A.matrix, -np.pi / 2)
+    ladder = exp_antihermitian(L - A, -np.pi / 2)
     out = {
         "chi_k_intertwine": rel(X @ dj - dmj @ X),
         "star_intertwine": rel(S @ dj - dmj @ S),
@@ -887,10 +905,13 @@ def theorem_3_10_details(field: LatticeGaugeField, seed: int = 0) -> dict:
         "Lambda_commute": rel(A @ dmj - dmj @ A),
     }
     # D preserves every (p, *) tower of J
+    nn = 2 * fiber.n
+    slices = bidegree_projectors(
+        fiber, ZETA_J, [(p, q) for p in range(nn + 1) for q in range(nn + 1)])
     worst = 0.0
-    for p in range(2 * fiber.n + 1):
-        PP = sum(bidegree_projector(fiber, ZETA_J, p, q).matrix
-                 for q in range(2 * fiber.n + 1))
+    for p in range(nn + 1):
+        PP = sum((slices[p, q] for q in range(nn + 1)),
+                 FiberOperator.zero(fiber.dim))
         worst = max(worst, rel(PP @ dj @ PP - dj @ PP))
     out["p_tower_preserved"] = worst
     return out

@@ -197,17 +197,34 @@ class DenseExterior:
             M += c * P
         return M
 
-    def clifford_2form(self, J, W) -> np.ndarray:
-        """sum_{a<b} W_ab c(e^a) c(e^b) with c(e^a) = sqrt(2) (wedge of the
-        (0,1) part of e^a minus contraction by its (1,0) part), metric Id
-        and complex structure J on vectors."""
+    def clifford(self, J, alpha) -> np.ndarray:
+        """c(alpha) = sqrt(2) (wedge of the (0,1) part of alpha minus
+        contraction by its (1,0) part), metric Id and complex structure J
+        on vectors."""
         A = J.T
-        eye = np.eye(self.d)
-        c = [np.sqrt(2.0) * (self.wedge_1form(0.5 * (e + 1j * A @ e))
-                             - self.contraction(0.5 * (e - 1j * A @ e)))
-             for e in eye]
+        return np.sqrt(2.0) * (self.wedge_1form(0.5 * (alpha + 1j * A @ alpha))
+                               - self.contraction(0.5 * (alpha - 1j * A @ alpha)))
+
+    def clifford_2form(self, J, W) -> np.ndarray:
+        """sum_{a<b} W_ab c(e^a) c(e^b)."""
+        c = [self.clifford(J, e) for e in np.eye(self.d)]
         return sum(W[a, b] * (c[a] @ c[b])
                    for a in range(self.d) for b in range(a + 1, self.d))
+
+    def twisted_star(self) -> np.ndarray:
+        """e^S -> (-1)^{k(k+1)/2} eps e^{S^c} on degree k, where
+        e^S ^ e^{S^c} = eps e^0 ^ ... ^ e^{d-1}, read off the product of
+        the dense generators."""
+        M = np.zeros((self.dim, self.dim))
+        for i, S in enumerate(self.basis):
+            comp = tuple(a for a in range(self.d) if a not in S)
+            x = np.zeros(self.dim)
+            x[self.basis.index(comp)] = 1.0
+            for a in reversed(S):
+                x = self.eps[a] @ x
+            k = len(S)
+            M[self.basis.index(comp), i] = (-1.0) ** (k * (k + 1) // 2) * x[-1]
+        return M
 
     def bidegree_projectors(self, J) -> dict[tuple[int, int], np.ndarray]:
         """Spectral projectors of -i D_J, D_J the type derivation, on each

@@ -1,8 +1,9 @@
 """Structured exterior-algebra operators against the dense reference.
 
-The library stores each wedge generator as index arrays and exponentiates
-generators block by block; `oracles.DenseExterior` builds the same
-operators as sums of products of dense generator matrices, and
+The library stores each wedge generator as index arrays, builds every
+operator by degree blocks and exponentiates generators as Kronecker
+products of quaternion-block factors; `oracles.DenseExterior` builds the
+same operators as sums of products of dense generator matrices, and
 `oracles.dense_exp_antihermitian` exponentiates with one full eigh.
 """
 
@@ -14,14 +15,17 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from hklab.exterior import ExteriorAlgebra
-from hklab.fiber import (bidegree_projector, complex_structure,
+from hklab.fiber import (FiberForm, FiberOperator, bidegree_projector,
+                         complex_structure, contraction_operator,
                          form_coefficient_matrix, holomorphic_symplectic,
-                         kahler_form, standard_fiber, type_derivation)
-from hklab.quaternions import (QUAT_K, ZETA_J, ZETA_K, random_twistor_point,
-                               random_unit_quaternion)
-from hklab.reptheory import antiholomorphic_triple
-from hklab.symmetry import (chi_k, clifford_2form, exp_antihermitian,
-                            rho_j_sp1, rho_sp1)
+                         kahler_form, standard_fiber, type_derivation,
+                         wedge_operator, zero_one_star_projector)
+from hklab.quaternions import (QUAT_K, ZETA_I, ZETA_J, ZETA_K,
+                               random_twistor_point, random_unit_quaternion)
+from hklab.reptheory import antiholomorphic_triple, lefschetz_triple
+from hklab.symmetry import (chi_k, clifford, clifford_2form,
+                            exp_antihermitian, hodge_star_twisted, rho_j_sp1,
+                            rho_sp1, ten_operators)
 from hklab.torus import model_fiber
 
 from .oracles import DenseExterior, dense_exp_antihermitian
@@ -55,11 +59,46 @@ def test_exterior_operators_match_dense_reference(pair, rng):
         W = W - W.T
         # about 16 monomials: the reference multiplies dense generators
         v = _cvec(rng, alg.dim, 16 / alg.dim)
-        assert _close(alg.wedge_1form(c), ref.wedge_1form(c))
-        assert _close(alg.contraction(c), ref.contraction(c))
-        assert _close(alg.wedge_2form(W), ref.wedge_2form(W))
-        assert _close(alg.derivation(A), ref.derivation(A))
-        assert _close(alg.wedge_element(v), ref.wedge_element(v))
+        assert _close(alg.wedge_1form(c).matrix, ref.wedge_1form(c))
+        assert _close(alg.contraction(c).matrix, ref.contraction(c))
+        assert _close(alg.wedge_2form(W).matrix, ref.wedge_2form(W))
+        assert _close(alg.derivation(A).matrix, ref.derivation(A))
+        assert _close(alg.wedge_element(v).matrix, ref.wedge_element(v))
+    assert _close(alg.twisted_star().matrix, ref.twisted_star())
+
+
+def test_fiber_builders_match_dense_reference(pair, rng):
+    fiber, ref = pair
+    d = fiber.d
+    zeta = random_twistor_point(rng)
+    J = complex_structure(fiber, zeta)
+    xi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    form3 = FiberForm(3, rng.normal(size=math.comb(d, 3)))
+    assert _close(wedge_operator(fiber, FiberForm(1, xi)).matrix,
+                  ref.wedge_1form(xi))
+    assert _close(wedge_operator(fiber, form3).matrix,
+                  ref.wedge_element(form3.vector(fiber)))
+    assert _close(contraction_operator(fiber, xi).matrix, ref.contraction(xi))
+    assert _close(type_derivation(fiber, zeta).matrix, ref.derivation(J.T))
+    assert _close(clifford(fiber, zeta, xi).matrix, ref.clifford(J, xi))
+    assert _close(hodge_star_twisted(fiber).matrix, ref.twisted_star())
+    ops = ten_operators(fiber)
+    for name, z in (("I", ZETA_I), ("J", ZETA_J), ("K", ZETA_K)):
+        W = form_coefficient_matrix(fiber, kahler_form(fiber, z))
+        assert _close(ops.L[name].matrix, ref.wedge_2form(W))
+        assert _close(ops.Lambda[name].matrix, ref.wedge_2form(W).conj().T)
+        assert _close(ops.ad[name].matrix,
+                      ref.derivation(complex_structure(fiber, z).T))
+    assert _close(ops.H.matrix, np.diag(ref.degrees - 2.0 * fiber.n))
+    omega = form_coefficient_matrix(fiber, holomorphic_symplectic(fiber))
+    tri = lefschetz_triple(fiber, holomorphic_symplectic(fiber))
+    L = ref.wedge_2form(omega)
+    assert _close(tri.L.matrix, L)
+    assert _close(tri.Lambda.matrix, L.conj().T)
+    assert _close(tri.H.matrix, L @ L.conj().T - L.conj().T @ L)
+    want = ref.bidegree_projectors(J)
+    assert _close(zero_one_star_projector(fiber, zeta, "odd").matrix,
+                  sum(want[0, q] for q in range(1, 2 * fiber.n + 1, 2)))
 
 
 def test_clifford_2form_matches_dense_reference(pair, rng):
@@ -83,18 +122,64 @@ def test_bidegree_projector_matches_dense_reference(pair, rng):
                               want[p, q])
 
 
+def _generators(fiber, rng) -> dict[str, FiberOperator]:
+    """The seven kinds of generator the library exponentiates."""
+    tri = antiholomorphic_triple(fiber)
+    L, A, H = tri.L, tri.Lambda, tri.H
+    u = random_twistor_point(rng)
+    LK = wedge_operator(fiber, kahler_form(fiber, ZETA_K))
+    Lo = wedge_operator(fiber, holomorphic_symplectic(fiber))
+    return {
+        "type derivation": type_derivation(fiber, u),
+        "c_J(omega_u)/2": 0.5 * clifford_2form(fiber, ZETA_J,
+                                               kahler_form(fiber, u)),
+        "L - Lambda": L - A,
+        "iH": 1j * H,
+        "i(L + Lambda)": 1j * (L + A),
+        "L_K - L_K^*": LK - LK.adjoint(),
+        "L_Omega - L_Omega^*": Lo - Lo.adjoint(),
+    }
+
+
 def test_blocked_exponential_matches_full_eigh(pair, rng):
     fiber, _ref = pair
-    tri = antiholomorphic_triple(fiber)
-    u = random_twistor_point(rng)
-    gens = [type_derivation(fiber, u),
-            0.5 * clifford_2form(fiber, ZETA_J, kahler_form(fiber, u)).matrix,
-            tri.L.matrix - tri.Lambda.matrix,
-            1j * tri.H.matrix]
-    for G in gens:
+    alg = fiber.algebra
+    gens = _generators(fiber, rng)
+    # a generator coupling two quaternion blocks (n = 2) or none (n = 1)
+    e = np.zeros(fiber.d)
+    e[0] = 1.0
+    cross = wedge_operator(fiber, FiberForm(1, e))
+    if fiber.n > 1:
+        W = np.zeros((fiber.d, fiber.d))
+        W[0, 4], W[4, 0] = 1.0, -1.0
+        cross = alg.wedge_2form(W)
+    gens["cross-block"] = cross - cross.adjoint()
+    for name, G in gens.items():
+        factored = alg.quaternion_factors(G) is not None
+        assert factored == (fiber.n > 1 and name != "cross-block"), name
         for t in (math.pi / 2, rng.uniform(-3.0, 3.0)):
-            assert _close(exp_antihermitian(G, t),
-                          dense_exp_antihermitian(G, t))
+            E = exp_antihermitian(G, t)
+            assert isinstance(E, FiberOperator)
+            assert _close(E.matrix, dense_exp_antihermitian(G.matrix, t)), name
+    # plain arrays stay plain arrays, on the same path
+    M = gens["L - Lambda"].matrix
+    assert _close(exp_antihermitian(M, 0.7), dense_exp_antihermitian(M, 0.7))
+    if fiber.n == 1:
+        return
+    # the guard: one entry off by 1e-6 (kept anti-Hermitian) is not factored
+    for name in ("L - Lambda", "iH", "c_J(omega_u)/2"):
+        M = gens[name].matrix.copy()
+        off = np.argwhere(np.triu(M, 1) != 0)
+        i, j = off[-1] if name != "iH" else (alg.dim - 2, alg.dim - 2)
+        if i == j:
+            M[i, i] += 1e-6j
+        else:
+            M[i, j] += 1e-6
+            M[j, i] = -np.conj(M[i, j])
+        mutated = FiberOperator(M, name, alg)
+        assert alg.quaternion_factors(mutated) is None, name
+        assert _close(exp_antihermitian(mutated, 0.9).matrix,
+                      dense_exp_antihermitian(M, 0.9)), name
 
 
 def test_rho_sp1_keeps_form_degree(fiber2, rng):
@@ -112,22 +197,27 @@ def _block_pattern(G) -> np.ndarray:
 
 
 def test_exponentials_have_only_structural_nonzeros():
-    fiber = model_fiber(1)
-    tri = antiholomorphic_triple(fiber)
-    ladder_gen = tri.L.matrix - tri.Lambda.matrix
-    ladder = exp_antihermitian(ladder_gen, math.pi / 2)
-    assert np.count_nonzero(ladder) <= _block_pattern(ladder_gen).sum() \
-        < ladder.size
-    # chi(k) = rho(k) rho_j(k): the product of the two block patterns
-    rho_gen = type_derivation(fiber, ZETA_K)
-    rho_j_gen = clifford_2form(fiber, ZETA_J, kahler_form(fiber, ZETA_K)).matrix
-    structural = (_block_pattern(rho_gen).astype(int)
-                  @ _block_pattern(rho_j_gen).astype(int)) > 0
-    ck = chi_k(fiber).matrix
-    assert np.count_nonzero(ck) <= structural.sum() < ck.size
-    assert np.count_nonzero(ck[~structural]) == 0
-    assert _close(ck, rho_sp1(fiber, QUAT_K).matrix
-                  @ rho_j_sp1(fiber, QUAT_K).matrix)
+    for n in (1, 2):
+        fiber = model_fiber(n)
+        tri = antiholomorphic_triple(fiber)
+        ladder_gen = (tri.L - tri.Lambda).matrix
+        ladder = exp_antihermitian(tri.L - tri.Lambda, math.pi / 2).matrix
+        assert np.count_nonzero(ladder) <= _block_pattern(ladder_gen).sum() \
+            < ladder.size
+        if n == 1:  # a single factor: the array path, bit for bit
+            assert np.array_equal(
+                ladder, exp_antihermitian(ladder_gen, math.pi / 2))
+        # chi(k) = rho(k) rho_j(k): the product of the two block patterns
+        rho_gen = type_derivation(fiber, ZETA_K).matrix
+        rho_j_gen = clifford_2form(fiber, ZETA_J,
+                                   kahler_form(fiber, ZETA_K)).matrix
+        structural = (_block_pattern(rho_gen).astype(int)
+                      @ _block_pattern(rho_j_gen).astype(int)) > 0
+        ck = chi_k(fiber).matrix
+        assert np.count_nonzero(ck) <= structural.sum() < ck.size
+        assert np.count_nonzero(ck[~structural]) == 0
+        assert _close(ck, rho_sp1(fiber, QUAT_K).matrix
+                      @ rho_j_sp1(fiber, QUAT_K).matrix)
 
 
 def test_algebra_holds_no_dense_generators():

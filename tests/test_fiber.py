@@ -186,8 +186,8 @@ def test_form_vector_length_validation(fiber1):
 
 def test_twisted_star_degree_signs():
     alg = ExteriorAlgebra(4)
-    star = alg.hodge_star()
-    tw = alg.twisted_star()
+    star = alg.hodge_star().matrix
+    tw = alg.twisted_star().matrix
     # degree 0: sign +1, so both agree on the empty monomial
     assert np.allclose(tw[:, 0], star[:, 0])
     # degree 1: sign (-1)^{1} = -1

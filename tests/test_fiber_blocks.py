@@ -126,13 +126,30 @@ def test_mismatched_algebras_rejected():
         FiberOperator(np.eye(12))
 
 
-def test_products_with_arrays_and_lattice_operators_stay_dense():
-    ops = _builder_outputs(1)
-    X = ops["chi_k"] @ ops["star"]
-    v = np.arange(16) + 1j
-    assert np.array_equal(X @ v, X.matrix @ v)
+def test_products_with_arrays_are_blockwise_and_lattice_operators_defer(
+        monkeypatch):
+    def no_matrix(op):
+        raise AssertionError("array product assembled the dense matrix")
+
+    for n in (1, 2):
+        ops = _builder_outputs(n)
+        X = ops["chi_k"] @ ops["star"]
+        dim = X.dim
+        v = np.arange(dim) + 1j
+        V = np.stack([v, 1.0 - 2j * v[::-1], np.ones(dim)], axis=1)
+        want_v, want_V = X.matrix @ v, X.matrix @ V
+        # a fresh operator, whose dense form the products must not assemble
+        X = ops["chi_k"] @ ops["star"]
+        with monkeypatch.context() as m:
+            m.setattr(FiberOperator, "matrix", property(no_matrix))
+            got_v, got_V = X @ v, X @ V
+        assert got_v.shape == (dim,) and got_V.shape == (dim, 3)
+        assert _close(got_v, want_v) and _close(got_V, want_V)
+        with pytest.raises(ValueError, match="applied to an array"):
+            X @ v[1:]
     field = build_gauge_field(LatticeSpec(1, 3), 1)
     D = lattice_dirac(field, random_twistor_point(np.random.default_rng(2)))
+    X = _builder_outputs(1)["chi_k"]
     XD = X @ D
     assert isinstance(XD, LatticeOperator)
     want = lift_fiber(field, X) @ D.matrix

@@ -332,3 +332,37 @@ def test_scalar_laplacian_is_shared_per_field():
     assert lichnerowicz_laplacian(field, ZETA_J).terms[0][0] is \
         covariant_laplacian(field).terms[0][0] is field.laplacian
     assert spla.norm(field.laplacian - scalar_covariant_laplacian(field)) == 0
+
+
+@pytest.mark.parametrize("batch", [None, 40])
+def test_one_pass_assembly_equals_termwise_sum(batch, monkeypatch, rng):
+    # the old assembly: each term's Kronecker product added on its own
+    import hklab.torus as torus
+
+    if batch is not None:  # several batches of site rows
+        monkeypatch.setattr(torus, "ASSEMBLY_BATCH", batch)
+    field = build_gauge_field(LatticeSpec(1, 3), 2)
+    zeta = random_twistor_point(rng)
+    dj, dmj = lattice_dirac(field, ZETA_J), lattice_dirac(field, MINUS_J)
+    # three terms on one site factor, generic values: the summation order
+    # shows in the last bits, and the first two cancel exactly
+    S = dj.terms[0][0]
+    f = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
+    f[:, rng.random((16, 16)) < 0.5] = 0.0
+    ops = [dj, dj - dmj, lichnerowicz_laplacian(field, zeta),
+           LatticeOperator((dj.terms[0], (dj.terms[0][0], -dmj.terms[0][1])),
+                           "pair", field.spec, dj.fiber_dim, field),
+           2.0 * dolbeault_pair(field, zeta)[1],
+           LatticeOperator(((S, f[0]), (S, f[1]), (S, f[2])), "generic",
+                           field.spec, 16, field),
+           LatticeOperator(((S, f[0]), (S, -f[0]), (S, f[2])), "cancel",
+                           field.spec, 16, field)]
+    for op in ops:
+        want = sp.csr_matrix((op.dim, op.dim), dtype=complex)
+        for S, f in op.terms:
+            want = want + sp.kron(S, sp.csr_matrix(f), format="csr")
+        got = op.matrix
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)

@@ -187,7 +187,7 @@ def test_rho_j_k_flips_antiholomorphic_degree(fiber1):
 
 def test_star_on_degree_zero_and_weil(fiber1):
     star = hodge_star_twisted(fiber1).matrix
-    plain = fiber1.algebra.hodge_star()
+    plain = fiber1.algebra.hodge_star().matrix
     assert np.abs(star[:, 0] - plain[:, 0]).max() == 0.0  # k = 0: no sign
     ops = ten_operators(fiber1)
     rk = rho_sp1(fiber1, QUAT_K).matrix
@@ -288,10 +288,10 @@ def test_symbol_kahler_identity(fiber1, rng):
         z = random_twistor_point(rng)
         xi = rng.normal(size=4)
         Lw = wedge_operator(fiber1, kahler_form(fiber1, z)).matrix
-        sym = -alg.contraction(xi)
+        sym = -alg.contraction(xi).matrix
         Jz = complex_structure(fiber1, z)
         assert rel_residual(Lw @ sym - sym @ Lw,
-                            alg.wedge_1form(Jz @ xi)) < 1e-11
+                            alg.wedge_1form(Jz @ xi).matrix) < 1e-11
 
 
 # ----- registry --------------------------------------------------------------
@@ -310,6 +310,30 @@ def test_registry_checks_pass_n1(cid, fiber1):
     assert res.verdict, res.summary_line()
     assert res.residual < 1e-10
     assert res.params == {"n": 1, "seed": 7}
+
+
+def test_registry_never_assembles_at_n2(fiber2, monkeypatch):
+    # every n = 2 check runs on degree blocks: no 256 x 256 fiber matrix
+    # is assembled or wrapped
+    from hklab.fiber import FiberOperator
+
+    dense, init = FiberOperator.matrix, FiberOperator.__init__
+
+    def no_matrix(op):
+        if op.dim >= 256:
+            raise AssertionError(f"assembled the dense matrix of {op.label}")
+        return dense.fget(op)
+
+    def no_dense_init(op, matrix, *args, **kwargs):
+        if np.shape(matrix)[0] >= 256:
+            raise AssertionError("wrapped a dense 256 x 256 fiber matrix")
+        init(op, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(FiberOperator, "matrix", property(no_matrix))
+    monkeypatch.setattr(FiberOperator, "__init__", no_dense_init)
+    for cid in check_ids():
+        res = verify_identity(cid, fiber2, seed=5)
+        assert res.verdict, res.summary_line()
 
 
 def test_registry_unknown_id(fiber1):
