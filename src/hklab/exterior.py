@@ -17,17 +17,25 @@ For d = 4n the algebra is also the tensor product of n copies of
 Lambda(H), one per quaternion block {4b, .., 4b+3}: the blocks are
 index-contiguous, so e^S is the ordered product e^{S_0} ^ ... ^ e^{S_{n-1}}
 of its parts with sign +1, and a monomial is an n-tuple of Lambda(H)
-monomials (`parts`).  An operator that is a scalar plus a sum of
-operators each acting on one block (`quaternion_factors`) then
-exponentiates as the Kronecker product of n 16 x 16 exponentials
-(`quaternion_product`).
+monomials (`parts`).  For n >= 2 the builders whose coefficients stay
+inside the quaternion blocks return operators in term form, a sum of
+Kronecker products of n 16 x 16 factors (Van Loan, "The ubiquitous
+Kronecker product", 2000).  e^a for a in block b is
+P (x) .. (x) P (x) e^a_b (x) 1 (x) .. (x) 1, P = (-1)^deg passing the
+generators of the blocks before b; an even one-block operator is
+1 (x) .. (x) X_b (x) .. (x) 1.  So a wedge, contraction or Clifford action
+of a 1-form is n such terms, and a wedge with a 2-form, a derivation or an
+even quadratic whose coefficient matrices have no entry between two blocks
+is a Kronecker sum.  The exponential of a Kronecker sum is the Kronecker
+product of the n 16 x 16 exponentials (`quaternion_factors`), one term.
+`quaternion_product` gathers a term list into degree blocks when a
+block-form operand or an array needs them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -47,28 +55,143 @@ def _degree_offsets(dim: int) -> tuple[int, ...]:
                                       initial=0))
 
 
+def _const(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Lambda(H): exterior degree of each of its 16 monomials, the starts of its
+# degree blocks, and the identity and parity (-1)^deg factors of the term
+# form.  A slot holding the identity holds this very array, so products
+# skip it and `quaternion_factors` recognises a Kronecker sum by identity.
+_H_OFFSETS = _degree_offsets(16)
+_H_DEGREES = _const(np.repeat(np.arange(5), np.diff(_H_OFFSETS)))
+_EYE = _const(np.eye(16))
+_PARITY = _const(np.diag(1.0 - 2.0 * (_H_DEGREES % 2)))
+
+
+def _pivot(term) -> int:
+    """The first slot of a term that is not the identity (0 if none)."""
+    return next((b for b, F in enumerate(term) if F is not _EYE), 0)
+
+
+def _scaled(term, c) -> tuple:
+    """c times a term, taken into its pivot slot, so that Kronecker-sum
+    terms keep their identity slots."""
+    b = _pivot(term)
+    return term[:b] + (c * term[b],) + term[b + 1:]
+
+
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return y if x is _EYE else x if y is _EYE else x @ y
+
+
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return x if x is _EYE else x.conj().T
+
+
+def _merged(terms) -> list[tuple]:
+    """Terms that agree bit for bit in all slots but one summed into one,
+    in the order given (as `LatticeOperator._merged_terms` merges terms
+    with equal site factors); terms with a zero slot, exactly zero,
+    dropped."""
+    out: list[tuple] = []
+    for t in terms:
+        for i, s in enumerate(out):
+            differ = []
+            for b, (x, y) in enumerate(zip(s, t)):
+                if x is not y and x.tobytes() != y.tobytes():
+                    differ.append(b)
+                    if len(differ) > 1:
+                        break
+            if len(differ) <= 1:
+                b = differ[0] if differ else _pivot(s)
+                out[i] = s[:b] + (s[b] + t[b],) + s[b + 1:]
+                break
+        else:
+            out.append(t)
+    return [t for t in out if all(F.any() for F in t)]
+
+
+def _kron_norm(terms) -> float:
+    """||sum_t F_t0 (x) ... (x) F_t,n-1||_F by successive QR.
+
+    The columns vec(F_t0) are factored as Q R; Q is an isometry, so the
+    norm is that of sum_t R[:, t] (x) F_t1 (x) ..., whose first factors are
+    the columns of R (x)-ed with vec(F_t1) and are factored in turn (the
+    orthogonalization sweep of tensor-train rounding, Oseledets, SIAM J.
+    Sci. Comput. 33, 2011).  Unlike the Gram expansion
+    sum_st prod_b tr(F_sb^* F_tb), this keeps the small norm of a
+    difference of nearly equal operators.
+    """
+    if not terms:
+        return 0.0
+    T = len(terms)
+    cols = [np.stack([t[b].ravel() for t in terms], axis=1)
+            for b in range(len(terms[0]))]
+    R = cols[0]
+    for F in cols[1:-1]:
+        R = np.linalg.qr(R, mode="r")
+        R = (R[:, None, :] * F[None, :, :]).reshape(-1, T)
+    return float(np.linalg.norm(np.linalg.qr(R, mode="r") @ cols[-1].T))
+
+
+def _shifts16(F: np.ndarray) -> set[int]:
+    """Degree shifts of the nonzero entries of a 16 x 16 factor."""
+    rows, cols = np.nonzero(F)
+    return set((_H_DEGREES[rows] - _H_DEGREES[cols]).tolist())
+
+
+def _occupied16(F: np.ndarray) -> list[tuple[int, int]]:
+    """(k_out, k_in) of the nonzero degree blocks of a 16 x 16 factor."""
+    starts = _H_OFFSETS[:-1]
+    occupied = np.logical_or.reduceat(
+        np.logical_or.reduceat(F != 0, starts, axis=0), starts, axis=1)
+    return list(zip(*map(np.ndarray.tolist, np.nonzero(occupied))))
+
+
 class FiberOperator:
     """Complex matrix acting on Lambda(V* (x) C), tagged with a symbol label.
 
-    The operator is held as `blocks`: a dict from (k_out, k_in) to the
-    block that maps exterior degree k_in to degree k_out; every block
-    missing from it is exactly zero.  The builders of `ExteriorAlgebra`
-    and of the fiber modules make their operators block by block, and
-    products with another FiberOperator, sums, differences, scalar
-    multiples, the adjoint, `inner`, `frobenius_norm` and
-    products with an array act on blocks too.  `matrix`, the dense
-    2^d x 2^d form, is assembled on first use.  An operator may also be
-    made from a dense matrix, whose nonzero blocks are then read off once.
-    A product with a lattice operator is left to the lattice operator.
+    Block form: the operator is held as `blocks`, a dict from (k_out, k_in)
+    to the block that maps exterior degree k_in to degree k_out; every
+    block missing from it is exactly zero.  Products with another
+    FiberOperator, sums, differences, scalar multiples, the adjoint,
+    `inner`, `frobenius_norm` and products with an array act on blocks.
+    `matrix`, the dense 2^d x 2^d form, is assembled on first use.  An
+    operator may also be made from a dense matrix, whose nonzero blocks are
+    then read off once.  A product with a lattice operator is left to the
+    lattice operator.
+
+    Term form: on an algebra with quaternion blocks (d = 4n, n >= 2) an
+    operator may instead be born as a list of Kronecker terms, each a tuple
+    of n 16 x 16 arrays, one per block; entry (S, T) is
+    sum_t prod_b F_tb[parts[S, b], parts[T, b]].  Products, sums,
+    differences, scalar multiples and adjoints of two term-form operators
+    stay in term form.  A sum or difference merges terms that agree
+    bit for bit in all slots but one into one, which cancels the cross
+    terms of a commutator of Kronecker sums.  Scalar multiples are recorded
+    and applied to the gathered blocks, so c * A is c times A's blocks
+    entry for entry (and A * c A's blocks times c), as in block form.
+    `frobenius_norm` takes the norm of the terms by successive
+    QR of their factor columns, which keeps a small residual of nearly
+    equal operators, and `inner` uses the Gram product
+    sum_st prod_b tr(F_sb^* G_tb).  The zero operator (no blocks) counts as
+    a term form without terms.  Any operation with a block-form operand,
+    `A @ x` for an array, `blocks`, `diagonal` and `matrix` gather the
+    degree blocks once (`ExteriorAlgebra.quaternion_product`); they are
+    then held on the operator, as `matrix` is.
+
     `algebra` is the ExteriorAlgebra the operator was built on (None for
     one made from a bare matrix); results inherit it.  Operators are
-    values: neither form is modified after it is made.
+    values: no form is modified after it is made.
     """
 
     def __init__(self, matrix: np.ndarray, label: str = "",
                  algebra: "ExteriorAlgebra | None" = None):
         self._matrix = np.asarray(matrix)
         self._blocks = None
+        self._terms, self._scales = None, ()
         self._offsets = _degree_offsets(self._matrix.shape[0])
         self.label = label
         self.algebra = algebra
@@ -78,7 +201,15 @@ class FiberOperator:
                      algebra=None) -> "FiberOperator":
         op = cls.__new__(cls)
         op._matrix, op._blocks, op._offsets = None, blocks, offsets
+        op._terms, op._scales = None, ()
         op.label, op.algebra = label, algebra
+        return op
+
+    @classmethod
+    def _from_terms(cls, algebra: "ExteriorAlgebra", terms: list,
+                    label: str, scales: tuple = ()) -> "FiberOperator":
+        op = cls._from_blocks(algebra.offsets, None, label, algebra)
+        op._terms, op._scales = terms, scales
         return op
 
     @classmethod
@@ -92,6 +223,11 @@ class FiberOperator:
             algebra = other.algebra
         return self._from_blocks(self._offsets, blocks, label, algebra)
 
+    def _termed(self, terms: list, label: str,
+                other: "FiberOperator | None" = None) -> "FiberOperator":
+        algebra = self.algebra if self.algebra is not None else other.algebra
+        return self._from_terms(algebra, terms, label)
+
     @property
     def dim(self) -> int:
         return self._offsets[-1]
@@ -100,26 +236,66 @@ class FiberOperator:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             off = self._offsets
-            dtype = (np.result_type(*self._blocks.values()) if self._blocks
-                     else complex)
+            blocks = self.blocks
+            dtype = np.result_type(*blocks.values()) if blocks else complex
             M = np.zeros((self.dim, self.dim), dtype=dtype)
-            for (a, b), X in self._blocks.items():
+            for (a, b), X in blocks.items():
                 M[off[a]:off[a + 1], off[b]:off[b + 1]] = X
             self._matrix = M
         return self._matrix
 
     @property
     def blocks(self) -> dict:
-        if self._blocks is None:
+        if self._blocks is not None:
+            return self._blocks
+        if self._terms is not None:
+            blocks = self.algebra.quaternion_product(self._terms)
+            for c, left in self._scales:
+                blocks = {k: c * X if left else X * c
+                          for k, X in blocks.items()}
+        else:
             off = self._offsets
             starts = off[:-1]
             occupied = np.logical_or.reduceat(
                 np.logical_or.reduceat(self._matrix != 0, starts, axis=0),
                 starts, axis=1)
-            self._blocks = {
+            blocks = {
                 (a, b): self._matrix[off[a]:off[a + 1], off[b]:off[b + 1]]
                 for a, b in zip(*map(np.ndarray.tolist, np.nonzero(occupied)))}
-        return self._blocks
+        self._blocks = blocks
+        return blocks
+
+    @property
+    def terms(self) -> list[tuple] | None:
+        """The Kronecker terms with the recorded scalars taken into each,
+        or None for a block-form operator."""
+        if self._terms is None or not self._scales:
+            return self._terms
+        c = math.prod(c for c, _left in self._scales)
+        return [_scaled(t, c) for t in self._terms]
+
+    def _term_pair(self, other: "FiberOperator"):
+        """Both operands' terms when their result stays in term form: one
+        is in term form and the other is too or is the zero operator."""
+        if self._terms is None and other._terms is None:
+            return None
+        pair = []
+        for op in (self, other):
+            if op._terms is not None:
+                pair.append(op.terms)
+            elif op._matrix is None and not op._blocks:
+                pair.append([])
+            else:
+                return None
+        return pair
+
+    def degree_shifts(self) -> set[int]:
+        """k_out - k_in over the nonzero degree blocks; in term form, the
+        sums of the factors' shifts, read without gathering."""
+        if self._terms is None:
+            return {a - b for a, b in self.blocks}
+        return {sum(s) for t in self._terms
+                for s in itertools.product(*map(_shifts16, t))}
 
     def diagonal(self) -> np.ndarray:
         """The diagonal entries, from the diagonal degree blocks."""
@@ -132,7 +308,7 @@ class FiberOperator:
         return out
 
     def relabel(self, label: str) -> "FiberOperator":
-        """The same operator under another label, sharing both forms."""
+        """The same operator under another label, sharing every form."""
         op = FiberOperator.__new__(FiberOperator)
         op.__dict__.update(self.__dict__, label=label)
         return op
@@ -148,6 +324,12 @@ class FiberOperator:
         if not isinstance(other, FiberOperator):
             return NotImplemented
         self._check_space(other)
+        label = f"{self.label}*{other.label}"
+        pair = self._term_pair(other)
+        if pair is not None:
+            return self._termed([tuple(map(_times, s, t))
+                                 for s in pair[0] for t in pair[1]],
+                                label, other)
         rows: dict[int, list] = {}
         for (b, c), Y in other.blocks.items():
             rows.setdefault(b, []).append((c, Y))
@@ -157,7 +339,7 @@ class FiberOperator:
                 P = X @ Y
                 # not +=: blocks of one operator may differ in dtype
                 out[a, c] = out[a, c] + P if (a, c) in out else P
-        return self._new(out, f"{self.label}*{other.label}", other)
+        return self._new(out, label, other)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """self @ x for a vector or a matrix of column vectors, by blocks."""
@@ -170,60 +352,79 @@ class FiberOperator:
             out[off[a]:off[a + 1]] += X @ x[off[b]:off[b + 1]]
         return out
 
-    def _combine(self, other: "FiberOperator", op,
+    def _combine(self, other: "FiberOperator", sign: int,
                  label: str) -> "FiberOperator":
+        self._check_space(other)
+        pair = self._term_pair(other)
+        if pair is not None:
+            theirs = pair[1] if sign > 0 else [_scaled(t, -1) for t in pair[1]]
+            return self._termed(_merged(pair[0] + theirs), label, other)
         # a block missing on one side enters as the scalar 0, entry for
         # entry what the dense sum or difference computes; the result keeps
         # its blocks in (k_out, k_in) order, as the builders' scatters do,
         # so products and norms of sums accumulate in a fixed order
-        self._check_space(other)
         out = dict(self.blocks)
         for key, Y in other.blocks.items():
-            out[key] = op(out[key] if key in out else 0, Y)
+            X = out[key] if key in out else 0
+            out[key] = X + Y if sign > 0 else X - Y
         return self._new(dict(sorted(out.items())), label, other)
 
     def __add__(self, other: "FiberOperator") -> "FiberOperator":
-        return self._combine(other, operator.add,
-                             f"{self.label} + {other.label}")
+        return self._combine(other, 1, f"{self.label} + {other.label}")
 
     def __sub__(self, other: "FiberOperator") -> "FiberOperator":
-        return self._combine(other, operator.sub,
-                             f"{self.label} - {other.label}")
+        return self._combine(other, -1, f"{self.label} - {other.label}")
+
+    def _times_scalar(self, c, label: str, left: bool) -> "FiberOperator":
+        if self._terms is not None:
+            return self._from_terms(self.algebra, self._terms, label,
+                                    self._scales + ((c, left),))
+        return self._new({k: c * X if left else X * c
+                          for k, X in self.blocks.items()}, label)
 
     def __mul__(self, c) -> "FiberOperator":
-        return self._new({k: X * c for k, X in self.blocks.items()},
-                         f"{self.label}*{c}")
+        return self._times_scalar(c, f"{self.label}*{c}", left=False)
 
     def __rmul__(self, c) -> "FiberOperator":
-        return self._new({k: c * X for k, X in self.blocks.items()},
-                         f"{c}*{self.label}")
+        return self._times_scalar(c, f"{c}*{self.label}", left=True)
 
     def __neg__(self) -> "FiberOperator":
+        if self._terms is not None:
+            return self._times_scalar(-1, f"-{self.label}", left=True)
         return self._new({k: -X for k, X in self.blocks.items()},
                          f"-{self.label}")
 
     def adjoint(self) -> "FiberOperator":
+        label = f"{self.label}^*"
+        if self._terms is not None:
+            return self._from_terms(
+                self.algebra, [tuple(map(_adjoint, t)) for t in self._terms],
+                label, tuple((np.conj(c), left) for c, left in self._scales))
         return self._new({(b, a): X.conj().T
-                          for (a, b), X in self.blocks.items()},
-                         f"{self.label}^*")
+                          for (a, b), X in self.blocks.items()}, label)
 
     def inner(self, other: "FiberOperator") -> complex:
-        """Frobenius inner product tr(self^* other), over shared blocks."""
+        """Frobenius inner product tr(self^* other): over shared blocks, or
+        in term form sum_st prod_b tr(F_sb^* G_tb)."""
         self._check_space(other)
+        pair = self._term_pair(other)
+        if pair is not None:
+            return sum((math.prod(np.vdot(x, y) for x, y in zip(s, t))
+                        for s in pair[0] for t in pair[1]), 0j)
         theirs = other.blocks
         return sum((np.vdot(X, theirs[k]) for k, X in self.blocks.items()
                     if k in theirs), 0j)
 
     def frobenius_norm(self) -> float:
+        if self._terms is not None:
+            return _kron_norm(self.terms)
         return math.sqrt(sum(np.vdot(X, X).real
                              for X in self.blocks.values()))
 
-    def selfadjoint_residual(self) -> float:
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T, 2))
 
-    def unitary_residual(self) -> float:
-        M = self.matrix
-        return float(np.linalg.norm(M.conj().T @ M - np.eye(self.dim), 2))
+def _concat(*entries):
+    """One (images, sources, values) list from several, in the order given."""
+    return tuple(np.concatenate(parts) for parts in zip(*entries))
 
 
 class ExteriorAlgebra:
@@ -246,6 +447,7 @@ class ExteriorAlgebra:
         # (and _dst is i) where a is in S, so killed sources stay killed
         # under composition.  Contractions are the transposed maps.
         masks = np.array([sum(1 << a for a in s) for s in self.basis])
+        self._masks = masks
         position = np.empty(1 << d, dtype=np.intp)
         position[masks] = self._cols
         self._dst = np.empty((d, self.dim), dtype=np.intp)
@@ -260,8 +462,11 @@ class ExteriorAlgebra:
         # to factor): parts[i, b] is the position of the block-b part of
         # monomial i in the 16-monomial basis of Lambda(H) (same order
         # convention), and _one_block[b, s] the monomial whose only part is
-        # the s-th monomial of Lambda(H), placed in block b.  The monomials
-        # inside {0, 1, 2, 3} come in that basis order.
+        # the s-th monomial of Lambda(H), placed in block b (_block_parts is
+        # parts transposed, each block's row contiguous).  The monomials
+        # inside {0, 1, 2, 3} come in that basis order.  _quaternion is
+        # Lambda(H) itself, on which the term-form factors are built, and
+        # _cross marks the coefficient pairs that couple two blocks.
         self.quaternion_blocks = d // 4 if d % 4 == 0 and d >= 8 else 0
         if self.quaternion_blocks:
             h_masks = masks[masks < 16]
@@ -269,7 +474,11 @@ class ExteriorAlgebra:
             h_position[h_masks] = np.arange(16)
             shifts = 4 * np.arange(self.quaternion_blocks)
             self.parts = h_position[(masks[:, None] >> shifts) & 15]
+            self._block_parts = np.ascontiguousarray(self.parts.T)
             self._one_block = position[h_masks[None, :] << shifts[:, None]]
+            self._quaternion = ExteriorAlgebra(4)
+            block = np.arange(d) // 4
+            self._cross = block[:, None] != block[None, :]
 
     def _operator(self, rows, cols, vals) -> FiberOperator:
         """Operator with the given entries, each scattered into the block of
@@ -296,9 +505,46 @@ class ExteriorAlgebra:
                 count[a], count[b])
         return self.blocked(blocks)
 
+    def _dense(self, rows, cols, vals) -> np.ndarray:
+        """The dim x dim array with the given entries, added in order."""
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        np.add.at(M, (rows, cols), vals)
+        return M
+
     def blocked(self, blocks: dict, label: str = "") -> FiberOperator:
         """The operator on this algebra with the given degree blocks."""
         return FiberOperator._from_blocks(self.offsets, blocks, label, self)
+
+    def kronecker(self, terms, label: str = "") -> FiberOperator:
+        """The term-form operator sum_t F_t0 (x) ... (x) F_t,n-1, for
+        tuples of n 16 x 16 factors, one per quaternion block."""
+        if not self.quaternion_blocks:
+            raise ValueError("an algebra without quaternion blocks has no "
+                             "term form")
+        return FiberOperator._from_terms(self, list(terms), label)
+
+    def _block_sum(self, local_entries, odd: bool) -> FiberOperator:
+        """sum_b S (x) .. (x) S (x) X_b (x) 1 (x) .. (x) 1 in term form.
+
+        X_b is the operator on Lambda(H) with the entries
+        local_entries(Lambda(H), slice of block b), left out when it has
+        none.  S is (-1)^deg when X_b is odd, as it passes the generators of
+        the blocks before b, and 1 when it is even."""
+        n, h = self.quaternion_blocks, self._quaternion
+        before = _PARITY if odd else _EYE
+        terms = []
+        for b in range(n):
+            rows, cols, vals = local_entries(h, slice(4 * b, 4 * b + 4))
+            if len(vals):
+                terms.append((before,) * b + (h._dense(rows, cols, vals),)
+                             + (_EYE,) * (n - b - 1))
+        return self.kronecker(terms)
+
+    def _splits(self, *coefficient_matrices) -> bool:
+        """Whether the term form applies: quaternion blocks, and no
+        coefficient between two of them."""
+        return bool(self.quaternion_blocks) and not any(
+            np.asarray(M)[self._cross].any() for M in coefficient_matrices)
 
     def _one_form_entries(self, coeffs):
         """(images, sources, values) of sum_a coeffs[a] e^a."""
@@ -307,6 +553,11 @@ class ExteriorAlgebra:
         keep = vals != 0
         src = np.broadcast_to(self._cols, vals.shape)
         return self._dst[a][keep], src[keep], vals[keep]
+
+    def _contraction_entries(self, vec):
+        """(images, sources, values) of the interior product with vec."""
+        rows, cols, vals = self._one_form_entries(vec)
+        return cols, rows, vals
 
     def multi_indices(self, k: int) -> list[tuple[int, ...]]:
         return list(itertools.combinations(range(self.d), k))
@@ -345,26 +596,39 @@ class ExteriorAlgebra:
                 np.concatenate([self._dst[b][keep], on]),
                 np.concatenate([vals[keep], diag[on]]))
 
-    def _sum(self, *entries) -> FiberOperator:
-        """The sum of several entry lists, scattered at once; where they
-        meet, values add up in the order given."""
-        return self._operator(*(np.concatenate(parts)
-                                for parts in zip(*entries)))
+    def _quadratic_entries(self, W, A, C, scalar):
+        """(images, sources, values) of `quadratic`, in the order summed."""
+        c_rows, c_cols, c_vals = self._two_form_entries(C)
+        parts = [self._two_form_entries(W), self._derivation_entries(A),
+                 (c_cols, c_rows, c_vals)]
+        if scalar != 0:
+            parts.append((self._cols, self._cols,
+                          np.full(self.dim, scalar, dtype=complex)))
+        return _concat(*parts)
 
     def wedge_1form(self, coeffs) -> FiberOperator:
         """Left wedge with the 1-form sum_a coeffs[a] e^a."""
-        return self._operator(*self._one_form_entries(
-            np.asarray(coeffs, dtype=complex)))
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if self.quaternion_blocks:
+            return self._block_sum(
+                lambda h, s: h._one_form_entries(coeffs[s]), odd=True)
+        return self._operator(*self._one_form_entries(coeffs))
 
     def contraction(self, vec) -> FiberOperator:
         """Interior product with the (complex) vector sum_a vec[a] e_a."""
-        rows, cols, vals = self._one_form_entries(
-            np.asarray(vec, dtype=complex))
-        return self._operator(cols, rows, vals)
+        vec = np.asarray(vec, dtype=complex)
+        if self.quaternion_blocks:
+            return self._block_sum(
+                lambda h, s: h._contraction_entries(vec[s]), odd=True)
+        return self._operator(*self._contraction_entries(vec))
 
     def wedge_2form(self, coeff_matrix) -> FiberOperator:
         """Left wedge with the 2-form sum_{a<b} w[a,b] e^a ^ e^b."""
-        return self._operator(*self._two_form_entries(coeff_matrix))
+        W = np.asarray(coeff_matrix)
+        if self._splits(W):
+            return self._block_sum(
+                lambda h, s: h._two_form_entries(W[s, s]), odd=False)
+        return self._operator(*self._two_form_entries(W))
 
     def wedge_element(self, vec) -> FiberOperator:
         """Left multiplication by an arbitrary element of the algebra."""
@@ -387,27 +651,38 @@ class ExteriorAlgebra:
     def derivation(self, A) -> FiberOperator:
         """Degree-0 derivation acting on 1-form coefficients by the matrix A,
         sum_{a,b} A[a,b] e^a iota_b."""
+        A = np.asarray(A)
+        if self._splits(A):
+            return self._block_sum(
+                lambda h, s: h._derivation_entries(A[s, s]), odd=False)
         return self._operator(*self._derivation_entries(A))
 
     def wedge_minus_contraction(self, coeffs, vec) -> FiberOperator:
         """wedge_1form(coeffs) - contraction(vec), in one scatter."""
-        w_rows, w_cols, w_vals = self._one_form_entries(
-            np.asarray(coeffs, dtype=complex))
-        c_rows, c_cols, c_vals = self._one_form_entries(
-            np.asarray(vec, dtype=complex))
-        return self._sum((w_rows, w_cols, w_vals), (c_cols, c_rows, -c_vals))
+        coeffs = np.asarray(coeffs, dtype=complex)
+        vec = np.asarray(vec, dtype=complex)
+
+        def entries(alg, s=slice(None)):
+            rows, cols, vals = alg._contraction_entries(vec[s])
+            return _concat(alg._one_form_entries(coeffs[s]),
+                           (rows, cols, -vals))
+
+        if self.quaternion_blocks:
+            return self._block_sum(entries, odd=True)
+        return self._operator(*entries(self))
 
     def quadratic(self, W, A, C, scalar) -> FiberOperator:
         """wedge_2form(W) + derivation(A) + wedge_2form(C)^T + scalar, the
         general even quadratic in wedges and contractions, in one scatter;
-        wedge_2form(C)^T is the contraction by the 2-form -C."""
-        c_rows, c_cols, c_vals = self._two_form_entries(C)
-        parts = [self._two_form_entries(W), self._derivation_entries(A),
-                 (c_cols, c_rows, c_vals)]
-        if scalar != 0:
-            parts.append((self._cols, self._cols,
-                          np.full(self.dim, scalar, dtype=complex)))
-        return self._sum(*parts)
+        wedge_2form(C)^T is the contraction by the 2-form -C.  In term form
+        the scalar joins the factor of block 0."""
+        W, A, C = map(np.asarray, (W, A, C))
+        if self._splits(W, A, C):
+            return self._block_sum(
+                lambda h, s: h._quadratic_entries(
+                    W[s, s], A[s, s], C[s, s], scalar if s.start == 0 else 0),
+                odd=False)
+        return self._operator(*self._quadratic_entries(W, A, C, scalar))
 
     def graded_scalar(self, values) -> FiberOperator:
         """Multiplication by values[k] on the degree-k forms."""
@@ -422,20 +697,19 @@ class ExteriorAlgebra:
         return np.diag((self.degrees == k).astype(float))
 
     def _star_entries(self):
-        """(images, sources, signs) of the Hodge star, one entry a column."""
-        full = set(range(self.d))
-        rows = np.empty(self.dim, dtype=np.intp)
-        vals = np.empty(self.dim)
-        for i, s in enumerate(self.basis):
-            comp = tuple(sorted(full - set(s)))
-            perm = list(s) + list(comp)
-            sign = 1.0
-            for a in range(len(perm)):
-                for b in range(a + 1, len(perm)):
-                    if perm[a] > perm[b]:
-                        sign = -sign
-            rows[i], vals[i] = self.index[comp], sign
-        return rows, self._cols, vals
+        """(images, sources, signs) of the Hodge star, one entry a column.
+
+        e^S ^ e^{S^c} = sign e^0 ^ ... ^ e^{d-1}, the sign of the shuffle
+        (S, S^c): each a in S passes the a - |S below a| members of S^c
+        below it, sum(S) - k(k-1)/2 transpositions for |S| = k."""
+        masks = self._masks
+        members = (masks[:, None] >> np.arange(self.d)) & 1
+        k = self.degrees
+        passes = members @ np.arange(self.d) - k * (k - 1) // 2
+        position = np.empty(self.dim, dtype=np.intp)
+        position[masks] = self._cols
+        return (position[masks ^ (self.dim - 1)], self._cols,
+                1.0 - 2.0 * (passes % 2))
 
     def hodge_star(self) -> FiberOperator:
         """Hodge star for the identity metric and volume form e^0 ^ ... ^ e^{d-1}."""
@@ -443,7 +717,8 @@ class ExteriorAlgebra:
 
     def twisted_star(self) -> FiberOperator:
         """Star with the extra (-1)^{k(k+1)/2} sign on each source degree k."""
-        signs = np.array([(-1.0) ** ((k * (k + 1) // 2) % 2) for k in self.degrees])
+        k = self.degrees
+        signs = 1.0 - 2.0 * ((k * (k + 1) // 2) % 2)
         rows, cols, vals = self._star_entries()
         return self._operator(rows, cols, vals * signs[cols])
 
@@ -452,21 +727,35 @@ class ExteriorAlgebra:
         one per quaternion block, or None when op is not such a sum or the
         algebra has no quaternion blocks to factor.
 
-        F_b is read from op's entries between monomials that lie in block b
-        alone; for b > 0 the scalar op[0, 0] is taken off its diagonal, so
-        the scalar part is counted once, in F_0.  The test visits each
-        stored entry once: an off-diagonal entry must differ from its
-        column in one block b and equal F_b's entry there exactly, as many
-        off-diagonal entries must be stored as the sum has (none of them
-        missing), and the diagonal must match to SPLIT_RTOL, because the
-        sum of the factors' diagonals rounds in its own order.
+        A term-form op is such a sum when each of its terms has the
+        identity in every slot but one; F_b sums the terms' slot b.
+
+        A block-form op is tested entry by entry.  F_b is read from op's
+        entries between monomials that lie in block b alone; for b > 0 the
+        scalar op[0, 0] is taken off its diagonal, so the scalar part is
+        counted once, in F_0.  The test visits each stored entry once: an
+        off-diagonal entry must differ from its column in one block b and
+        equal F_b's entry there exactly, as many off-diagonal entries must
+        be stored as the sum has (none of them missing), and the diagonal
+        must match to SPLIT_RTOL, because the sum of the factors' diagonals
+        rounds in its own order.
         """
         n = self.quaternion_blocks
         if not n:
             return None
+        terms = op.terms
+        if terms is not None:
+            F = [np.zeros((16, 16), dtype=complex) for _ in range(n)]
+            for t in terms:
+                moved = [b for b, X in enumerate(t) if X is not _EYE]
+                if len(moved) > 1:
+                    return None
+                b = moved[0] if moved else 0
+                F[b] = F[b] + t[b]
+            return F
         blocks = op.blocks
         local = self._local[self._one_block]
-        h_off = _degree_offsets(16)
+        h_off = _H_OFFSETS
         F = np.zeros((n, 16, 16), dtype=complex)
         for (a, b), X in blocks.items():
             if a <= 4 and b <= 4:
@@ -505,28 +794,29 @@ class ExteriorAlgebra:
             return None
         return list(F)
 
-    def quaternion_product(self, factors) -> FiberOperator:
-        """F_0 (x) ... (x) F_{n-1} for 16 x 16 factors, one per quaternion
-        block, gathered degree block by degree block: entry (S, T) is the
-        product of the factors' entries (S_b, T_b).  A degree block is
-        formed only if every factor has a nonzero block of degrees adding
-        up to it."""
-        h_off = _degree_offsets(16)
-        pairs = {(0, 0)}
-        for Fb in factors:
-            occupied = [(a, b) for a in range(5) for b in range(5)
-                        if Fb[h_off[a]:h_off[a + 1],
-                              h_off[b]:h_off[b + 1]].any()]
-            pairs = {(a + a2, b + b2) for a, b in pairs for a2, b2 in occupied}
-        P, off = self.parts, self.offsets
-        blocks = {}
-        for a, b in sorted(pairs):
-            Pa, Pb = P[off[a]:off[a + 1]], P[off[b]:off[b + 1]]
-            X = factors[0][Pa[:, 0, None], Pb[None, :, 0]]
-            for k in range(1, len(factors)):
-                X = X * factors[k][Pa[:, k, None], Pb[None, :, k]]
-            blocks[a, b] = X
-        return self.blocked(blocks)
+    def quaternion_product(self, terms) -> dict:
+        """Degree blocks of sum_t F_t0 (x) ... (x) F_t,n-1, for tuples of
+        16 x 16 factors, one per quaternion block: entry (S, T) sums over
+        the terms the product of the factors' entries (S_b, T_b), read
+        through `parts`.  A term enters a degree block only if each of its
+        factors has a nonzero block of degrees adding up to it; terms
+        meeting in a block add up in their order."""
+        P, off = self._block_parts, self.offsets
+        blocks: dict = {}
+        for factors in terms:
+            pairs = {(0, 0)}
+            for Fb in factors:
+                occupied = _occupied16(Fb)
+                pairs = {(a + a2, b + b2)
+                         for a, b in pairs for a2, b2 in occupied}
+            for a, b in sorted(pairs):
+                Pa, Pb = P[:, off[a]:off[a + 1]], P[:, off[b]:off[b + 1]]
+                # rows, then columns: two 1-d takes beat one 2-d gather
+                X = factors[0][Pa[0]][:, Pb[0]]
+                for k in range(1, len(factors)):
+                    X = X * factors[k][Pa[k]][:, Pb[k]]
+                blocks[a, b] = blocks[a, b] + X if (a, b) in blocks else X
+        return dict(sorted(blocks.items()))
 
     def form_vector(self, k: int, coeffs) -> np.ndarray:
         """Embed degree-k coefficients (lex multi-index order) in the full algebra."""

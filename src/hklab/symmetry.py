@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .fiber import (FiberForm, FiberOperator, HyperkahlerFiber,
-                    bidegree_projector, complex_structure,
+                    bidegree_projectors, complex_structure,
                     contraction_operator, form_coefficient_matrix,
                     holomorphic_symplectic, kahler_form, type_derivation,
                     wedge_operator)
@@ -47,8 +47,11 @@ GRAM_RTOL = 1e-12
 def rel_residual(A, B) -> float:
     """||A - B||_F / max(1, ||A||_F, ||B||_F).
 
-    When either side is a FiberOperator both are taken as FiberOperators
-    and the norms are summed over degree blocks.
+    When either side is a FiberOperator both are taken as FiberOperators.
+    The norms are summed over degree blocks, or, when A and B are both in
+    term form, taken from their Kronecker terms by successive QR
+    (`FiberOperator.frobenius_norm`), so A - B is never gathered and its
+    small norm is not lost to cancellation as in a Gram expansion.
     """
     if isinstance(A, FiberOperator) or isinstance(B, FiberOperator):
         A, B = (X if isinstance(X, FiberOperator) else FiberOperator(X)
@@ -114,11 +117,11 @@ def exp_antihermitian(G, t: float = 1.0):
     difference between inputs.  A fiber operator that
     `ExteriorAlgebra.quaternion_factors` writes as a Kronecker sum of n
     16 x 16 factors, one per quaternion block, has the Kronecker product of
-    their exponentials as its exponential, gathered by degree blocks
-    (`quaternion_product`), so no 2^{4n} x 2^{4n} array is formed.  An
-    operator that fails that test, every n = 1 operator and a plain array
-    (such as a 1-form action) are a single factor, whose exponential is
-    the result.
+    their exponentials as its exponential, returned in term form as that
+    one Kronecker term, so neither a degree block nor a 2^{4n} x 2^{4n}
+    array is formed.  An operator that fails that test, every n = 1
+    operator and a plain array (such as a 1-form action) are a single
+    factor, whose exponential is the result.
     """
     op = G if isinstance(G, FiberOperator) else None
     alg = op.algebra if op is not None else None
@@ -127,7 +130,7 @@ def exp_antihermitian(G, t: float = 1.0):
         factors = [G if op is None else op.matrix]
     exps = [_exp_factor(F, t) for F in factors]
     if len(exps) > 1:
-        return alg.quaternion_product(exps).relabel("exp")
+        return alg.kronecker([tuple(exps)], "exp")
     if op is None:
         return exps[0]
     return FiberOperator(exps[0], "exp", alg)
@@ -180,12 +183,13 @@ class OperatorAlgebra:
         degree by one amount (-2, 0 or +2), so a commutator shifts it by
         the sum, and only the operators with that shift enter its right
         hand side and its projection: the others share no block with it.
+        The shifts are read without gathering a term-form operator.
         """
         ops = self.as_list()
         by_shift: dict[int, list[int]] = {}
         shifts = []
         for k, op in enumerate(ops):
-            (shift,) = {a - b for a, b in op.blocks}
+            (shift,) = op.degree_shifts()
             shifts.append(shift)
             by_shift.setdefault(shift, []).append(k)
         w, Q, ok = self.gram
@@ -217,8 +221,11 @@ def ten_operators(fiber: HyperkahlerFiber) -> OperatorAlgebra:
         L[name] = W.relabel(f"L_omega{name}")
         Lam[name] = W.adjoint().relabel(f"Lambda_omega{name}")
         ad[name] = type_derivation(fiber, z).relabel(f"ad({name})")
-    H = fiber.algebra.graded_scalar(
-        np.arange(fiber.d + 1) - 2.0 * fiber.n).relabel("H")
+    # H = deg - 2n is the number operator sum_a e^a iota_a less 2n, a
+    # Kronecker sum like the other nine, so all ten share one form
+    zero = np.zeros((fiber.d, fiber.d))
+    H = fiber.algebra.quadratic(zero, np.eye(fiber.d), zero,
+                                -2.0 * fiber.n).relabel("H")
     return OperatorAlgebra(fiber, L, Lam, ad, H)
 
 
@@ -414,14 +421,19 @@ def _check_lemma311_weil(fiber, rng) -> float:
     Lo = wedge_operator(fiber, holomorphic_symplectic(fiber))
     ladder_o = exp_antihermitian(Lo - Lo.adjoint(), math.pi / 2)
     worst = max(worst, rel_residual(rk @ ladder, ladder_o @ rk))
-    # bidegree bookkeeping of the two factors
+    # bidegree bookkeeping of the two factors, with the projectors built
+    # from one type derivation
     nn = 2 * fiber.n
-    for (p, q) in [(0, 0), (1, 0), (1, 1), (0, 2)]:
-        P = bidegree_projector(fiber, ZETA_J, p, q)
-        Q1 = bidegree_projector(fiber, ZETA_J, p, nn - q)
-        worst = max(worst, rel_residual(Q1 @ ladder @ P, ladder @ P))
-        Q2 = bidegree_projector(fiber, ZETA_J, nn - q, nn - p)
-        worst = max(worst, rel_residual(Q2 @ star @ P, star @ P))
+    bidegrees = [(0, 0), (1, 0), (1, 1), (0, 2)]
+    proj = bidegree_projectors(fiber, ZETA_J, dict.fromkeys(
+        bd for p, q in bidegrees
+        for bd in ((p, q), (p, nn - q), (nn - q, nn - p))))
+    for (p, q) in bidegrees:
+        P = proj[p, q]
+        worst = max(worst, rel_residual(proj[p, nn - q] @ ladder @ P,
+                                        ladder @ P))
+        worst = max(worst, rel_residual(proj[nn - q, nn - p] @ star @ P,
+                                        star @ P))
     return worst
 
 

@@ -1,25 +1,33 @@
-"""Degree-block arithmetic of FiberOperator against dense matrix arithmetic.
+"""Degree-block and Kronecker-term arithmetic of FiberOperator against
+dense matrix arithmetic.
 
 Operands are builder outputs of every block shape: the ten operators
 (degree shifts -2, 0, +2), a Clifford action (+-1), the twisted star
 (k -> 4n - k), chi(k) (several shifts) and a bidegree projector (one
-diagonal block).
+diagonal block).  At n = 2 all but the star and the projector are in term
+form, so the mixed pairs also cover the gather into degree blocks.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from hklab.fiber import FiberOperator, bidegree_projector, standard_fiber
-from hklab.quaternions import random_twistor_point
-from hklab.symmetry import (chi_k, clifford, hodge_star_twisted,
-                            rel_residual, ten_operators)
+from hklab.exterior import ExteriorAlgebra
+from hklab.fiber import (FiberOperator, bidegree_projector,
+                         complex_structure, form_coefficient_matrix,
+                         kahler_form, standard_fiber)
+from hklab.quaternions import (ZETA_I, ZETA_J, ZETA_K, TwistorPoint,
+                               random_twistor_point, random_unit_quaternion)
+from hklab.symmetry import (chi_k, clifford, clifford_2form,
+                            hodge_star_twisted, rel_residual, rho_j_sp1,
+                            rho_sp1, ten_operators)
 from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
                          lattice_dirac, lift_fiber)
 
-from .oracles import dense_closure
+from .oracles import DenseExterior, dense_closure, dense_exp_antihermitian
 
 TOL = 1e-13
 
@@ -166,3 +174,149 @@ def test_closure_matches_dense_product_loop(n, fiber1, fiber2):
     assert abs(worst - want_worst) <= 1e-13
     assert np.abs(table - want_table).max() <= 1e-13
     assert algebra.rank() == 10
+
+
+# ----- Kronecker-term form at n = 2 ------------------------------------------
+
+def _inside_blocks(rng, d: int) -> np.ndarray:
+    """A random complex d x d matrix with no entry between two quaternion
+    blocks."""
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    block = np.arange(d) // 4
+    M[block[:, None] != block[None, :]] = 0.0
+    return M
+
+
+def test_term_born_builders_match_dense_reference(fiber2, rng):
+    fiber, alg, ref = fiber2, fiber2.algebra, DenseExterior(8)
+    d = fiber.d
+    zeta = random_twistor_point(rng)
+    J = complex_structure(fiber, zeta)
+    c = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    W, A, C = (_inside_blocks(rng, d) for _ in range(3))
+    W, C = W - W.T, C - C.T
+    form = kahler_form(fiber, random_twistor_point(rng))
+    built = {
+        "wedge_1form": (alg.wedge_1form(c), ref.wedge_1form(c)),
+        "contraction": (alg.contraction(v), ref.contraction(v)),
+        "wedge_minus_contraction": (alg.wedge_minus_contraction(c, v),
+                                    ref.wedge_1form(c) - ref.contraction(v)),
+        "wedge_2form": (alg.wedge_2form(W), ref.wedge_2form(W)),
+        "derivation": (alg.derivation(A), ref.derivation(A)),
+        "quadratic": (alg.quadratic(W, A, C, 0.3 - 0.2j),
+                      ref.wedge_2form(W) + ref.derivation(A)
+                      + ref.wedge_2form(C).T + (0.3 - 0.2j) * np.eye(alg.dim)),
+        "clifford": (clifford(fiber, zeta, c), ref.clifford(J, c)),
+        "clifford_2form": (clifford_2form(fiber, zeta, form),
+                           ref.clifford_2form(
+                               J, form_coefficient_matrix(fiber, form))),
+    }
+    ops = ten_operators(fiber)
+    for name, z in (("I", ZETA_I), ("J", ZETA_J), ("K", ZETA_K)):
+        Wz = form_coefficient_matrix(fiber, kahler_form(fiber, z))
+        built[f"L_{name}"] = (ops.L[name], ref.wedge_2form(Wz))
+        built[f"Lambda_{name}"] = (ops.Lambda[name],
+                                   ref.wedge_2form(Wz).conj().T)
+        built[f"ad_{name}"] = (ops.ad[name], ref.derivation(
+            complex_structure(fiber, z).T))
+    built["H"] = (ops.H, np.diag(ref.degrees - 2.0 * fiber.n))
+    for name, (op, want) in built.items():
+        assert op.terms is not None, name
+        assert len(op.terms) <= fiber.n, name
+        assert _close(op.matrix, want), name
+    # a coefficient between two blocks keeps the degree-block scatter
+    W[0, 4], W[4, 0] = 1.0, -1.0
+    cross = alg.wedge_2form(W)
+    assert cross.terms is None and _close(cross.matrix, ref.wedge_2form(W))
+
+
+def test_term_form_products_match_dense_products(fiber2, rng):
+    fiber, ref = fiber2, DenseExterior(8)
+    d = fiber.d
+    ck = chi_k(fiber)
+    # chi(k) = exp(pi/2 D_K) exp(pi/4 c_J(omega_K)), from the dense oracle
+    JK = complex_structure(fiber, ZETA_K)
+    WK = form_coefficient_matrix(fiber, kahler_form(fiber, ZETA_K))
+    want_ck = (dense_exp_antihermitian(ref.derivation(JK.T), math.pi / 2)
+               @ dense_exp_antihermitian(
+                   0.5 * ref.clifford_2form(
+                       complex_structure(fiber, ZETA_J), WK), math.pi / 2))
+    assert len(ck.terms) == 1 and _close(ck.matrix, want_ck)
+    e1, e2 = random_unit_quaternion(rng), random_unit_quaternion(rng)
+    Rj1, Rj2 = rho_j_sp1(fiber, e1), rho_j_sp1(fiber, e2)
+    R = rho_sp1(fiber, random_unit_quaternion(rng))
+    zeta = random_twistor_point(rng)
+    alpha = rng.normal(size=d) + 1j * rng.normal(size=d)
+    c = clifford(fiber, zeta, alpha)
+    cJ = clifford(fiber, ZETA_J, np.eye(d)[5])
+    cases = {
+        "chi_k @ clifford": (ck @ cJ,
+                             want_ck @ ref.clifford(
+                                 complex_structure(fiber, ZETA_J),
+                                 np.eye(d)[5])),
+        "rho_j(e1) @ rho_j(e2)": (Rj1 @ Rj2, Rj1.matrix @ Rj2.matrix),
+        "R @ c @ R^*": (R @ c @ R.adjoint(),
+                        R.matrix @ ref.clifford(
+                            complex_structure(fiber, zeta), alpha)
+                        @ R.matrix.conj().T),
+    }
+    for name, (op, want) in cases.items():
+        assert op.terms is not None, name
+        assert _close(op.matrix, want), name
+        assert abs(op.frobenius_norm() - np.linalg.norm(want)) \
+            <= TOL * np.linalg.norm(want), name
+    assert _close((Rj1 @ Rj2).matrix,
+                  rho_j_sp1(fiber, e1 * e2).matrix)
+
+
+def _unitary(rng, size: int) -> np.ndarray:
+    Z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    return np.linalg.qr(Z)[0]
+
+
+def test_term_norm_keeps_a_small_difference(fiber2):
+    # ||X (x) Y - (X + delta) (x) Y||_F with ||delta||_F = 1e-11: the
+    # second term is written 2 (X + delta) (x) Y / 2, entry for entry the
+    # same product, so the two terms differ in both slots and no merge
+    # cancels them; the norm must come from the factors themselves
+    rng = np.random.default_rng(2011)
+    alg = fiber2.algebra
+    X, Y = _unitary(rng, 16), _unitary(rng, 16)
+    delta = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    delta *= 1e-11 / np.linalg.norm(delta)
+    diff = (alg.kronecker([(X, Y)])
+            - alg.kronecker([(2.0 * (X + delta), 0.5 * Y)]))
+    assert len(diff.terms) == 2
+    want = np.linalg.norm(np.kron(X, Y) - np.kron(X + delta, Y))
+    assert abs(diff.frobenius_norm() - want) <= 1e-4 * want
+    # the Gram expansion sum_st prod_b tr(F_sb^* F_tb) of the same terms
+    # cancels catastrophically: it is nowhere near the norm
+    gram = math.sqrt(max(0.0, diff.inner(diff).real))
+    assert abs(gram - want) > 1e-4 * want
+
+
+def test_thm310_and_prop25_products_form_no_degree_block(fiber2,
+                                                          monkeypatch):
+    # the checks' Clifford products and representation pairs run on
+    # Kronecker terms alone: no degree block is gathered or scattered
+    fiber = fiber2
+    ck = chi_k(fiber)
+    rng = np.random.default_rng(3)
+    pairs = [(random_unit_quaternion(rng), random_unit_quaternion(rng))
+             for _ in range(4)]
+    minus_j = TwistorPoint(0.0, -1.0, 0.0)
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("formed a degree block")
+
+    monkeypatch.setattr(ExteriorAlgebra, "quaternion_product", no_block)
+    monkeypatch.setattr(ExteriorAlgebra, "_operator", no_block)
+    for a in range(fiber.d):
+        e = np.eye(fiber.d)[a]
+        assert rel_residual(ck @ clifford(fiber, ZETA_J, e),
+                            clifford(fiber, minus_j, e) @ ck) < 1e-13
+    for e1, e2 in pairs:
+        assert rel_residual(rho_j_sp1(fiber, e1 * e2),
+                            rho_j_sp1(fiber, e1) @ rho_j_sp1(fiber, e2)) \
+            < 1e-13
