@@ -40,11 +40,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# relative mismatch allowed on the diagonal of a quaternion split, whose
-# sums are rounded in another order than the generator's own
-SPLIT_RTOL = 1e-13
-
-
 @lru_cache(maxsize=None)
 def _degree_offsets(dim: int) -> tuple[int, ...]:
     """Start of each exterior degree 0..d in a dim = 2^d algebra, then dim."""
@@ -134,12 +129,6 @@ def _kron_norm(terms) -> float:
         R = np.linalg.qr(R, mode="r")
         R = (R[:, None, :] * F[None, :, :]).reshape(-1, T)
     return float(np.linalg.norm(np.linalg.qr(R, mode="r") @ cols[-1].T))
-
-
-def _shifts16(F: np.ndarray) -> set[int]:
-    """Degree shifts of the nonzero entries of a 16 x 16 factor."""
-    rows, cols = np.nonzero(F)
-    return set((_H_DEGREES[rows] - _H_DEGREES[cols]).tolist())
 
 
 def _occupied16(F: np.ndarray) -> list[tuple[int, int]]:
@@ -294,8 +283,9 @@ class FiberOperator:
         sums of the factors' shifts, read without gathering."""
         if self._terms is None:
             return {a - b for a, b in self.blocks}
-        return {sum(s) for t in self._terms
-                for s in itertools.product(*map(_shifts16, t))}
+        shifts = [[{a - b for a, b in _occupied16(F)} for F in t]
+                  for t in self._terms]
+        return {sum(s) for t in shifts for s in itertools.product(*t)}
 
     def diagonal(self) -> np.ndarray:
         """The diagonal entries, from the diagonal degree blocks."""
@@ -461,12 +451,11 @@ class ExteriorAlgebra:
         # quaternion blocks, for d = 4n with n >= 2 (one block has nothing
         # to factor): parts[i, b] is the position of the block-b part of
         # monomial i in the 16-monomial basis of Lambda(H) (same order
-        # convention), and _one_block[b, s] the monomial whose only part is
-        # the s-th monomial of Lambda(H), placed in block b (_block_parts is
-        # parts transposed, each block's row contiguous).  The monomials
-        # inside {0, 1, 2, 3} come in that basis order.  _quaternion is
-        # Lambda(H) itself, on which the term-form factors are built, and
-        # _cross marks the coefficient pairs that couple two blocks.
+        # convention); _block_parts is parts transposed, each block's row
+        # contiguous.  The monomials inside {0, 1, 2, 3} come in that basis
+        # order.  _quaternion is Lambda(H) itself, on which the term-form
+        # factors are built, and _cross marks the coefficient pairs that
+        # couple two blocks.
         self.quaternion_blocks = d // 4 if d % 4 == 0 and d >= 8 else 0
         if self.quaternion_blocks:
             h_masks = masks[masks < 16]
@@ -475,7 +464,6 @@ class ExteriorAlgebra:
             shifts = 4 * np.arange(self.quaternion_blocks)
             self.parts = h_position[(masks[:, None] >> shifts) & 15]
             self._block_parts = np.ascontiguousarray(self.parts.T)
-            self._one_block = position[h_masks[None, :] << shifts[:, None]]
             self._quaternion = ExteriorAlgebra(4)
             block = np.arange(d) // 4
             self._cross = block[:, None] != block[None, :]
@@ -724,75 +712,26 @@ class ExteriorAlgebra:
 
     def quaternion_factors(self, op: FiberOperator) -> list[np.ndarray] | None:
         """16 x 16 factors F_b with op = sum_b 1 (x) .. (x) F_b (x) .. (x) 1,
-        one per quaternion block, or None when op is not such a sum or the
-        algebra has no quaternion blocks to factor.
+        one per quaternion block, or None when op is not such a sum, is in
+        block form, or the algebra has no quaternion blocks to factor.
 
         A term-form op is such a sum when each of its terms has the
-        identity in every slot but one; F_b sums the terms' slot b.
-
-        A block-form op is tested entry by entry.  F_b is read from op's
-        entries between monomials that lie in block b alone; for b > 0 the
-        scalar op[0, 0] is taken off its diagonal, so the scalar part is
-        counted once, in F_0.  The test visits each stored entry once: an
-        off-diagonal entry must differ from its column in one block b and
-        equal F_b's entry there exactly, as many off-diagonal entries must
-        be stored as the sum has (none of them missing), and the diagonal
-        must match to SPLIT_RTOL, because the sum of the factors' diagonals
-        rounds in its own order.
+        identity in every slot but one; F_b sums the terms' slot b.  Every
+        generator that stays inside the quaternion blocks is born in term
+        form, so a block-form op is taken as it is.
         """
         n = self.quaternion_blocks
-        if not n:
-            return None
         terms = op.terms
-        if terms is not None:
-            F = [np.zeros((16, 16), dtype=complex) for _ in range(n)]
-            for t in terms:
-                moved = [b for b, X in enumerate(t) if X is not _EYE]
-                if len(moved) > 1:
-                    return None
-                b = moved[0] if moved else 0
-                F[b] = F[b] + t[b]
-            return F
-        blocks = op.blocks
-        local = self._local[self._one_block]
-        h_off = _H_OFFSETS
-        F = np.zeros((n, 16, 16), dtype=complex)
-        for (a, b), X in blocks.items():
-            if a <= 4 and b <= 4:
-                rows = local[:, h_off[a]:h_off[a + 1]]
-                cols = local[:, h_off[b]:h_off[b + 1]]
-                F[:, h_off[a]:h_off[a + 1], h_off[b]:h_off[b + 1]] = \
-                    X[rows[:, :, None], cols[:, None, :]]
-        idx = np.arange(16)
-        F[1:, idx, idx] -= F[0, 0, 0]
-        P = self.parts
-        diag = F[0][P[:, 0], P[:, 0]]
-        for b in range(1, n):
-            diag = diag + F[b][P[:, b], P[:, b]]
-        scale = max(1.0, float(np.abs(F).max()))
-        if np.abs(op.diagonal() - diag).max() > SPLIT_RTOL * scale:
+        if not n or terms is None:
             return None
-        none = np.zeros(0, dtype=np.intp)
-        rows, cols, vals = [none], [none], [np.zeros(0)]
-        for (a, b), X in blocks.items():
-            r, c = np.nonzero(X)
-            rows.append(r + self.offsets[a])
-            cols.append(c + self.offsets[b])
-            vals.append(X[r, c])
-        Pr, Pc = P[np.concatenate(rows)], P[np.concatenate(cols)]
-        differs = Pr != Pc
-        count = differs.sum(axis=1)
-        if count.max(initial=0) > 1:
-            return None
-        pick = np.flatnonzero(count == 1)
-        which = differs[pick].argmax(axis=1)
-        want = F[which, Pr[pick, which], Pc[pick, which]]
-        if not np.array_equal(np.concatenate(vals)[pick], want):
-            return None
-        off_diagonal = np.count_nonzero(F) - np.count_nonzero(F[:, idx, idx])
-        if len(pick) != off_diagonal * 16 ** (n - 1):
-            return None
-        return list(F)
+        F = [np.zeros((16, 16), dtype=complex) for _ in range(n)]
+        for t in terms:
+            moved = [b for b, X in enumerate(t) if X is not _EYE]
+            if len(moved) > 1:
+                return None
+            b = moved[0] if moved else 0
+            F[b] = F[b] + t[b]
+        return F
 
     def quaternion_product(self, terms) -> dict:
         """Degree blocks of sum_t F_t0 (x) ... (x) F_t,n-1, for tuples of

@@ -119,9 +119,9 @@ def exp_antihermitian(G, t: float = 1.0):
     16 x 16 factors, one per quaternion block, has the Kronecker product of
     their exponentials as its exponential, returned in term form as that
     one Kronecker term, so neither a degree block nor a 2^{4n} x 2^{4n}
-    array is formed.  An operator that fails that test, every n = 1
-    operator and a plain array (such as a 1-form action) are a single
-    factor, whose exponential is the result.
+    array is formed.  Any other operator (one coupling two blocks, one in
+    block form, every n = 1 operator) and a plain array (such as a 1-form
+    action) are a single factor, whose exponential is the result.
     """
     op = G if isinstance(G, FiberOperator) else None
     alg = op.algebra if op is not None else None

@@ -171,7 +171,8 @@ def test_blocked_exponential_matches_full_eigh(pair, rng):
     assert _close(exp_antihermitian(M, 0.7), dense_exp_antihermitian(M, 0.7))
     if fiber.n == 1:
         return
-    # the guard: one entry off by 1e-6 (kept anti-Hermitian) is not factored
+    # an operator made from a matrix is in block form and is one factor,
+    # also one entry off a Kronecker sum by 1e-6 (kept anti-Hermitian)
     for name in ("L - Lambda", "iH", "c_J(omega_u)/2"):
         M = gens[name].matrix.copy()
         off = np.argwhere(np.triu(M, 1) != 0)
