@@ -260,6 +260,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         vec = np.array([complex(t) for t in tokens])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot parse fiber element: {exc}") from exc
+    if not np.isfinite(vec).all():
+        raise ConfigError("fiber element has non-finite coefficients")
     if len(vec) != fiber.dim:
         raise ConfigError(
             f"expected {fiber.dim} coefficients for n={cfg['n']}, "
@@ -299,6 +301,8 @@ def _parse_brane_file(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"cannot parse brane file: {exc}") from exc
     if basis.ndim != 2 or F.ndim != 2:
         raise ConfigError("brane file must contain two rectangular blocks")
+    if not (np.isfinite(basis).all() and np.isfinite(F).all()):
+        raise ConfigError("brane file has non-finite entries")
     return basis, F
 
 

@@ -136,8 +136,12 @@ def primitive_decompose(fiber: HyperkahlerFiber, s, triple: LefschetzTriple,
     Uses descending induction on the ladder height: the top component of a
     fixed-weight piece is recovered from Lambda^j s through the exact ladder
     constants Lambda L^{j} t = j (m - j + 1) L^{j-1} t, m = n - q.
+    Raises ValueError when s has a non-finite coefficient.
     """
     s = np.asarray(s, dtype=complex)
+    if not np.isfinite(s).all():
+        raise ValueError("cannot decompose an element with non-finite "
+                         "coefficients")
     L, A = triple.L, triple.Lambda
     n = fiber.n
     comps: list[tuple[int, int, np.ndarray]] = []

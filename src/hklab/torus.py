@@ -18,8 +18,10 @@ a fiber matrix.  `LatticeOperator` keeps the terms.  Operator identities are
 fiber identities tensored with the lattice, so their residuals are Frobenius
 norms taken from ||sum S_i (x) f_i||^2 = sum_ij <S_i, S_j> <f_i, f_j>: a
 small site Gram matrix and fiber-sized products, never the sites x fiber
-matrix.  That matrix is assembled only for eigensolves and slice
-restrictions that need it.
+matrix.  The gauge field holds its site factors, so all operators built from
+it share them, and the Gram entries among a field's own factors are formed
+once per field.  The sites x fiber matrix is assembled only for eigensolves
+and slice restrictions that need it.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ class LatticeGaugeField:
     spec: LatticeSpec
     m: int
     links: np.ndarray
+    _gram: dict[tuple[int, int], complex] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def coords(self) -> np.ndarray:
         return _coords(self.spec)
@@ -131,6 +135,32 @@ class LatticeGaugeField:
         operators made from this field."""
         return _site(scalar_covariant_laplacian(self))
 
+    @cached_property
+    def differences(self) -> tuple[sp.csr_matrix, ...]:
+        """central_differences(self), built once and shared by the
+        operators made from this field."""
+        return tuple(_site(S) for S in central_differences(self))
+
+    def site_inner(self, A: sp.csr_matrix, B: sp.csr_matrix) -> complex:
+        """<A, B> = sum conj(A) * B of two site matrices.
+
+        Between two of this field's own site factors (the identity,
+        `laplacian` and `differences`, matched by object identity) each
+        ordered pair is formed once and kept, so the at most (d + 2)^2
+        entries are shared by every norm of the operators built from this
+        field.  Any other pair is formed on each call.
+        """
+        built = vars(self)  # no operator holds a factor not yet built
+        own = (_site_identity(self.spec), built.get("laplacian"),
+               *built.get("differences", ()))
+        key = (next((p for p, S in enumerate(own) if S is A), None),
+               next((q for q, S in enumerate(own) if S is B), None))
+        if None in key:
+            return _site_inner(A, B)
+        if key not in self._gram:
+            self._gram[key] = _site_inner(A, B)
+        return self._gram[key]
+
 
 def _fiber_matrix(x) -> np.ndarray:
     return x.matrix if isinstance(x, FiberOperator) else np.asarray(x)
@@ -156,6 +186,10 @@ def _site_sign(A: sp.csr_matrix, B: sp.csr_matrix) -> int:
     if np.array_equal(A.data, B.data):
         return 1
     return -1 if np.array_equal(A.data, -B.data) else 0
+
+
+def _site_inner(A: sp.csr_matrix, B: sp.csr_matrix) -> complex:
+    return A.conj().multiply(B).sum()
 
 
 @lru_cache(maxsize=8)
@@ -287,15 +321,17 @@ class LatticeOperator:
         matrix G of the merged site factors is factored as W diag(lam) W^H
         and the norm is sqrt(sum_c lam_c ||sum_j conj(W_jc) f_j||^2) with
         lam clipped at 0; the raw quadratic form can cancel below zero.
+        Entries of G between the gauge field's own site factors come from
+        `LatticeGaugeField.site_inner`, formed once per field.
         """
         sites, fibers = self._merged_terms()
         if not sites:
             return 0.0
+        inner = _site_inner if self.field is None else self.field.site_inner
         G = np.empty((len(sites), len(sites)), dtype=complex)
         for i, A in enumerate(sites):
-            Ac = A.conj()
             for j in range(i, len(sites)):
-                G[i, j] = Ac.multiply(sites[j]).sum()
+                G[i, j] = inner(A, sites[j])
                 G[j, i] = np.conj(G[i, j])
         lam, W = np.linalg.eigh(G)
         g = np.tensordot(W.conj().T, np.stack(fibers), axes=1)
@@ -435,7 +471,7 @@ def lattice_dirac(field: LatticeGaugeField, zeta: TwistorPoint) -> LatticeOperat
     """D = sum_a c_zeta(e^a) nabla_a with symmetric differences; Hermitian."""
     fiber = model_fiber(field.spec.n)
     terms = tuple((S, clifford(fiber, zeta, np.eye(fiber.d)[a]).matrix)
-                  for a, S in enumerate(central_differences(field)))
+                  for a, S in enumerate(field.differences))
     return LatticeOperator(terms, "D", field.spec, fiber.dim, field)
 
 
@@ -447,7 +483,7 @@ def dolbeault_pair(field: LatticeGaugeField,
     from .fiber import complex_structure
     A = complex_structure(fiber, zeta).T
     terms = []
-    for a, S in enumerate(central_differences(field)):
+    for a, S in enumerate(field.differences):
         e = np.eye(fiber.d)[a]
         terms.append((S, alg.wedge_1form(0.5 * (e + 1j * (A @ e))).matrix))
     dbar = LatticeOperator(tuple(terms), "dbar", field.spec, fiber.dim, field)

@@ -141,6 +141,11 @@ def test_decompose_parse_failure(tmp_path):
     short.write_text("1 2 3")
     assert run_cli("decompose", "--n", "1",
                    "--input", str(short)).returncode == 2
+    for token in ("nan", "inf", "-inf+1j"):
+        src = tmp_path / "nonfinite.txt"
+        src.write_text(" ".join([token] + ["0"] * 15))
+        r = run_cli("decompose", "--n", "1", "--input", str(src), timeout=60)
+        assert r.returncode == 2, (token, r.stdout, r.stderr)
 
 
 BRANE_ABA_TRUE = "1 0 0 0\n0 0 1 0\nF\n0 0\n0 0\n"
@@ -169,6 +174,9 @@ def test_brane_check_parse_failure(tmp_path):
     src.write_text("1 0 0 0\n")  # missing F block
     assert run_cli("brane-check", "--input", str(src),
                    "--family", "ABA").returncode == 2
+    src.write_text("1 0 0 0\n0 0 1 0\nF\n0 nan\n0 0\n")
+    r = run_cli("brane-check", "--input", str(src), "--family", "ABA")
+    assert r.returncode == 2, r.stderr
 
 
 def test_config_file_precedence(tmp_path):

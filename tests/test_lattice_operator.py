@@ -5,6 +5,8 @@ recomputed here the assembled way: sites x fiber sparse matrices, sparse
 products and `scipy.sparse.linalg.norm`.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,7 +23,7 @@ from hklab.symmetry import (chi, chi_k, clifford, clifford_2form,
                             exp_antihermitian, hodge_star_twisted, rho_j_sp1,
                             rho_sp1, ten_operators)
 from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
-                         covariant_laplacian,
+                         central_differences, covariant_laplacian,
                          dolbeault_pair, exact_symmetry_details,
                          flux_fiber_matrix, lattice_dirac,
                          lichnerowicz_laplacian, lift_fiber,
@@ -249,6 +251,29 @@ def test_gram_norm_of_generic_site_factors():
         assert abs(A.frobenius_norm() - want) <= 1e-13 * want
 
 
+def test_gram_norm_mixes_own_and_foreign_site_factors(rng):
+    """The field's own factors beside foreign ones.  D0^H = -D0 and L^H = L
+    merge into the own D0 and L; D1^H comes before D1, so D1 merges into
+    that foreign copy.  Norms are taken twice, so the second reads the
+    field's kept Gram entries."""
+    field = build_gauge_field(LatticeSpec(1, 3), 1)
+    spec = field.spec
+    D0, D1 = field.differences[:2]
+    foreign = sp.random(spec.sites, spec.sites, density=0.1, random_state=5,
+                        format="csr") * (1.0 + 2.0j)
+    eye = lichnerowicz_laplacian(field, ZETA_J).terms[1][0]
+    sites = [foreign, D0, D1.getH(), field.laplacian, D0.getH(), eye,
+             field.laplacian.getH(), D1]
+    terms = tuple((S, rng.normal(size=(16, 16))
+                   + 1j * rng.normal(size=(16, 16))) for S in sites)
+    op = LatticeOperator(terms, "mixed", spec, 16, field)
+    for A in (op, op, op - 0.5j * op.adjoint()):
+        want = spla.norm(A.matrix)
+        assert abs(A.frobenius_norm() - want) <= 1e-13 * want
+        # kept entries are the ones formed afresh, bit for bit
+        assert A.frobenius_norm() == replace(A, field=None).frobenius_norm()
+
+
 def test_nnz_counts_terms_without_assembly():
     field = build_gauge_field(LatticeSpec(1, 4), 1)
     op = lichnerowicz_laplacian(field, ZETA_J)
@@ -332,6 +357,37 @@ def test_scalar_laplacian_is_shared_per_field():
     assert lichnerowicz_laplacian(field, ZETA_J).terms[0][0] is \
         covariant_laplacian(field).terms[0][0] is field.laplacian
     assert spla.norm(field.laplacian - scalar_covariant_laplacian(field)) == 0
+    zeta = TwistorPoint(0.6, 0.0, 0.8)
+    for op in (lattice_dirac(field, ZETA_J), lattice_dirac(field, zeta),
+               dolbeault_pair(field, zeta)[0]):
+        assert all(S is T for (S, _), T in zip(op.terms, field.differences,
+                                                strict=True))
+    for S, T in zip(field.differences, central_differences(field),
+                    strict=True):
+        assert spla.norm(S - T) == 0
+
+
+def test_repeated_identity_checks_form_no_site_products(monkeypatch, rng):
+    """A field's own site Gram entries are formed once: a second pass of
+    the thm. 3.10 and exact-symmetry checks multiplies no site matrices."""
+    fields = [build_gauge_field(LatticeSpec(1, 4), m) for m in (3, 1)]
+    zeta, eta = random_twistor_point(rng), random_unit_quaternion(rng)
+
+    def both():
+        return (theorem_3_10_details(fields[0]),
+                exact_symmetry_details(fields[1], zeta, eta))
+
+    first = both()
+    products = []
+    multiply = sp.csr_matrix.multiply
+
+    def spy(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(sp.csr_matrix, "multiply", spy)
+    assert both() == first
+    assert products == []
 
 
 @pytest.mark.parametrize("batch", [None, 40])

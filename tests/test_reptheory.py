@@ -126,6 +126,14 @@ def test_primitive_decompose_reconstruction_100(fiber1, rng):
             assert 0 <= q <= fiber1.n
 
 
+@pytest.mark.parametrize("bad", [np.inf, complex(0.0, -np.inf)])
+def test_primitive_decompose_rejects_non_finite(fiber1, bad):
+    v = np.zeros(16, dtype=complex)
+    v[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        primitive_decompose(fiber1, v, antiholomorphic_triple(fiber1))
+
+
 def test_primitive_input_gives_single_term(fiber1, rng):
     tri = antiholomorphic_triple(fiber1)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
