@@ -121,11 +121,14 @@ def _zeta_list(spec: str) -> list[TwistorPoint]:
                 raise ConfigError(f"zeta {chunk!r}: {exc}") from exc
             if len(vals) != 3:
                 raise ConfigError("zeta list entries need three components")
-            norm = np.linalg.norm(vals)
-            if not 0.0 < norm < np.inf:
+            # scaled by the largest |component| first, so that no square
+            # underflows or overflows; nan propagates and fails the test
+            scale = np.abs(vals).max()
+            if not 0.0 < scale < np.inf:
                 raise ConfigError(f"zeta {chunk!r} must be a finite non-zero "
                                   "vector")
-            pts.append(TwistorPoint.from_array(np.array(vals) / norm))
+            v = np.array(vals) / scale
+            pts.append(TwistorPoint.from_array(v / np.linalg.norm(v)))
         if not pts:
             raise ConfigError("empty zeta list")
         return pts

@@ -27,7 +27,9 @@ generators of the blocks before b; an even one-block operator is
 of a 1-form is n such terms, and a wedge with a 2-form, a derivation or an
 even quadratic whose coefficient matrices have no entry between two blocks
 is a Kronecker sum.  The exponential of a Kronecker sum is the Kronecker
-product of the n 16 x 16 exponentials (`quaternion_factors`), one term.
+product of the n 16 x 16 exponentials (`quaternion_factors`), one term;
+the Sp(1) actions are such products too, written down in closed form
+(`induced` gives a block's hypercomplex rotation as a compound matrix).
 `quaternion_product` gathers a term list into degree blocks when a
 block-form operand or an array needs them.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -672,13 +674,24 @@ class ExteriorAlgebra:
                 odd=False)
         return self._operator(*self._quadratic_entries(W, A, C, scalar))
 
-    def graded_scalar(self, values) -> FiberOperator:
-        """Multiplication by values[k] on the degree-k forms."""
-        blocks = {}
-        for k, v in enumerate(values):
-            if v != 0:
-                size = self.offsets[k + 1] - self.offsets[k]
-                blocks[k, k] = v * np.eye(size, dtype=complex)
+    @cached_property
+    def _subsets(self) -> list[np.ndarray]:
+        """The degree-k monomials as a (C(d, k), k) array of indices, for
+        k = 1..d."""
+        return [np.array(self.multi_indices(k), dtype=np.intp)
+                for k in range(1, self.d + 1)]
+
+    def induced(self, r) -> FiberOperator:
+        """Lambda(r), the algebra map extending the 1-form map r (acting on
+        coefficients, e^b -> sum_a r[a, b] e^a): e^T goes to the wedge of
+        the images of its generators, so the degree-k block is the k-th
+        compound matrix of r, the k x k minors det r[S, T] over the lex
+        multi-indices S, T.  One batched determinant a degree."""
+        r = np.asarray(r)
+        blocks = {(0, 0): np.ones((1, 1), dtype=r.dtype)}
+        for k, S in enumerate(self._subsets, start=1):
+            blocks[k, k] = np.linalg.det(
+                r[S[:, None, :, None], S[None, :, None, :]])
         return self.blocked(blocks)
 
     def degree_projector(self, k: int) -> np.ndarray:

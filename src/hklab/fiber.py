@@ -71,6 +71,10 @@ class HyperkahlerFiber:
     J: np.ndarray
     K: np.ndarray
     algebra: ExteriorAlgebra = field(compare=False, repr=False, default=None)
+    # data derived from the fiber on first use and kept with it (the
+    # closed-form Sp(1) block of `symmetry`)
+    derived: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     @property
     def d(self) -> int:

@@ -14,6 +14,10 @@ Orientation facts of this realization, fixed by the basis convention of
   rho(a) rho(b) = rho(b a), and maps the (p, q)-slice of J_zeta onto the
   (p, q)-slice of J_{eta^-1 zeta eta}.
 * rho_j_sp1 is a genuine left action: rho_j(a) rho_j(b) = rho_j(a b).
+* Both actions are closed forms in eta's four components, one 16 x 16
+  factor per quaternion block: rho(eta) is the compound matrix of the
+  4 x 4 rotation eta_0 + eta_1 I^T + eta_2 J^T + eta_3 K^T, and rho_j(eta)
+  is affine in eta.  No exponential is taken on this path.
 * For pure imaginary eta the two sphere rotations coincide, so every
   axis-point identity reads the same in either convention.
 """
@@ -27,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .exterior import ExteriorAlgebra
 from .fiber import (FiberForm, FiberOperator, HyperkahlerFiber,
                     bidegree_projectors, complex_structure,
                     contraction_operator, form_coefficient_matrix,
@@ -109,7 +114,13 @@ def _exp_factor(G: np.ndarray, t: float) -> np.ndarray:
 
 
 def exp_antihermitian(G, t: float = 1.0):
-    """exp(t G) for an anti-Hermitian G, a FiberOperator or a plain array.
+    """exp(t G) for an anti-Hermitian G, a FiberOperator or a plain array,
+    by eigendecomposition.
+
+    The Sp(1) actions `rho_sp1` and `rho_j_sp1` are closed forms that do
+    not come here: this is the independent side that the checks and
+    `torus.theorem_3_10_details` compare them against, and the path of the
+    Lefschetz ladder exponentials.
 
     The result is of the kind of G.  G is split into factors whose
     Kronecker product structure exp(t G) inherits, and each factor is
@@ -229,25 +240,92 @@ def ten_operators(fiber: HyperkahlerFiber) -> OperatorAlgebra:
     return OperatorAlgebra(fiber, L, Lam, ad, H)
 
 
+@dataclass(frozen=True)
+class _Sp1Block:
+    """The two Sp(1) actions on one quaternion block H, affine in eta.
+
+    `r1` stacks 1, I^T, J^T, K^T of the block: for eta = cos(theta) +
+    sin(theta) u, sum_a eta_a r1[a] = cos(theta) + sin(theta) J_u^T is
+    exp(theta J_u^T), as (J_u^T)^2 = -1.  `rho_j` stacks P, G_I, G_J, G_K
+    with G_a = c_j(omega_a)/2 and P = -G_J^2, and `rest` is 1 - P.  On
+    Lambda(H) the sl(2) of prop. 2.5 has only the irreducibles U_0 and U_1
+    (Fulton-Harris, Representation Theory, 11; Lawson-Michelsohn, Spin
+    Geometry, I.5): P projects onto the U_1 part, the G_a anticommute and
+    square to -P there, so G_u^3 = -G_u and exp(theta G_u) =
+    (1 - P) + cos(theta) P + sin(theta) G_u = rest + sum_a eta_a rho_j[a].
+    """
+
+    algebra: ExteriorAlgebra  # Lambda(H)
+    r1: np.ndarray  # (4, 4, 4)
+    rho_j: np.ndarray  # (4, 16, 16)
+    rest: np.ndarray  # (16, 16)
+
+
+def _sp1_block(fiber: HyperkahlerFiber) -> _Sp1Block:
+    """The fiber's Sp(1) block data, formed on first use and kept in
+    `fiber.derived`.  g, I, J and K must be n equal 4 x 4 blocks; the
+    U_0 + U_1 relations of the G_a are checked as the data is formed."""
+    data = fiber.derived.get("sp1")
+    if data is not None:
+        return data
+    mats = (fiber.g, fiber.I, fiber.J, fiber.K)
+    parts = [X[:4, :4] for X in mats]
+    if not all(np.array_equal(X, np.kron(np.eye(fiber.n), B))
+               for X, B in zip(mats, parts)):
+        raise ValueError("the Sp(1) actions need n equal quaternion blocks")
+    block = fiber if fiber.n == 1 else HyperkahlerFiber(
+        1, *parts, algebra=ExteriorAlgebra(4))
+    G = np.stack([0.5 * clifford_2form(block, ZETA_J,
+                                       kahler_form(block, z)).matrix
+                  for z in (ZETA_I, ZETA_J, ZETA_K)])
+    P = -G[1] @ G[1]
+    res = [P @ P - P] + [Ga @ P - Ga for Ga in G] + [
+        G[a] @ G[b] + G[b] @ G[a] + 2.0 * (a == b) * P
+        for a in range(3) for b in range(a, 3)]
+    worst = max(float(np.abs(X).max()) for X in res)
+    if worst > 1e-14:
+        raise ValueError(f"c_j(omega)/2 is not U_0 + U_1 on a quaternion "
+                         f"block (residual {worst:.1e})")
+    data = _Sp1Block(block.algebra,
+                     np.stack([np.eye(4)] + [B.T for B in parts[1:]]
+                              ).astype(complex),
+                     np.concatenate([P[None], G]), np.eye(16) - P)
+    fiber.derived["sp1"] = data
+    return data
+
+
+def _blockwise(fiber: HyperkahlerFiber, F: np.ndarray,
+               label: str) -> FiberOperator:
+    """The operator acting as the 16 x 16 F on every quaternion block: the
+    one Kronecker term (F, ..., F) for n >= 2, F itself for n = 1."""
+    if fiber.n == 1:
+        return FiberOperator(F, label, fiber.algebra)
+    return fiber.algebra.kronecker([(F,) * fiber.n], label)
+
+
 def rho_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
-    """exp(theta ad(J_u)) for eta = cos(theta) + sin(theta) u.
+    """exp(theta ad(J_u)) for eta = cos(theta) + sin(theta) u, in closed form.
+
+    ad(J_u) is the derivation extending J_u^T on 1-forms, so its
+    exponential is the algebra automorphism Lambda(r1) induced by the
+    1-form rotation r1 = exp(theta J_u^T) = eta_0 + eta_1 I^T + eta_2 J^T
+    + eta_3 K^T: on each quaternion block, the compound matrices of the
+    4 x 4 r1 (`ExteriorAlgebra.induced`).  No exponential is taken.
 
     Acts as sqrt(-1)^{p-q} on the (p, q)-slice of J_eta when eta is a
     twistor point.
     """
-    theta, u = eta.axis_angle()
-    if theta == 0.0:
-        return fiber.algebra.graded_scalar(np.ones(fiber.d + 1)).relabel(
-            "rho(1)")
-    G = type_derivation(fiber, TwistorPoint.from_array(u))
-    return exp_antihermitian(G, theta).relabel("rho(eta)")
+    blk = _sp1_block(fiber)
+    R = blk.algebra.induced(np.tensordot(eta.as_array(), blk.r1, 1))
+    return _blockwise(fiber, R.matrix, "rho(eta)")
 
 
 def rho_sp1_oneform(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> np.ndarray:
-    """Restriction of rho_sp1(eta) to 1-form coefficients."""
-    theta, u = eta.axis_angle()
-    Ju = complex_structure(fiber, TwistorPoint.from_array(u))
-    return exp_antihermitian(Ju.T.astype(complex), theta)
+    """Restriction of rho_sp1(eta) to 1-form coefficients, the rotation
+    r1 = eta_0 + eta_1 I^T + eta_2 J^T + eta_3 K^T = exp(theta J_u^T)."""
+    w, x, y, z = eta.as_array()
+    return (w * np.eye(fiber.d) + x * fiber.I.T + y * fiber.J.T
+            + z * fiber.K.T).astype(complex)
 
 
 def clifford(fiber: HyperkahlerFiber, zeta: TwistorPoint, alpha) -> FiberOperator:
@@ -296,14 +374,14 @@ def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
 
 
 def rho_j_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
-    """exp(theta c_j(omega_u)/2), the Clifford Sp(1) action fixing J."""
-    theta, u = eta.axis_angle()
-    if theta == 0.0:
-        return fiber.algebra.graded_scalar(np.ones(fiber.d + 1)).relabel(
-            "rho_j(1)")
-    zu = TwistorPoint.from_array(u)
-    G = 0.5 * clifford_2form(fiber, ZETA_J, kahler_form(fiber, zu))
-    return exp_antihermitian(G, theta).relabel("rho_j(eta)")
+    """exp(theta c_j(omega_u)/2), the Clifford Sp(1) action fixing J, in
+    closed form: on each quaternion block it is affine in eta,
+    (1 - P) + eta_0 P + eta_1 G_I + eta_2 G_J + eta_3 G_K with
+    G_a = c_j(omega_a)/2 and P = -G_J^2 (`_Sp1Block`).  No exponential is
+    taken."""
+    blk = _sp1_block(fiber)
+    F = blk.rest + np.tensordot(eta.as_array(), blk.rho_j, 1)
+    return _blockwise(fiber, F, "rho_j(eta)")
 
 
 def hodge_star_twisted(fiber: HyperkahlerFiber) -> FiberOperator:
@@ -363,6 +441,10 @@ def _check_eq24(fiber, rng) -> float:
 
 
 def _check_prop25_factor(fiber, rng) -> float:
+    """Generator correspondence with the sl(2) triple, the axis forms, the
+    representation property and the U_1 model.  The axis forms compare the
+    closed-form rho_j (affine in eta) against the eigendecomposition of
+    the ladder generators L - Lambda, i H and i (L + Lambda)."""
     triple = antiholomorphic_triple(fiber)
     L, A, H = triple.L, triple.Lambda, triple.H
     worst = 0.0

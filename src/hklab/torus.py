@@ -141,6 +141,14 @@ class LatticeGaugeField:
         operators made from this field."""
         return tuple(_site(S) for S in central_differences(self))
 
+    def own_factors(self) -> tuple:
+        """The identity and, once built, `laplacian` and `differences`:
+        the site factors of this field's operators.  No two of them are
+        equal up to sign (N >= 3), so two distinct ones never merge."""
+        built = vars(self)  # no operator holds a factor not yet built
+        return (_site_identity(self.spec), built.get("laplacian"),
+                *built.get("differences", ()))
+
     def site_inner(self, A: sp.csr_matrix, B: sp.csr_matrix) -> complex:
         """<A, B> = sum conj(A) * B of two site matrices.
 
@@ -150,11 +158,8 @@ class LatticeGaugeField:
         entries are shared by every norm of the operators built from this
         field.  Any other pair is formed on each call.
         """
-        built = vars(self)  # no operator holds a factor not yet built
-        own = (_site_identity(self.spec), built.get("laplacian"),
-               *built.get("differences", ()))
-        key = (next((p for p, S in enumerate(own) if S is A), None),
-               next((q for q, S in enumerate(own) if S is B), None))
+        own = self.own_factors()
+        key = (_position(own, A), _position(own, B))
         if None in key:
             return _site_inner(A, B)
         if key not in self._gram:
@@ -173,6 +178,11 @@ def _site(S) -> sp.csr_matrix:
         S = sp.csr_matrix(S, dtype=complex, copy=True)
         S.sum_duplicates()
     return S
+
+
+def _position(factors: tuple, S) -> int | None:
+    """Index of S in factors by object identity, or None."""
+    return next((p for p, X in enumerate(factors) if X is S), None)
 
 
 def _site_sign(A: sp.csr_matrix, B: sp.csr_matrix) -> int:
@@ -300,17 +310,24 @@ class LatticeOperator:
         up to sign summed into one.  An identity that holds fiber by fiber
         (X c = c' X) thus cancels in fiber-sized arithmetic, and the site
         factors left are linearly independent for every builder's operator.
+        Two distinct own factors of the field are not compared.
         """
+        own = () if self.field is None else self.field.own_factors()
         sites: list[sp.csr_matrix] = []
+        owned: list[bool] = []
         fibers: list[np.ndarray] = []
         for S, f in self.terms:
+            mine = _position(own, S) is not None
             for i, T in enumerate(sites):
+                if mine and owned[i] and T is not S:
+                    continue
                 sign = _site_sign(T, S)
                 if sign:
                     fibers[i] = fibers[i] + sign * f
                     break
             else:
                 sites.append(S)
+                owned.append(mine)
                 fibers.append(f)
         return sites, fibers
 

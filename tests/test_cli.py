@@ -201,6 +201,12 @@ def _library_fault(*args, **kwargs):
     pytest.param(["spectrum", "--N", "3", "--m", "1", "--k", "2",
                   "--zetas", "list:0,0,0"], 2, "zeta '0,0,0'",
                  id="zero-zeta"),
+    pytest.param(["spectrum", "--N", "3", "--m", "1", "--k", "2",
+                  "--zetas", "list:nan,0,1"], 2, "zeta 'nan,0,1'",
+                 id="nan-zeta"),
+    pytest.param(["spectrum", "--N", "3", "--m", "1", "--k", "2",
+                  "--zetas", "list:inf,0,0"], 2, "zeta 'inf,0,0'",
+                 id="inf-zeta"),
     pytest.param(["verify", "--suite", "torus", "--N", "3", "--m", "0"], 2,
                  "m != 0", id="torus-flux-free"),
     pytest.param(["verify", "--suite", "fiber", "--tol", "0"], 1,
@@ -221,6 +227,22 @@ def test_exit_codes(monkeypatch, capsys, argv, code, message):
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert message in captured.out + captured.err
+
+
+@pytest.mark.parametrize("spec,want", [
+    ("3e-200,4e-200,0", (0.6, 0.8, 0.0)),
+    ("1e308,1e308,0", (2 ** -0.5, 2 ** -0.5, 0.0)),
+], ids=["tiny", "huge"])
+def test_zeta_list_normalizes_any_finite_direction(tmp_path, spec, want):
+    """A finite non-zero direction is normalized even where its squared
+    norm underflows or overflows."""
+    from hklab import cli
+    (zeta,) = cli._zeta_list("list:" + spec)
+    assert np.allclose(zeta.as_array(), want, rtol=0.0, atol=1e-15)
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--N", "3", "--m", "1", "--k", "2",
+                     "--zetas", "list:" + spec, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_index_honours_k(tmp_path):

@@ -1,10 +1,11 @@
 """Structured exterior-algebra operators against the dense reference.
 
 The library stores each wedge generator as index arrays, builds every
-operator by degree blocks and exponentiates generators as Kronecker
-products of quaternion-block factors; `oracles.DenseExterior` builds the
-same operators as sums of products of dense generator matrices, and
-`oracles.dense_exp_antihermitian` exponentiates with one full eigh.
+operator by degree blocks, exponentiates generators as Kronecker products
+of quaternion-block factors and writes the two Sp(1) actions in closed
+form; `oracles.DenseExterior` builds the same operators as sums of
+products of dense generator matrices, and `oracles.dense_exp_antihermitian`
+exponentiates with one full eigh.
 """
 
 import math
@@ -15,17 +16,21 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from hklab.exterior import ExteriorAlgebra
-from hklab.fiber import (FiberForm, FiberOperator, bidegree_projector,
+from hklab.fiber import (FiberForm, FiberOperator, HyperkahlerFiber,
+                         bidegree_projector,
                          complex_structure, contraction_operator,
                          form_coefficient_matrix, holomorphic_symplectic,
                          kahler_form, standard_fiber, type_derivation,
                          wedge_operator, zero_one_star_projector)
-from hklab.quaternions import (QUAT_K, ZETA_I, ZETA_J, ZETA_K,
-                               random_twistor_point, random_unit_quaternion)
+from hklab.quaternions import (QUAT_J, QUAT_K, ZETA_I, ZETA_J, ZETA_K,
+                               TwistorPoint, UnitQuaternion, adjoint_action,
+                               hopf_section, random_twistor_point,
+                               random_unit_quaternion)
 from hklab.reptheory import antiholomorphic_triple, lefschetz_triple
-from hklab.symmetry import (chi_k, clifford, clifford_2form,
+import hklab.symmetry as symmetry
+from hklab.symmetry import (chi, chi_k, clifford, clifford_2form,
                             exp_antihermitian, hodge_star_twisted, rho_j_sp1,
-                            rho_sp1, ten_operators)
+                            rho_sp1, rho_sp1_oneform, ten_operators)
 from hklab.torus import model_fiber
 
 from .oracles import DenseExterior, dense_exp_antihermitian
@@ -186,6 +191,95 @@ def test_blocked_exponential_matches_full_eigh(pair, rng):
         assert alg.quaternion_factors(mutated) is None, name
         assert _close(exp_antihermitian(mutated, 0.9).matrix,
                       dense_exp_antihermitian(M, 0.9)), name
+
+
+def test_induced_map_is_the_compound_matrix(rng):
+    alg, ref = ExteriorAlgebra(4), DenseExterior(4)
+    r, s = rng.normal(size=(2, 4, 4))
+    R = alg.induced(r).matrix
+    # e^T = e^t1 ^ .. ^ e^tk goes to (r e^t1) ^ .. ^ (r e^tk), r e^t the
+    # column t of r, multiplied out with the oracle's wedge generators
+    for i, T in enumerate(ref.basis):
+        x = np.zeros(ref.dim)
+        x[0] = 1.0
+        for t in reversed(T):
+            x = ref.wedge_1form(r[:, t]) @ x
+        assert _close(R[:, i], x), T
+    assert _close(alg.induced(r @ s).matrix, R @ alg.induced(s).matrix)
+
+
+def _sp1_etas(seed: int) -> list[UnitQuaternion]:
+    """Three seeded random eta, +-1 and the axes +-i, +-j, +-k."""
+    rng = np.random.default_rng(seed)
+    axes = [UnitQuaternion(*row) for row in np.eye(4)]
+    return ([random_unit_quaternion(rng) for _ in range(3)] + axes
+            + [UnitQuaternion(*-e.as_array()) for e in axes])
+
+
+def _oracle_exp(gens, eta: UnitQuaternion) -> np.ndarray:
+    """exp(theta sum_a u_a G_a) for eta = cos(theta) + sin(theta) u, the
+    generators G_a of the three axes, by one dense eigendecomposition."""
+    theta, u = eta.axis_angle()
+    return dense_exp_antihermitian(sum(c * G for c, G in zip(u, gens)), theta)
+
+
+def test_sp1_closed_forms_match_dense_exponentials(pair):
+    """rho, rho_j, their 1-form rotation, chi and chi(k) against the dense
+    exponentials of ad(J_u), c_j(omega_u)/2 and J_u^T, all linear in u."""
+    fiber, ref = pair
+    axes = (ZETA_I, ZETA_J, ZETA_K)
+    J = complex_structure(fiber, ZETA_J)
+    one = [complex_structure(fiber, z).T for z in axes]
+    ad = [ref.derivation(A) for A in one]
+    cj = [0.5 * ref.clifford_2form(
+        J, form_coefficient_matrix(fiber, kahler_form(fiber, z)))
+        for z in axes]
+    etas = _sp1_etas(40 + fiber.n)
+    for eta in etas:
+        assert _close(rho_sp1(fiber, eta).matrix, _oracle_exp(ad, eta)), eta
+        assert _close(rho_j_sp1(fiber, eta).matrix, _oracle_exp(cj, eta)), eta
+        assert _close(rho_sp1_oneform(fiber, eta), _oracle_exp(one, eta)), eta
+    assert _close(chi_k(fiber).matrix,
+                  _oracle_exp(ad, QUAT_K) @ _oracle_exp(cj, QUAT_K))
+    # chi through the Hopf section, its special points j and -j included
+    rng = np.random.default_rng(50 + fiber.n)
+    zetas = [ZETA_J, TwistorPoint(0.0, -1.0, 0.0)] + [
+        random_twistor_point(rng) for _ in range(len(etas) - 2)]
+    for eta, zeta in zip(etas, zetas):
+        want = (_oracle_exp(ad, hopf_section(adjoint_action(eta, zeta)))
+                @ _oracle_exp(cj, QUAT_J * eta * QUAT_J.conjugate())
+                @ _oracle_exp(ad, hopf_section(zeta).conjugate()))
+        assert _close(chi(fiber, eta, zeta).matrix, want), (eta, zeta)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sp1_actions_take_no_exponential(n, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("took an eigendecomposition")
+
+    fiber = standard_fiber(n)  # its Sp(1) block data is formed under the spy
+    monkeypatch.setattr(symmetry, "_exp_factor", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    rng = np.random.default_rng(n)
+    for eta in _sp1_etas(n):
+        rho_sp1(fiber, eta)
+        rho_j_sp1(fiber, eta)
+        rho_sp1_oneform(fiber, eta)
+        chi(fiber, eta, random_twistor_point(rng))
+    chi_k(fiber)
+
+
+def test_sp1_actions_need_equal_quaternion_blocks(fiber2):
+    # the second block's I, J, K cycled to J, K, I: still a hyperkahler
+    # fiber, but not n copies of one block
+    I, J, K = (X.copy() for X in (fiber2.I, fiber2.J, fiber2.K))
+    b = slice(4, 8)
+    I[b, b], J[b, b], K[b, b] = fiber2.J[b, b], fiber2.K[b, b], fiber2.I[b, b]
+    fiber = HyperkahlerFiber(2, fiber2.g, I, J, K, algebra=fiber2.algebra)
+    assert fiber.structure_residual() == 0.0
+    for action in (rho_sp1, rho_j_sp1):
+        with pytest.raises(ValueError, match="equal quaternion blocks"):
+            action(fiber, QUAT_K)
 
 
 def test_rho_sp1_keeps_form_degree(fiber2, rng):

@@ -390,6 +390,32 @@ def test_repeated_identity_checks_form_no_site_products(monkeypatch, rng):
     assert products == []
 
 
+def test_distinct_own_site_factors_are_never_compared(monkeypatch, rng):
+    """Two distinct own site factors of a field never merge, so the merge
+    of a norm's terms compares none of them entry by entry; the results
+    are those of the comparing merge."""
+    import hklab.torus as torus
+
+    field = build_gauge_field(LatticeSpec(1, 4), 2)
+    zeta, eta = random_twistor_point(rng), random_unit_quaternion(rng)
+    first = (theorem_3_10_details(field),
+             exact_symmetry_details(field, zeta, eta))
+    own = field.own_factors()
+    assert field.laplacian is own[1] and len(own) == 2 + field.spec.d
+    site_sign = torus._site_sign
+
+    def spy(A, B):
+        if A is not B and any(A is X for X in own) \
+                and any(B is X for X in own):
+            raise AssertionError("compared two distinct own site factors")
+        return site_sign(A, B)
+
+    monkeypatch.setattr(torus, "_site_sign", spy)
+    again = (theorem_3_10_details(field),
+             exact_symmetry_details(field, zeta, eta))
+    assert again == first
+
+
 @pytest.mark.parametrize("batch", [None, 40])
 def test_one_pass_assembly_equals_termwise_sum(batch, monkeypatch, rng):
     # the old assembly: each term's Kronecker product added on its own
