@@ -40,6 +40,16 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
+def _write(text: str, path: str | None = None, echo: bool = False) -> None:
+    """`write_text`, an unwritable output path being a configuration error."""
+    try:
+        write_text(text, path, echo)
+    except OSError as exc:
+        if exc.filename is None:  # stdout, not the --out path
+            raise
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def _parse_config_file(path: str) -> dict:
     out = {}
     try:
@@ -173,7 +183,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _log(f"verify suite={suite} ran in {time.time() - t0:.1f}s")
     for r in results:
         print(r.summary_line())
-    write_text(report_json(results), cfg["out"])
+    _write(report_json(results), cfg["out"])
     failures = [r.check_id for r in results if not r.verdict]
     if failures:
         print("failed checks: " + ", ".join(failures))
@@ -200,8 +210,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         blocks = list(pool.map(one, zetas))
     rows = [row for block in blocks for row in block]
     _log(f"spectrum over {len(zetas)} zetas in {time.time() - t0:.1f}s")
-    write_text("".join(line + "\n" for line in [SPECTRUM_CSV_HEADER, *rows]),
-               cfg["out"])
+    _write("".join(line + "\n" for line in [SPECTRUM_CSV_HEADER, *rows]),
+           cfg["out"])
     return 0
 
 
@@ -237,7 +247,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     }
     text = json.dumps(payload, indent=2) + "\n"
     if cfg["out"]:
-        write_text(text, cfg["out"])
+        _write(text, cfg["out"])
     if any(not r.determinate for r in results):
         print("indeterminate at this N")
         return 3
@@ -250,7 +260,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     print(f"even kernel count: {r0.even_count}, odd kernel count: "
           f"{r0.odd_count}, threshold: {r0.threshold:.6e}")
     if not cfg["out"]:
-        write_text(text)
+        _write(text)
     return 0
 
 
@@ -280,7 +290,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         ],
         "reconstruction_residual": FLOAT_FMT % residual,
     }
-    write_text(json.dumps(payload, indent=2) + "\n", cfg["out"], echo=True)
+    _write(json.dumps(payload, indent=2) + "\n", cfg["out"], echo=True)
     return 0
 
 
@@ -337,7 +347,7 @@ def cmd_brane_check(args: argparse.Namespace) -> int:
             for z, dv in sorted(info["defects"].items())
         ],
     }
-    write_text(json.dumps(payload, indent=2) + "\n", cfg["out"], echo=True)
+    _write(json.dumps(payload, indent=2) + "\n", cfg["out"], echo=True)
     return 0
 
 

@@ -20,8 +20,8 @@ norms taken from ||sum S_i (x) f_i||^2 = sum_ij <S_i, S_j> <f_i, f_j>: a
 small site Gram matrix and fiber-sized products, never the sites x fiber
 matrix.  The gauge field holds its site factors, so all operators built from
 it share them, and the Gram entries among a field's own factors are formed
-once per field.  The sites x fiber matrix is assembled only for eigensolves
-and slice restrictions that need it.
+once per field.  A fiber slice restricts on the terms to S_i (x) Q^H f_i Q
+(`LatticeOperator.on_slice`), so eigensolves assemble sites x slice only.
 """
 
 from __future__ import annotations
@@ -215,9 +215,9 @@ class LatticeOperator:
     canonical CSR) and f a dense fiber matrix; the operator is
     sum_i S_i (x) f_i.  Sums, scalar multiples, products with a fiber lift
     1 (x) x on either side (`x @ op`, `op @ x` for a FiberOperator or a
-    fiber-sized array x) and the adjoint act on the terms, and
+    fiber-sized array x), the adjoint and `on_slice` act on the terms, and
     `frobenius_norm` never forms the sites x fiber matrix.  `matrix`
-    assembles it, once, for the eigensolvers and slice restrictions.
+    assembles sites x `fiber_dim`, once, for the eigensolvers.
     `field` is the gauge field the site factors were built from, which lets
     `spectrum` recognize scalar_covariant_laplacian(field) (x) c + 1 (x) F.
     """
@@ -305,6 +305,14 @@ class LatticeOperator:
         return self._with(((S.getH(), f.conj().T) for S, f in self.terms),
                           f"{self.label}^*")
 
+    def on_slice(self, Q: np.ndarray) -> "LatticeOperator":
+        """(1 (x) Q)^H op (1 (x) Q) for a fiber isometry Q, on the terms:
+        V^H (S (x) f) V = S (x) Q^H f Q for V = 1 (x) Q (Van Loan 2000).
+        The result keeps the field; its fiber_dim is Q.shape[1]."""
+        Qh = Q.conj().T
+        return LatticeOperator(tuple((S, Qh @ f @ Q) for S, f in self.terms),
+                               self.label, self.spec, Q.shape[1], self.field)
+
     def _merged_terms(self) -> tuple[list[sp.csr_matrix], list[np.ndarray]]:
         """Site factors and fiber parts, terms whose site factors are equal
         up to sign summed into one.  An identity that holds fiber by fiber
@@ -373,7 +381,6 @@ class SpectralReport:
     eigenvalues: np.ndarray
     kernel_count: int | None
     kernel_threshold: float
-    citation: str = ""
     dim: int = 0
     separable: bool = False
 
@@ -507,27 +514,6 @@ def dolbeault_pair(field: LatticeGaugeField,
     return dbar, replace(dbar.adjoint(), label="dbar*")
 
 
-def lift_fiber(field_or_spec, op: FiberOperator | np.ndarray) -> sp.csr_matrix:
-    """Tensor a fiber operator with the identity on lattice sites."""
-    spec = getattr(field_or_spec, "spec", field_or_spec)
-    M = op.matrix if isinstance(op, FiberOperator) else op
-    return sp.kron(sp.identity(spec.sites, dtype=complex, format="csr"),
-                   sp.csr_matrix(M), format="csr")
-
-
-def slice_isometry(field_or_spec, fiber: HyperkahlerFiber,
-                   projector: FiberOperator) -> sp.csr_matrix:
-    """Isometry from (sites x slice) onto the projector range."""
-    spec = getattr(field_or_spec, "spec", field_or_spec)
-    Q = slice_basis(fiber, projector)
-    return sp.kron(sp.identity(spec.sites, dtype=complex, format="csr"),
-                   sp.csr_matrix(Q), format="csr")
-
-
-def restrict(op: LatticeOperator, isometry: sp.spmatrix) -> sp.csr_matrix:
-    return (isometry.getH() @ op.matrix @ isometry).tocsr()
-
-
 def lowest_eigenvalues(M: sp.spmatrix, k: int, method: str = "auto",
                        seed: int = 0, sigma: float = -1.0,
                        vectors: bool = False
@@ -647,8 +633,8 @@ def spectrum(op: LatticeOperator, projector: FiberOperator | None, k: int,
     L the scalar Laplacian of a plane-separable field (as built by
     `lichnerowicz_laplacian` and `covariant_laplacian`, or a multiple of
     them), is solved by `separable_spectrum` without assembling it; any
-    other operator, field or method restricts the assembled matrix and
-    calls `lowest_eigenvalues`.
+    other operator, field or method is restricted by `on_slice`, assembled
+    on sites x slice and solved by `lowest_eigenvalues`.
     """
     parts = _separable_parts(op) if method == "auto" else None
     if parts is not None:
@@ -657,10 +643,9 @@ def spectrum(op: LatticeOperator, projector: FiberOperator | None, k: int,
                  else slice_basis(model_fiber(op.spec.n), projector))
         w, dim = separable_spectrum(planes, F, basis, k)
     else:
-        M = op.matrix
         if projector is not None:
-            M = restrict(op, slice_isometry(op.spec, model_fiber(op.spec.n),
-                                            projector))
+            op = op.on_slice(slice_basis(model_fiber(op.spec.n), projector))
+        M = op.matrix
         _check_hermitian(M)
         dim = M.shape[0]
         w = lowest_eigenvalues(M, min(k, dim), method=method, seed=seed)
@@ -756,8 +741,9 @@ def _flux_slices(field: LatticeGaugeField, zeta: TwistorPoint,
     """(k lowest eigenvalues, slice dim) of the flux Laplacian per slice.
 
     Plane-separated when the field allows it, so the sites x fiber matrix
-    is never assembled; otherwise the assembled Lichnerowicz Laplacian is
-    restricted to each slice and solved by `lowest_eigenvalues`.
+    is never assembled; otherwise the Lichnerowicz Laplacian is restricted
+    by `on_slice`, assembled on sites x slice and solved by
+    `lowest_eigenvalues`.
     """
     fiber = model_fiber(field.spec.n)
     planes = plane_laplacians(field)
@@ -768,7 +754,7 @@ def _flux_slices(field: LatticeGaugeField, zeta: TwistorPoint,
     delta = lichnerowicz_laplacian(field, zeta)
     out = []
     for P in projectors:
-        M = restrict(delta, slice_isometry(field, fiber, P))
+        M = delta.on_slice(slice_basis(fiber, P)).matrix
         out.append((lowest_eigenvalues(M, min(k, M.shape[0]), seed=seed),
                     M.shape[0]))
     return out
@@ -882,10 +868,11 @@ def theorem_1_1_details(field: LatticeGaugeField, zeta: TwistorPoint,
                   zeta=zp, slice_label="0*", seed=seed).eigenvalues
 
     def dirac_square_spec(z):
-        D = lattice_dirac(field, z)
-        V = slice_isometry(field, fiber, zero_one_star_projector(fiber, z))
-        M = (V.getH() @ (D.matrix @ D.matrix) @ V).tocsr()
-        return lowest_eigenvalues(M, min(k, M.shape[0]), seed=seed)
+        # each c_z(e^a) maps (0, *)_z into itself, so D does, and the slice
+        # of D^2 is the square of D's slice
+        D = lattice_dirac(field, z).on_slice(
+            slice_basis(fiber, zero_one_star_projector(fiber, z))).matrix
+        return lowest_eigenvalues(D @ D, min(k, D.shape[0]), seed=seed)
 
     dev_dirac = float(np.abs(dirac_square_spec(zeta)
                              - dirac_square_spec(zp)).max())
@@ -1107,10 +1094,11 @@ def dirac_vs_lichnerowicz(field: LatticeGaugeField, zeta: TwistorPoint,
     difference decays like 1/N^2.
     """
     fiber = model_fiber(field.spec.n)
-    V = slice_isometry(field, fiber, zero_one_star_projector(fiber, zeta))
-    delta = restrict(lichnerowicz_laplacian(field, zeta), V)
-    d = lattice_dirac(field, zeta).matrix
-    dsq = (V.getH() @ (d @ d) @ V).tocsr()
+    basis = slice_basis(fiber, zero_one_star_projector(fiber, zeta))
+    delta = lichnerowicz_laplacian(field, zeta).on_slice(basis).matrix
+    # each c_zeta(e^a) maps (0, *)_zeta into itself, so D does, and the
+    # slice of D^2 is the square of D's slice
+    d = lattice_dirac(field, zeta).on_slice(basis).matrix
     dim = delta.shape[0]
     extra = max(4, num_modes // 2)
     while True:
@@ -1120,4 +1108,4 @@ def dirac_vs_lichnerowicz(field: LatticeGaugeField, zeta: TwistorPoint,
         if end is not None or k == dim:
             break
         extra *= 2
-    return float(np.linalg.norm((dsq - delta) @ Q[:, :end or k], 2))
+    return float(np.linalg.norm((d @ d - delta) @ Q[:, :end or k], 2))

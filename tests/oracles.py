@@ -6,7 +6,9 @@ integral by exterior-algebra exponentiation, theta-style section counts via
 the Pfaffian of the integer flux matrix, continuum Landau levels, a
 plane-separated dense construction of the flux-torus spectra, a dense
 exterior algebra built from the subset-and-sign definition of the wedge,
-and the commutator closure of an operator list by dense products.
+the commutator closure of an operator list by dense products, and the
+sites x fiber lifts 1 (x) f and slice restrictions (1 (x) Q)^H M (1 (x) Q)
+of assembled lattice operators.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 from math import comb, pi
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def hodge_numbers(n: int) -> list[int]:
@@ -277,3 +280,23 @@ def dense_closure(ops, rtol: float = 1e-12) -> tuple[float, np.ndarray]:
             worst = max(worst, float(np.linalg.norm(proj - C) / den))
             rows.append(x)
     return worst, np.array(rows)
+
+
+def lift_fiber(field_or_spec, op) -> sp.csr_matrix:
+    """1 (x) op: a fiber operator or array tensored with the identity on
+    lattice sites, as a sites x fiber sparse matrix."""
+    spec = getattr(field_or_spec, "spec", field_or_spec)
+    return sp.kron(sp.identity(spec.sites, dtype=complex, format="csr"),
+                   sp.csr_matrix(getattr(op, "matrix", op)), format="csr")
+
+
+def slice_isometry(field_or_spec, fiber, projector) -> sp.csr_matrix:
+    """1 (x) Q: the isometry from sites x slice onto the projector range."""
+    from hklab.fiber import slice_basis
+
+    return lift_fiber(field_or_spec, slice_basis(fiber, projector))
+
+
+def restrict(op, isometry: sp.spmatrix) -> sp.csr_matrix:
+    """V^H M V with M the assembled sites x fiber matrix of op."""
+    return (isometry.getH() @ op.matrix @ isometry).tocsr()

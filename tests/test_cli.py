@@ -229,6 +229,17 @@ def test_exit_codes(monkeypatch, capsys, argv, code, message):
     assert message in captured.out + captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--N", "3", "--m", "1", "--k", "2", "--zetas", "j"],
+    ["verify", "--suite", "fiber"],
+], ids=["spectrum", "verify-fiber"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, argv):
+    from hklab import cli
+    out = tmp_path / "missing" / "artifact"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert "config error: cannot write output" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec,want", [
     ("3e-200,4e-200,0", (0.6, 0.8, 0.0)),
     ("1e308,1e308,0", (2 ** -0.5, 2 ** -0.5, 0.0)),

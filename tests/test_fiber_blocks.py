@@ -25,9 +25,10 @@ from hklab.symmetry import (chi_k, clifford, clifford_2form,
                             hodge_star_twisted, rel_residual, rho_j_sp1,
                             rho_sp1, ten_operators)
 from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
-                         lattice_dirac, lift_fiber)
+                         lattice_dirac)
 
-from .oracles import DenseExterior, dense_closure, dense_exp_antihermitian
+from .oracles import (DenseExterior, dense_closure, dense_exp_antihermitian,
+                      lift_fiber)
 
 TOL = 1e-13
 

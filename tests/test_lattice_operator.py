@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hklab import cli
-from hklab.fiber import (bidegree_projector, kahler_form,
+from hklab.fiber import (bidegree_projector, kahler_form, slice_basis,
                          zero_one_star_projector)
 from hklab.quaternions import (QUAT_J, TwistorPoint, ZETA_J, adjoint_action,
                                hopf_section, random_twistor_point,
@@ -26,11 +26,13 @@ from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
                          central_differences, covariant_laplacian,
                          dolbeault_pair, exact_symmetry_details,
                          flux_fiber_matrix, lattice_dirac,
-                         lichnerowicz_laplacian, lift_fiber,
-                         lowest_eigenvalues, model_fiber,
-                         scalar_covariant_laplacian, spectrum,
+                         dirac_index, dirac_vs_lichnerowicz,
+                         lichnerowicz_laplacian, lowest_eigenvalues,
+                         model_fiber, scalar_covariant_laplacian, spectrum,
                          theorem_1_1_details, theorem_3_10_details,
                          theorem_3_1_details)
+
+from .oracles import lift_fiber, restrict, slice_isometry
 
 MINUS_J = TwistorPoint(0.0, -1.0, 0.0)
 ABS_TOL = 1e-13
@@ -310,7 +312,6 @@ def test_identity_checks_and_cli_spectrum_never_assemble(monkeypatch, tmp_path,
 
     monkeypatch.setattr(torus.LatticeOperator, "matrix",
                         property(no_assembly))
-    monkeypatch.setattr(torus, "lift_fiber", no_assembly)
     det = theorem_3_10_details(build_gauge_field(LatticeSpec(1, 4), 3))
     assert max(det.values()) < 1e-10
     det = exact_symmetry_details(build_gauge_field(LatticeSpec(1, 4), 1),
@@ -322,6 +323,77 @@ def test_identity_checks_and_cli_spectrum_never_assemble(monkeypatch, tmp_path,
                      "--zetas", "axes", "--workers", "1",
                      "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 6 * 8
+
+
+def _gauge_transformed(N, m, rng):
+    """A field with no plane-separated form: a random gauge transform."""
+    field = build_gauge_field(LatticeSpec(1, N), m)
+    return field.gauge_transformed(
+        np.exp(2j * np.pi * rng.random(field.spec.sites)))
+
+
+def test_slice_paths_never_assemble_the_full_fiber(monkeypatch, rng):
+    """D^2 slices, the D^2 - Delta residual and the non-separable spectrum
+    and index assemble sites x slice matrices only."""
+    import hklab.torus as torus
+
+    assemble = torus.LatticeOperator.matrix.func
+
+    def slice_only(op):
+        if op.fiber_dim == 1 << op.spec.d:
+            raise AssertionError("assembled a sites x fiber matrix")
+        return assemble(op)
+
+    monkeypatch.setattr(torus.LatticeOperator, "matrix", property(slice_only))
+    field = build_gauge_field(LatticeSpec(1, 3), 1)
+    with pytest.raises(AssertionError, match="sites x fiber"):
+        lattice_dirac(field, ZETA_J).matrix
+    det = theorem_1_1_details(field, random_twistor_point(rng),
+                              random_unit_quaternion(rng), k=12)
+    assert max(det["conjugation_residual"], det["spectral_deviation"],
+               det["dirac_square_deviation"]) < 1e-9
+    r = dirac_vs_lichnerowicz(build_gauge_field(LatticeSpec(1, 4), 1),
+                              ZETA_J, num_modes=10)
+    assert 5.0 < r < 10.0
+    g = _gauge_transformed(4, 1, rng)
+    zeta = random_twistor_point(rng)
+    rep = spectrum(lichnerowicz_laplacian(g, zeta),
+                   zero_one_star_projector(model_fiber(1), zeta), 8,
+                   zeta=zeta)
+    assert not rep.separable and rep.dim == g.spec.sites * 4
+    res = dirac_index(g, zeta)
+    assert res.determinate and res.value == 1
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_on_slice_matches_dense_restriction(N, rng):
+    field = _gauge_transformed(N, 1, rng)
+    fiber = model_fiber(1)
+    zeta = random_twistor_point(rng)
+    P = zero_one_star_projector(fiber, zeta)
+    Q, V = slice_basis(fiber, P), slice_isometry(field, fiber, P)
+    D = lattice_dirac(field, zeta)
+    for op in (lichnerowicz_laplacian(field, zeta), D):
+        on = op.on_slice(Q)
+        assert (on.fiber_dim, on.spec, on.field) == (4, field.spec, field)
+        assert abs(on.matrix - restrict(op, V)).max() <= 1e-12
+    Dq = D.on_slice(Q).matrix
+    want = V.getH() @ (D.matrix @ D.matrix) @ V
+    assert abs(Dq @ Dq - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_clifford_actions_preserve_the_zero_star_slice(n, fiber1, fiber2,
+                                                       rng):
+    """(1 - Q Q^H) c_zeta(e^a) Q = 0: why the slice of D^2 is the square
+    of D's slice."""
+    fiber = fiber1 if n == 1 else fiber2
+    for zeta in (ZETA_J, random_twistor_point(rng)):
+        Q = slice_basis(fiber, zero_one_star_projector(fiber, zeta))
+        out = np.eye(fiber.dim) - Q @ Q.conj().T
+        for a in range(fiber.d):
+            c = clifford(fiber, zeta, np.eye(fiber.d)[a]).matrix
+            assert np.linalg.norm(out @ c @ Q) <= 1e-13
 
 
 def test_theorem_3_1_runs_on_the_separable_engine(monkeypatch, rng):

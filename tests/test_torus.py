@@ -19,13 +19,13 @@ from hklab.torus import (LatticeGaugeField, LatticeOperator, LatticeSpec,
                          lattice_dirac, lichnerowicz_laplacian,
                          lowest_eigenvalues, model_fiber, near_zero_cluster,
                          plane_laplacians, scalar_covariant_laplacian,
-                         slice_isometry, restrict, spectrum,
-                         theorem_1_1_details, theorem_3_10_details,
+                         spectrum, theorem_1_1_details, theorem_3_10_details,
                          theorem_3_1_details, verify_theorem)
 
 from .oracles import (chern_weil_index, flux_slice_spectrum,
                       flux_zero_one_star_spectrum, free_mode_energy,
-                      hodge_numbers, landau_ground, theta_ground_count)
+                      hodge_numbers, landau_ground, lift_fiber, restrict,
+                      slice_isometry, theta_ground_count)
 
 MINUS_J = TwistorPoint(0.0, -1.0, 0.0)
 
@@ -132,7 +132,6 @@ def test_dirac_preserves_p_towers(rng):
     z = random_twistor_point(rng)
     D = lattice_dirac(f1, z).matrix
     fiber = model_fiber(1)
-    from hklab.torus import lift_fiber
     for p in range(3):
         P = sum(bidegree_projector(fiber, z, p, q).matrix for q in range(3))
         Pl = lift_fiber(f1, P)
