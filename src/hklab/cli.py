@@ -28,8 +28,7 @@ from .reptheory import antiholomorphic_triple, primitive_decompose, \
     reconstruct
 from .symmetry import DEFAULT_TOL, check_ids, verify_identity
 from .torus import (THEOREMS, LatticeSpec, build_gauge_field, dirac_index,
-                    lichnerowicz_laplacian, spectrum as torus_spectrum,
-                    verify_theorem)
+                    flux_spectra, verify_theorem)
 
 
 class ConfigError(Exception):
@@ -118,7 +117,26 @@ def _resolve(args: argparse.Namespace, **defaults) -> dict:
         raise ConfigError("tau must lie in (0, 1)")
     if cfg["tol"] is not None and not cfg["tol"] >= 0.0:
         raise ConfigError("tol must be >= 0")
+    if cfg["out"] is not None:
+        _check_writable(cfg["out"])
     return cfg
+
+
+def _check_writable(path: str) -> None:
+    """Reject an --out path that cannot be written before any work is done.
+
+    `_write` still maps an OSError of the write itself to ConfigError.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "is a directory"
+    elif not os.path.isdir(parent):
+        problem = "is in a missing directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        problem = "is not writable"
+    else:
+        return
+    raise ConfigError(f"cannot write output: {path!r} {problem}")
 
 
 def _zeta_list(spec: str) -> list[TwistorPoint]:
@@ -200,11 +218,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     t0 = time.time()
 
     def one(z: TwistorPoint) -> list[str]:
-        delta = lichnerowicz_laplacian(field, z)
-        rep = torus_spectrum(delta, zero_one_star_projector(fiber, z),
-                             cfg["k"], zeta=z, slice_label="0*",
-                             kernel_tau=cfg["tau"], seed=cfg["seed"])
-        return spectrum_csv_rows(z, "0*", rep.eigenvalues)
+        P = zero_one_star_projector(fiber, z)
+        [(w, _dim)] = flux_spectra(field, z, [P], cfg["k"], seed=cfg["seed"])
+        return spectrum_csv_rows(z, "0*", w)
 
     with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
         blocks = list(pool.map(one, zetas))

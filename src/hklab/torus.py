@@ -218,8 +218,8 @@ class LatticeOperator:
     fiber-sized array x), the adjoint and `on_slice` act on the terms, and
     `frobenius_norm` never forms the sites x fiber matrix.  `matrix`
     assembles sites x `fiber_dim`, once, for the eigensolvers.
-    `field` is the gauge field the site factors were built from, which lets
-    `spectrum` recognize scalar_covariant_laplacian(field) (x) c + 1 (x) F.
+    `field` is the gauge field the site factors were built from; its own
+    factors are merged by identity and their Gram entries shared.
     """
 
     terms: tuple
@@ -370,19 +370,11 @@ class LatticeOperator:
 
 @dataclass
 class SpectralReport:
-    """Lowest eigenvalues of a slice-restricted operator.
+    """Lowest eigenvalues of an operator's assembled sites x slice matrix,
+    ascending, and the slice dimension `dim`."""
 
-    `dim` is the slice dimension; `separable` is True when the eigenvalues
-    came from the plane-separated engine rather than the assembled matrix.
-    """
-
-    zeta: TwistorPoint
-    slice_label: str
     eigenvalues: np.ndarray
-    kernel_count: int | None
-    kernel_threshold: float
-    dim: int = 0
-    separable: bool = False
+    dim: int
 
     def __post_init__(self):
         ev = np.sort(np.asarray(self.eigenvalues, dtype=float))
@@ -614,7 +606,7 @@ def separable_spectrum(planes: list[np.ndarray], fiber_matrix: np.ndarray,
     """
     factors = [*planes, basis.conj().T @ fiber_matrix @ basis]
     dim = int(np.prod([len(H) for H in factors]))
-    k = min(k, dim)
+    k = _window(k, dim)
     sums = np.zeros(1)
     for H in factors:
         _check_hermitian(H)
@@ -623,63 +615,52 @@ def separable_spectrum(planes: list[np.ndarray], fiber_matrix: np.ndarray,
     return sums, dim
 
 
-def spectrum(op: LatticeOperator, projector: FiberOperator | None, k: int,
-             zeta: TwistorPoint = ZETA_J, slice_label: str = "full",
-             kernel_tau: float = 0.5, method: str = "auto",
-             seed: int = 0) -> SpectralReport:
-    """Lowest-k spectrum of the operator restricted to a fiber slice.
-
-    With method 'auto' an operator whose terms are c L (x) 1 and 1 (x) F,
-    L the scalar Laplacian of a plane-separable field (as built by
-    `lichnerowicz_laplacian` and `covariant_laplacian`, or a multiple of
-    them), is solved by `separable_spectrum` without assembling it; any
-    other operator, field or method is restricted by `on_slice`, assembled
-    on sites x slice and solved by `lowest_eigenvalues`.
-    """
-    parts = _separable_parts(op) if method == "auto" else None
-    if parts is not None:
-        planes, F = parts
-        basis = (np.eye(op.fiber_dim) if projector is None
-                 else slice_basis(model_fiber(op.spec.n), projector))
-        w, dim = separable_spectrum(planes, F, basis, k)
-    else:
-        if projector is not None:
-            op = op.on_slice(slice_basis(model_fiber(op.spec.n), projector))
-        M = op.matrix
-        _check_hermitian(M)
-        dim = M.shape[0]
-        w = lowest_eigenvalues(M, min(k, dim), method=method, seed=seed)
+def _window(k: int, dim: int) -> int:
+    """min(k, dim), warning when the slice holds fewer than k eigenvalues."""
     if k > dim:
         warnings.warn(f"k={k} exceeds slice dimension {dim}; truncated")
-    thresh = _kernel_threshold(w, kernel_tau)
-    return SpectralReport(
-        zeta=zeta, slice_label=slice_label, eigenvalues=w,
-        kernel_count=None if thresh is None else int(np.sum(w < thresh)),
-        kernel_threshold=float("nan") if thresh is None else thresh,
-        dim=dim, separable=parts is not None)
+    return min(k, dim)
 
 
-def _separable_parts(op: LatticeOperator
-                     ) -> tuple[list[np.ndarray], np.ndarray] | None:
-    """(c H_P per plane, F) when op = c L (x) 1 + 1 (x) F, else None.
+def spectrum(op: LatticeOperator, projector: FiberOperator | None, k: int,
+             method: str = "auto", seed: int = 0) -> SpectralReport:
+    """Lowest-k spectrum of any operator restricted to a fiber slice.
 
-    L is the scalar Laplacian of op's field, whose plane Laplacians H_P
-    must exist; after merging, the site factors must be the identity and L
-    themselves, and L's fiber part a real multiple of the identity.
+    The operator is restricted by `on_slice`, assembled on sites x slice,
+    checked Hermitian and solved by `lowest_eigenvalues` with `method`.
+    Spectra of the flux Laplacian come from `flux_spectra`, which solves
+    plane-separable fields without assembling them.
     """
-    planes = None if op.field is None else plane_laplacians(op.field)
+    if projector is not None:
+        op = op.on_slice(slice_basis(model_fiber(op.spec.n), projector))
+    M = op.matrix
+    _check_hermitian(M)
+    dim = M.shape[0]
+    w = lowest_eigenvalues(M, _window(k, dim), method=method, seed=seed)
+    return SpectralReport(w, dim)
+
+
+def flux_spectra(field: LatticeGaugeField, zeta: TwistorPoint,
+                 projectors: list[FiberOperator], k: int,
+                 seed: int = 0) -> list[tuple[np.ndarray, int]]:
+    """(k lowest eigenvalues, slice dim) of the flux Laplacian per slice.
+
+    The operator is `lichnerowicz_laplacian(field, zeta)` restricted to
+    each projector's range.  When the field is plane-separable the
+    spectra come from `separable_spectrum`, with exact multiplicities,
+    and neither the site Laplacian nor any lattice operator is built; the
+    plane Laplacians and the flux fiber matrix are formed once for all
+    projectors.  Any other field goes through `spectrum`.
+    """
+    planes = plane_laplacians(field)
     if planes is None:
-        return None
-    c, F = 0.0, np.zeros((op.fiber_dim, op.fiber_dim), dtype=complex)
-    for S, f in zip(*op._merged_terms()):
-        if _site_sign(_site_identity(op.spec), S) == 1:
-            F = f
-        elif (_site_sign(op.field.laplacian, S) == 1
-              and np.array_equal(f, f[0, 0].real * np.eye(op.fiber_dim))):
-            c = f[0, 0].real
-        else:
-            return None
-    return [c * H for H in planes], F
+        delta = lichnerowicz_laplacian(field, zeta)
+        reports = [spectrum(delta, P, k, seed=seed) for P in projectors]
+        return [(rep.eigenvalues, rep.dim) for rep in reports]
+    fiber = model_fiber(field.spec.n)
+    F = flux_fiber_matrix(field, zeta)
+    return [separable_spectrum(planes, F, slice_basis(fiber, P), k)
+            for P in projectors]
 
 
 CLUSTER_RATIO = 6.0
@@ -729,35 +710,12 @@ def near_zero_cluster(w: np.ndarray) -> NearZeroCluster | None:
                            scale=float(scale[i]), gap=float(w[i + 1]))
 
 
-def _kernel_threshold(w: np.ndarray, tau: float) -> float | None:
-    """Kernel threshold tau * gap above the near-zero cluster, if resolved."""
+def _kernel_count(w: np.ndarray, tau: float) -> int | None:
+    """Number of w below tau * gap above the near-zero cluster, or None
+    when that threshold is not resolved."""
     cluster = near_zero_cluster(w)
-    return None if cluster is None else cluster.threshold(tau)
-
-
-def _flux_slices(field: LatticeGaugeField, zeta: TwistorPoint,
-                 projectors: list[FiberOperator], k: int,
-                 seed: int) -> list[tuple[np.ndarray, int]]:
-    """(k lowest eigenvalues, slice dim) of the flux Laplacian per slice.
-
-    Plane-separated when the field allows it, so the sites x fiber matrix
-    is never assembled; otherwise the Lichnerowicz Laplacian is restricted
-    by `on_slice`, assembled on sites x slice and solved by
-    `lowest_eigenvalues`.
-    """
-    fiber = model_fiber(field.spec.n)
-    planes = plane_laplacians(field)
-    if planes is not None:
-        F = flux_fiber_matrix(field, zeta)
-        return [separable_spectrum(planes, F, slice_basis(fiber, P), k)
-                for P in projectors]
-    delta = lichnerowicz_laplacian(field, zeta)
-    out = []
-    for P in projectors:
-        M = delta.on_slice(slice_basis(fiber, P)).matrix
-        out.append((lowest_eigenvalues(M, min(k, M.shape[0]), seed=seed),
-                    M.shape[0]))
-    return out
+    thresh = None if cluster is None else cluster.threshold(tau)
+    return None if thresh is None else int(np.sum(w < thresh))
 
 
 @dataclass
@@ -790,7 +748,7 @@ def dirac_index(field: LatticeGaugeField, zeta: TwistorPoint,
 
     Uses the Lichnerowicz-form Laplacian so that lattice doublers cannot
     contaminate the kernel counts; its slice spectra come from
-    `_flux_slices`, plane-separated with exact multiplicities when the
+    `flux_spectra`, plane-separated with exact multiplicities when the
     field allows it.  The gap is the first eigenvalue of the
     combined even + odd list above its near-zero cluster
     (`near_zero_cluster`).  The result is flagged indeterminate, and nothing
@@ -808,7 +766,7 @@ def dirac_index(field: LatticeGaugeField, zeta: TwistorPoint,
     if k is None:
         k = max(2 ** (2 * n + 1), 2 * field.m ** (2 * n) + 6)
     parities = ("even", "odd")
-    slices = _flux_slices(field, zeta, [
+    slices = flux_spectra(field, zeta, [
         zero_one_star_projector(fiber, zeta, p) for p in parities], k, seed)
     out = {p: w for p, (w, _dim) in zip(parities, slices)}
     complete = {p: len(w) == dim for p, (w, dim) in zip(parities, slices)}
@@ -845,6 +803,17 @@ def dirac_index(field: LatticeGaugeField, zeta: TwistorPoint,
 # theorem-level verifications
 # ---------------------------------------------------------------------------
 
+def _dirac_square_slice(field: LatticeGaugeField, zeta: TwistorPoint,
+                        basis: np.ndarray) -> sp.csr_matrix:
+    """D^2 restricted to sites x range(basis), basis spanning (0, *)_zeta.
+
+    Each c_zeta(e^a) maps (0, *)_zeta into itself, so D does, and the slice
+    of D^2 is the square of D's slice.
+    """
+    D = lattice_dirac(field, zeta).on_slice(basis).matrix
+    return D @ D
+
+
 def theorem_1_1_details(field: LatticeGaugeField, zeta: TwistorPoint,
                         eta: UnitQuaternion, k: int = 20,
                         seed: int = 0) -> dict:
@@ -862,17 +831,15 @@ def theorem_1_1_details(field: LatticeGaugeField, zeta: TwistorPoint,
     X = chi(fiber, eta, zeta)
     conj_residual = ((X @ dz - dzp @ X).frobenius_norm()
                      / max(1.0, dz.frobenius_norm()))
-    wz = spectrum(dz, zero_one_star_projector(fiber, zeta), k,
-                  zeta=zeta, slice_label="0*", seed=seed).eigenvalues
-    wp = spectrum(dzp, zero_one_star_projector(fiber, zp), k,
-                  zeta=zp, slice_label="0*", seed=seed).eigenvalues
+    [(wz, _)] = flux_spectra(field, zeta,
+                             [zero_one_star_projector(fiber, zeta)], k, seed)
+    [(wp, _)] = flux_spectra(field, zp,
+                             [zero_one_star_projector(fiber, zp)], k, seed)
 
     def dirac_square_spec(z):
-        # each c_z(e^a) maps (0, *)_z into itself, so D does, and the slice
-        # of D^2 is the square of D's slice
-        D = lattice_dirac(field, z).on_slice(
-            slice_basis(fiber, zero_one_star_projector(fiber, z))).matrix
-        return lowest_eigenvalues(D @ D, min(k, D.shape[0]), seed=seed)
+        D2 = _dirac_square_slice(
+            field, z, slice_basis(fiber, zero_one_star_projector(fiber, z)))
+        return lowest_eigenvalues(D2, min(k, D2.shape[0]), seed=seed)
 
     dev_dirac = float(np.abs(dirac_square_spec(zeta)
                              - dirac_square_spec(zp)).max())
@@ -887,7 +854,11 @@ def theorem_1_1_details(field: LatticeGaugeField, zeta: TwistorPoint,
 def theorem_3_1_details(field: LatticeGaugeField, zetas: list[TwistorPoint],
                         eta: UnitQuaternion, k: int = 16,
                         seed: int = 0) -> dict:
-    """Flux-free Dolbeault Laplacians: rotation invariance and harmonic counts."""
+    """Flux-free Dolbeault Laplacians: rotation invariance and harmonic counts.
+
+    At m = 0 the Dolbeault Laplacian is half the flux Laplacian, so its
+    slice spectra are half those of `flux_spectra`.
+    """
     if field.m != 0:
         raise ValueError("the flux-free statement needs m = 0")
     fiber = model_fiber(field.spec.n)
@@ -895,13 +866,18 @@ def theorem_3_1_details(field: LatticeGaugeField, zetas: list[TwistorPoint],
     R = rho_sp1(fiber, eta)
     conj_residual = ((R @ half - half @ R).frobenius_norm()
                      / max(1.0, half.frobenius_norm()))
+
+    def dolbeault_spectra(z, projectors):
+        return [0.5 * w
+                for w, _ in flux_spectra(field, z, projectors, k, seed)]
+
     spectra = np.array([
-        spectrum(half, zero_one_star_projector(fiber, z), k, zeta=z,
-                 slice_label="0*", seed=seed).eigenvalues for z in zetas])
+        dolbeault_spectra(z, [zero_one_star_projector(fiber, z)])[0]
+        for z in zetas])
     deviation = float(np.abs(spectra - spectra[0]).max())
-    counts = [spectrum(half, bidegree_projector(fiber, zetas[0], 0, q), k,
-                       zeta=zetas[0], seed=seed).kernel_count
-              for q in range(2 * fiber.n + 1)]
+    counts = [_kernel_count(w, tau=0.5) for w in dolbeault_spectra(
+        zetas[0], [bidegree_projector(fiber, zetas[0], 0, q)
+                   for q in range(2 * fiber.n + 1)])]
     return {"conjugation_residual": conj_residual,
             "spectral_deviation": deviation,
             "harmonic_counts": counts}
@@ -913,7 +889,7 @@ def corollary_1_2_details(field: LatticeGaugeField,
     fiber = model_fiber(field.spec.n)
     gaps = []
     for z in zetas:
-        [(w, _dim)] = _flux_slices(
+        [(w, _dim)] = flux_spectra(
             field, z, [zero_one_star_projector(fiber, z, "odd")], 2, seed)
         gaps.append(float(w[0]))
     gaps = np.array(gaps)
@@ -1096,9 +1072,7 @@ def dirac_vs_lichnerowicz(field: LatticeGaugeField, zeta: TwistorPoint,
     fiber = model_fiber(field.spec.n)
     basis = slice_basis(fiber, zero_one_star_projector(fiber, zeta))
     delta = lichnerowicz_laplacian(field, zeta).on_slice(basis).matrix
-    # each c_zeta(e^a) maps (0, *)_zeta into itself, so D does, and the
-    # slice of D^2 is the square of D's slice
-    d = lattice_dirac(field, zeta).on_slice(basis).matrix
+    d2 = _dirac_square_slice(field, zeta, basis)
     dim = delta.shape[0]
     extra = max(4, num_modes // 2)
     while True:
@@ -1108,4 +1082,4 @@ def dirac_vs_lichnerowicz(field: LatticeGaugeField, zeta: TwistorPoint,
         if end is not None or k == dim:
             break
         extra *= 2
-    return float(np.linalg.norm((d @ d - delta) @ Q[:, :end or k], 2))
+    return float(np.linalg.norm((d2 - delta) @ Q[:, :end or k], 2))

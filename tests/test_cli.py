@@ -7,6 +7,8 @@ import pytest
 
 from hklab.fiber import holomorphic_symplectic, standard_fiber
 
+from .oracles import flux_zero_one_star_spectrum
+
 
 def run_cli(*args, **kw):
     return subprocess.run([sys.executable, "-m", "hklab.cli", *args],
@@ -232,12 +234,18 @@ def test_exit_codes(monkeypatch, capsys, argv, code, message):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--N", "3", "--m", "1", "--k", "2", "--zetas", "j"],
     ["verify", "--suite", "fiber"],
-], ids=["spectrum", "verify-fiber"])
+    ["verify", "--suite", "all"],
+    ["index", "--N", "3", "--m", "1", "--zetas", "j"],
+], ids=["spectrum", "verify-fiber", "verify-all", "index"])
 def test_unwritable_out_is_config_error(tmp_path, capsys, argv):
+    """An --out path in a missing directory, or one that is a directory,
+    exits 2 before any work: nothing is printed but the error."""
     from hklab import cli
-    out = tmp_path / "missing" / "artifact"
-    assert cli.main([*argv, "--out", str(out)]) == 2
-    assert "config error: cannot write output" in capsys.readouterr().err
+    for out in (tmp_path / "missing" / "artifact", tmp_path):
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot write output")
 
 
 @pytest.mark.parametrize("spec,want", [
@@ -254,6 +262,29 @@ def test_zeta_list_normalizes_any_finite_direction(tmp_path, spec, want):
     assert cli.main(["spectrum", "--N", "3", "--m", "1", "--k", "2",
                      "--zetas", "list:" + spec, "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+def test_spectrum_builds_no_lattice_operator(monkeypatch, tmp_path):
+    """`hklab spectrum` on a plane-separable field solves plane Laplacians:
+    it builds no site Laplacian and no lattice operator."""
+    from hklab import cli, torus
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built a site Laplacian or lattice operator")
+
+    monkeypatch.setattr(torus, "scalar_covariant_laplacian", fail)
+    monkeypatch.setattr(torus, "lichnerowicz_laplacian", fail)
+    monkeypatch.setattr(torus.LatticeOperator, "__post_init__", fail)
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--N", "4", "--m", "1", "--k", "12",
+                     "--zetas", "axes", "--workers", "1",
+                     "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert len(rows) == 6 * 12
+    oracle = flux_zero_one_star_spectrum(4, 1, 12)
+    for start in range(0, len(rows), 12):
+        w = np.array([float(r[5]) for r in rows[start:start + 12]])
+        assert np.abs(w - oracle).max() < 1e-9
 
 
 def test_index_honours_k(tmp_path):

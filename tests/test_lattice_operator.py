@@ -25,10 +25,10 @@ from hklab.symmetry import (chi, chi_k, clifford, clifford_2form,
 from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
                          central_differences, covariant_laplacian,
                          dolbeault_pair, exact_symmetry_details,
-                         flux_fiber_matrix, lattice_dirac,
+                         flux_fiber_matrix, flux_spectra, lattice_dirac,
                          dirac_index, dirac_vs_lichnerowicz,
                          lichnerowicz_laplacian, lowest_eigenvalues,
-                         model_fiber, scalar_covariant_laplacian, spectrum,
+                         model_fiber, scalar_covariant_laplacian,
                          theorem_1_1_details, theorem_3_10_details,
                          theorem_3_1_details)
 
@@ -284,23 +284,6 @@ def test_nnz_counts_terms_without_assembly():
     assert op.dim == op.matrix.shape[0] == field.spec.sites * 16
 
 
-def test_separable_spectrum_reads_scaled_terms(rng):
-    field = build_gauge_field(LatticeSpec(1, 4), 1)
-    fiber = model_fiber(1)
-    zeta = random_twistor_point(rng)
-    P = zero_one_star_projector(fiber, zeta)
-    for op in (0.5 * lichnerowicz_laplacian(field, zeta),
-               covariant_laplacian(field)):
-        sep = spectrum(op, P, 12, zeta=zeta)
-        dense = spectrum(op, P, 12, zeta=zeta, method="dense")
-        assert sep.separable and not dense.separable
-        assert np.abs(sep.eigenvalues - dense.eigenvalues).max() < 1e-9
-    # a Dirac term is not of the separable form
-    D = lattice_dirac(field, zeta)
-    assert not spectrum(lichnerowicz_laplacian(field, zeta) + 0.0 * D, P, 4,
-                        zeta=zeta).separable
-
-
 # ----- no assembly, no Lanczos ------------------------------------------------
 
 def test_identity_checks_and_cli_spectrum_never_assemble(monkeypatch, tmp_path,
@@ -357,10 +340,9 @@ def test_slice_paths_never_assemble_the_full_fiber(monkeypatch, rng):
     assert 5.0 < r < 10.0
     g = _gauge_transformed(4, 1, rng)
     zeta = random_twistor_point(rng)
-    rep = spectrum(lichnerowicz_laplacian(g, zeta),
-                   zero_one_star_projector(model_fiber(1), zeta), 8,
-                   zeta=zeta)
-    assert not rep.separable and rep.dim == g.spec.sites * 4
+    [(w, dim)] = flux_spectra(
+        g, zeta, [zero_one_star_projector(model_fiber(1), zeta)], 8)
+    assert len(w) == 8 and dim == g.spec.sites * 4
     res = dirac_index(g, zeta)
     assert res.determinate and res.value == 1
 

@@ -16,7 +16,7 @@ from hklab.torus import (LatticeGaugeField, LatticeOperator, LatticeSpec,
                          build_gauge_field, central_differences,
                          corollary_1_2_details, covariant_laplacian,
                          dirac_index, dirac_vs_lichnerowicz, dolbeault_pair,
-                         lattice_dirac, lichnerowicz_laplacian,
+                         flux_spectra, lattice_dirac, lichnerowicz_laplacian,
                          lowest_eigenvalues, model_fiber, near_zero_cluster,
                          plane_laplacians, scalar_covariant_laplacian,
                          spectrum, theorem_1_1_details, theorem_3_10_details,
@@ -201,8 +201,8 @@ def test_lichnerowicz_flat_equals_covariant():
 
 def test_spectrum_matches_plane_separated_oracle():
     """Both library paths against the independent oracle: the separable
-    engine ('auto') and the assembled sparse operator ('dense'), on every
-    (0, q) slice and on the whole (0, *) slice."""
+    engine (`flux_spectra`) and the assembled sparse operator (`spectrum`,
+    dense), on every (0, q) slice and on the whole (0, *) slice."""
     N, m = 4, 1
     f1 = build_gauge_field(LatticeSpec(1, N), m)
     fiber = model_fiber(1)
@@ -212,11 +212,11 @@ def test_spectrum_matches_plane_separated_oracle():
     cases.append((zero_one_star_projector(fiber, ZETA_J), 12,
                   flux_zero_one_star_spectrum(N, m, 12)))
     for P, k, oracle in cases:
-        for method, separable in (("auto", True), ("dense", False)):
-            rep = spectrum(delta, P, k, zeta=ZETA_J, method=method)
-            assert rep.separable is separable
-            assert rep.dim == f1.spec.sites * round(np.trace(P.matrix).real)
-            assert np.abs(rep.eigenvalues - oracle).max() < 1e-9
+        [(w, dim)] = flux_spectra(f1, ZETA_J, [P], k)
+        rep = spectrum(delta, P, k, method="dense")
+        for got, got_dim in ((w, dim), (rep.eigenvalues, rep.dim)):
+            assert got_dim == f1.spec.sites * round(np.trace(P.matrix).real)
+            assert np.abs(got - oracle).max() < 1e-9
 
 
 def _parity_oracle(N: int, m: int, parity: str, count: int) -> np.ndarray:
@@ -251,12 +251,10 @@ def test_separable_spectrum_equals_assembled_dense(N, m, zeta_seed, k, part):
     fiber = model_fiber(1)
     P = (zero_one_star_projector(fiber, z, part) if isinstance(part, str)
          else bidegree_projector(fiber, z, 0, part))
-    delta = lichnerowicz_laplacian(f, z)
-    sep = spectrum(delta, P, k, zeta=z)
-    dense = spectrum(delta, P, k, zeta=z, method="dense")
-    assert sep.separable and not dense.separable
-    assert sep.dim == dense.dim
-    assert np.abs(sep.eigenvalues - dense.eigenvalues).max() < 1e-9
+    [(w, dim)] = flux_spectra(f, z, [P], k)
+    dense = spectrum(lichnerowicz_laplacian(f, z), P, k, method="dense")
+    assert dim == dense.dim
+    assert np.abs(w - dense.eigenvalues).max() < 1e-9
 
 
 def test_separable_engine_never_assembles(monkeypatch):
@@ -272,17 +270,27 @@ def test_separable_engine_never_assembles(monkeypatch):
     assert det["deviation"] < 1e-9
 
 
-def test_non_separable_field_takes_assembled_path(rng):
+def test_non_separable_field_takes_assembled_path(monkeypatch, rng):
+    import hklab.torus as torus
+
     f = build_gauge_field(LatticeSpec(1, 4), 2)
     g = f.gauge_transformed(np.exp(2j * np.pi * rng.random(f.spec.sites)))
     assert len(plane_laplacians(f)) == 2
     assert plane_laplacians(g) is None
+    assembled = []
+
+    def spy(op, *args, **kwargs):
+        assembled.append(op.field)
+        return spectrum(op, *args, **kwargs)
+
+    monkeypatch.setattr(torus, "spectrum", spy)
     fiber = model_fiber(1)
     P = zero_one_star_projector(fiber, ZETA_J)
-    a = spectrum(lichnerowicz_laplacian(f, ZETA_J), P, 12)
-    b = spectrum(lichnerowicz_laplacian(g, ZETA_J), P, 12)
-    assert a.separable and not b.separable and a.dim == b.dim
-    assert np.abs(a.eigenvalues - b.eigenvalues).max() < 1e-9
+    [(a, dim_a)] = flux_spectra(f, ZETA_J, [P], 12)
+    assert assembled == []
+    [(b, dim_b)] = flux_spectra(g, ZETA_J, [P], 12)
+    assert [x is g for x in assembled] == [True] and dim_a == dim_b
+    assert np.abs(a - b).max() < 1e-9
     res_f, res_g = dirac_index(f, ZETA_J), dirac_index(g, ZETA_J)
     assert res_f.value == res_g.value == 4
     assert np.abs(res_f.even_eigenvalues
@@ -347,12 +355,12 @@ def test_spectral_sp1_invariance_k32():
     fiber = model_fiber(1)
     base = None
     for z in fibonacci_sphere(20):
-        rep = spectrum(lichnerowicz_laplacian(f1, z),
-                       zero_one_star_projector(fiber, z), 32, zeta=z)
+        [(w, _dim)] = flux_spectra(f1, z, [zero_one_star_projector(fiber, z)],
+                                   32)
         if base is None:
-            base = rep.eigenvalues
+            base = w
         else:
-            assert np.abs(rep.eigenvalues - base).max() < 1e-9
+            assert np.abs(w - base).max() < 1e-9
 
 
 # ----- theorem wrappers ------------------------------------------------------
