@@ -21,9 +21,9 @@ from .symmetry import (OperatorAlgebra, check_ids, chi, chi_k, clifford,
                        clifford_2form, hodge_star_twisted, rho_j_sp1, rho_sp1,
                        ten_operators, verify_identity)
 from .torus import (IndexResult, LatticeGaugeField, LatticeOperator,
-                    LatticeSpec, SpectralReport, build_gauge_field,
-                    covariant_laplacian, dirac_index, dirac_vs_lichnerowicz,
-                    dolbeault_pair, flux_spectra, lattice_dirac,
-                    lichnerowicz_laplacian, spectrum, verify_theorem)
+                    LatticeSpec, build_gauge_field, covariant_laplacian,
+                    dirac_index, dirac_vs_lichnerowicz, dolbeault_pair,
+                    flux_spectra, lattice_dirac, lichnerowicz_laplacian,
+                    verify_theorem)
 
 __version__ = "0.1.0"

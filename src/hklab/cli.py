@@ -95,14 +95,15 @@ def _resolve(args: argparse.Namespace, **defaults) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    if cfg["workers"] in (0, None):
-        try:
-            cfg["workers"] = int(os.environ.get("HKLAB_WORKERS",
-                                                os.cpu_count() or 1))
-        except ValueError as exc:
-            raise ConfigError(f"HKLAB_WORKERS: {exc}") from exc
-    if cfg["workers"] < 1:
-        raise ConfigError("workers >= 1 required")
+    if hasattr(args, "workers"):  # only the subcommands with a pool take it
+        if cfg["workers"] in (0, None):
+            try:
+                cfg["workers"] = int(os.environ.get("HKLAB_WORKERS",
+                                                    os.cpu_count() or 1))
+            except ValueError as exc:
+                raise ConfigError(f"HKLAB_WORKERS: {exc}") from exc
+        if cfg["workers"] < 1:
+            raise ConfigError("workers >= 1 required")
     if cfg["seed"] < 0:
         raise ConfigError("seed >= 0 required")
     if cfg["n"] < 1:
@@ -388,27 +389,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override for checks")
-        p.add_argument("--tau", type=float, default=None,
-                       help="kernel threshold fraction of the first gap")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker pool size (env HKLAB_WORKERS)")
         p.add_argument("--out", type=str, default=None,
                        help="artifact output path")
         p.add_argument("--config", type=str, default=None,
                        help="flat key=value config file")
 
+    def pooled(p):
+        common(p)
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker pool size (env HKLAB_WORKERS)")
+
     p = sub.add_parser("verify", help="run identity and theorem checks")
     p.add_argument("--suite", choices=_SUITES, default=None,
                    help="check suite (default all)")
-    common(p)
+    pooled(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="eigenvalue sweep over twistor points")
-    common(p)
+    pooled(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("index", help="even/odd kernel index of the flux Dirac")
-    common(p)
+    p.add_argument("--tau", type=float, default=None,
+                   help="kernel threshold fraction of the first gap")
+    pooled(p)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("decompose", help="primitive decomposition of a fiber "

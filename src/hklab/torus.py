@@ -368,19 +368,6 @@ class LatticeOperator:
                 / max(1.0, self.frobenius_norm()))
 
 
-@dataclass
-class SpectralReport:
-    """Lowest eigenvalues of an operator's assembled sites x slice matrix,
-    ascending, and the slice dimension `dim`."""
-
-    eigenvalues: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        ev = np.sort(np.asarray(self.eigenvalues, dtype=float))
-        self.eigenvalues = ev
-
-
 @lru_cache(maxsize=8)
 def _coords(spec: LatticeSpec) -> np.ndarray:
     idx = np.arange(spec.sites)
@@ -506,28 +493,28 @@ def dolbeault_pair(field: LatticeGaugeField,
     return dbar, replace(dbar.adjoint(), label="dbar*")
 
 
-def lowest_eigenvalues(M: sp.spmatrix, k: int, method: str = "auto",
-                       seed: int = 0, sigma: float = -1.0,
+def lowest_eigenvalues(M: sp.spmatrix | np.ndarray, k: int, seed: int = 0,
                        vectors: bool = False
                        ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """k smallest eigenvalues of a Hermitian matrix, ascending.
 
-    M is sparse, or a dense array for the dense solve.  method 'auto'
-    solves densely below DENSE_LIMIT (or when most of the spectrum is
-    requested) and by Lanczos otherwise; 'shift-invert' is an
-    independent backend used as a cross-check (sigma must lie below the
-    spectrum).  Start vectors are seeded, so results are deterministic.
-    With vectors=True the result is (eigenvalues, V) with orthonormal
-    columns V: Lanczos Ritz vectors inside a degenerate level need not be
-    orthonormal, so the iterative backends orthonormalise them by QR.
+    The library's one eigensolve.  M, sparse or a dense array, is first
+    checked Hermitian to a relative 1e-10.  A dense array, a matrix of at
+    most DENSE_LIMIT rows, or a request for more than a third of the
+    spectrum (or all of it but one) is solved densely; any other matrix by
+    Lanczos with a seeded start vector, so results are deterministic.  With
+    vectors=True the result is (eigenvalues, V) with orthonormal columns V:
+    Lanczos Ritz vectors inside a degenerate level need not be
+    orthonormal, so they are orthonormalised by QR.
     """
-    if method not in ("auto", "dense", "lanczos", "shift-invert"):
-        raise ValueError(f"unknown eigensolver method {method!r}")
+    norm = spla.norm if sp.issparse(M) else np.linalg.norm
+    herm = norm(M - M.conj().T) / max(1.0, norm(M))
+    if herm > 1e-10:
+        raise ValueError(f"operator is not Hermitian on the slice ({herm:.1e})")
     dim = M.shape[0]
     k = min(k, dim)
-    if method == "auto":
-        method = "dense" if (dim <= DENSE_LIMIT or 3 * k > dim) else "lanczos"
-    if method == "dense" or k >= dim - 1:
+    if (not sp.issparse(M) or dim <= DENSE_LIMIT or 3 * k > dim
+            or k >= dim - 1):
         A = np.asarray(M.todense() if sp.issparse(M) else M)
         if not vectors:
             return np.linalg.eigvalsh(A)[:k]
@@ -536,12 +523,8 @@ def lowest_eigenvalues(M: sp.spmatrix, k: int, method: str = "auto",
     rng = np.random.default_rng(0xC0FFEE ^ seed ^ dim)
     v0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     ncv = min(dim - 1, max(2 * k + 20, 40))
-    if method == "lanczos":
-        out = spla.eigsh(M.tocsc(), k=k, which="SA", v0=v0, ncv=ncv,
-                         maxiter=50 * dim, return_eigenvectors=vectors)
-    else:
-        out = spla.eigsh(M.tocsc(), k=k, sigma=sigma, which="LM", v0=v0,
-                         ncv=ncv, return_eigenvectors=vectors)
+    out = spla.eigsh(M.tocsc(), k=k, which="SA", v0=v0, ncv=ncv,
+                     maxiter=50 * dim, return_eigenvectors=vectors)
     if not vectors:
         return np.sort(out)
     w, V = out
@@ -585,32 +568,25 @@ def plane_laplacians(field: LatticeGaugeField) -> list[np.ndarray] | None:
     return out
 
 
-def _check_hermitian(M) -> None:
-    norm = spla.norm if sp.issparse(M) else np.linalg.norm
-    herm = norm(M - M.conj().T) / max(1.0, norm(M))
-    if herm > 1e-10:
-        raise ValueError(f"operator is not Hermitian on the slice ({herm:.1e})")
-
-
 def separable_spectrum(planes: list[np.ndarray], fiber_matrix: np.ndarray,
                        basis: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """k lowest eigenvalues of sum_P H_P (x) 1 + 1 (x) Q^H F Q, and its dim.
 
     This is the operator scalar (x) 1 + 1 (x) F restricted to sites x
     range(Q) when the scalar part is the Kronecker sum of the plane
-    Laplacians H_P.  Every factor is diagonalized densely (F numerically,
-    so any fiber operator works) and the sorted lists are folded into
-    their k smallest sums.  The k smallest sums of two sorted lists use
-    only the first k entries of each, so the fold is exact and returns
-    every copy of a degenerate level.
+    Laplacians H_P.  Every factor is a dense array, so `lowest_eigenvalues`
+    diagonalizes it densely (F numerically, so any fiber operator works),
+    and the sorted lists are folded into their k smallest sums.  The k
+    smallest sums of two sorted lists use only the first k entries of
+    each, so the fold is exact and returns every copy of a degenerate
+    level.
     """
     factors = [*planes, basis.conj().T @ fiber_matrix @ basis]
     dim = int(np.prod([len(H) for H in factors]))
     k = _window(k, dim)
     sums = np.zeros(1)
     for H in factors:
-        _check_hermitian(H)
-        w = lowest_eigenvalues(H, k, method="dense")
+        w = lowest_eigenvalues(H, k)
         sums = np.sort(np.add.outer(sums, w), axis=None)[:k]
     return sums, dim
 
@@ -620,24 +596,6 @@ def _window(k: int, dim: int) -> int:
     if k > dim:
         warnings.warn(f"k={k} exceeds slice dimension {dim}; truncated")
     return min(k, dim)
-
-
-def spectrum(op: LatticeOperator, projector: FiberOperator | None, k: int,
-             method: str = "auto", seed: int = 0) -> SpectralReport:
-    """Lowest-k spectrum of any operator restricted to a fiber slice.
-
-    The operator is restricted by `on_slice`, assembled on sites x slice,
-    checked Hermitian and solved by `lowest_eigenvalues` with `method`.
-    Spectra of the flux Laplacian come from `flux_spectra`, which solves
-    plane-separable fields without assembling them.
-    """
-    if projector is not None:
-        op = op.on_slice(slice_basis(model_fiber(op.spec.n), projector))
-    M = op.matrix
-    _check_hermitian(M)
-    dim = M.shape[0]
-    w = lowest_eigenvalues(M, _window(k, dim), method=method, seed=seed)
-    return SpectralReport(w, dim)
 
 
 def flux_spectra(field: LatticeGaugeField, zeta: TwistorPoint,
@@ -650,14 +608,21 @@ def flux_spectra(field: LatticeGaugeField, zeta: TwistorPoint,
     spectra come from `separable_spectrum`, with exact multiplicities,
     and neither the site Laplacian nor any lattice operator is built; the
     plane Laplacians and the flux fiber matrix are formed once for all
-    projectors.  Any other field goes through `spectrum`.
+    projectors.  Any other field is restricted to each slice on its terms
+    (`LatticeOperator.on_slice`), assembled there and solved by
+    `lowest_eigenvalues`.
     """
+    fiber = model_fiber(field.spec.n)
     planes = plane_laplacians(field)
     if planes is None:
         delta = lichnerowicz_laplacian(field, zeta)
-        reports = [spectrum(delta, P, k, seed=seed) for P in projectors]
-        return [(rep.eigenvalues, rep.dim) for rep in reports]
-    fiber = model_fiber(field.spec.n)
+
+        def assembled(P: FiberOperator) -> tuple[np.ndarray, int]:
+            M = delta.on_slice(slice_basis(fiber, P)).matrix
+            dim = M.shape[0]
+            return lowest_eigenvalues(M, _window(k, dim), seed=seed), dim
+
+        return [assembled(P) for P in projectors]
     F = flux_fiber_matrix(field, zeta)
     return [separable_spectrum(planes, F, slice_basis(fiber, P), k)
             for P in projectors]
@@ -725,11 +690,11 @@ class IndexResult:
     `reason` says why the result is or is not determinate; `cluster_size`
     and `cluster_ratio` describe the near-zero cluster (None when no
     dominating jump was returned, in which case `gap` and `threshold` are
-    nan).  Nothing is counted unless the result is determinate.
+    nan).  Nothing is counted unless the result is determinate, that is
+    unless `value` is set.
     """
 
     value: int | None
-    determinate: bool
     even_count: int | None
     odd_count: int | None
     threshold: float
@@ -739,6 +704,11 @@ class IndexResult:
     cluster_size: int | None = None
     cluster_ratio: float | None = None
     reason: str = ""
+
+    @property
+    def determinate(self) -> bool:
+        """Whether the index was decided: `value` is not None."""
+        return self.value is not None
 
 
 def dirac_index(field: LatticeGaugeField, zeta: TwistorPoint,
@@ -772,7 +742,7 @@ def dirac_index(field: LatticeGaugeField, zeta: TwistorPoint,
     complete = {p: len(w) == dim for p, (w, dim) in zip(parities, slices)}
     cluster = near_zero_cluster(np.concatenate([out["even"], out["odd"]]))
     result = IndexResult(
-        value=None, determinate=False, even_count=None, odd_count=None,
+        value=None, even_count=None, odd_count=None,
         threshold=float("nan"), gap=float("nan"),
         even_eigenvalues=out["even"], odd_eigenvalues=out["odd"])
     if cluster is None:
@@ -793,7 +763,6 @@ def dirac_index(field: LatticeGaugeField, zeta: TwistorPoint,
     result.even_count = int(np.sum(out["even"] < result.threshold))
     result.odd_count = int(np.sum(out["odd"] < result.threshold))
     result.value = result.even_count - result.odd_count
-    result.determinate = True
     result.reason = (f"cluster of {cluster.size} at ratio "
                      f"{cluster.ratio:.1e} of the gap")
     return result
@@ -839,7 +808,7 @@ def theorem_1_1_details(field: LatticeGaugeField, zeta: TwistorPoint,
     def dirac_square_spec(z):
         D2 = _dirac_square_slice(
             field, z, slice_basis(fiber, zero_one_star_projector(fiber, z)))
-        return lowest_eigenvalues(D2, min(k, D2.shape[0]), seed=seed)
+        return lowest_eigenvalues(D2, k, seed=seed)
 
     dev_dirac = float(np.abs(dirac_square_spec(zeta)
                              - dirac_square_spec(zp)).max())

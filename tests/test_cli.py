@@ -321,3 +321,69 @@ def test_verify_suite_from_config_file(tmp_path):
     assert ids == list(check_ids()) and len(ids) == 7
     cfg.write_text("suite = everything\n")
     assert cli.main(["verify", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "fiber"],
+    ["spectrum", "--N", "3", "--m", "1", "--k", "2", "--zetas", "j"],
+    ["decompose", "--n", "1", "--input", "element.txt"],
+    ["brane-check", "--input", "brane.txt", "--family", "ABA"],
+], ids=["verify", "spectrum", "decompose", "brane-check"])
+def test_tau_is_an_index_flag(argv, capsys):
+    """Only `index` reads the kernel threshold; elsewhere --tau is an
+    unknown flag."""
+    from hklab import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--tau", "0.9"])
+    assert exc.value.code == 2
+    assert "--tau" in capsys.readouterr().err
+
+
+def test_index_tau_and_shared_config_key(tmp_path, capsys):
+    from hklab import cli
+    out = tmp_path / "idx.json"
+    argv = ["index", "--N", "4", "--m", "1", "--zetas", "j"]
+    assert cli.main([*argv, "--tau", "0.3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1"
+    payload = json.loads(out.read_text())
+    assert payload["params"]["tau"] == "3.000000000000e-01"
+    assert payload["per_zeta"][0]["determinate"] is True
+    # config files are shared by the subcommands: a tau key stays accepted
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau = 0.9\n")
+    assert cli.main(["spectrum", "--N", "3", "--m", "1", "--k", "2",
+                     "--zetas", "j", "--config", str(cfg),
+                     "--out", str(tmp_path / "spec.csv")]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_workers_reach_only_pooled_subcommands(monkeypatch, tmp_path,
+                                               capsys, value):
+    """HKLAB_WORKERS is read by verify, spectrum and index only: decompose
+    and brane-check have no pool, ignore it and take no --workers."""
+    from hklab import cli
+    fiber = standard_fiber(1)
+    v = holomorphic_symplectic(fiber).conjugate().vector(fiber)
+    element = tmp_path / "omegabar.txt"
+    element.write_text("\n".join(str(complex(c)) for c in v))
+    brane = tmp_path / "brane.txt"
+    brane.write_text(BRANE_ABA_TRUE)
+    runs = [["decompose", "--n", "1", "--input", str(element)],
+            ["brane-check", "--input", str(brane), "--family", "ABA"]]
+    monkeypatch.delenv("HKLAB_WORKERS", raising=False)
+    want = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        want.append(capsys.readouterr().out)
+    monkeypatch.setenv("HKLAB_WORKERS", value)
+    for argv, expected in zip(runs, want):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--workers", "1"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+    # the pooled subcommands still reject it
+    assert cli.main(["spectrum", "--N", "3", "--m", "1", "--k", "2",
+                     "--zetas", "j"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

@@ -27,8 +27,8 @@ from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
                          dolbeault_pair, exact_symmetry_details,
                          flux_fiber_matrix, flux_spectra, lattice_dirac,
                          dirac_index, dirac_vs_lichnerowicz,
-                         lichnerowicz_laplacian, lowest_eigenvalues,
-                         model_fiber, scalar_covariant_laplacian,
+                         lichnerowicz_laplacian, model_fiber,
+                         scalar_covariant_laplacian,
                          theorem_1_1_details, theorem_3_10_details,
                          theorem_3_1_details)
 
@@ -395,15 +395,6 @@ def test_theorem_3_1_runs_on_the_separable_engine(monkeypatch, rng):
     assert det["harmonic_counts"] == [1, 2, 1]
     assert det["conjugation_residual"] < 1e-12
     assert det["spectral_deviation"] < 1e-10
-
-
-def test_unknown_method_rejected_before_dense_shortcut():
-    M = sp.diags(np.arange(5.0))
-    for k in (2, 4, 5):
-        with pytest.raises(ValueError, match="unknown eigensolver method"):
-            lowest_eigenvalues(M, k, method="typo")
-    assert np.array_equal(lowest_eigenvalues(M, 4, method="dense"),
-                          np.arange(4.0))
 
 
 def test_scalar_laplacian_is_shared_per_field():

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklab.fiber import bidegree_projector, zero_one_star_projector
+from hklab.fiber import (bidegree_projector, slice_basis,
+                         zero_one_star_projector)
 from hklab.quaternions import (QUAT_K, TwistorPoint, UnitQuaternion, ZETA_J,
                                fibonacci_sphere, random_twistor_point,
                                random_unit_quaternion, sample_zetas)
@@ -19,7 +21,7 @@ from hklab.torus import (LatticeGaugeField, LatticeOperator, LatticeSpec,
                          flux_spectra, lattice_dirac, lichnerowicz_laplacian,
                          lowest_eigenvalues, model_fiber, near_zero_cluster,
                          plane_laplacians, scalar_covariant_laplacian,
-                         spectrum, theorem_1_1_details, theorem_3_10_details,
+                         theorem_1_1_details, theorem_3_10_details,
                          theorem_3_1_details, verify_theorem)
 
 from .oracles import (chern_weil_index, flux_slice_spectrum,
@@ -92,10 +94,10 @@ def test_covariant_laplacian_flat_kernel():
     v = np.ones(lap.dim, dtype=complex)
     assert np.linalg.norm(lap.matrix @ v) < 1e-10
     fiber = model_fiber(1)
-    rep = spectrum(lap, bidegree_projector(fiber, ZETA_J, 0, 0), 2,
-                   method="dense")
-    assert abs(rep.eigenvalues[0]) < 1e-10
-    assert abs(rep.eigenvalues[1] - free_mode_energy(4, [1])) < 1e-9
+    Q = slice_basis(fiber, bidegree_projector(fiber, ZETA_J, 0, 0))
+    w = lowest_eigenvalues(lap.on_slice(Q).matrix, 2)
+    assert abs(w[0]) < 1e-10
+    assert abs(w[1] - free_mode_energy(4, [1])) < 1e-9
 
 
 def test_landau_ground_five_percent_by_N8():
@@ -106,7 +108,7 @@ def test_landau_ground_five_percent_by_N8():
 
 def test_positive_semidefinite():
     f1 = build_gauge_field(LatticeSpec(1, 4), 1)
-    w = lowest_eigenvalues(scalar_covariant_laplacian(f1), 1, method="dense")
+    w = lowest_eigenvalues(scalar_covariant_laplacian(f1), 1)
     assert w[0] > -1e-10
 
 
@@ -201,8 +203,9 @@ def test_lichnerowicz_flat_equals_covariant():
 
 def test_spectrum_matches_plane_separated_oracle():
     """Both library paths against the independent oracle: the separable
-    engine (`flux_spectra`) and the assembled sparse operator (`spectrum`,
-    dense), on every (0, q) slice and on the whole (0, *) slice."""
+    engine (`flux_spectra`) and the assembled sparse operator on the slice
+    (`on_slice`, solved densely), on every (0, q) slice and on the whole
+    (0, *) slice."""
     N, m = 4, 1
     f1 = build_gauge_field(LatticeSpec(1, N), m)
     fiber = model_fiber(1)
@@ -213,8 +216,9 @@ def test_spectrum_matches_plane_separated_oracle():
                   flux_zero_one_star_spectrum(N, m, 12)))
     for P, k, oracle in cases:
         [(w, dim)] = flux_spectra(f1, ZETA_J, [P], k)
-        rep = spectrum(delta, P, k, method="dense")
-        for got, got_dim in ((w, dim), (rep.eigenvalues, rep.dim)):
+        M = delta.on_slice(slice_basis(fiber, P)).matrix
+        for got, got_dim in ((w, dim),
+                             (lowest_eigenvalues(M, k), M.shape[0])):
             assert got_dim == f1.spec.sites * round(np.trace(P.matrix).real)
             assert np.abs(got - oracle).max() < 1e-9
 
@@ -252,9 +256,9 @@ def test_separable_spectrum_equals_assembled_dense(N, m, zeta_seed, k, part):
     P = (zero_one_star_projector(fiber, z, part) if isinstance(part, str)
          else bidegree_projector(fiber, z, 0, part))
     [(w, dim)] = flux_spectra(f, z, [P], k)
-    dense = spectrum(lichnerowicz_laplacian(f, z), P, k, method="dense")
-    assert dim == dense.dim
-    assert np.abs(w - dense.eigenvalues).max() < 1e-9
+    M = lichnerowicz_laplacian(f, z).on_slice(slice_basis(fiber, P)).matrix
+    assert dim == M.shape[0]
+    assert np.abs(w - lowest_eigenvalues(M, k)).max() < 1e-9
 
 
 def test_separable_engine_never_assembles(monkeypatch):
@@ -278,12 +282,13 @@ def test_non_separable_field_takes_assembled_path(monkeypatch, rng):
     assert len(plane_laplacians(f)) == 2
     assert plane_laplacians(g) is None
     assembled = []
+    matrix = torus.LatticeOperator.matrix.func
 
-    def spy(op, *args, **kwargs):
+    def spy(op):
         assembled.append(op.field)
-        return spectrum(op, *args, **kwargs)
+        return matrix(op)
 
-    monkeypatch.setattr(torus, "spectrum", spy)
+    monkeypatch.setattr(torus.LatticeOperator, "matrix", property(spy))
     fiber = model_fiber(1)
     P = zero_one_star_projector(fiber, ZETA_J)
     [(a, dim_a)] = flux_spectra(f, ZETA_J, [P], 12)
@@ -311,34 +316,69 @@ def test_library_does_not_import_tests():
                            for n in names), (path.name, names)
 
 
-def test_cross_solver_agreement():
+def test_cross_solver_agreement(monkeypatch):
+    import hklab.torus as torus
     f1 = build_gauge_field(LatticeSpec(1, 4), 1)
     fiber = model_fiber(1)
     V = slice_isometry(f1, fiber, zero_one_star_projector(fiber, ZETA_J))
     M = restrict(lichnerowicz_laplacian(f1, ZETA_J), V)
-    dense = lowest_eigenvalues(M, 10, method="dense")
-    lanczos = lowest_eigenvalues(M, 10, method="lanczos")
-    shinv = lowest_eigenvalues(M, 10, method="shift-invert", sigma=-30.0)
-    assert np.abs(dense - lanczos).max() < 1e-9
-    assert np.abs(dense - shinv).max() < 1e-9
+    dense = lowest_eigenvalues(M, 15)
+    monkeypatch.setattr(torus, "DENSE_LIMIT", 0)  # force the Lanczos path
+    lanczos = lowest_eigenvalues(M, 10)
+    assert np.abs(dense[:10] - lanczos).max() < 1e-9
     # raw Ritz vectors inside the 4-fold level at 8-11 are up to 0.1 from
     # orthonormal; the solver returns an orthonormal basis
-    w, V = lowest_eigenvalues(M, 15, method="lanczos", vectors=True)
+    w, V = lowest_eigenvalues(M, 15, vectors=True)
     assert np.abs(V.conj().T @ V - np.eye(15)).max() < 1e-12
     assert np.linalg.norm(M @ V - V * w, 2) < 1e-9
-    assert np.abs(w - lowest_eigenvalues(M, 15, method="dense")).max() < 1e-9
+    assert np.abs(w - dense).max() < 1e-9
+
+
+def test_lowest_eigenvalues_rejects_non_hermitian():
+    A = np.triu(np.ones((6, 6)))
+    for M in (A, sp.csr_matrix(A)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            lowest_eigenvalues(M, 2)
+
+
+def test_lowest_eigenvalues_solves_dense_arrays_densely():
+    """A dense array is never handed to Lanczos, whatever its size; a
+    sparse request for all but one eigenvalue is solved densely too."""
+    X = np.random.default_rng(3).normal(size=(1300, 1300))
+    A = X + X.T
+    assert np.array_equal(lowest_eigenvalues(A, 4),
+                          np.linalg.eigvalsh(A)[:4])
+    assert np.array_equal(lowest_eigenvalues(sp.diags(np.arange(5.0)), 4),
+                          np.arange(4.0))
+
+
+def test_eigensolves_only_in_lowest_eigenvalues():
+    """Every eigensolve of torus.py goes through `lowest_eigenvalues`."""
+    path = (Path(__file__).resolve().parent.parent / "src" / "hklab"
+            / "torus.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else \
+                    getattr(f, "id", None)
+                if name in ("eigsh", "eigvalsh"):
+                    callers.add(getattr(top, "name", "<module>"))
+    assert callers == {"lowest_eigenvalues"}
 
 
 def test_spectrum_determinism_and_truncation(rng):
     f1 = build_gauge_field(LatticeSpec(1, 3), 1)
+    g = f1.gauge_transformed(np.exp(2j * np.pi * rng.random(f1.spec.sites)))
     fiber = model_fiber(1)
-    delta = lichnerowicz_laplacian(f1, ZETA_J)
     P = bidegree_projector(fiber, ZETA_J, 0, 0)
-    a = spectrum(delta, P, 4, seed=5).eigenvalues
-    b = spectrum(delta, P, 4, seed=5).eigenvalues
+    [(a, _)] = flux_spectra(g, ZETA_J, [P], 4, seed=5)
+    [(b, _)] = flux_spectra(g, ZETA_J, [P], 4, seed=5)
     assert np.array_equal(a, b)
     with pytest.warns(UserWarning, match="truncated"):
-        spectrum(delta, P, 10**6)
+        flux_spectra(g, ZETA_J, [P], 10**6)
 
 
 def test_lichnerowicz_conjugation_exact(rng):
@@ -543,8 +583,8 @@ def test_sliced_spectrum_gauge_invariance(rng):
     g = f.gauge_transformed(np.exp(2j * np.pi * rng.random(f.spec.sites)))
     fiber = model_fiber(1)
     P = zero_one_star_projector(fiber, ZETA_J)
-    a = spectrum(lichnerowicz_laplacian(f, ZETA_J), P, 12).eigenvalues
-    b = spectrum(lichnerowicz_laplacian(g, ZETA_J), P, 12).eigenvalues
+    [(a, _)] = flux_spectra(f, ZETA_J, [P], 12)
+    [(b, _)] = flux_spectra(g, ZETA_J, [P], 12)
     assert np.abs(a - b).max() < 1e-10
 
 
