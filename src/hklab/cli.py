@@ -1,5 +1,9 @@
 """Command-line front end: verify | spectrum | index | decompose | brane-check.
 
+Each setting's type, default, check and help is stated once in `_SETTINGS`;
+a subcommand registers and checks only the settings `_READS` names for it,
+plus `--out` and `--config`.  A shared config file may hold any known key.
+
 Exit codes: 0 success, 1 check failure, 2 configuration (input) error,
 3 indeterminate index.  Only ConfigError maps to 2; any other exception is
 a program fault and propagates.  Identical configuration and seed produce
@@ -14,6 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -66,63 +71,6 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-_DEFAULTS = {
-    "n": 1, "N": 4, "m": 1, "k": 16, "seed": 0, "tol": None, "tau": 0.5,
-    "zetas": "axes", "workers": 0, "out": None, "suite": "all",
-}
-_SUITES = ("fiber", "torus", "all")
-
-_INT_KEYS = {"n", "N", "m", "k", "seed", "workers"}
-_FLOAT_KEYS = {"tol", "tau"}
-
-
-def _resolve(args: argparse.Namespace, **defaults) -> dict:
-    """Merge flags > config file > defaults (`defaults` override _DEFAULTS)."""
-    cfg = {**_DEFAULTS, **defaults}
-    if getattr(args, "config", None):
-        fromfile = _parse_config_file(args.config)
-        unknown = set(fromfile) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, val in fromfile.items():
-            cast = (int if key in _INT_KEYS
-                    else float if key in _FLOAT_KEYS else str)
-            try:
-                cfg[key] = cast(val)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}: {exc}") from exc
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    if hasattr(args, "workers"):  # only the subcommands with a pool take it
-        if cfg["workers"] in (0, None):
-            try:
-                cfg["workers"] = int(os.environ.get("HKLAB_WORKERS",
-                                                    os.cpu_count() or 1))
-            except ValueError as exc:
-                raise ConfigError(f"HKLAB_WORKERS: {exc}") from exc
-        if cfg["workers"] < 1:
-            raise ConfigError("workers >= 1 required")
-    if cfg["seed"] < 0:
-        raise ConfigError("seed >= 0 required")
-    if cfg["n"] < 1:
-        raise ConfigError("n >= 1 required")
-    if cfg["N"] < 3:
-        raise ConfigError("N >= 3 required")
-    if cfg["k"] is not None and cfg["k"] < 1:
-        raise ConfigError("k >= 1 required")
-    if cfg["suite"] not in _SUITES:
-        raise ConfigError(f"suite must be one of {', '.join(_SUITES)}")
-    if not (0.0 < cfg["tau"] < 1.0):
-        raise ConfigError("tau must lie in (0, 1)")
-    if cfg["tol"] is not None and not cfg["tol"] >= 0.0:
-        raise ConfigError("tol must be >= 0")
-    if cfg["out"] is not None:
-        _check_writable(cfg["out"])
-    return cfg
-
-
 def _check_writable(path: str) -> None:
     """Reject an --out path that cannot be written before any work is done.
 
@@ -138,6 +86,91 @@ def _check_writable(path: str) -> None:
     else:
         return
     raise ConfigError(f"cannot write output: {path!r} {problem}")
+
+
+def _require(ok: Callable[[Any], bool], message: str) -> Callable[[Any], None]:
+    def check(value: Any) -> None:
+        if not ok(value):
+            raise ConfigError(message)
+    return check
+
+
+class _Setting(NamedTuple):
+    type: Callable[[str], Any]
+    default: Any
+    help: str
+    check: Callable[[Any], None] | None = None  # not run on a None value
+    choices: tuple[str, ...] | None = None
+
+
+_SUITES = ("fiber", "torus", "all")
+
+# every flag and config key, in the order they are checked
+_SETTINGS = {
+    "workers": _Setting(int, 0, "worker pool size (env HKLAB_WORKERS)",
+                        _require(lambda v: v >= 1, "workers >= 1 required")),
+    "seed": _Setting(int, 0, "seed of the random samples (default 0)",
+                     _require(lambda v: v >= 0, "seed >= 0 required")),
+    "n": _Setting(int, 1, "quaternionic dimension of the fiber",
+                  _require(lambda v: v >= 1, "n >= 1 required")),
+    "N": _Setting(int, 4, "lattice sites per axis",
+                  _require(lambda v: v >= 3, "N >= 3 required")),
+    "m": _Setting(int, 1, "flux multiplier of the gauge field"),
+    "k": _Setting(int, 16, "number of eigenvalues per slice",
+                  _require(lambda v: v >= 1, "k >= 1 required")),
+    "zetas": _Setting(str, "axes", "axes | fibonacci | j | full (axes + 20 "
+                      "fibonacci) | list:a,b,c;..."),
+    "suite": _Setting(str, "all", "check suite (default all)",
+                      _require(lambda v: v in _SUITES,
+                               f"suite must be one of {', '.join(_SUITES)}"),
+                      _SUITES),
+    "tau": _Setting(float, 0.5, "kernel threshold fraction of the first gap",
+                    _require(lambda v: 0.0 < v < 1.0,
+                             "tau must lie in (0, 1)")),
+    "tol": _Setting(float, None, "tolerance override for checks",
+                    _require(lambda v: v >= 0.0, "tol must be >= 0")),
+    "out": _Setting(str, None, "artifact output path", _check_writable),
+}
+
+# the settings each subcommand reads; every one reads `out` as well
+_READS = {
+    "verify": ("suite", "n", "N", "m", "k", "seed", "tol", "workers"),
+    "spectrum": ("n", "N", "m", "k", "zetas", "seed", "workers"),
+    "index": ("n", "N", "m", "k", "zetas", "seed", "tau", "workers"),
+    "decompose": ("n",),
+    "brane-check": ("tol",),
+}
+
+
+def _resolve(args: argparse.Namespace, **defaults) -> dict:
+    """Merge flags > config file > defaults (`defaults` override the table's)
+    for the settings `args.command` reads, then check them."""
+    keys = (*_READS[args.command], "out")
+    cfg = {key: defaults.get(key, _SETTINGS[key].default) for key in keys}
+    if args.config:
+        fromfile = _parse_config_file(args.config)
+        unknown = set(fromfile) - set(_SETTINGS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in fromfile.items():
+            if key in cfg:  # a key this subcommand does not read is ignored
+                try:
+                    cfg[key] = _SETTINGS[key].type(val)
+                except ValueError as exc:
+                    raise ConfigError(f"config key {key}: {exc}") from exc
+    for key in keys:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    if cfg.get("workers") == 0:  # the default: HKLAB_WORKERS or CPU count
+        try:
+            cfg["workers"] = int(os.environ.get("HKLAB_WORKERS",
+                                                os.cpu_count() or 1))
+        except ValueError as exc:
+            raise ConfigError(f"HKLAB_WORKERS: {exc}") from exc
+    for key, setting in _SETTINGS.items():
+        if setting.check and cfg.get(key) is not None:
+            setting.check(cfg[key])
+    return cfg
 
 
 def _zeta_list(spec: str) -> list[TwistorPoint]:
@@ -375,58 +408,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "constant-flux torus Dirac operators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=None,
-                       help="quaternionic dimension of the fiber")
-        p.add_argument("--N", type=int, default=None,
-                       help="lattice sites per axis")
-        p.add_argument("--m", type=int, default=None,
-                       help="flux multiplier of the gauge field")
-        p.add_argument("--k", type=int, default=None,
-                       help="number of eigenvalues per slice")
-        p.add_argument("--zetas", type=str, default=None,
-                       help="axes | fibonacci | j | list:a,b,c;...")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override for checks")
-        p.add_argument("--out", type=str, default=None,
-                       help="artifact output path")
-        p.add_argument("--config", type=str, default=None,
-                       help="flat key=value config file")
+    def add(name, func, about):
+        p = sub.add_parser(name, help=about)
+        for key in (*_READS[name], "out"):
+            setting = _SETTINGS[key]
+            p.add_argument(f"--{key}", type=setting.type,
+                           choices=setting.choices, help=setting.help)
+        p.add_argument("--config", help="flat key=value config file")
+        p.set_defaults(func=func)
+        return p
 
-    def pooled(p):
-        common(p)
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker pool size (env HKLAB_WORKERS)")
-
-    p = sub.add_parser("verify", help="run identity and theorem checks")
-    p.add_argument("--suite", choices=_SUITES, default=None,
-                   help="check suite (default all)")
-    pooled(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("spectrum", help="eigenvalue sweep over twistor points")
-    pooled(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("index", help="even/odd kernel index of the flux Dirac")
-    p.add_argument("--tau", type=float, default=None,
-                   help="kernel threshold fraction of the first gap")
-    pooled(p)
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("decompose", help="primitive decomposition of a fiber "
-                                         "element file")
+    add("verify", cmd_verify, "run identity and theorem checks")
+    add("spectrum", cmd_spectrum, "eigenvalue sweep over twistor points")
+    add("index", cmd_index, "even/odd kernel index of the flux Dirac")
+    p = add("decompose", cmd_decompose, "primitive decomposition of a fiber "
+                                        "element file")
     p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("brane-check", help="hyperbrane condition for a "
-                                           "subspace/field-strength file")
+    p = add("brane-check", cmd_brane_check, "hyperbrane condition for a "
+                                            "subspace/field-strength file")
     p.add_argument("--input", required=True)
     p.add_argument("--family", choices=("BBB", "ABA"), required=True)
-    common(p)
-    p.set_defaults(func=cmd_brane_check)
     return parser
 
 

@@ -72,10 +72,6 @@ class LatticeSpec:
     def sites(self) -> int:
         return self.N ** self.d
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.N
-
 
 @dataclass(frozen=True)
 class LatticeGaugeField:

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -5,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from hklab import cli
 from hklab.fiber import holomorphic_symplectic, standard_fiber
 
 from .oracles import flux_zero_one_star_spectrum
@@ -220,7 +224,6 @@ def _library_fault(*args, **kwargs):
 ])
 def test_exit_codes(monkeypatch, capsys, argv, code, message):
     """Exit 2 is for input errors only; a library fault is not one."""
-    from hklab import cli
     if code is None:
         monkeypatch.setattr(cli, "verify_identity", _library_fault)
         with pytest.raises(ValueError, match=message):
@@ -240,7 +243,6 @@ def test_exit_codes(monkeypatch, capsys, argv, code, message):
 def test_unwritable_out_is_config_error(tmp_path, capsys, argv):
     """An --out path in a missing directory, or one that is a directory,
     exits 2 before any work: nothing is printed but the error."""
-    from hklab import cli
     for out in (tmp_path / "missing" / "artifact", tmp_path):
         assert cli.main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -255,7 +257,6 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, argv):
 def test_zeta_list_normalizes_any_finite_direction(tmp_path, spec, want):
     """A finite non-zero direction is normalized even where its squared
     norm underflows or overflows."""
-    from hklab import cli
     (zeta,) = cli._zeta_list("list:" + spec)
     assert np.allclose(zeta.as_array(), want, rtol=0.0, atol=1e-15)
     out = tmp_path / "spec.csv"
@@ -267,7 +268,7 @@ def test_zeta_list_normalizes_any_finite_direction(tmp_path, spec, want):
 def test_spectrum_builds_no_lattice_operator(monkeypatch, tmp_path):
     """`hklab spectrum` on a plane-separable field solves plane Laplacians:
     it builds no site Laplacian and no lattice operator."""
-    from hklab import cli, torus
+    from hklab import torus
 
     def fail(*args, **kwargs):
         raise AssertionError("built a site Laplacian or lattice operator")
@@ -290,7 +291,6 @@ def test_spectrum_builds_no_lattice_operator(monkeypatch, tmp_path):
 def test_index_honours_k(tmp_path):
     """--k (or a config-file k) reaches dirac_index; k = 2 ends the even
     list inside the 4-fold cluster, so the index is indeterminate."""
-    from hklab import cli
     argv = ["index", "--N", "4", "--m", "2", "--zetas", "j"]
     assert cli.main(argv) == 0
     assert cli.main(argv + ["--k", "2"]) == 3
@@ -303,14 +303,12 @@ def test_index_honours_k(tmp_path):
 def test_index_default_window_on_T8(m, capsys):
     """n = 2 without --k: the default window grows with n, so the index
     is determinate at m = 0 (8 + 8 zero modes) and m = 1."""
-    from hklab import cli
     argv = ["index", "--n", "2", "--N", "4", "--m", str(m), "--zetas", "j"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.splitlines()[0] == str(m)
 
 
 def test_verify_suite_from_config_file(tmp_path):
-    from hklab import cli
     from hklab.symmetry import check_ids
     cfg = tmp_path / "fiber.cfg"
     cfg.write_text("suite = fiber\n")
@@ -323,24 +321,90 @@ def test_verify_suite_from_config_file(tmp_path):
     assert cli.main(["verify", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "fiber"],
-    ["spectrum", "--N", "3", "--m", "1", "--k", "2", "--zetas", "j"],
-    ["decompose", "--n", "1", "--input", "element.txt"],
-    ["brane-check", "--input", "brane.txt", "--family", "ABA"],
-], ids=["verify", "spectrum", "decompose", "brane-check"])
-def test_tau_is_an_index_flag(argv, capsys):
-    """Only `index` reads the kernel threshold; elsewhere --tau is an
-    unknown flag."""
-    from hklab import cli
+_REQUIRED = {"decompose": ["--input", "element.txt"],
+             "brane-check": ["--input", "brane.txt", "--family", "ABA"]}
+
+
+@pytest.mark.parametrize("command,key", [
+    pytest.param(command, key, id=f"{command}-{key}")
+    for command, reads in cli._READS.items()
+    for key in cli._SETTINGS if key not in (*reads, "out")])
+def test_unread_setting_is_no_flag(command, key, capsys):
+    """A subcommand takes only the flags it reads: the flag of any other
+    setting is unknown to argparse."""
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--tau", "0.9"])
+        cli.main([command, *_REQUIRED.get(command, []), f"--{key}", "1"])
     assert exc.value.code == 2
-    assert "--tau" in capsys.readouterr().err
+    assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err
+
+
+def test_parser_registers_only_read_flags():
+    """38 flags: the settings of `_READS`, plus --out, --config and the
+    input files."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    total = 0
+    for command, p in subparsers.choices.items():
+        flags = {f for a in p._actions for f in a.option_strings}
+        assert flags - {"-h", "--help"} == {
+            *(f"--{key}" for key in cli._READS[command]), "--out",
+            "--config", *_REQUIRED.get(command, [])[::2]}
+        total += len(flags) - 2
+    assert total == 38
+
+
+def test_each_subcommand_reads_exactly_its_settings():
+    """The `cfg[...]` keys each `cmd_*` reads are its `_READS` and `out`."""
+    tree = ast.parse(inspect.getsource(cli))
+    commands = {node.name[4:].replace("_", "-"): node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_")}
+    assert set(commands) == set(cli._READS)
+    for command, node in commands.items():
+        read = {ast.literal_eval(sub.slice) for sub in ast.walk(node)
+                if isinstance(sub, ast.Subscript)
+                and isinstance(sub.value, ast.Name) and sub.value.id == "cfg"}
+        assert read == {*cli._READS[command], "out"}, command
+
+
+def _element_and_brane(tmp_path):
+    fiber = standard_fiber(1)
+    v = holomorphic_symplectic(fiber).conjugate().vector(fiber)
+    element = tmp_path / "omegabar.txt"
+    element.write_text("\n".join(str(complex(c)) for c in v))
+    brane = tmp_path / "brane.txt"
+    brane.write_text(BRANE_ABA_TRUE)
+    return element, brane
+
+
+def test_unread_config_keys_are_ignored(tmp_path, capsys):
+    """A shared config file may set what a subcommand does not read:
+    out-of-range N, k, seed and suite leave decompose and brane-check (and
+    suite alone spectrum) as they are, and exit 2 where they are read."""
+    element, brane = _element_and_brane(tmp_path)
+    bad = {"N": "2", "k": "0", "seed": "-1", "suite": "everything"}
+    shared = tmp_path / "shared.cfg"
+    shared.write_text("".join(f"{key} = {val}\n" for key, val in bad.items()))
+    suite = tmp_path / "suite.cfg"
+    suite.write_text("suite = everything\n")
+    runs = [(["decompose", "--n", "1", "--input", str(element)], shared),
+            (["brane-check", "--input", str(brane), "--family", "ABA"], shared),
+            (["spectrum", "--N", "3", "--m", "1", "--k", "2", "--zetas", "j"],
+             suite)]
+    for argv, config in runs:
+        assert cli.main(argv) == 0
+        want = capsys.readouterr().out
+        assert cli.main([*argv, "--config", str(config)]) == 0
+        assert capsys.readouterr().out == want
+    for key, val in bad.items():
+        config = tmp_path / f"{key}.cfg"
+        config.write_text(f"{key} = {val}\n")
+        command = "verify" if key == "suite" else "spectrum"
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} ")
 
 
 def test_index_tau_and_shared_config_key(tmp_path, capsys):
-    from hklab import cli
     out = tmp_path / "idx.json"
     argv = ["index", "--N", "4", "--m", "1", "--zetas", "j"]
     assert cli.main([*argv, "--tau", "0.3", "--out", str(out)]) == 0
@@ -360,14 +424,8 @@ def test_index_tau_and_shared_config_key(tmp_path, capsys):
 def test_workers_reach_only_pooled_subcommands(monkeypatch, tmp_path,
                                                capsys, value):
     """HKLAB_WORKERS is read by verify, spectrum and index only: decompose
-    and brane-check have no pool, ignore it and take no --workers."""
-    from hklab import cli
-    fiber = standard_fiber(1)
-    v = holomorphic_symplectic(fiber).conjugate().vector(fiber)
-    element = tmp_path / "omegabar.txt"
-    element.write_text("\n".join(str(complex(c)) for c in v))
-    brane = tmp_path / "brane.txt"
-    brane.write_text(BRANE_ABA_TRUE)
+    and brane-check have no pool and ignore it."""
+    element, brane = _element_and_brane(tmp_path)
     runs = [["decompose", "--n", "1", "--input", str(element)],
             ["brane-check", "--input", str(brane), "--family", "ABA"]]
     monkeypatch.delenv("HKLAB_WORKERS", raising=False)
@@ -379,10 +437,6 @@ def test_workers_reach_only_pooled_subcommands(monkeypatch, tmp_path,
     for argv, expected in zip(runs, want):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == expected
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--workers", "1"])
-        assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
     # the pooled subcommands still reject it
     assert cli.main(["spectrum", "--N", "3", "--m", "1", "--k", "2",
                      "--zetas", "j"]) == 2
