@@ -134,9 +134,9 @@ _SETTINGS = {
 
 # the settings each subcommand reads; every one reads `out` as well
 _READS = {
-    "verify": ("suite", "n", "N", "m", "k", "seed", "tol", "workers"),
+    "verify": ("suite", "n", "N", "m", "k", "seed", "tol"),
     "spectrum": ("n", "N", "m", "k", "zetas", "seed", "workers"),
-    "index": ("n", "N", "m", "k", "zetas", "seed", "tau", "workers"),
+    "index": ("n", "N", "m", "k", "zetas", "seed", "tau"),
     "decompose": ("n",),
     "brane-check": ("tol",),
 }
@@ -213,10 +213,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if suite in ("fiber", "all"):
         fiber = standard_fiber(cfg["n"])
         tol = DEFAULT_TOL if cfg["tol"] is None else cfg["tol"]
-        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            futs = [pool.submit(verify_identity, cid, fiber, cfg["seed"], tol)
-                    for cid in check_ids()]
-            results.extend(f.result() for f in futs)
+        results.extend(verify_identity(cid, fiber, cfg["seed"], tol)
+                       for cid in check_ids())
     if torus_suite:
         spec = LatticeSpec(cfg["n"], cfg["N"])
         zeta = random_twistor_point(rng)
@@ -273,11 +271,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     field = build_gauge_field(spec, cfg["m"])
     zetas = _zeta_list(cfg["zetas"])
     t0 = time.time()
-    with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-        results = list(pool.map(
-            lambda z: dirac_index(field, z, tau=cfg["tau"], k=cfg["k"],
-                                  seed=cfg["seed"]),
-            zetas))
+    results = [dirac_index(field, z, tau=cfg["tau"], k=cfg["k"],
+                           seed=cfg["seed"]) for z in zetas]
     _log(f"index over {len(zetas)} zetas in {time.time() - t0:.1f}s")
     payload = {
         "params": {"n": cfg["n"], "N": cfg["N"], "m": cfg["m"],

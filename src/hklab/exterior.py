@@ -142,7 +142,7 @@ def _occupied16(F: np.ndarray) -> list[tuple[int, int]]:
 
 
 class FiberOperator:
-    """Complex matrix acting on Lambda(V* (x) C), tagged with a symbol label.
+    """Complex matrix acting on Lambda(V* (x) C).
 
     Block form: the operator is held as `blocks`, a dict from (k_out, k_in)
     to the block that maps exterior degree k_in to degree k_out; every
@@ -169,55 +169,54 @@ class FiberOperator:
     equal operators, and `inner` uses the Gram product
     sum_st prod_b tr(F_sb^* G_tb).  The zero operator (no blocks) counts as
     a term form without terms.  Any operation with a block-form operand,
-    `A @ x` for an array, `blocks`, `diagonal` and `matrix` gather the
-    degree blocks once (`ExteriorAlgebra.quaternion_product`); they are
-    then held on the operator, as `matrix` is.
+    `A @ x` for an array, `blocks` and `matrix` gather the degree blocks
+    once (`ExteriorAlgebra.quaternion_product`); they are then held on the
+    operator, as `matrix` is.
 
     `algebra` is the ExteriorAlgebra the operator was built on (None for
     one made from a bare matrix); results inherit it.  Operators are
     values: no form is modified after it is made.
     """
 
-    def __init__(self, matrix: np.ndarray, label: str = "",
+    def __init__(self, matrix: np.ndarray,
                  algebra: "ExteriorAlgebra | None" = None):
         self._matrix = np.asarray(matrix)
         self._blocks = None
         self._terms, self._scales = None, ()
         self._offsets = _degree_offsets(self._matrix.shape[0])
-        self.label = label
         self.algebra = algebra
 
     @classmethod
-    def _from_blocks(cls, offsets, blocks: dict, label: str,
+    def _from_blocks(cls, offsets, blocks: dict,
                      algebra=None) -> "FiberOperator":
         op = cls.__new__(cls)
         op._matrix, op._blocks, op._offsets = None, blocks, offsets
         op._terms, op._scales = None, ()
-        op.label, op.algebra = label, algebra
+        op.algebra = algebra
         return op
 
     @classmethod
     def _from_terms(cls, algebra: "ExteriorAlgebra", terms: list,
-                    label: str, scales: tuple = ()) -> "FiberOperator":
-        op = cls._from_blocks(algebra.offsets, None, label, algebra)
+                    scales: tuple = ()) -> "FiberOperator":
+        op = cls._from_blocks(algebra.offsets, None, algebra)
         op._terms, op._scales = terms, scales
         return op
 
     @classmethod
-    def zero(cls, dim: int, label: str = "0") -> "FiberOperator":
-        return cls._from_blocks(_degree_offsets(dim), {}, label)
+    def zero(cls, dim: int) -> "FiberOperator":
+        return cls._from_blocks(_degree_offsets(dim), {})
 
-    def _new(self, blocks: dict, label: str,
+    def _new(self, blocks: dict,
              other: "FiberOperator | None" = None) -> "FiberOperator":
         algebra = self.algebra
         if algebra is None and other is not None:
             algebra = other.algebra
-        return self._from_blocks(self._offsets, blocks, label, algebra)
+        return self._from_blocks(self._offsets, blocks, algebra)
 
-    def _termed(self, terms: list, label: str,
+    def _termed(self, terms: list,
                 other: "FiberOperator | None" = None) -> "FiberOperator":
         algebra = self.algebra if self.algebra is not None else other.algebra
-        return self._from_terms(algebra, terms, label)
+        return self._from_terms(algebra, terms)
 
     @property
     def dim(self) -> int:
@@ -289,22 +288,6 @@ class FiberOperator:
                   for t in self._terms]
         return {sum(s) for t in shifts for s in itertools.product(*t)}
 
-    def diagonal(self) -> np.ndarray:
-        """The diagonal entries, from the diagonal degree blocks."""
-        off = self._offsets
-        out = np.zeros(self.dim, dtype=complex)
-        for k in range(len(off) - 1):
-            X = self.blocks.get((k, k))
-            if X is not None:
-                out[off[k]:off[k + 1]] = X.diagonal()
-        return out
-
-    def relabel(self, label: str) -> "FiberOperator":
-        """The same operator under another label, sharing every form."""
-        op = FiberOperator.__new__(FiberOperator)
-        op.__dict__.update(self.__dict__, label=label)
-        return op
-
     def _check_space(self, other: "FiberOperator") -> None:
         if other._offsets != self._offsets:
             raise ValueError(f"operators of dimension {self.dim} and "
@@ -316,12 +299,10 @@ class FiberOperator:
         if not isinstance(other, FiberOperator):
             return NotImplemented
         self._check_space(other)
-        label = f"{self.label}*{other.label}"
         pair = self._term_pair(other)
         if pair is not None:
             return self._termed([tuple(map(_times, s, t))
-                                 for s in pair[0] for t in pair[1]],
-                                label, other)
+                                 for s in pair[0] for t in pair[1]], other)
         rows: dict[int, list] = {}
         for (b, c), Y in other.blocks.items():
             rows.setdefault(b, []).append((c, Y))
@@ -331,7 +312,7 @@ class FiberOperator:
                 P = X @ Y
                 # not +=: blocks of one operator may differ in dtype
                 out[a, c] = out[a, c] + P if (a, c) in out else P
-        return self._new(out, label, other)
+        return self._new(out, other)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """self @ x for a vector or a matrix of column vectors, by blocks."""
@@ -344,13 +325,12 @@ class FiberOperator:
             out[off[a]:off[a + 1]] += X @ x[off[b]:off[b + 1]]
         return out
 
-    def _combine(self, other: "FiberOperator", sign: int,
-                 label: str) -> "FiberOperator":
+    def _combine(self, other: "FiberOperator", sign: int) -> "FiberOperator":
         self._check_space(other)
         pair = self._term_pair(other)
         if pair is not None:
             theirs = pair[1] if sign > 0 else [_scaled(t, -1) for t in pair[1]]
-            return self._termed(_merged(pair[0] + theirs), label, other)
+            return self._termed(_merged(pair[0] + theirs), other)
         # a block missing on one side enters as the scalar 0, entry for
         # entry what the dense sum or difference computes; the result keeps
         # its blocks in (k_out, k_in) order, as the builders' scatters do,
@@ -359,41 +339,39 @@ class FiberOperator:
         for key, Y in other.blocks.items():
             X = out[key] if key in out else 0
             out[key] = X + Y if sign > 0 else X - Y
-        return self._new(dict(sorted(out.items())), label, other)
+        return self._new(dict(sorted(out.items())), other)
 
     def __add__(self, other: "FiberOperator") -> "FiberOperator":
-        return self._combine(other, 1, f"{self.label} + {other.label}")
+        return self._combine(other, 1)
 
     def __sub__(self, other: "FiberOperator") -> "FiberOperator":
-        return self._combine(other, -1, f"{self.label} - {other.label}")
+        return self._combine(other, -1)
 
-    def _times_scalar(self, c, label: str, left: bool) -> "FiberOperator":
+    def _times_scalar(self, c, left: bool) -> "FiberOperator":
         if self._terms is not None:
-            return self._from_terms(self.algebra, self._terms, label,
+            return self._from_terms(self.algebra, self._terms,
                                     self._scales + ((c, left),))
         return self._new({k: c * X if left else X * c
-                          for k, X in self.blocks.items()}, label)
+                          for k, X in self.blocks.items()})
 
     def __mul__(self, c) -> "FiberOperator":
-        return self._times_scalar(c, f"{self.label}*{c}", left=False)
+        return self._times_scalar(c, left=False)
 
     def __rmul__(self, c) -> "FiberOperator":
-        return self._times_scalar(c, f"{c}*{self.label}", left=True)
+        return self._times_scalar(c, left=True)
 
     def __neg__(self) -> "FiberOperator":
         if self._terms is not None:
-            return self._times_scalar(-1, f"-{self.label}", left=True)
-        return self._new({k: -X for k, X in self.blocks.items()},
-                         f"-{self.label}")
+            return self._times_scalar(-1, left=True)
+        return self._new({k: -X for k, X in self.blocks.items()})
 
     def adjoint(self) -> "FiberOperator":
-        label = f"{self.label}^*"
         if self._terms is not None:
             return self._from_terms(
                 self.algebra, [tuple(map(_adjoint, t)) for t in self._terms],
-                label, tuple((np.conj(c), left) for c, left in self._scales))
+                tuple((np.conj(c), left) for c, left in self._scales))
         return self._new({(b, a): X.conj().T
-                          for (a, b), X in self.blocks.items()}, label)
+                          for (a, b), X in self.blocks.items()})
 
     def inner(self, other: "FiberOperator") -> complex:
         """Frobenius inner product tr(self^* other): over shared blocks, or
@@ -501,17 +479,17 @@ class ExteriorAlgebra:
         np.add.at(M, (rows, cols), vals)
         return M
 
-    def blocked(self, blocks: dict, label: str = "") -> FiberOperator:
+    def blocked(self, blocks: dict) -> FiberOperator:
         """The operator on this algebra with the given degree blocks."""
-        return FiberOperator._from_blocks(self.offsets, blocks, label, self)
+        return FiberOperator._from_blocks(self.offsets, blocks, self)
 
-    def kronecker(self, terms, label: str = "") -> FiberOperator:
+    def kronecker(self, terms) -> FiberOperator:
         """The term-form operator sum_t F_t0 (x) ... (x) F_t,n-1, for
         tuples of n 16 x 16 factors, one per quaternion block."""
         if not self.quaternion_blocks:
             raise ValueError("an algebra without quaternion blocks has no "
                              "term form")
-        return FiberOperator._from_terms(self, list(terms), label)
+        return FiberOperator._from_terms(self, list(terms))
 
     def _block_sum(self, local_entries, odd: bool) -> FiberOperator:
         """sum_b S (x) .. (x) S (x) X_b (x) 1 (x) .. (x) 1 in term form.
@@ -551,9 +529,6 @@ class ExteriorAlgebra:
 
     def multi_indices(self, k: int) -> list[tuple[int, ...]]:
         return list(itertools.combinations(range(self.d), k))
-
-    def degree_offset(self, k: int) -> int:
-        return self.offsets[k]
 
     def _two_form_entries(self, coeff_matrix):
         """(images, sources, values) of sum_{a<b} w[a,b] e^a ^ e^b."""
@@ -773,7 +748,7 @@ class ExteriorAlgebra:
     def form_vector(self, k: int, coeffs) -> np.ndarray:
         """Embed degree-k coefficients (lex multi-index order) in the full algebra."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        off = self.degree_offset(k)
+        off = self.offsets[k]
         v = np.zeros(self.dim, dtype=complex)
         v[off:off + len(coeffs)] = coeffs
         return v

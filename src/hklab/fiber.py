@@ -166,17 +166,15 @@ def wedge_operator(fiber: HyperkahlerFiber, form: FiberForm) -> FiberOperator:
     """Left exterior multiplication by the given form."""
     alg = fiber.algebra
     if form.degree == 1:
-        op = alg.wedge_1form(form.coefficients)
-    elif form.degree == 2:
-        op = alg.wedge_2form(form_coefficient_matrix(fiber, form))
-    else:
-        op = alg.wedge_element(form.vector(fiber))
-    return op.relabel(f"wedge(deg {form.degree})")
+        return alg.wedge_1form(form.coefficients)
+    if form.degree == 2:
+        return alg.wedge_2form(form_coefficient_matrix(fiber, form))
+    return alg.wedge_element(form.vector(fiber))
 
 
 def contraction_operator(fiber: HyperkahlerFiber, vector) -> FiberOperator:
     """Interior product with a (complex) fiber vector."""
-    return fiber.algebra.contraction(vector).relabel("contraction")
+    return fiber.algebra.contraction(vector)
 
 
 def type_derivation(fiber: HyperkahlerFiber,
@@ -186,8 +184,7 @@ def type_derivation(fiber: HyperkahlerFiber,
     It extends precomposition with J_zeta on 1-forms, i.e. the coefficient
     action of J_zeta^T; (1, 0)-forms are its +i eigenvectors.
     """
-    return fiber.algebra.derivation(
-        complex_structure(fiber, zeta).T).relabel("D_zeta")
+    return fiber.algebra.derivation(complex_structure(fiber, zeta).T)
 
 
 def _bidegrees_of_degree(n: int, k: int) -> list[tuple[int, int]]:
@@ -220,7 +217,7 @@ def bidegree_projectors(fiber: HyperkahlerFiber, zeta: TwistorPoint,
                 continue
             lam2 = (p2 - q2) * 1j
             B = (Dk - lam2 * eye) @ B / (lam - lam2)
-        out[p, q] = alg.blocked({(k, k): B}, f"P^({p},{q})")
+        out[p, q] = alg.blocked({(k, k): B})
     return out
 
 
@@ -250,5 +247,4 @@ def zero_one_star_projector(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     elif parity != "all":
         raise ValueError("parity must be 'all', 'even' or 'odd'")
     projectors = bidegree_projectors(fiber, zeta, [(0, q) for q in qs])
-    return sum(projectors.values(),
-               FiberOperator.zero(fiber.dim)).relabel(f"P^(0,{parity})")
+    return sum(projectors.values(), FiberOperator.zero(fiber.dim))

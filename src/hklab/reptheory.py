@@ -102,9 +102,9 @@ def lefschetz_triple(fiber: HyperkahlerFiber, phi: FiberForm) -> LefschetzTriple
     """
     if phi.degree != 2:
         raise ValueError("a Lefschetz triple requires a 2-form")
-    L = wedge_operator(fiber, phi).relabel("L")
-    A = L.adjoint().relabel("Lambda")
-    H = (L @ A - A @ L).relabel("H")
+    L = wedge_operator(fiber, phi)
+    A = L.adjoint()
+    H = L @ A - A @ L
     triple = LefschetzTriple(L, A, H)
     if triple.sl2_residual() > 1e-10:
         triple = LefschetzTriple(triple.L, triple.Lambda, triple.H,
@@ -125,7 +125,7 @@ def _weight_projectors(fiber: HyperkahlerFiber) -> dict[int, FiberOperator]:
     projectors = bidegree_projectors(
         fiber, ZETA_J, [(p, q) for q in range(nn + 1) for p in range(nn + 1)])
     return {q: sum((projectors[p, q] for p in range(nn + 1)),
-                   FiberOperator.zero(fiber.dim)).relabel(f"P^(*,{q})")
+                   FiberOperator.zero(fiber.dim))
             for q in range(nn + 1)}
 
 

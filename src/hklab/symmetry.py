@@ -141,10 +141,10 @@ def exp_antihermitian(G, t: float = 1.0):
         factors = [G if op is None else op.matrix]
     exps = [_exp_factor(F, t) for F in factors]
     if len(exps) > 1:
-        return alg.kronecker([tuple(exps)], "exp")
+        return alg.kronecker([tuple(exps)])
     if op is None:
         return exps[0]
-    return FiberOperator(exps[0], "exp", alg)
+    return FiberOperator(exps[0], alg)
 
 
 @dataclass(frozen=True)
@@ -229,14 +229,13 @@ def ten_operators(fiber: HyperkahlerFiber) -> OperatorAlgebra:
     ad = {}
     for name, z in zetas.items():
         W = wedge_operator(fiber, kahler_form(fiber, z))
-        L[name] = W.relabel(f"L_omega{name}")
-        Lam[name] = W.adjoint().relabel(f"Lambda_omega{name}")
-        ad[name] = type_derivation(fiber, z).relabel(f"ad({name})")
+        L[name] = W
+        Lam[name] = W.adjoint()
+        ad[name] = type_derivation(fiber, z)
     # H = deg - 2n is the number operator sum_a e^a iota_a less 2n, a
     # Kronecker sum like the other nine, so all ten share one form
     zero = np.zeros((fiber.d, fiber.d))
-    H = fiber.algebra.quadratic(zero, np.eye(fiber.d), zero,
-                                -2.0 * fiber.n).relabel("H")
+    H = fiber.algebra.quadratic(zero, np.eye(fiber.d), zero, -2.0 * fiber.n)
     return OperatorAlgebra(fiber, L, Lam, ad, H)
 
 
@@ -294,13 +293,12 @@ def _sp1_block(fiber: HyperkahlerFiber) -> _Sp1Block:
     return data
 
 
-def _blockwise(fiber: HyperkahlerFiber, F: np.ndarray,
-               label: str) -> FiberOperator:
+def _blockwise(fiber: HyperkahlerFiber, F: np.ndarray) -> FiberOperator:
     """The operator acting as the 16 x 16 F on every quaternion block: the
     one Kronecker term (F, ..., F) for n >= 2, F itself for n = 1."""
     if fiber.n == 1:
-        return FiberOperator(F, label, fiber.algebra)
-    return fiber.algebra.kronecker([(F,) * fiber.n], label)
+        return FiberOperator(F, fiber.algebra)
+    return fiber.algebra.kronecker([(F,) * fiber.n])
 
 
 def rho_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
@@ -317,7 +315,7 @@ def rho_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
     """
     blk = _sp1_block(fiber)
     R = blk.algebra.induced(np.tensordot(eta.as_array(), blk.r1, 1))
-    return _blockwise(fiber, R.matrix, "rho(eta)")
+    return _blockwise(fiber, R.matrix)
 
 
 def rho_sp1_oneform(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> np.ndarray:
@@ -344,7 +342,7 @@ def clifford(fiber: HyperkahlerFiber, zeta: TwistorPoint, alpha) -> FiberOperato
     a01 = 0.5 * (alpha + 1j * (A @ alpha))
     M = fiber.algebra.wedge_minus_contraction(
         a01, np.linalg.solve(fiber.g, a10))
-    return (math.sqrt(2.0) * M).relabel("c_zeta(alpha)")
+    return math.sqrt(2.0) * M
 
 
 def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
@@ -370,7 +368,7 @@ def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     # transpose of the wedge with -Y
     return fiber.algebra.quadratic(
         2.0 * U @ W @ U.T, -2.0 * U @ W @ V.T, -2.0 * V @ W @ V.T,
-        -np.sum(W * (V.T @ U))).relabel("c_zeta(form)")
+        -np.sum(W * (V.T @ U)))
 
 
 def rho_j_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
@@ -381,18 +379,18 @@ def rho_j_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
     taken."""
     blk = _sp1_block(fiber)
     F = blk.rest + np.tensordot(eta.as_array(), blk.rho_j, 1)
-    return _blockwise(fiber, F, "rho_j(eta)")
+    return _blockwise(fiber, F)
 
 
 def hodge_star_twisted(fiber: HyperkahlerFiber) -> FiberOperator:
     """Degree-signed Hodge star: * s = (-1)^{k(k+1)/2} star s on degree k."""
     # complex blocks, as every other fiber operator has
-    return ((1 + 0j) * fiber.algebra.twisted_star()).relabel("*")
+    return (1 + 0j) * fiber.algebra.twisted_star()
 
 
 def chi_k(fiber: HyperkahlerFiber) -> FiberOperator:
     """chi(k) = rho(k) rho_j(k), the +-J Dirac intertwiner."""
-    return (rho_sp1(fiber, QUAT_K) @ rho_j_sp1(fiber, QUAT_K)).relabel("chi(k)")
+    return rho_sp1(fiber, QUAT_K) @ rho_j_sp1(fiber, QUAT_K)
 
 
 def chi(fiber: HyperkahlerFiber, eta: UnitQuaternion,
@@ -408,7 +406,7 @@ def chi(fiber: HyperkahlerFiber, eta: UnitQuaternion,
     h = QUAT_J * eta * QUAT_J.conjugate()
     front = rho_sp1(fiber, hopf_section(zp))
     back = rho_sp1(fiber, hopf_section(zeta).conjugate())  # = rho(alpha_zeta)^-1
-    return (front @ rho_j_sp1(fiber, h) @ back).relabel("chi(eta)")
+    return front @ rho_j_sp1(fiber, h) @ back
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ once per field.  A fiber slice restricts on the terms to S_i (x) Q^H f_i Q
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -36,14 +36,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projector,
-                    bidegree_projectors, kahler_form, slice_basis,
-                    standard_fiber, zero_one_star_projector)
+                    bidegree_projectors, complex_structure, kahler_form,
+                    slice_basis, standard_fiber, zero_one_star_projector)
 from .quaternions import (QUAT_J, TwistorPoint, UnitQuaternion, ZETA_J,
                           adjoint_action, hopf_section)
 from .report import CheckResult
 from .reptheory import antiholomorphic_triple
 from .symmetry import (chi, chi_k, clifford, clifford_2form,
-                       exp_antihermitian, hodge_star_twisted, rho_sp1)
+                       exp_antihermitian, hodge_star_twisted, rho_j_sp1,
+                       rho_sp1, ten_operators)
 
 DENSE_LIMIT = 1200
 # entries generated per batch of site rows while assembling a lattice
@@ -127,15 +128,27 @@ class LatticeGaugeField:
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
-        """scalar_covariant_laplacian(self), built once and shared by the
-        operators made from this field."""
-        return _site(scalar_covariant_laplacian(self))
+        """Forward-difference magnetic Laplacian on lattice scalars,
+        N^2 sum_a (2 - A_a - A_a^*), built once and shared by the operators
+        made from this field."""
+        spec = self.spec
+        M = sp.csr_matrix((spec.sites, spec.sites), dtype=complex)
+        eye = sp.identity(spec.sites, dtype=complex, format="csr")
+        for a in range(spec.d):
+            A = _hop(self, a)
+            M = M + (2.0 * eye - A - A.getH())
+        return _site((spec.N**2 * M).tocsr())
 
     @cached_property
     def differences(self) -> tuple[sp.csr_matrix, ...]:
-        """central_differences(self), built once and shared by the
+        """Anti-Hermitian symmetric covariant differences
+        (N/2) (A_a - A_a^*), one per axis, built once and shared by the
         operators made from this field."""
-        return tuple(_site(S) for S in central_differences(self))
+        out = []
+        for a in range(self.spec.d):
+            A = _hop(self, a)
+            out.append(_site(((self.spec.N / 2.0) * (A - A.getH())).tocsr()))
+        return tuple(out)
 
     def own_factors(self) -> tuple:
         """The identity and, once built, `laplacian` and `differences`:
@@ -209,17 +222,17 @@ class LatticeOperator:
 
     `terms` are (S, f) pairs, S a sites x sites sparse matrix (kept as
     canonical CSR) and f a dense fiber matrix; the operator is
-    sum_i S_i (x) f_i.  Sums, scalar multiples, products with a fiber lift
-    1 (x) x on either side (`x @ op`, `op @ x` for a FiberOperator or a
-    fiber-sized array x), the adjoint and `on_slice` act on the terms, and
-    `frobenius_norm` never forms the sites x fiber matrix.  `matrix`
-    assembles sites x `fiber_dim`, once, for the eigensolvers.
-    `field` is the gauge field the site factors were built from; its own
-    factors are merged by identity and their Gram entries shared.
+    sum_i S_i (x) f_i on the sites of `spec` times a fiber of `fiber_dim`.
+    Sums, scalar multiples, products with a fiber lift 1 (x) x on either
+    side (`x @ op`, `op @ x` for a FiberOperator or a fiber-sized array x),
+    the adjoint and `on_slice` act on the terms, and `frobenius_norm` never
+    forms the sites x fiber matrix.  `matrix` assembles sites x
+    `fiber_dim`, once, for the eigensolvers.  `field` is the gauge field
+    the site factors were built from; its own factors are merged by
+    identity and their Gram entries shared.
     """
 
     terms: tuple
-    label: str
     spec: LatticeSpec
     fiber_dim: int
     field: LatticeGaugeField | None = None
@@ -262,7 +275,7 @@ class LatticeOperator:
             batches.append(B)
         return sp.vstack(batches, format="csr")
 
-    def _with(self, terms, label: str,
+    def _with(self, terms,
               other: "LatticeOperator | None" = None) -> "LatticeOperator":
         field = self.field
         if other is not None:
@@ -270,36 +283,30 @@ class LatticeOperator:
                 raise ValueError("operators act on different spaces")
             if other.field is not field:
                 field = None
-        return LatticeOperator(tuple(terms), label, self.spec,
-                               self.fiber_dim, field)
+        return LatticeOperator(tuple(terms), self.spec, self.fiber_dim, field)
 
     def __add__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return self._with(self.terms + other.terms,
-                          f"{self.label} + {other.label}", other)
+        return self._with(self.terms + other.terms, other)
 
     def __sub__(self, other: "LatticeOperator") -> "LatticeOperator":
         return self._with(self.terms + tuple((S, -f) for S, f in other.terms),
-                          f"{self.label} - {other.label}", other)
+                          other)
 
     def __mul__(self, c) -> "LatticeOperator":
-        return self._with(((S, c * f) for S, f in self.terms),
-                          f"{c}*{self.label}")
+        return self._with((S, c * f) for S, f in self.terms)
 
     __rmul__ = __mul__
 
     def __matmul__(self, x) -> "LatticeOperator":
         x = _fiber_matrix(x)
-        return self._with(((S, f @ x) for S, f in self.terms),
-                          f"{self.label}*x")
+        return self._with((S, f @ x) for S, f in self.terms)
 
     def __rmatmul__(self, x) -> "LatticeOperator":
         x = _fiber_matrix(x)
-        return self._with(((S, x @ f) for S, f in self.terms),
-                          f"x*{self.label}")
+        return self._with((S, x @ f) for S, f in self.terms)
 
     def adjoint(self) -> "LatticeOperator":
-        return self._with(((S.getH(), f.conj().T) for S, f in self.terms),
-                          f"{self.label}^*")
+        return self._with((S.getH(), f.conj().T) for S, f in self.terms)
 
     def on_slice(self, Q: np.ndarray) -> "LatticeOperator":
         """(1 (x) Q)^H op (1 (x) Q) for a fiber isometry Q, on the terms:
@@ -307,7 +314,7 @@ class LatticeOperator:
         The result keeps the field; its fiber_dim is Q.shape[1]."""
         Qh = Q.conj().T
         return LatticeOperator(tuple((S, Qh @ f @ Q) for S, f in self.terms),
-                               self.label, self.spec, Q.shape[1], self.field)
+                               self.spec, Q.shape[1], self.field)
 
     def _merged_terms(self) -> tuple[list[sp.csr_matrix], list[np.ndarray]]:
         """Site factors and fiber parts, terms whose site factors are equal
@@ -415,32 +422,11 @@ def _hop(field: LatticeGaugeField, a: int) -> sp.csr_matrix:
                          shape=(spec.sites, spec.sites))
 
 
-def scalar_covariant_laplacian(field: LatticeGaugeField) -> sp.csr_matrix:
-    """Forward-difference magnetic Laplacian on lattice scalars."""
-    spec = field.spec
-    M = sp.csr_matrix((spec.sites, spec.sites), dtype=complex)
-    eye = sp.identity(spec.sites, dtype=complex, format="csr")
-    for a in range(spec.d):
-        A = _hop(field, a)
-        M = M + (2.0 * eye - A - A.getH())
-    return (spec.N**2 * M).tocsr()
-
-
 def covariant_laplacian(field: LatticeGaugeField) -> LatticeOperator:
     """nabla* nabla on form-valued sections: scalar Laplacian (x) identity."""
     fdim = 1 << field.spec.d  # the fiber algebra Lambda(R^{4n}) (x) C
     return LatticeOperator(((field.laplacian, np.eye(fdim, dtype=complex)),),
-                           "nabla*nabla", field.spec, fdim, field)
-
-
-def central_differences(field: LatticeGaugeField) -> list[sp.csr_matrix]:
-    """Anti-Hermitian symmetric covariant differences, one per axis."""
-    spec = field.spec
-    out = []
-    for a in range(spec.d):
-        A = _hop(field, a)
-        out.append(((spec.N / 2.0) * (A - A.getH())).tocsr())
-    return out
+                           field.spec, fdim, field)
 
 
 def lichnerowicz_laplacian(field: LatticeGaugeField,
@@ -455,7 +441,7 @@ def lichnerowicz_laplacian(field: LatticeGaugeField,
     return LatticeOperator(
         cov.terms + ((_site_identity(field.spec),
                       flux_fiber_matrix(field, zeta)),),
-        f"Delta_Lich(m={field.m})", field.spec, cov.fiber_dim, field)
+        field.spec, cov.fiber_dim, field)
 
 
 def flux_fiber_matrix(field: LatticeGaugeField,
@@ -471,7 +457,7 @@ def lattice_dirac(field: LatticeGaugeField, zeta: TwistorPoint) -> LatticeOperat
     fiber = model_fiber(field.spec.n)
     terms = tuple((S, clifford(fiber, zeta, np.eye(fiber.d)[a]).matrix)
                   for a, S in enumerate(field.differences))
-    return LatticeOperator(terms, "D", field.spec, fiber.dim, field)
+    return LatticeOperator(terms, field.spec, fiber.dim, field)
 
 
 def dolbeault_pair(field: LatticeGaugeField,
@@ -479,14 +465,13 @@ def dolbeault_pair(field: LatticeGaugeField,
     """(dbar, dbar*) built from central differences and (0,1) wedge symbols."""
     fiber = model_fiber(field.spec.n)
     alg = fiber.algebra
-    from .fiber import complex_structure
     A = complex_structure(fiber, zeta).T
     terms = []
     for a, S in enumerate(field.differences):
         e = np.eye(fiber.d)[a]
         terms.append((S, alg.wedge_1form(0.5 * (e + 1j * (A @ e))).matrix))
-    dbar = LatticeOperator(tuple(terms), "dbar", field.spec, fiber.dim, field)
-    return dbar, replace(dbar.adjoint(), label="dbar*")
+    dbar = LatticeOperator(tuple(terms), field.spec, fiber.dim, field)
+    return dbar, dbar.adjoint()
 
 
 def lowest_eigenvalues(M: sp.spmatrix | np.ndarray, k: int, seed: int = 0,
@@ -972,7 +957,6 @@ def exact_symmetry_details(field: LatticeGaugeField, zeta: TwistorPoint,
     the mirrored point j zeta j^-1, and the Clifford rotation moves that
     family along the sphere by the adjoint action.
     """
-    from .symmetry import rho_j_sp1, ten_operators
     fiber = model_fiber(field.spec.n)
     cov = covariant_laplacian(field)
 
@@ -982,7 +966,7 @@ def exact_symmetry_details(field: LatticeGaugeField, zeta: TwistorPoint,
         return LatticeOperator(
             cov.terms + ((_site_identity(field.spec),
                           -(2j * np.pi * field.m) * cw),),
-            "anchored", field.spec, fiber.dim, field)
+            field.spec, fiber.dim, field)
 
     out = {}
     # scalar Laplacian commutes with all ten fiber operators

@@ -6,7 +6,8 @@ integral by exterior-algebra exponentiation, theta-style section counts via
 the Pfaffian of the integer flux matrix, continuum Landau levels, a
 plane-separated dense construction of the flux-torus spectra, a dense
 exterior algebra built from the subset-and-sign definition of the wedge,
-the commutator closure of an operator list by dense products, and the
+the commutator closure of an operator list by dense products, the dense
+site Laplacian and differences of a gauge field's links, and the
 sites x fiber lifts 1 (x) f and slice restrictions (1 (x) Q)^H M (1 (x) Q)
 of assembled lattice operators.
 """
@@ -280,6 +281,29 @@ def dense_closure(ops, rtol: float = 1e-12) -> tuple[float, np.ndarray]:
             worst = max(worst, float(np.linalg.norm(proj - C) / den))
             rows.append(x)
     return worst, np.array(rows)
+
+
+def dense_site_factors(field) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The scalar magnetic Laplacian N^2 sum_a (2 - A_a - A_a^*) and the
+    symmetric differences (N/2) (A_a - A_a^*), dense, from the links.
+
+    The hop (A_a v)(x) = U_a(x) v(x + e_a) is written from the site grid
+    (N,) * d in C order and its periodic shift by e_a, not from the
+    library's hop matrices.
+    """
+    N, d, sites = field.spec.N, field.spec.d, field.spec.sites
+    grid = np.unravel_index(np.arange(sites), (N,) * d)
+    hops = []
+    for a in range(d):
+        shifted = list(grid)
+        shifted[a] = (grid[a] + 1) % N
+        A = np.zeros((sites, sites), dtype=complex)
+        A[np.arange(sites), np.ravel_multi_index(shifted, (N,) * d)] = \
+            field.links[:, a]
+        hops.append(A)
+    eye = np.eye(sites)
+    lap = N**2 * sum(2.0 * eye - A - A.conj().T for A in hops)
+    return lap, [(N / 2.0) * (A - A.conj().T) for A in hops]
 
 
 def lift_fiber(field_or_spec, op) -> sp.csr_matrix:

@@ -273,7 +273,7 @@ def test_spectrum_builds_no_lattice_operator(monkeypatch, tmp_path):
     def fail(*args, **kwargs):
         raise AssertionError("built a site Laplacian or lattice operator")
 
-    monkeypatch.setattr(torus, "scalar_covariant_laplacian", fail)
+    monkeypatch.setattr(torus.LatticeGaugeField, "laplacian", property(fail))
     monkeypatch.setattr(torus, "lichnerowicz_laplacian", fail)
     monkeypatch.setattr(torus.LatticeOperator, "__post_init__", fail)
     out = tmp_path / "spec.csv"
@@ -339,7 +339,7 @@ def test_unread_setting_is_no_flag(command, key, capsys):
 
 
 def test_parser_registers_only_read_flags():
-    """38 flags: the settings of `_READS`, plus --out, --config and the
+    """36 flags: the settings of `_READS`, plus --out, --config and the
     input files."""
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
@@ -350,7 +350,7 @@ def test_parser_registers_only_read_flags():
             *(f"--{key}" for key in cli._READS[command]), "--out",
             "--config", *_REQUIRED.get(command, [])[::2]}
         total += len(flags) - 2
-    assert total == 38
+    assert total == 36
 
 
 def test_each_subcommand_reads_exactly_its_settings():
@@ -423,10 +423,12 @@ def test_index_tau_and_shared_config_key(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_workers_reach_only_pooled_subcommands(monkeypatch, tmp_path,
                                                capsys, value):
-    """HKLAB_WORKERS is read by verify, spectrum and index only: decompose
+    """HKLAB_WORKERS is read by spectrum only: verify, index, decompose
     and brane-check have no pool and ignore it."""
     element, brane = _element_and_brane(tmp_path)
-    runs = [["decompose", "--n", "1", "--input", str(element)],
+    runs = [["verify", "--suite", "fiber"],
+            ["index", "--N", "4", "--m", "2", "--zetas", "j"],
+            ["decompose", "--n", "1", "--input", str(element)],
             ["brane-check", "--input", str(brane), "--family", "ABA"]]
     monkeypatch.delenv("HKLAB_WORKERS", raising=False)
     want = []
@@ -437,7 +439,7 @@ def test_workers_reach_only_pooled_subcommands(monkeypatch, tmp_path,
     for argv, expected in zip(runs, want):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == expected
-    # the pooled subcommands still reject it
+    # the pooled subcommand still rejects it
     assert cli.main(["spectrum", "--N", "3", "--m", "1", "--k", "2",
                      "--zetas", "j"]) == 2
     assert capsys.readouterr().err.startswith("config error:")

@@ -187,7 +187,7 @@ def test_blocked_exponential_matches_full_eigh(pair, rng):
         else:
             M[i, j] += 1e-6
             M[j, i] = -np.conj(M[i, j])
-        mutated = FiberOperator(M, name, alg)
+        mutated = FiberOperator(M, alg)
         assert alg.quaternion_factors(mutated) is None, name
         assert _close(exp_antihermitian(mutated, 0.9).matrix,
                       dense_exp_antihermitian(M, 0.9)), name

@@ -23,16 +23,16 @@ from hklab.symmetry import (chi, chi_k, clifford, clifford_2form,
                             exp_antihermitian, hodge_star_twisted, rho_j_sp1,
                             rho_sp1, ten_operators)
 from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
-                         central_differences, covariant_laplacian,
-                         dolbeault_pair, exact_symmetry_details,
+                         covariant_laplacian, dolbeault_pair,
+                         exact_symmetry_details,
                          flux_fiber_matrix, flux_spectra, lattice_dirac,
                          dirac_index, dirac_vs_lichnerowicz,
                          lichnerowicz_laplacian, model_fiber,
-                         scalar_covariant_laplacian,
                          theorem_1_1_details, theorem_3_10_details,
                          theorem_3_1_details)
 
-from .oracles import lift_fiber, restrict, slice_isometry
+from .oracles import (dense_site_factors, lift_fiber, restrict,
+                      slice_isometry)
 
 MINUS_J = TwistorPoint(0.0, -1.0, 0.0)
 ABS_TOL = 1e-13
@@ -150,9 +150,9 @@ def test_hermitian_residual_matches_assembled(N, rng):
     dbar, dbar_star = dolbeault_pair(field, zeta)
     ops = [covariant_laplacian(field), lichnerowicz_laplacian(field, zeta),
            lattice_dirac(field, zeta), dbar, dbar_star]
-    for op in ops:
+    for i, op in enumerate(ops):
         assert abs(op.hermitian_residual()
-                   - assembled_hermitian(op)) <= ABS_TOL, op.label
+                   - assembled_hermitian(op)) <= ABS_TOL, i
     # dbar is not Hermitian: both paths see the same O(1) defect
     assert dbar.hermitian_residual() > 0.1
 
@@ -164,7 +164,7 @@ def _planted_dirac(field, zeta, wrong):
     (S, _), *rest = D.terms
     return LatticeOperator(
         ((S, clifford(fiber, wrong, np.eye(fiber.d)[0]).matrix), *rest),
-        "D planted", D.spec, D.fiber_dim, field)
+        D.spec, D.fiber_dim, field)
 
 
 def test_planted_defect_is_seen_by_both_paths(rng):
@@ -202,7 +202,7 @@ def test_n2_structured_norm_matches_assembled():
           for z in (ZETA_J, MINUS_J)]
     for terms in (((eye, c0[0]), (eye, -c0[1])),
                   ((eye, flux_fiber_matrix(field, ZETA_J)),)):
-        op = LatticeOperator(terms, "planted", field.spec, fiber.dim, field)
+        op = LatticeOperator(terms, field.spec, fiber.dim, field)
         want, nnz = spla.norm(op.matrix), op.matrix.nnz
         assert want > 1.0
         assert abs(op.frobenius_norm() - want) \
@@ -247,7 +247,7 @@ def test_gram_norm_of_generic_site_factors():
         S.data = rng.normal(size=S.nnz) + 1j * rng.normal(size=S.nnz)
         terms.append((S, rng.normal(size=(16, 16))
                       + 1j * rng.normal(size=(16, 16))))
-    op = LatticeOperator(tuple(terms), "generic", spec, 16)
+    op = LatticeOperator(tuple(terms), spec, 16)
     for A in (op, op - 0.5j * op.adjoint()):
         want = spla.norm(A.matrix)
         assert abs(A.frobenius_norm() - want) <= 1e-13 * want
@@ -268,7 +268,7 @@ def test_gram_norm_mixes_own_and_foreign_site_factors(rng):
              field.laplacian.getH(), D1]
     terms = tuple((S, rng.normal(size=(16, 16))
                    + 1j * rng.normal(size=(16, 16))) for S in sites)
-    op = LatticeOperator(terms, "mixed", spec, 16, field)
+    op = LatticeOperator(terms, spec, 16, field)
     for A in (op, op, op - 0.5j * op.adjoint()):
         want = spla.norm(A.matrix)
         assert abs(A.frobenius_norm() - want) <= 1e-13 * want
@@ -397,19 +397,25 @@ def test_theorem_3_1_runs_on_the_separable_engine(monkeypatch, rng):
     assert det["spectral_deviation"] < 1e-10
 
 
-def test_scalar_laplacian_is_shared_per_field():
+def test_scalar_laplacian_is_shared_per_field(rng):
     field = build_gauge_field(LatticeSpec(1, 3), 1)
     assert lichnerowicz_laplacian(field, ZETA_J).terms[0][0] is \
         covariant_laplacian(field).terms[0][0] is field.laplacian
-    assert spla.norm(field.laplacian - scalar_covariant_laplacian(field)) == 0
     zeta = TwistorPoint(0.6, 0.0, 0.8)
     for op in (lattice_dirac(field, ZETA_J), lattice_dirac(field, zeta),
                dolbeault_pair(field, zeta)[0]):
         assert all(S is T for (S, _), T in zip(op.terms, field.differences,
                                                 strict=True))
-    for S, T in zip(field.differences, central_differences(field),
-                    strict=True):
-        assert spla.norm(S - T) == 0
+    # the shared factors are the links' Laplacian and differences
+    fields = [build_gauge_field(LatticeSpec(1, N), m)
+              for N in (3, 4) for m in (0, 2)]
+    fields.append(fields[-1].gauge_transformed(
+        np.exp(2j * np.pi * rng.random(fields[-1].spec.sites))))
+    for f in fields:
+        lap, diffs = dense_site_factors(f)
+        assert np.array_equal(f.laplacian.toarray(), lap)
+        for S, T in zip(f.differences, diffs, strict=True):
+            assert np.array_equal(S.toarray(), T)
 
 
 def test_repeated_identity_checks_form_no_site_products(monkeypatch, rng):
@@ -478,11 +484,11 @@ def test_one_pass_assembly_equals_termwise_sum(batch, monkeypatch, rng):
     f[:, rng.random((16, 16)) < 0.5] = 0.0
     ops = [dj, dj - dmj, lichnerowicz_laplacian(field, zeta),
            LatticeOperator((dj.terms[0], (dj.terms[0][0], -dmj.terms[0][1])),
-                           "pair", field.spec, dj.fiber_dim, field),
+                           field.spec, dj.fiber_dim, field),
            2.0 * dolbeault_pair(field, zeta)[1],
-           LatticeOperator(((S, f[0]), (S, f[1]), (S, f[2])), "generic",
+           LatticeOperator(((S, f[0]), (S, f[1]), (S, f[2])),
                            field.spec, 16, field),
-           LatticeOperator(((S, f[0]), (S, -f[0]), (S, f[2])), "cancel",
+           LatticeOperator(((S, f[0]), (S, -f[0]), (S, f[2])),
                            field.spec, 16, field)]
     for op in ops:
         want = sp.csr_matrix((op.dim, op.dim), dtype=complex)

@@ -322,7 +322,8 @@ def test_registry_never_assembles_at_n2(fiber2, monkeypatch):
 
     def no_matrix(op):
         if op.dim >= 256:
-            raise AssertionError(f"assembled the dense matrix of {op.label}")
+            raise AssertionError(f"assembled the dense matrix of an "
+                                 f"operator of dimension {op.dim}")
         return dense.fget(op)
 
     def no_dense_init(op, matrix, *args, **kwargs):
