@@ -22,6 +22,7 @@ matrix.  The gauge field holds its site factors, so all operators built from
 it share them, and the Gram entries among a field's own factors are formed
 once per field.  A fiber slice restricts on the terms to S_i (x) Q^H f_i Q
 (`LatticeOperator.on_slice`), so eigensolves assemble sites x slice only.
+Dense paths never load scipy: it is imported where a sparse matrix is formed.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from math import comb
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projector,
                     bidegree_projectors, complex_structure, kahler_form,
@@ -45,6 +45,9 @@ from .reptheory import antiholomorphic_triple
 from .symmetry import (chi, chi_k, clifford, clifford_2form,
                        exp_antihermitian, hodge_star_twisted, rho_j_sp1,
                        rho_sp1, ten_operators)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DENSE_LIMIT = 1200
 # entries generated per batch of site rows while assembling a lattice
@@ -131,6 +134,7 @@ class LatticeGaugeField:
         """Forward-difference magnetic Laplacian on lattice scalars,
         N^2 sum_a (2 - A_a - A_a^*), built once and shared by the operators
         made from this field."""
+        import scipy.sparse as sp
         spec = self.spec
         M = sp.csr_matrix((spec.sites, spec.sites), dtype=complex)
         eye = sp.identity(spec.sites, dtype=complex, format="csr")
@@ -182,6 +186,7 @@ def _fiber_matrix(x) -> np.ndarray:
 
 def _site(S) -> sp.csr_matrix:
     """S as a canonical complex CSR matrix, the form `_site_sign` compares."""
+    import scipy.sparse as sp
     if not (sp.issparse(S) and S.format == "csr" and S.dtype == complex
             and S.has_canonical_format):
         S = sp.csr_matrix(S, dtype=complex, copy=True)
@@ -213,6 +218,7 @@ def _site_inner(A: sp.csr_matrix, B: sp.csr_matrix) -> complex:
 
 @lru_cache(maxsize=8)
 def _site_identity(spec: LatticeSpec) -> sp.csr_matrix:
+    import scipy.sparse as sp
     return sp.identity(spec.sites, dtype=complex, format="csr")
 
 
@@ -263,6 +269,7 @@ class LatticeOperator:
         as adding the whole products would, while only one batch of them
         is ever held.
         """
+        import scipy.sparse as sp
         fibers = [sp.csr_matrix(f) for _, f in self.terms]
         per_row = sum(S.nnz * f.nnz for (S, _), f in zip(self.terms, fibers))
         step = max(1, ASSEMBLY_BATCH * self.spec.sites // max(1, per_row))
@@ -416,6 +423,7 @@ def build_gauge_field(spec: LatticeSpec, m: int) -> LatticeGaugeField:
 
 def _hop(field: LatticeGaugeField, a: int) -> sp.csr_matrix:
     """Unitary transport A_a: (A_a v)(x) = U_a(x) v(x + e_a)."""
+    import scipy.sparse as sp
     spec = field.spec
     ia = _shift_index(spec, a)
     return sp.csr_matrix((field.links[:, a], (np.arange(spec.sites), ia)),
@@ -488,15 +496,16 @@ def lowest_eigenvalues(M: sp.spmatrix | np.ndarray, k: int, seed: int = 0,
     Lanczos Ritz vectors inside a degenerate level need not be
     orthonormal, so they are orthonormalised by QR.
     """
-    norm = spla.norm if sp.issparse(M) else np.linalg.norm
+    if not (dense := isinstance(M, np.ndarray)):
+        import scipy.sparse.linalg as spla
+    norm = np.linalg.norm if dense else spla.norm
     herm = norm(M - M.conj().T) / max(1.0, norm(M))
     if herm > 1e-10:
         raise ValueError(f"operator is not Hermitian on the slice ({herm:.1e})")
     dim = M.shape[0]
     k = min(k, dim)
-    if (not sp.issparse(M) or dim <= DENSE_LIMIT or 3 * k > dim
-            or k >= dim - 1):
-        A = np.asarray(M.todense() if sp.issparse(M) else M)
+    if dense or dim <= DENSE_LIMIT or 3 * k > dim or k >= dim - 1:
+        A = np.asarray(M if dense else M.todense())
         if not vectors:
             return np.linalg.eigvalsh(A)[:k]
         w, V = np.linalg.eigh(A)

@@ -443,3 +443,49 @@ def test_workers_reach_only_pooled_subcommands(monkeypatch, tmp_path,
     assert cli.main(["spectrum", "--N", "3", "--m", "1", "--k", "2",
                      "--zetas", "j"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+# Run in a fresh interpreter: argv[1] is a spectrum output path, argv[2] a
+# decompose input file.
+_DENSE_PATHS = """
+import sys
+
+import hklab
+from hklab import cli
+from hklab.fiber import standard_fiber
+from hklab.quaternions import TwistorPoint, ZETA_J
+from hklab.symmetry import check_ids, verify_identity
+from hklab.torus import (LatticeSpec, build_gauge_field, dirac_index,
+                         theorem_3_10_details)
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+
+fiber = standard_fiber(1)
+assert all(verify_identity(cid, fiber).verdict for cid in check_ids())
+field = build_gauge_field(LatticeSpec(1, 6), 1)
+for zeta in (ZETA_J, TwistorPoint(0.48, 0.6, 0.64)):
+    assert dirac_index(field, zeta).value == 1
+assert cli.main(["spectrum", "--N", "4", "--m", "1", "--k", "8",
+                 "--zetas", "axes", "--workers", "1",
+                 "--out", sys.argv[1]]) == 0
+assert cli.main(["decompose", "--n", "1", "--input", sys.argv[2]]) == 0
+assert not scipy_modules(), scipy_modules()[:3]
+# the assembled lattice path imports scipy where it forms a sparse matrix
+det = theorem_3_10_details(build_gauge_field(LatticeSpec(1, 3), 1))
+assert max(det.values()) < 1e-10, det
+assert "scipy.sparse" in scipy_modules()
+"""
+
+
+def test_dense_paths_never_load_scipy(tmp_path):
+    """The import, the fiber registry, plane-separable indices and the
+    spectrum and decompose subcommands run on numpy alone; an assembled
+    lattice operator still works after its lazy scipy import."""
+    element, _brane = _element_and_brane(tmp_path)
+    r = subprocess.run([sys.executable, "-c", _DENSE_PATHS,
+                        str(tmp_path / "spec.csv"), str(element)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

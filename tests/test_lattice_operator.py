@@ -386,7 +386,7 @@ def test_theorem_3_1_runs_on_the_separable_engine(monkeypatch, rng):
     def no_lanczos(*args, **kwargs):
         raise AssertionError("Lanczos on a build_gauge_field field")
 
-    monkeypatch.setattr(torus.spla, "eigsh", no_lanczos)
+    monkeypatch.setattr(spla, "eigsh", no_lanczos)
     monkeypatch.setattr(torus.LatticeOperator, "matrix",
                         property(no_lanczos))
     f0 = build_gauge_field(LatticeSpec(1, 6), 0)

@@ -341,15 +341,20 @@ def test_lowest_eigenvalues_rejects_non_hermitian():
             lowest_eigenvalues(M, 2)
 
 
+@pytest.mark.filterwarnings("ignore:the matrix subclass")
 def test_lowest_eigenvalues_solves_dense_arrays_densely():
     """A dense array is never handed to Lanczos, whatever its size; a
-    sparse request for all but one eigenvalue is solved densely too."""
+    sparse request for all but one eigenvalue is solved densely too.  An
+    ndarray subclass counts as dense and a sparse array as sparse."""
     X = np.random.default_rng(3).normal(size=(1300, 1300))
     A = X + X.T
-    assert np.array_equal(lowest_eigenvalues(A, 4),
-                          np.linalg.eigvalsh(A)[:4])
-    assert np.array_equal(lowest_eigenvalues(sp.diags(np.arange(5.0)), 4),
-                          np.arange(4.0))
+    w = lowest_eigenvalues(A, 4)
+    assert np.array_equal(w, np.linalg.eigvalsh(A)[:4])
+    assert np.array_equal(lowest_eigenvalues(np.matrix(A), 4), w)
+    D = sp.diags(np.arange(5.0))
+    assert np.array_equal(lowest_eigenvalues(D, 4), np.arange(4.0))
+    assert np.array_equal(lowest_eigenvalues(sp.csr_array(D), 4),
+                          lowest_eigenvalues(sp.csr_matrix(D), 4))
 
 
 def test_eigensolves_only_in_lowest_eigenvalues():
