@@ -89,9 +89,8 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
 
 def _merged(terms) -> list[tuple]:
     """Terms that agree bit for bit in all slots but one summed into one,
-    in the order given (as `LatticeOperator._merged_terms` merges terms
-    with equal site factors); terms with a zero slot, exactly zero,
-    dropped."""
+    in the order given (as `LatticeOperator.frobenius_norm` merges terms
+    on one site factor); terms with a zero slot, exactly zero, dropped."""
     out: list[tuple] = []
     for t in terms:
         for i, s in enumerate(out):

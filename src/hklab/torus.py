@@ -12,15 +12,15 @@ Lichnerowicz-form Laplacian built from forward differences (free of fermion
 doubling), while first-order operator identities use the symmetric-difference
 Dirac operator; a Richardson test reconciles the two at rate 1/N^2.
 
-Every lattice operator is a short sum of Kronecker terms S_i (x) f_i: a
-sites x sites factor (scalar Laplacian, central difference, identity) times
-a fiber matrix.  `LatticeOperator` keeps the terms.  Operator identities are
-fiber identities tensored with the lattice, so their residuals are Frobenius
-norms taken from ||sum S_i (x) f_i||^2 = sum_ij <S_i, S_j> <f_i, f_j>: a
-small site Gram matrix and fiber-sized products, never the sites x fiber
-matrix.  The gauge field holds its site factors, so all operators built from
-it share them, and the Gram entries among a field's own factors are formed
-once per field.  A fiber slice restricts on the terms to S_i (x) Q^H f_i Q
+Every lattice operator is a short sum of Kronecker terms S_i (x) f_i: one of
+the gauge field's d + 2 site factors (identity, scalar Laplacian, a central
+difference per axis), named by its number i, times a fiber matrix.
+`LatticeOperator` keeps the terms.  Operator identities are fiber identities
+tensored with the lattice, so their residuals are Frobenius norms taken from
+||sum S_i (x) f_i||^2 = sum_ij <S_i, S_j> <f_i, f_j>: a small site Gram
+matrix and fiber-sized products, never the sites x fiber matrix.  The field
+forms each Gram entry once and keeps it, so all operators built from it
+share them.  A fiber slice restricts on the terms to S_i (x) Q^H f_i Q
 (`LatticeOperator.on_slice`), so eigensolves assemble sites x slice only.
 Dense paths never load scipy: it is imported where a sparse matrix is formed.
 """
@@ -79,7 +79,9 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class LatticeGaugeField:
-    """U(1) link phases indexed by (site, axis)."""
+    """U(1) link phases indexed by (site, axis), and the site factors of
+    the operators built from them (`site_factor`): each is formed once and
+    shared, as are their Gram entries (`site_inner`)."""
 
     spec: LatticeSpec
     m: int
@@ -141,7 +143,7 @@ class LatticeGaugeField:
         for a in range(spec.d):
             A = _hop(self, a)
             M = M + (2.0 * eye - A - A.getH())
-        return _site((spec.N**2 * M).tocsr())
+        return (spec.N**2 * M).tocsr()
 
     @cached_property
     def differences(self) -> tuple[sp.csr_matrix, ...]:
@@ -151,69 +153,30 @@ class LatticeGaugeField:
         out = []
         for a in range(self.spec.d):
             A = _hop(self, a)
-            out.append(_site(((self.spec.N / 2.0) * (A - A.getH())).tocsr()))
+            out.append(((self.spec.N / 2.0) * (A - A.getH())).tocsr())
         return tuple(out)
 
-    def own_factors(self) -> tuple:
-        """The identity and, once built, `laplacian` and `differences`:
-        the site factors of this field's operators.  No two of them are
-        equal up to sign (N >= 3), so two distinct ones never merge."""
-        built = vars(self)  # no operator holds a factor not yet built
-        return (_site_identity(self.spec), built.get("laplacian"),
-                *built.get("differences", ()))
+    def site_factor(self, i: int) -> sp.csr_matrix:
+        """Site factor number i: 0 is the identity, 1 `laplacian` and
+        2 + a `differences[a]`.  The first two are Hermitian and the
+        differences anti-Hermitian, entry for entry."""
+        if i == 0:
+            return _site_identity(self.spec)
+        return self.laplacian if i == 1 else self.differences[i - 2]
 
-    def site_inner(self, A: sp.csr_matrix, B: sp.csr_matrix) -> complex:
-        """<A, B> = sum conj(A) * B of two site matrices.
-
-        Between two of this field's own site factors (the identity,
-        `laplacian` and `differences`, matched by object identity) each
-        ordered pair is formed once and kept, so the at most (d + 2)^2
-        entries are shared by every norm of the operators built from this
-        field.  Any other pair is formed on each call.
-        """
-        own = self.own_factors()
-        key = (_position(own, A), _position(own, B))
-        if None in key:
-            return _site_inner(A, B)
-        if key not in self._gram:
-            self._gram[key] = _site_inner(A, B)
-        return self._gram[key]
+    def site_inner(self, i: int, j: int) -> complex:
+        """<S_i, S_j> = sum conj(S_i) * S_j of two site factors
+        (`site_factor`), formed once per ordered pair and kept, so the at
+        most (d + 2)^2 entries are shared by every norm of the operators
+        built from this field."""
+        if (i, j) not in self._gram:
+            self._gram[i, j] = (self.site_factor(i).conj()
+                                .multiply(self.site_factor(j)).sum())
+        return self._gram[i, j]
 
 
 def _fiber_matrix(x) -> np.ndarray:
     return x.matrix if isinstance(x, FiberOperator) else np.asarray(x)
-
-
-def _site(S) -> sp.csr_matrix:
-    """S as a canonical complex CSR matrix, the form `_site_sign` compares."""
-    import scipy.sparse as sp
-    if not (sp.issparse(S) and S.format == "csr" and S.dtype == complex
-            and S.has_canonical_format):
-        S = sp.csr_matrix(S, dtype=complex, copy=True)
-        S.sum_duplicates()
-    return S
-
-
-def _position(factors: tuple, S) -> int | None:
-    """Index of S in factors by object identity, or None."""
-    return next((p for p, X in enumerate(factors) if X is S), None)
-
-
-def _site_sign(A: sp.csr_matrix, B: sp.csr_matrix) -> int:
-    """+1 or -1 when B equals +A or -A entry for entry, else 0."""
-    if A is B:
-        return 1
-    if (A.shape != B.shape or A.nnz != B.nnz
-            or not np.array_equal(A.indptr, B.indptr)
-            or not np.array_equal(A.indices, B.indices)):
-        return 0
-    if np.array_equal(A.data, B.data):
-        return 1
-    return -1 if np.array_equal(A.data, -B.data) else 0
-
-
-def _site_inner(A: sp.csr_matrix, B: sp.csr_matrix) -> complex:
-    return A.conj().multiply(B).sum()
 
 
 @lru_cache(maxsize=8)
@@ -226,29 +189,27 @@ def _site_identity(spec: LatticeSpec) -> sp.csr_matrix:
 class LatticeOperator:
     """Operator on (sites x form fiber) space as a short sum of Kronecker terms.
 
-    `terms` are (S, f) pairs, S a sites x sites sparse matrix (kept as
-    canonical CSR) and f a dense fiber matrix; the operator is
-    sum_i S_i (x) f_i on the sites of `spec` times a fiber of `fiber_dim`.
-    Sums, scalar multiples, products with a fiber lift 1 (x) x on either
-    side (`x @ op`, `op @ x` for a FiberOperator or a fiber-sized array x),
-    the adjoint and `on_slice` act on the terms, and `frobenius_norm` never
-    forms the sites x fiber matrix.  `matrix` assembles sites x
-    `fiber_dim`, once, for the eigensolvers.  `field` is the gauge field
-    the site factors were built from; its own factors are merged by
-    identity and their Gram entries shared.
+    `terms` are (i, f) pairs, i the number of one of `field`'s site
+    factors (`LatticeGaugeField.site_factor`) and f a dense fiber matrix;
+    the operator is sum_i S_i (x) f_i on the field's sites times a fiber of
+    `fiber_dim`.  Sums, scalar multiples, products with a fiber lift
+    1 (x) x on either side (`x @ op`, `op @ x` for a FiberOperator or a
+    fiber-sized array x), the adjoint and `on_slice` act on the terms
+    (two operators add only when they share one field object), and
+    `frobenius_norm` never forms the sites x fiber matrix.  `matrix`
+    assembles sites x `fiber_dim`, once, for the eigensolvers.
     """
 
     terms: tuple
-    spec: LatticeSpec
+    field: LatticeGaugeField
     fiber_dim: int
-    field: LatticeGaugeField | None = None
 
     # ndarray @ op defers to __rmatmul__ instead of broadcasting over op
     __array_ufunc__ = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(
-            (_site(S), np.asarray(f)) for S, f in self.terms))
+    @property
+    def spec(self) -> LatticeSpec:
+        return self.field.spec
 
     @property
     def dim(self) -> int:
@@ -257,7 +218,8 @@ class LatticeOperator:
     @property
     def nnz(self) -> int:
         """Entries the terms store: site nonzeros plus dense fiber entries."""
-        return sum(S.nnz + f.size for S, f in self.terms)
+        return sum(self.field.site_factor(i).nnz + f.size
+                   for i, f in self.terms)
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -270,106 +232,84 @@ class LatticeOperator:
         is ever held.
         """
         import scipy.sparse as sp
+        sites = [self.field.site_factor(i) for i, _ in self.terms]
         fibers = [sp.csr_matrix(f) for _, f in self.terms]
-        per_row = sum(S.nnz * f.nnz for (S, _), f in zip(self.terms, fibers))
+        per_row = sum(S.nnz * f.nnz for S, f in zip(sites, fibers))
         step = max(1, ASSEMBLY_BATCH * self.spec.sites // max(1, per_row))
         batches = []
         for x0 in range(0, self.spec.sites, step):
             rows = min(step, self.spec.sites - x0) * self.fiber_dim
             B = sp.csr_matrix((rows, self.dim), dtype=complex)
-            for (S, _), f in zip(self.terms, fibers):
+            for S, f in zip(sites, fibers):
                 B = B + sp.kron(S[x0:x0 + step], f, format="csr")
             batches.append(B)
         return sp.vstack(batches, format="csr")
 
     def _with(self, terms,
               other: "LatticeOperator | None" = None) -> "LatticeOperator":
-        field = self.field
-        if other is not None:
-            if (other.spec, other.fiber_dim) != (self.spec, self.fiber_dim):
-                raise ValueError("operators act on different spaces")
-            if other.field is not field:
-                field = None
-        return LatticeOperator(tuple(terms), self.spec, self.fiber_dim, field)
+        if other is not None and (other.field is not self.field
+                                  or other.fiber_dim != self.fiber_dim):
+            raise ValueError("operators act on different spaces")
+        return LatticeOperator(tuple(terms), self.field, self.fiber_dim)
 
     def __add__(self, other: "LatticeOperator") -> "LatticeOperator":
         return self._with(self.terms + other.terms, other)
 
     def __sub__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return self._with(self.terms + tuple((S, -f) for S, f in other.terms),
+        return self._with(self.terms + tuple((i, -f) for i, f in other.terms),
                           other)
 
     def __mul__(self, c) -> "LatticeOperator":
-        return self._with((S, c * f) for S, f in self.terms)
+        return self._with((i, c * f) for i, f in self.terms)
 
     __rmul__ = __mul__
 
     def __matmul__(self, x) -> "LatticeOperator":
         x = _fiber_matrix(x)
-        return self._with((S, f @ x) for S, f in self.terms)
+        return self._with((i, f @ x) for i, f in self.terms)
 
     def __rmatmul__(self, x) -> "LatticeOperator":
         x = _fiber_matrix(x)
-        return self._with((S, x @ f) for S, f in self.terms)
+        return self._with((i, x @ f) for i, f in self.terms)
 
     def adjoint(self) -> "LatticeOperator":
-        return self._with((S.getH(), f.conj().T) for S, f in self.terms)
+        """sum_i S_i^H (x) f_i^H, with S_i^H = S_i for the identity and the
+        Laplacian and -S_i for the differences (`site_factor`)."""
+        return self._with((i, f.conj().T if i < 2 else -f.conj().T)
+                          for i, f in self.terms)
 
     def on_slice(self, Q: np.ndarray) -> "LatticeOperator":
         """(1 (x) Q)^H op (1 (x) Q) for a fiber isometry Q, on the terms:
         V^H (S (x) f) V = S (x) Q^H f Q for V = 1 (x) Q (Van Loan 2000).
         The result keeps the field; its fiber_dim is Q.shape[1]."""
         Qh = Q.conj().T
-        return LatticeOperator(tuple((S, Qh @ f @ Q) for S, f in self.terms),
-                               self.spec, Q.shape[1], self.field)
-
-    def _merged_terms(self) -> tuple[list[sp.csr_matrix], list[np.ndarray]]:
-        """Site factors and fiber parts, terms whose site factors are equal
-        up to sign summed into one.  An identity that holds fiber by fiber
-        (X c = c' X) thus cancels in fiber-sized arithmetic, and the site
-        factors left are linearly independent for every builder's operator.
-        Two distinct own factors of the field are not compared.
-        """
-        own = () if self.field is None else self.field.own_factors()
-        sites: list[sp.csr_matrix] = []
-        owned: list[bool] = []
-        fibers: list[np.ndarray] = []
-        for S, f in self.terms:
-            mine = _position(own, S) is not None
-            for i, T in enumerate(sites):
-                if mine and owned[i] and T is not S:
-                    continue
-                sign = _site_sign(T, S)
-                if sign:
-                    fibers[i] = fibers[i] + sign * f
-                    break
-            else:
-                sites.append(S)
-                owned.append(mine)
-                fibers.append(f)
-        return sites, fibers
+        return LatticeOperator(tuple((i, Qh @ f @ Q) for i, f in self.terms),
+                               self.field, Q.shape[1])
 
     def frobenius_norm(self) -> float:
         """||sum_i S_i (x) f_i||_F from the site Gram matrix.
 
-        ||.||^2 = sum_ij <S_i, S_j> <f_i, f_j> (Van Loan 2000).  The Gram
-        matrix G of the merged site factors is factored as W diag(lam) W^H
-        and the norm is sqrt(sum_c lam_c ||sum_j conj(W_jc) f_j||^2) with
-        lam clipped at 0; the raw quadratic form can cancel below zero.
-        Entries of G between the gauge field's own site factors come from
-        `LatticeGaugeField.site_inner`, formed once per field.
+        ||.||^2 = sum_ij <S_i, S_j> <f_i, f_j> (Van Loan 2000).  Terms on
+        one site factor are summed first, so an identity that holds fiber
+        by fiber (X c = c' X) cancels in fiber-sized arithmetic.  The Gram
+        matrix G of the factors left (`LatticeGaugeField.site_inner`) is
+        factored as W diag(lam) W^H and the norm is
+        sqrt(sum_c lam_c ||sum_j conj(W_jc) f_j||^2) with lam clipped at 0;
+        the raw quadratic form can cancel below zero.
         """
-        sites, fibers = self._merged_terms()
-        if not sites:
+        merged: dict[int, np.ndarray] = {}
+        for i, f in self.terms:
+            merged[i] = merged[i] + f if i in merged else f
+        if not merged:
             return 0.0
-        inner = _site_inner if self.field is None else self.field.site_inner
-        G = np.empty((len(sites), len(sites)), dtype=complex)
-        for i, A in enumerate(sites):
-            for j in range(i, len(sites)):
-                G[i, j] = inner(A, sites[j])
-                G[j, i] = np.conj(G[i, j])
+        keys = list(merged)
+        G = np.empty((len(keys), len(keys)), dtype=complex)
+        for p, i in enumerate(keys):
+            for q in range(p, len(keys)):
+                G[p, q] = self.field.site_inner(i, keys[q])
+                G[q, p] = np.conj(G[p, q])
         lam, W = np.linalg.eigh(G)
-        g = np.tensordot(W.conj().T, np.stack(fibers), axes=1)
+        g = np.tensordot(W.conj().T, np.stack(list(merged.values())), axes=1)
         sq = np.sum(np.abs(g) ** 2, axis=(1, 2))
         return float(np.sqrt(np.clip(lam, 0.0, None) @ sq))
 
@@ -433,8 +373,7 @@ def _hop(field: LatticeGaugeField, a: int) -> sp.csr_matrix:
 def covariant_laplacian(field: LatticeGaugeField) -> LatticeOperator:
     """nabla* nabla on form-valued sections: scalar Laplacian (x) identity."""
     fdim = 1 << field.spec.d  # the fiber algebra Lambda(R^{4n}) (x) C
-    return LatticeOperator(((field.laplacian, np.eye(fdim, dtype=complex)),),
-                           field.spec, fdim, field)
+    return LatticeOperator(((1, np.eye(fdim, dtype=complex)),), field, fdim)
 
 
 def lichnerowicz_laplacian(field: LatticeGaugeField,
@@ -447,9 +386,8 @@ def lichnerowicz_laplacian(field: LatticeGaugeField,
     """
     cov = covariant_laplacian(field)
     return LatticeOperator(
-        cov.terms + ((_site_identity(field.spec),
-                      flux_fiber_matrix(field, zeta)),),
-        field.spec, cov.fiber_dim, field)
+        cov.terms + ((0, flux_fiber_matrix(field, zeta)),), field,
+        cov.fiber_dim)
 
 
 def flux_fiber_matrix(field: LatticeGaugeField,
@@ -463,9 +401,9 @@ def flux_fiber_matrix(field: LatticeGaugeField,
 def lattice_dirac(field: LatticeGaugeField, zeta: TwistorPoint) -> LatticeOperator:
     """D = sum_a c_zeta(e^a) nabla_a with symmetric differences; Hermitian."""
     fiber = model_fiber(field.spec.n)
-    terms = tuple((S, clifford(fiber, zeta, np.eye(fiber.d)[a]).matrix)
-                  for a, S in enumerate(field.differences))
-    return LatticeOperator(terms, field.spec, fiber.dim, field)
+    terms = tuple((2 + a, clifford(fiber, zeta, np.eye(fiber.d)[a]).matrix)
+                  for a in range(fiber.d))
+    return LatticeOperator(terms, field, fiber.dim)
 
 
 def dolbeault_pair(field: LatticeGaugeField,
@@ -475,10 +413,11 @@ def dolbeault_pair(field: LatticeGaugeField,
     alg = fiber.algebra
     A = complex_structure(fiber, zeta).T
     terms = []
-    for a, S in enumerate(field.differences):
+    for a in range(fiber.d):
         e = np.eye(fiber.d)[a]
-        terms.append((S, alg.wedge_1form(0.5 * (e + 1j * (A @ e))).matrix))
-    dbar = LatticeOperator(tuple(terms), field.spec, fiber.dim, field)
+        terms.append((2 + a,
+                      alg.wedge_1form(0.5 * (e + 1j * (A @ e))).matrix))
+    dbar = LatticeOperator(tuple(terms), field, fiber.dim)
     return dbar, dbar.adjoint()
 
 
@@ -973,9 +912,8 @@ def exact_symmetry_details(field: LatticeGaugeField, zeta: TwistorPoint,
         # family anchored at j: scalar part plus the rotated flux remainder
         cw = clifford_2form(fiber, ZETA_J, kahler_form(fiber, xi)).matrix
         return LatticeOperator(
-            cov.terms + ((_site_identity(field.spec),
-                          -(2j * np.pi * field.m) * cw),),
-            field.spec, fiber.dim, field)
+            cov.terms + ((0, -(2j * np.pi * field.m) * cw),), field,
+            fiber.dim)
 
     out = {}
     # scalar Laplacian commutes with all ten fiber operators

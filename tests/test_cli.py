@@ -275,7 +275,7 @@ def test_spectrum_builds_no_lattice_operator(monkeypatch, tmp_path):
 
     monkeypatch.setattr(torus.LatticeGaugeField, "laplacian", property(fail))
     monkeypatch.setattr(torus, "lichnerowicz_laplacian", fail)
-    monkeypatch.setattr(torus.LatticeOperator, "__post_init__", fail)
+    monkeypatch.setattr(torus.LatticeOperator, "__init__", fail)
     out = tmp_path / "spec.csv"
     assert cli.main(["spectrum", "--N", "4", "--m", "1", "--k", "12",
                      "--zetas", "axes", "--workers", "1",

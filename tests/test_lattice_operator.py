@@ -161,10 +161,10 @@ def _planted_dirac(field, zeta, wrong):
     """lattice_dirac with c(e^0) taken at the wrong twistor point."""
     fiber = model_fiber(field.spec.n)
     D = lattice_dirac(field, zeta)
-    (S, _), *rest = D.terms
+    (i, _), *rest = D.terms
     return LatticeOperator(
-        ((S, clifford(fiber, wrong, np.eye(fiber.d)[0]).matrix), *rest),
-        D.spec, D.fiber_dim, field)
+        ((i, clifford(fiber, wrong, np.eye(fiber.d)[0]).matrix), *rest),
+        field, D.fiber_dim)
 
 
 def test_planted_defect_is_seen_by_both_paths(rng):
@@ -197,12 +197,11 @@ def test_n2_structured_norm_matches_assembled():
     BLAS order, so its own relative error is up to nnz * eps."""
     field = build_gauge_field(LatticeSpec(2, 3), 1)
     fiber = model_fiber(2)
-    eye = sp.identity(field.spec.sites, dtype=complex, format="csr")
     c0 = [clifford(fiber, z, np.eye(fiber.d)[0]).matrix
           for z in (ZETA_J, MINUS_J)]
-    for terms in (((eye, c0[0]), (eye, -c0[1])),
-                  ((eye, flux_fiber_matrix(field, ZETA_J)),)):
-        op = LatticeOperator(terms, field.spec, fiber.dim, field)
+    for terms in (((0, c0[0]), (0, -c0[1])),
+                  ((0, flux_fiber_matrix(field, ZETA_J)),)):
+        op = LatticeOperator(terms, field, fiber.dim)
         want, nnz = spla.norm(op.matrix), op.matrix.nnz
         assert want > 1.0
         assert abs(op.frobenius_norm() - want) \
@@ -232,48 +231,31 @@ def test_term_algebra_matches_assembled_algebra(rng):
             <= 1e-13 * spla.norm(want)
     with pytest.raises(ValueError, match="different spaces"):
         D + lattice_dirac(build_gauge_field(LatticeSpec(1, 4), 2), zeta)
+    # one spec, but another field: its site factors are not D's
+    other = field.gauge_transformed(
+        np.exp(2j * np.pi * rng.random(field.spec.sites)))
+    with pytest.raises(ValueError, match="different spaces"):
+        D + lattice_dirac(other, zeta)
 
 
-def test_gram_norm_of_generic_site_factors():
-    """Complex site factors on one shared pattern: their Gram matrix is
-    dense and complex, unlike the builders' (orthogonal or real) ones."""
-    rng = np.random.default_rng(7)
-    spec = LatticeSpec(1, 3)
-    pattern = sp.random(spec.sites, spec.sites, density=0.1, random_state=3,
-                        format="csr")
-    terms = []
-    for _ in range(3):
-        S = pattern.copy().astype(complex)
-        S.data = rng.normal(size=S.nnz) + 1j * rng.normal(size=S.nnz)
-        terms.append((S, rng.normal(size=(16, 16))
-                      + 1j * rng.normal(size=(16, 16))))
-    op = LatticeOperator(tuple(terms), spec, 16)
-    for A in (op, op - 0.5j * op.adjoint()):
-        want = spla.norm(A.matrix)
-        assert abs(A.frobenius_norm() - want) <= 1e-13 * want
-
-
-def test_gram_norm_mixes_own_and_foreign_site_factors(rng):
-    """The field's own factors beside foreign ones.  D0^H = -D0 and L^H = L
-    merge into the own D0 and L; D1^H comes before D1, so D1 merges into
-    that foreign copy.  Norms are taken twice, so the second reads the
+def test_gram_norm_of_every_own_site_factor(rng):
+    """All d + 2 site factors of a field, in shuffled order, with generic
+    complex fibers.  Norms are taken twice, so the second reads the
     field's kept Gram entries."""
     field = build_gauge_field(LatticeSpec(1, 3), 1)
-    spec = field.spec
-    D0, D1 = field.differences[:2]
-    foreign = sp.random(spec.sites, spec.sites, density=0.1, random_state=5,
-                        format="csr") * (1.0 + 2.0j)
-    eye = lichnerowicz_laplacian(field, ZETA_J).terms[1][0]
-    sites = [foreign, D0, D1.getH(), field.laplacian, D0.getH(), eye,
-             field.laplacian.getH(), D1]
-    terms = tuple((S, rng.normal(size=(16, 16))
-                   + 1j * rng.normal(size=(16, 16))) for S in sites)
-    op = LatticeOperator(terms, spec, 16, field)
+    order = rng.permutation(field.spec.d + 2)
+    terms = tuple((int(i), rng.normal(size=(16, 16))
+                   + 1j * rng.normal(size=(16, 16))) for i in order)
+    op = LatticeOperator(terms, field, 16)
     for A in (op, op, op - 0.5j * op.adjoint()):
         want = spla.norm(A.matrix)
         assert abs(A.frobenius_norm() - want) <= 1e-13 * want
-        # kept entries are the ones formed afresh, bit for bit
-        assert A.frobenius_norm() == replace(A, field=None).frobenius_norm()
+        # kept entries are the ones a fresh field forms, bit for bit
+        assert A.frobenius_norm() == replace(
+            A, field=replace(field)).frobenius_norm()
+    # the adjoint's site-factor signs against the assembled adjoint
+    want = spla.norm(op.matrix)
+    assert spla.norm(op.adjoint().matrix - op.matrix.getH()) <= 1e-13 * want
 
 
 def test_nnz_counts_terms_without_assembly():
@@ -399,13 +381,15 @@ def test_theorem_3_1_runs_on_the_separable_engine(monkeypatch, rng):
 
 def test_scalar_laplacian_is_shared_per_field(rng):
     field = build_gauge_field(LatticeSpec(1, 3), 1)
-    assert lichnerowicz_laplacian(field, ZETA_J).terms[0][0] is \
-        covariant_laplacian(field).terms[0][0] is field.laplacian
+    assert lichnerowicz_laplacian(field, ZETA_J).terms[0][0] == \
+        covariant_laplacian(field).terms[0][0] == 1
+    assert field.site_factor(1) is field.laplacian
     zeta = TwistorPoint(0.6, 0.0, 0.8)
     for op in (lattice_dirac(field, ZETA_J), lattice_dirac(field, zeta),
                dolbeault_pair(field, zeta)[0]):
-        assert all(S is T for (S, _), T in zip(op.terms, field.differences,
-                                                strict=True))
+        assert [i for i, _ in op.terms] == list(range(2, field.spec.d + 2))
+        assert all(field.site_factor(i) is T for (i, _), T in zip(
+            op.terms, field.differences, strict=True))
     # the shared factors are the links' Laplacian and differences
     fields = [build_gauge_field(LatticeSpec(1, N), m)
               for N in (3, 4) for m in (0, 2)]
@@ -441,30 +425,25 @@ def test_repeated_identity_checks_form_no_site_products(monkeypatch, rng):
     assert products == []
 
 
-def test_distinct_own_site_factors_are_never_compared(monkeypatch, rng):
-    """Two distinct own site factors of a field never merge, so the merge
-    of a norm's terms compares none of them entry by entry; the results
-    are those of the comparing merge."""
-    import hklab.torus as torus
-
-    field = build_gauge_field(LatticeSpec(1, 4), 2)
-    zeta, eta = random_twistor_point(rng), random_unit_quaternion(rng)
-    first = (theorem_3_10_details(field),
-             exact_symmetry_details(field, zeta, eta))
-    own = field.own_factors()
-    assert field.laplacian is own[1] and len(own) == 2 + field.spec.d
-    site_sign = torus._site_sign
-
-    def spy(A, B):
-        if A is not B and any(A is X for X in own) \
-                and any(B is X for X in own):
-            raise AssertionError("compared two distinct own site factors")
-        return site_sign(A, B)
-
-    monkeypatch.setattr(torus, "_site_sign", spy)
-    again = (theorem_3_10_details(field),
-             exact_symmetry_details(field, zeta, eta))
-    assert again == first
+@pytest.mark.parametrize("n,N", [(1, 3), (1, 4), (2, 3), (2, 4)])
+@pytest.mark.parametrize("m", [0, 1, -2])
+def test_site_factor_adjoints_are_exact(n, N, m, rng):
+    """S^H = +S for the identity and the Laplacian and -S for the
+    differences, entry for entry: the rule `LatticeOperator.adjoint`
+    applies to the terms instead of forming S^H."""
+    field = build_gauge_field(LatticeSpec(n, N), m)
+    gauged = field.gauge_transformed(
+        np.exp(2j * np.pi * rng.random(field.spec.sites)))
+    for f in (field, gauged):
+        for i in range(f.spec.d + 2):
+            S = f.site_factor(i).copy()
+            H = f.site_factor(i).getH().tocsr()
+            S.sort_indices()
+            H.sort_indices()
+            sign = 1 if i < 2 else -1
+            assert np.array_equal(H.indptr, S.indptr), (i, f is gauged)
+            assert np.array_equal(H.indices, S.indices), (i, f is gauged)
+            assert np.array_equal(H.data, sign * S.data), (i, f is gauged)
 
 
 @pytest.mark.parametrize("batch", [None, 40])
@@ -479,21 +458,20 @@ def test_one_pass_assembly_equals_termwise_sum(batch, monkeypatch, rng):
     dj, dmj = lattice_dirac(field, ZETA_J), lattice_dirac(field, MINUS_J)
     # three terms on one site factor, generic values: the summation order
     # shows in the last bits, and the first two cancel exactly
-    S = dj.terms[0][0]
+    i = dj.terms[0][0]
     f = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
     f[:, rng.random((16, 16)) < 0.5] = 0.0
     ops = [dj, dj - dmj, lichnerowicz_laplacian(field, zeta),
            LatticeOperator((dj.terms[0], (dj.terms[0][0], -dmj.terms[0][1])),
-                           field.spec, dj.fiber_dim, field),
+                           field, dj.fiber_dim),
            2.0 * dolbeault_pair(field, zeta)[1],
-           LatticeOperator(((S, f[0]), (S, f[1]), (S, f[2])),
-                           field.spec, 16, field),
-           LatticeOperator(((S, f[0]), (S, -f[0]), (S, f[2])),
-                           field.spec, 16, field)]
+           LatticeOperator(((i, f[0]), (i, f[1]), (i, f[2])), field, 16),
+           LatticeOperator(((i, f[0]), (i, -f[0]), (i, f[2])), field, 16)]
     for op in ops:
         want = sp.csr_matrix((op.dim, op.dim), dtype=complex)
-        for S, f in op.terms:
-            want = want + sp.kron(S, sp.csr_matrix(f), format="csr")
+        for i, f in op.terms:
+            want = want + sp.kron(field.site_factor(i), sp.csr_matrix(f),
+                                  format="csr")
         got = op.matrix
         assert got.shape == want.shape
         assert np.array_equal(got.indptr, want.indptr)
