@@ -594,24 +594,6 @@ class ExteriorAlgebra:
                 lambda h, s: h._two_form_entries(W[s, s]), odd=False)
         return self._operator(*self._two_form_entries(W))
 
-    def wedge_element(self, vec) -> FiberOperator:
-        """Left multiplication by an arbitrary element of the algebra."""
-        vec = np.asarray(vec, dtype=complex)
-        terms = np.flatnonzero(vec)
-        # one row per monomial e^S of vec, one column per source e^T; the
-        # generators of S act on e^T from the largest index down
-        dst = np.tile(self._cols, (len(terms), 1))
-        sign = np.ones(dst.shape)
-        for a in reversed(range(self.d)):
-            rows = self._sign[a, terms] == 0  # a in S
-            sign[rows] *= self._sign[a][dst[rows]]
-            dst[rows] = self._dst[a][dst[rows]]
-        vals = vec[terms][:, None] * sign
-        keep = vals != 0
-        src = np.broadcast_to(self._cols, dst.shape)
-        # monomials sharing a product accumulate, in basis order
-        return self._operator(dst[keep], src[keep], vals[keep])
-
     def derivation(self, A) -> FiberOperator:
         """Degree-0 derivation acting on 1-form coefficients by the matrix A,
         sum_{a,b} A[a,b] e^a iota_b."""
@@ -743,11 +725,3 @@ class ExteriorAlgebra:
                     X = X * factors[k][Pa[k]][:, Pb[k]]
                 blocks[a, b] = blocks[a, b] + X if (a, b) in blocks else X
         return dict(sorted(blocks.items()))
-
-    def form_vector(self, k: int, coeffs) -> np.ndarray:
-        """Embed degree-k coefficients (lex multi-index order) in the full algebra."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        off = self.offsets[k]
-        v = np.zeros(self.dim, dtype=complex)
-        v[off:off + len(coeffs)] = coeffs
-        return v

@@ -7,6 +7,9 @@ downstream: omega_I = e^01 + e^23, omega_J = e^02 - e^13, omega_K = e^03 + e^12
 per block, and the J-holomorphic symplectic form Omega = (omega_K + i omega_I)/2
 has bidegree (2, 0) for J.
 
+A 1-form sum_a c_a e^a is its length-d vector c, and a 2-form omega its
+antisymmetric d x d coefficient matrix W[a, b] = omega(e_a, e_b).
+
 Every zeroth-order operator of the paper (Lefschetz operators, type
 derivations, Clifford actions, the star, the Sp(1) rotations, the bidegree
 projectors) maps each exterior degree to one or a few others.  The builders
@@ -20,48 +23,15 @@ unless a caller asks for `.matrix`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exterior import ExteriorAlgebra, FiberOperator
-from .quaternions import TwistorPoint
+from .quaternions import ZETA_I, ZETA_K, TwistorPoint
 
 
-@dataclass(frozen=True)
-class FiberForm:
-    """Degree-k element with coefficients over the lex degree-k monomial basis."""
-
-    degree: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           np.asarray(self.coefficients, dtype=complex))
-
-    def vector(self, fiber: "HyperkahlerFiber") -> np.ndarray:
-        alg = fiber.algebra
-        expected = math.comb(alg.d, self.degree)
-        if len(self.coefficients) != expected:
-            raise ValueError(
-                f"degree-{self.degree} form needs {expected} coefficients, "
-                f"got {len(self.coefficients)}")
-        return alg.form_vector(self.degree, self.coefficients)
-
-    def conjugate(self) -> "FiberForm":
-        return FiberForm(self.degree, self.coefficients.conj())
-
-    def __add__(self, other: "FiberForm") -> "FiberForm":
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        return FiberForm(self.degree, self.coefficients + other.coefficients)
-
-    def __rmul__(self, scalar) -> "FiberForm":
-        return FiberForm(self.degree, scalar * self.coefficients)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself, as `derived` needs
 class HyperkahlerFiber:
     """Quaternionic Hermitian vector space (V, g, I, J, K) with dim_R V = 4n."""
 
@@ -70,11 +40,10 @@ class HyperkahlerFiber:
     I: np.ndarray
     J: np.ndarray
     K: np.ndarray
-    algebra: ExteriorAlgebra = field(compare=False, repr=False, default=None)
+    algebra: ExteriorAlgebra = field(repr=False, default=None)
     # data derived from the fiber on first use and kept with it (the
     # closed-form Sp(1) block of `symmetry`)
-    derived: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -135,41 +104,39 @@ def complex_structure(fiber: HyperkahlerFiber, zeta: TwistorPoint) -> np.ndarray
     return zeta.zeta_I * fiber.I + zeta.zeta_J * fiber.J + zeta.zeta_K * fiber.K
 
 
-def kahler_form(fiber: HyperkahlerFiber, zeta: TwistorPoint) -> FiberForm:
-    """omega_zeta(u, v) = g(J_zeta u, v) as a degree-2 form."""
-    M = fiber.g @ complex_structure(fiber, zeta)
-    # omega(e_a, e_b) = (g J)_{ba}
-    coeffs = [M[b, a] for (a, b) in fiber.algebra.multi_indices(2)]
-    return FiberForm(2, np.array(coeffs, dtype=complex))
+def kahler_form(fiber: HyperkahlerFiber, zeta: TwistorPoint) -> np.ndarray:
+    """omega_zeta(u, v) = g(J_zeta u, v), as its coefficient matrix
+    W[a, b] = omega_zeta(e_a, e_b) = (g J_zeta)[b, a], antisymmetrized so
+    that roundoff in g J_zeta (a rotated basis) cannot break W == -W.T."""
+    M = (fiber.g @ complex_structure(fiber, zeta)).T
+    return (0.5 * (M - M.T)).astype(complex)
 
 
-def holomorphic_symplectic(fiber: HyperkahlerFiber) -> FiberForm:
+def holomorphic_symplectic(fiber: HyperkahlerFiber) -> np.ndarray:
     """Omega = (omega_K + i omega_I)/2, holomorphic symplectic for J."""
-    wk = kahler_form(fiber, TwistorPoint(0.0, 0.0, 1.0))
-    wi = kahler_form(fiber, TwistorPoint(1.0, 0.0, 0.0))
-    return FiberForm(2, 0.5 * (wk.coefficients + 1j * wi.coefficients))
+    return 0.5 * (kahler_form(fiber, ZETA_K) + 1j * kahler_form(fiber, ZETA_I))
 
 
-def form_coefficient_matrix(fiber: HyperkahlerFiber, form: FiberForm) -> np.ndarray:
-    """Antisymmetric d x d coefficient matrix of a degree-2 form."""
-    if form.degree != 2:
-        raise ValueError("coefficient matrix is defined for 2-forms")
-    d = fiber.d
-    W = np.zeros((d, d), dtype=complex)
-    for idx, (a, b) in enumerate(fiber.algebra.multi_indices(2)):
-        W[a, b] = form.coefficients[idx]
-        W[b, a] = -form.coefficients[idx]
-    return W
+def form_coefficients(fiber: HyperkahlerFiber, form,
+                      degrees=(1, 2)) -> np.ndarray:
+    """The coefficients of a form of one of the given degrees: a length-d
+    vector for a 1-form, an antisymmetric d x d matrix for a 2-form."""
+    form = np.asarray(form)
+    shapes = [(fiber.d,) * k for k in degrees]
+    if form.shape not in shapes:
+        raise ValueError(f"form coefficients must have shape "
+                         f"{' or '.join(map(str, shapes))}, got {form.shape}")
+    if form.ndim == 2 and not np.array_equal(form, -form.T):
+        raise ValueError("a 2-form's coefficient matrix must be antisymmetric")
+    return form
 
 
-def wedge_operator(fiber: HyperkahlerFiber, form: FiberForm) -> FiberOperator:
-    """Left exterior multiplication by the given form."""
-    alg = fiber.algebra
-    if form.degree == 1:
-        return alg.wedge_1form(form.coefficients)
-    if form.degree == 2:
-        return alg.wedge_2form(form_coefficient_matrix(fiber, form))
-    return alg.wedge_element(form.vector(fiber))
+def wedge_operator(fiber: HyperkahlerFiber, form) -> FiberOperator:
+    """Left exterior multiplication by a 1-form or a 2-form."""
+    form = form_coefficients(fiber, form)
+    if form.ndim == 1:
+        return fiber.algebra.wedge_1form(form)
+    return fiber.algebra.wedge_2form(form)
 
 
 def contraction_operator(fiber: HyperkahlerFiber, vector) -> FiberOperator:

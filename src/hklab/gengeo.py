@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import HyperkahlerFiber, form_coefficient_matrix, kahler_form
+from .fiber import HyperkahlerFiber, kahler_form
 from .quaternions import TwistorPoint, ZETA_I, ZETA_K
 
 GC_TOL = 1e-12
@@ -177,8 +177,8 @@ def ghc_from_holsymplectic(J: np.ndarray, omega_I: np.ndarray,
 
 def fiber_families(fiber: HyperkahlerFiber) -> dict[str, GHCFamily]:
     """The two standard twistor families of the model fiber, keyed BBB / ABA."""
-    wI = form_coefficient_matrix(fiber, kahler_form(fiber, ZETA_I)).real
-    wK = form_coefficient_matrix(fiber, kahler_form(fiber, ZETA_K)).real
+    wI = kahler_form(fiber, ZETA_I).real
+    wK = kahler_form(fiber, ZETA_K).real
     return {
         "BBB": ghc_from_hypercomplex(fiber.I, fiber.J, fiber.K),
         "ABA": ghc_from_holsymplectic(fiber.J, wI, wK),

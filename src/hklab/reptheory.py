@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import (FiberForm, FiberOperator, HyperkahlerFiber,
-                    bidegree_projectors, holomorphic_symplectic,
-                    wedge_operator)
+from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projectors,
+                    form_coefficients, holomorphic_symplectic)
 from .quaternions import ZETA_J
 
 SL2_TOL = 1e-12
@@ -93,16 +92,16 @@ class LefschetzTriple:
         return 0.5 * (H @ H) + L @ A + A @ L
 
 
-def lefschetz_triple(fiber: HyperkahlerFiber, phi: FiberForm) -> LefschetzTriple:
+def lefschetz_triple(fiber: HyperkahlerFiber, phi) -> LefschetzTriple:
     """Triple generated by a 2-form: L = wedge(phi), Lambda = L^*, H = [L, Lambda].
 
-    Adjoints are taken in the inner product induced by g, for which the
-    exterior monomials are orthonormal.  A phi for which the sl(2)
-    relations fail (degenerate phi) is allowed but flagged.
+    phi is the antisymmetric d x d coefficient matrix phi[a, b] =
+    phi(e_a, e_b).  Adjoints are taken in the inner product induced by g,
+    for which the exterior monomials are orthonormal.  A phi for which the
+    sl(2) relations fail (degenerate phi) is allowed but flagged.
     """
-    if phi.degree != 2:
-        raise ValueError("a Lefschetz triple requires a 2-form")
-    L = wedge_operator(fiber, phi)
+    phi = form_coefficients(fiber, phi, degrees=(2,))
+    L = fiber.algebra.wedge_2form(phi)
     A = L.adjoint()
     H = L @ A - A @ L
     triple = LefschetzTriple(L, A, H)
@@ -114,7 +113,7 @@ def lefschetz_triple(fiber: HyperkahlerFiber, phi: FiberForm) -> LefschetzTriple
 
 def antiholomorphic_triple(fiber: HyperkahlerFiber) -> LefschetzTriple:
     """The triple of conj(Omega), where Omega = (omega_K + i omega_I)/2."""
-    return lefschetz_triple(fiber, holomorphic_symplectic(fiber).conjugate())
+    return lefschetz_triple(fiber, holomorphic_symplectic(fiber).conj())
 
 
 def _weight_projectors(fiber: HyperkahlerFiber) -> dict[int, FiberOperator]:

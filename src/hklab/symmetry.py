@@ -32,11 +32,10 @@ from functools import cached_property
 import numpy as np
 
 from .exterior import ExteriorAlgebra
-from .fiber import (FiberForm, FiberOperator, HyperkahlerFiber,
-                    bidegree_projectors, complex_structure,
-                    contraction_operator, form_coefficient_matrix,
-                    holomorphic_symplectic, kahler_form, type_derivation,
-                    wedge_operator)
+from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projectors,
+                    complex_structure, contraction_operator,
+                    form_coefficients, holomorphic_symplectic, kahler_form,
+                    type_derivation, wedge_operator)
 from .quaternions import (QUAT_J, QUAT_K, TwistorPoint, UnitQuaternion,
                           ZETA_I, ZETA_J, ZETA_K, adjoint_action,
                           hopf_section, random_twistor_point,
@@ -329,14 +328,11 @@ def rho_sp1_oneform(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> np.ndarray:
 def clifford(fiber: HyperkahlerFiber, zeta: TwistorPoint, alpha) -> FiberOperator:
     """Clifford action of a complex 1-form for the spinor slice of J_zeta.
 
+    alpha is the length-d coefficient vector of sum_a alpha_a e^a.
     c_zeta(alpha) = sqrt(2) (alpha^{0,1} wedge - sharp(alpha^{1,0}) contraction);
     real covectors satisfy c(a) c(b) + c(b) c(a) = -2 g(a, b).
     """
-    if isinstance(alpha, FiberForm):
-        if alpha.degree != 1:
-            raise ValueError("clifford acts on 1-forms")
-        alpha = alpha.coefficients
-    alpha = np.asarray(alpha, dtype=complex)
+    alpha = form_coefficients(fiber, alpha, degrees=(1,)).astype(complex)
     A = complex_structure(fiber, zeta).T
     a10 = 0.5 * (alpha - 1j * (A @ alpha))
     a01 = 0.5 * (alpha + 1j * (A @ alpha))
@@ -346,8 +342,9 @@ def clifford(fiber: HyperkahlerFiber, zeta: TwistorPoint, alpha) -> FiberOperato
 
 
 def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
-                   form: FiberForm) -> FiberOperator:
-    """Quantization of a 2-form: sum_{a<b} w_ab c(e^a) c(e^b).
+                   W) -> FiberOperator:
+    """Quantization of a 2-form: sum_{a<b} W_ab c(e^a) c(e^b), for W its
+    antisymmetric d x d coefficient matrix W[a, b] = omega(e_a, e_b).
 
     Normalized so that c_j(omega_J) = 2 sqrt(-1) H_, the antiholomorphic
     weight operator; the companion identities for omega_I, omega_K and the
@@ -359,7 +356,7 @@ def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     2 V W V^T) - sum_ab W_ab (V^T U)_ab, scattered into degree blocks at
     once, so no dense product is formed.
     """
-    W = form_coefficient_matrix(fiber, form)
+    W = form_coefficients(fiber, W, degrees=(2,))
     A = complex_structure(fiber, zeta).T
     eye = np.eye(fiber.d)
     U = 0.5 * (eye + 1j * A)
@@ -534,7 +531,7 @@ def _check_lemma313_commute(fiber, rng) -> float:
         Lw = wedge_operator(fiber, kahler_form(fiber, zeta))
         sym = -contraction_operator(fiber, np.linalg.solve(fiber.g, xi))
         Jz = complex_structure(fiber, zeta)
-        wedge = wedge_operator(fiber, FiberForm(1, Jz @ xi))
+        wedge = wedge_operator(fiber, Jz @ xi)
         worst = max(worst, rel_residual(Lw @ sym - sym @ Lw, wedge))
     return worst
 

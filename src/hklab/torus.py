@@ -77,7 +77,7 @@ class LatticeSpec:
         return self.N ** self.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself, as operators need
 class LatticeGaugeField:
     """U(1) link phases indexed by (site, axis), and the site factors of
     the operators built from them (`site_factor`): each is formed once and
@@ -87,7 +87,7 @@ class LatticeGaugeField:
     m: int
     links: np.ndarray
     _gram: dict[tuple[int, int], complex] = dc_field(
-        default_factory=dict, init=False, repr=False, compare=False)
+        default_factory=dict, init=False, repr=False)
 
     def coords(self) -> np.ndarray:
         return _coords(self.spec)

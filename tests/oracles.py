@@ -192,15 +192,6 @@ class DenseExterior:
         return sum(A[a, b] * (self.eps[a] @ self.eps[b].T)
                    for a in range(self.d) for b in range(self.d))
 
-    def wedge_element(self, v) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, S in zip(v, self.basis):
-            P = np.eye(self.dim)
-            for a in S:
-                P = P @ self.eps[a]
-            M += c * P
-        return M
-
     def clifford(self, J, alpha) -> np.ndarray:
         """c(alpha) = sqrt(2) (wedge of the (0,1) part of alpha minus
         contraction by its (1,0) part), metric Id and complex structure J

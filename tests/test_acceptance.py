@@ -16,7 +16,7 @@ from hklab.fiber import standard_fiber, zero_one_star_projector
 from hklab.gengeo import (GeneralizedTangentSpace, LinearBraneDatum,
                           fiber_families, generalized_metric,
                           hyperbrane_condition)
-from hklab.fiber import form_coefficient_matrix, kahler_form
+from hklab.fiber import kahler_form, wedge_operator
 from hklab.quaternions import (UnitQuaternion, ZETA_I, ZETA_J, ZETA_K,
                                axis_points, fibonacci_sphere,
                                random_twistor_point, random_unit_quaternion,
@@ -192,7 +192,7 @@ def test_criterion_8_generalized_geometry_suite():
     ok &= worst < 1e-12
     # hyperbrane verdicts: two true, one false
     samples = sample_zetas("full")
-    wJ = form_coefficient_matrix(fiber, kahler_form(fiber, ZETA_J)).real
+    wJ = kahler_form(fiber, ZETA_J).real
     S = np.zeros((2, 4))
     S[0, 0] = 1.0
     S[1, 2] = 1.0
@@ -235,7 +235,9 @@ def test_criterion_9_artifact_determinism(tmp_path):
         src = tmp_path / "element.txt"
         fiber = standard_fiber(1)
         from hklab.fiber import holomorphic_symplectic
-        v = holomorphic_symplectic(fiber).conjugate().vector(fiber)
+        # conj(Omega) as an element of the algebra: wedged with 1
+        v = wedge_operator(fiber,
+                           holomorphic_symplectic(fiber).conj()).matrix[:, 0]
         src.write_text("\n".join(str(complex(c)) for c in v))
         assert _cli("decompose", "--n", "1", "--input", str(src),
                     "--out", str(dec)).returncode == 0

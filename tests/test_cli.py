@@ -9,9 +9,15 @@ import numpy as np
 import pytest
 
 from hklab import cli
-from hklab.fiber import holomorphic_symplectic, standard_fiber
+from hklab.fiber import (holomorphic_symplectic, standard_fiber,
+                         wedge_operator)
 
 from .oracles import flux_zero_one_star_spectrum
+
+
+def _omegabar(fiber):
+    """conj(Omega) as an element of the algebra: the 2-form wedged with 1."""
+    return wedge_operator(fiber, holomorphic_symplectic(fiber).conj()).matrix[:, 0]
 
 
 def run_cli(*args, **kw):
@@ -105,7 +111,7 @@ def test_index_reports_counts():
 
 def test_decompose_omegabar(tmp_path):
     fiber = standard_fiber(1)
-    v = holomorphic_symplectic(fiber).conjugate().vector(fiber)
+    v = _omegabar(fiber)
     src = tmp_path / "omegabar.txt"
     src.write_text("\n".join(str(complex(c)) for c in v))
     r = run_cli("decompose", "--n", "1", "--input", str(src))
@@ -369,7 +375,7 @@ def test_each_subcommand_reads_exactly_its_settings():
 
 def _element_and_brane(tmp_path):
     fiber = standard_fiber(1)
-    v = holomorphic_symplectic(fiber).conjugate().vector(fiber)
+    v = _omegabar(fiber)
     element = tmp_path / "omegabar.txt"
     element.write_text("\n".join(str(complex(c)) for c in v))
     brane = tmp_path / "brane.txt"

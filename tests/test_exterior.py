@@ -16,10 +16,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from hklab.exterior import ExteriorAlgebra
-from hklab.fiber import (FiberForm, FiberOperator, HyperkahlerFiber,
-                         bidegree_projector,
-                         complex_structure, contraction_operator,
-                         form_coefficient_matrix, holomorphic_symplectic,
+from hklab.fiber import (FiberOperator, HyperkahlerFiber,
+                         bidegree_projector, complex_structure,
+                         contraction_operator, holomorphic_symplectic,
                          kahler_form, standard_fiber, type_derivation,
                          wedge_operator, zero_one_star_projector)
 from hklab.quaternions import (QUAT_J, QUAT_K, ZETA_I, ZETA_J, ZETA_K,
@@ -62,13 +61,10 @@ def test_exterior_operators_match_dense_reference(pair, rng):
         A = _cvec(rng, (d, d))
         W = _cvec(rng, (d, d))
         W = W - W.T
-        # about 16 monomials: the reference multiplies dense generators
-        v = _cvec(rng, alg.dim, 16 / alg.dim)
         assert _close(alg.wedge_1form(c).matrix, ref.wedge_1form(c))
         assert _close(alg.contraction(c).matrix, ref.contraction(c))
         assert _close(alg.wedge_2form(W).matrix, ref.wedge_2form(W))
         assert _close(alg.derivation(A).matrix, ref.derivation(A))
-        assert _close(alg.wedge_element(v).matrix, ref.wedge_element(v))
     # the stars are signed permutations: equal entry for entry
     twisted = ref.twisted_star()
     assert np.array_equal(alg.twisted_star().matrix, twisted)
@@ -83,25 +79,21 @@ def test_fiber_builders_match_dense_reference(pair, rng):
     zeta = random_twistor_point(rng)
     J = complex_structure(fiber, zeta)
     xi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    form3 = FiberForm(3, rng.normal(size=math.comb(d, 3)))
-    assert _close(wedge_operator(fiber, FiberForm(1, xi)).matrix,
-                  ref.wedge_1form(xi))
-    assert _close(wedge_operator(fiber, form3).matrix,
-                  ref.wedge_element(form3.vector(fiber)))
+    assert _close(wedge_operator(fiber, xi).matrix, ref.wedge_1form(xi))
     assert _close(contraction_operator(fiber, xi).matrix, ref.contraction(xi))
     assert _close(type_derivation(fiber, zeta).matrix, ref.derivation(J.T))
     assert _close(clifford(fiber, zeta, xi).matrix, ref.clifford(J, xi))
     assert _close(hodge_star_twisted(fiber).matrix, ref.twisted_star())
     ops = ten_operators(fiber)
     for name, z in (("I", ZETA_I), ("J", ZETA_J), ("K", ZETA_K)):
-        W = form_coefficient_matrix(fiber, kahler_form(fiber, z))
+        W = kahler_form(fiber, z)
         assert _close(ops.L[name].matrix, ref.wedge_2form(W))
         assert _close(ops.Lambda[name].matrix, ref.wedge_2form(W).conj().T)
         assert _close(ops.ad[name].matrix,
                       ref.derivation(complex_structure(fiber, z).T))
     assert _close(ops.H.matrix, np.diag(ref.degrees - 2.0 * fiber.n))
-    omega = form_coefficient_matrix(fiber, holomorphic_symplectic(fiber))
-    tri = lefschetz_triple(fiber, holomorphic_symplectic(fiber))
+    omega = holomorphic_symplectic(fiber)
+    tri = lefschetz_triple(fiber, omega)
     L = ref.wedge_2form(omega)
     assert _close(tri.L.matrix, L)
     assert _close(tri.Lambda.matrix, L.conj().T)
@@ -117,8 +109,7 @@ def test_clifford_2form_matches_dense_reference(pair, rng):
              kahler_form(fiber, random_twistor_point(rng))]
     for form in forms:
         zeta = random_twistor_point(rng)
-        want = ref.clifford_2form(complex_structure(fiber, zeta),
-                                  form_coefficient_matrix(fiber, form))
+        want = ref.clifford_2form(complex_structure(fiber, zeta), form)
         assert _close(clifford_2form(fiber, zeta, form).matrix, want)
 
 
@@ -158,7 +149,7 @@ def test_blocked_exponential_matches_full_eigh(pair, rng):
     # a generator coupling two quaternion blocks (n = 2) or none (n = 1)
     e = np.zeros(fiber.d)
     e[0] = 1.0
-    cross = wedge_operator(fiber, FiberForm(1, e))
+    cross = wedge_operator(fiber, e)
     if fiber.n > 1:
         W = np.zeros((fiber.d, fiber.d))
         W[0, 4], W[4, 0] = 1.0, -1.0
@@ -231,9 +222,7 @@ def test_sp1_closed_forms_match_dense_exponentials(pair):
     J = complex_structure(fiber, ZETA_J)
     one = [complex_structure(fiber, z).T for z in axes]
     ad = [ref.derivation(A) for A in one]
-    cj = [0.5 * ref.clifford_2form(
-        J, form_coefficient_matrix(fiber, kahler_form(fiber, z)))
-        for z in axes]
+    cj = [0.5 * ref.clifford_2form(J, kahler_form(fiber, z)) for z in axes]
     etas = _sp1_etas(40 + fiber.n)
     for eta in etas:
         assert _close(rho_sp1(fiber, eta).matrix, _oracle_exp(ad, eta)), eta

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklab.exterior import ExteriorAlgebra
-from hklab.fiber import (FiberForm, bidegree_projector, complex_structure,
-                         contraction_operator, form_coefficient_matrix,
+from hklab.fiber import (HyperkahlerFiber, bidegree_projector,
+                         complex_structure, contraction_operator,
                          holomorphic_symplectic, kahler_form, standard_fiber,
                          wedge_operator, zero_one_star_projector)
 from hklab.quaternions import (TwistorPoint, ZETA_I, ZETA_J, ZETA_K,
                                adjoint_action, fibonacci_sphere,
                                random_twistor_point, random_unit_quaternion)
+from hklab.reptheory import lefschetz_triple
+from hklab.symmetry import clifford, clifford_2form
 
 
 def test_standard_fiber_basis_convention(fiber1):
@@ -60,22 +62,22 @@ def test_twistor_rotation_matches_quaternion_conjugation(fiber1, rng):
 
 def test_kahler_forms_derived_values(fiber1):
     pairs = fiber1.algebra.multi_indices(2)
-    wi = dict(zip(pairs, kahler_form(fiber1, ZETA_I).coefficients))
+    wi = {(a, b): kahler_form(fiber1, ZETA_I)[a, b] for a, b in pairs}
     assert wi[(0, 1)] == 1 and wi[(2, 3)] == 1
     assert sum(abs(v) for k, v in wi.items() if k not in ((0, 1), (2, 3))) == 0
-    wj = dict(zip(pairs, kahler_form(fiber1, ZETA_J).coefficients))
+    wj = {(a, b): kahler_form(fiber1, ZETA_J)[a, b] for a, b in pairs}
     assert wj[(0, 2)] == 1 and wj[(1, 3)] == -1
-    wk = dict(zip(pairs, kahler_form(fiber1, ZETA_K).coefficients))
+    wk = {(a, b): kahler_form(fiber1, ZETA_K)[a, b] for a, b in pairs}
     assert wk[(0, 3)] == 1 and wk[(1, 2)] == 1
 
 
 def test_kahler_form_linearity_and_antisymmetry(fiber1, rng):
     z = random_twistor_point(rng)
-    combo = (z.zeta_I * kahler_form(fiber1, ZETA_I).coefficients
-             + z.zeta_J * kahler_form(fiber1, ZETA_J).coefficients
-             + z.zeta_K * kahler_form(fiber1, ZETA_K).coefficients)
-    assert np.allclose(kahler_form(fiber1, z).coefficients, combo, atol=1e-14)
-    W = form_coefficient_matrix(fiber1, kahler_form(fiber1, z))
+    combo = (z.zeta_I * kahler_form(fiber1, ZETA_I)
+             + z.zeta_J * kahler_form(fiber1, ZETA_J)
+             + z.zeta_K * kahler_form(fiber1, ZETA_K))
+    assert np.allclose(kahler_form(fiber1, z), combo, atol=1e-14)
+    W = kahler_form(fiber1, z)
     assert np.abs(W + W.T).max() < 1e-14
 
 
@@ -90,8 +92,7 @@ def test_omega_j_squared_is_twice_volume(fiber1):
 
 def test_wedge_square_zero_and_duality(fiber1):
     alg = fiber1.algebra
-    e0 = FiberForm(1, np.eye(4)[0])
-    W = wedge_operator(fiber1, e0).matrix
+    W = wedge_operator(fiber1, np.eye(4)[0]).matrix
     assert np.abs(W @ W).max() == 0.0
     C = contraction_operator(fiber1, np.eye(4)[0]).matrix
     assert np.abs(C @ W + W @ C - np.eye(alg.dim)).max() == 0.0
@@ -104,7 +105,7 @@ def test_wedge_contraction_anticommutator_random(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=4) + 1j * rng.normal(size=4)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    W = wedge_operator(fiber, FiberForm(1, a)).matrix
+    W = wedge_operator(fiber, a).matrix
     C = contraction_operator(fiber, v).matrix
     pairing = a @ v
     assert np.abs(C @ W + W @ C - pairing * np.eye(16)).max() < 1e-13
@@ -113,7 +114,7 @@ def test_wedge_contraction_anticommutator_random(seed):
 def test_wedge_past_top_degree_is_zero(fiber1):
     top = np.zeros(16, dtype=complex)
     top[-1] = 1.0
-    W = wedge_operator(fiber1, FiberForm(1, np.ones(4)))
+    W = wedge_operator(fiber1, np.ones(4))
     assert np.abs(W.matrix @ top).max() == 0.0
 
 
@@ -125,13 +126,16 @@ def test_projector_completeness_random_zetas(fiber1, rng):
         assert np.abs(S - np.eye(16)).max() < 1e-13
 
 
+def _element(fiber, W):
+    """The 2-form W as an element of the algebra: W wedged with 1."""
+    return wedge_operator(fiber, W).matrix[:, 0]
+
+
 def test_projector_bidegree_examples(fiber1):
-    wj = kahler_form(fiber1, ZETA_J)
-    v = wj.vector(fiber1)
+    v = _element(fiber1, kahler_form(fiber1, ZETA_J))
     P11 = bidegree_projector(fiber1, ZETA_J, 1, 1).matrix
     assert np.allclose(P11 @ v, v, atol=1e-13)
-    Om = holomorphic_symplectic(fiber1)
-    vo = Om.vector(fiber1)
+    vo = _element(fiber1, holomorphic_symplectic(fiber1))
     assert np.allclose(bidegree_projector(fiber1, ZETA_J, 2, 0).matrix @ vo,
                        vo, atol=1e-13)
     assert np.allclose(bidegree_projector(fiber1, ZETA_J, 0, 2).matrix
@@ -163,7 +167,7 @@ def test_projector_trace_dimensions(fiber2, rng):
 
 def test_kahler_form_is_fixed_by_11_projector(fiber1):
     for z in fibonacci_sphere(20):
-        v = kahler_form(fiber1, z).vector(fiber1)
+        v = _element(fiber1, kahler_form(fiber1, z))
         P = bidegree_projector(fiber1, z, 1, 1).matrix
         assert np.abs(P @ v - v).max() < 1e-12
 
@@ -179,9 +183,56 @@ def test_zero_one_star_parity_split(fiber1, rng):
         zero_one_star_projector(fiber1, z, "sideways")
 
 
-def test_form_vector_length_validation(fiber1):
-    with pytest.raises(ValueError):
-        FiberForm(2, np.ones(5)).vector(fiber1)
+def test_form_coefficients_are_validated(fiber1):
+    """A form is a length-d vector (1-form) or an antisymmetric d x d
+    matrix (2-form); each entry point rejects every other array."""
+    skew = np.triu(np.ones((4, 4)), 1)
+    skew = skew - skew.T
+    not_skew = skew + np.eye(4)
+    assert wedge_operator(fiber1, np.ones(4)).dim == 16
+    assert wedge_operator(fiber1, skew).dim == 16
+    for bad in (np.ones(7), np.ones(6), np.ones(3), np.ones((3, 3)),
+                not_skew, np.ones((4, 4, 4))):
+        with pytest.raises(ValueError):
+            wedge_operator(fiber1, bad)
+    for build in (lambda W: clifford_2form(fiber1, ZETA_J, W),
+                  lambda W: lefschetz_triple(fiber1, W)):
+        build(skew)
+        for bad in (np.ones(4), np.ones(6), np.ones((5, 5)), not_skew):
+            with pytest.raises(ValueError):
+                build(bad)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        lefschetz_triple(fiber1, not_skew)
+    clifford(fiber1, ZETA_J, np.ones(4))
+    for bad in (np.ones(5), skew, np.ones(())):
+        with pytest.raises(ValueError):
+            clifford(fiber1, ZETA_J, bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_two_forms_are_exactly_antisymmetric(n):
+    """The Kahler forms at random zeta, Omega and conj(Omega) satisfy
+    W == -W.T exactly, and omega_J is e^02 - e^13 on every block."""
+    fiber = standard_fiber(n)
+    rng = np.random.default_rng(n)
+    forms = [kahler_form(fiber, random_twistor_point(rng)) for _ in range(200)]
+    omega = holomorphic_symplectic(fiber)
+    for W in forms + [omega, omega.conj()]:
+        assert W.shape == (4 * n, 4 * n)
+        assert np.array_equal(W, -W.T)
+    wj = kahler_form(fiber, ZETA_J)
+    for b in range(0, 4 * n, 4):
+        assert wj[b, b + 2] == 1 and wj[b + 1, b + 3] == -1
+    # in a rotated orthonormal basis g J_zeta is antisymmetric only to
+    # roundoff; its Kahler form still is exactly, and is accepted
+    Q, _ = np.linalg.qr(rng.normal(size=(4 * n, 4 * n)))
+    I, J, K = (Q @ X @ Q.T for X in (fiber.I, fiber.J, fiber.K))
+    rotated = HyperkahlerFiber(n, fiber.g, I, J, K, algebra=fiber.algebra)
+    z = random_twistor_point(rng)
+    W = kahler_form(rotated, z)
+    assert np.array_equal(W, -W.T)
+    assert np.abs(W - (fiber.g @ complex_structure(rotated, z)).T).max() < 1e-14
+    assert wedge_operator(rotated, W).dim == fiber.dim
 
 
 def test_twisted_star_degree_signs():

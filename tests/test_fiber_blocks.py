@@ -17,8 +17,7 @@ import scipy.sparse.linalg as spla
 
 from hklab.exterior import ExteriorAlgebra
 from hklab.fiber import (FiberOperator, bidegree_projector,
-                         complex_structure, form_coefficient_matrix,
-                         kahler_form, standard_fiber)
+                         complex_structure, kahler_form, standard_fiber)
 from hklab.quaternions import (ZETA_I, ZETA_J, ZETA_K, TwistorPoint,
                                random_twistor_point, random_unit_quaternion)
 from hklab.symmetry import (chi_k, clifford, clifford_2form,
@@ -214,12 +213,11 @@ def test_term_born_builders_match_dense_reference(fiber2, rng):
                       + ref.wedge_2form(C).T + (0.3 - 0.2j) * np.eye(alg.dim)),
         "clifford": (clifford(fiber, zeta, c), ref.clifford(J, c)),
         "clifford_2form": (clifford_2form(fiber, zeta, form),
-                           ref.clifford_2form(
-                               J, form_coefficient_matrix(fiber, form))),
+                           ref.clifford_2form(J, form)),
     }
     ops = ten_operators(fiber)
     for name, z in (("I", ZETA_I), ("J", ZETA_J), ("K", ZETA_K)):
-        Wz = form_coefficient_matrix(fiber, kahler_form(fiber, z))
+        Wz = kahler_form(fiber, z)
         built[f"L_{name}"] = (ops.L[name], ref.wedge_2form(Wz))
         built[f"Lambda_{name}"] = (ops.Lambda[name],
                                    ref.wedge_2form(Wz).conj().T)
@@ -242,7 +240,7 @@ def test_term_form_products_match_dense_products(fiber2, rng):
     ck = chi_k(fiber)
     # chi(k) = exp(pi/2 D_K) exp(pi/4 c_J(omega_K)), from the dense oracle
     JK = complex_structure(fiber, ZETA_K)
-    WK = form_coefficient_matrix(fiber, kahler_form(fiber, ZETA_K))
+    WK = kahler_form(fiber, ZETA_K)
     want_ck = (dense_exp_antihermitian(ref.derivation(JK.T), math.pi / 2)
                @ dense_exp_antihermitian(
                    0.5 * ref.clifford_2form(

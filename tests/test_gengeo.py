@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklab.fiber import form_coefficient_matrix, kahler_form, standard_fiber
+from hklab.fiber import kahler_form, standard_fiber
 from hklab.gengeo import (GCStructure, GeneralizedTangentSpace,
                           LinearBraneDatum, brane_condition, fiber_families,
                           gc_from_complex, gc_from_symplectic,
@@ -84,8 +84,8 @@ def test_hypercomplex_family_matches_printed_blocks():
 
 def test_holsymplectic_family_matches_printed_blocks():
     f = standard_fiber(1)
-    wI = form_coefficient_matrix(f, kahler_form(f, ZETA_I)).real
-    wK = form_coefficient_matrix(f, kahler_form(f, ZETA_K)).real
+    wI = kahler_form(f, ZETA_I).real
+    wK = kahler_form(f, ZETA_K).real
     fam = ghc_from_holsymplectic(f.J, wI, wK)
     assert np.abs(fam.Jj.matrix[:4, :4] - f.J).max() == 0.0
     assert np.abs(fam.Jj.matrix[4:, 4:] + f.J.T).max() == 0.0
@@ -164,8 +164,8 @@ def test_lagrangian_is_a_brane():
 
 def test_space_filling_with_compatible_flux_is_a_brane():
     f = standard_fiber(1)
-    wJ = form_coefficient_matrix(f, kahler_form(f, ZETA_J)).real
-    wI = form_coefficient_matrix(f, kahler_form(f, ZETA_I)).real
+    wJ = kahler_form(f, ZETA_J).real
+    wI = kahler_form(f, ZETA_I).real
     # F with (omega^-1 F)^2 = -Id: omega_I^{-1} omega_J is a complex structure
     datum = LinearBraneDatum(np.eye(4), wJ)
     ok, defect = brane_condition(datum, gc_from_symplectic(wI))
@@ -209,7 +209,7 @@ def test_hyperbrane_verdicts():
     f = standard_fiber(1)
     fams = fiber_families(f)
     samples = sample_zetas("full")
-    wJ = form_coefficient_matrix(f, kahler_form(f, ZETA_J)).real
+    wJ = kahler_form(f, ZETA_J).real
     # holomorphic-symplectic Lagrangian, J-invariant: an (A, B, A) object
     S = np.zeros((2, 4))
     S[0, 0] = 1.0

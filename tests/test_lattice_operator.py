@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 
 from hklab import cli
 from hklab.fiber import (bidegree_projector, kahler_form, slice_basis,
-                         zero_one_star_projector)
+                         standard_fiber, zero_one_star_projector)
 from hklab.quaternions import (QUAT_J, TwistorPoint, ZETA_J, adjoint_action,
                                hopf_section, random_twistor_point,
                                random_unit_quaternion)
@@ -477,3 +477,19 @@ def test_one_pass_assembly_equals_termwise_sum(batch, monkeypatch, rng):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
+
+
+def test_fields_and_fibers_compare_by_identity():
+    """Two fields built alike are distinct objects: they compare unequal
+    without testing their link arrays, hash, and their operators still
+    refuse to add."""
+    a = build_gauge_field(LatticeSpec(1, 3), 1)
+    b = build_gauge_field(LatticeSpec(1, 3), 1)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    fiber, twin = standard_fiber(1), standard_fiber(1)
+    assert fiber == fiber and fiber != twin
+    seen = {a: "a", b: "b", fiber: "fiber", twin: "twin"}
+    assert [seen[k] for k in (a, b, fiber, twin)] == ["a", "b", "fiber", "twin"]
+    with pytest.raises(ValueError, match="different spaces"):
+        covariant_laplacian(a) + covariant_laplacian(b)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hklab.fiber import FiberForm, bidegree_projector, holomorphic_symplectic, \
-    kahler_form
+from hklab.fiber import bidegree_projector, holomorphic_symplectic, kahler_form
 from hklab.quaternions import ZETA_J, random_twistor_point
 from hklab.reptheory import (antiholomorphic_triple, irrep_operators,
                              irrep_sp1_eval, irrep_sp1_generator,
@@ -81,9 +80,8 @@ def test_phase_rotated_symplectic_triple(fiber1):
     conjugate phases and fixes H."""
     base = antiholomorphic_triple(fiber1)
     theta = 0.7342
-    omb = holomorphic_symplectic(fiber1).conjugate()
-    rotated = lefschetz_triple(
-        fiber1, FiberForm(2, np.exp(-1j * theta) * omb.coefficients))
+    omb = holomorphic_symplectic(fiber1).conj()
+    rotated = lefschetz_triple(fiber1, np.exp(-1j * theta) * omb)
     assert np.abs(rotated.L.matrix
                   - np.exp(-1j * theta) * base.L.matrix).max() < 1e-13
     assert np.abs(rotated.Lambda.matrix
@@ -93,9 +91,11 @@ def test_phase_rotated_symplectic_triple(fiber1):
 
 def test_incompatible_form_is_flagged(fiber1):
     # a decomposable form still closes an sl(2); a stretched one does not
-    dec = FiberForm(2, np.array([1, 0, 0, 0, 0, 0], dtype=complex))  # e^01
+    dec = np.zeros((4, 4), dtype=complex)
+    dec[0, 1], dec[1, 0] = 1, -1  # e^01
     assert lefschetz_triple(fiber1, dec).sl2_closed
-    bad = FiberForm(2, np.array([1, 0, 0, 0, 0, 2], dtype=complex))
+    bad = dec.copy()
+    bad[2, 3], bad[3, 2] = 2, -2  # e^01 + 2 e^23
     assert not lefschetz_triple(fiber1, bad).sl2_closed
 
 

@@ -125,7 +125,7 @@ def test_clifford_axis_identities(fiber1):
                         2j * H) < 1e-12
     assert rel_residual(clifford_2form(fiber1, ZETA_J, Om).matrix,
                         -2.0 * A) < 1e-12
-    assert rel_residual(clifford_2form(fiber1, ZETA_J, Om.conjugate()).matrix,
+    assert rel_residual(clifford_2form(fiber1, ZETA_J, Om.conj()).matrix,
                         2.0 * L) < 1e-12
     assert rel_residual(clifford_2form(fiber1, ZETA_J, wK).matrix,
                         2.0 * (L - A)) < 1e-12
