@@ -9,29 +9,30 @@ Each wedge generator e^a is a signed partial permutation of this basis:
 it sends e^S to +-e^{S + a} when a is not in S and kills it otherwise.  It
 is stored as index arrays over the source monomials, never as a dim x dim
 matrix.  Every operator built here shifts the exterior degree by a fixed
-amount or a few, so it is returned as a FiberOperator whose entries are
-scattered straight into their (degree out, degree in) blocks; the dense
-matrix exists only when a caller asks for it.
+amount or a few; one that does not factor over the quaternion blocks
+(below) has its entries scattered straight into their (degree out, degree
+in) blocks.  The dense matrix exists only when a caller asks for it.
 
 For d = 4n the algebra is also the tensor product of n copies of
 Lambda(H), one per quaternion block {4b, .., 4b+3}: the blocks are
 index-contiguous, so e^S is the ordered product e^{S_0} ^ ... ^ e^{S_{n-1}}
 of its parts with sign +1, and a monomial is an n-tuple of Lambda(H)
-monomials (`parts`).  For n >= 2 the builders whose coefficients stay
-inside the quaternion blocks return operators in term form, a sum of
-Kronecker products of n 16 x 16 factors (Van Loan, "The ubiquitous
-Kronecker product", 2000).  e^a for a in block b is
-P (x) .. (x) P (x) e^a_b (x) 1 (x) .. (x) 1, P = (-1)^deg passing the
-generators of the blocks before b; an even one-block operator is
-1 (x) .. (x) X_b (x) .. (x) 1.  So a wedge, contraction or Clifford action
-of a 1-form is n such terms, and a wedge with a 2-form, a derivation or an
-even quadratic whose coefficient matrices have no entry between two blocks
-is a Kronecker sum.  The exponential of a Kronecker sum is the Kronecker
-product of the n 16 x 16 exponentials (`quaternion_factors`), one term;
-the Sp(1) actions are such products too, written down in closed form
-(`induced` gives a block's hypercomplex rotation as a compound matrix).
-`quaternion_product` gathers a term list into degree blocks when a
-block-form operand or an array needs them.
+monomials (`parts`).  The builders whose coefficients stay inside the
+quaternion blocks return operators in term form, a sum of Kronecker
+products of n 16 x 16 factors (Van Loan, "The ubiquitous Kronecker
+product", 2000); at n = 1 a term is one 16 x 16 factor.  e^a for a in
+block b is P (x) .. (x) P (x) e^a_b (x) 1 (x) .. (x) 1, P = (-1)^deg
+passing the generators of the blocks before b; an even one-block operator
+is 1 (x) .. (x) X_b (x) .. (x) 1.  So a wedge, contraction or Clifford
+action of a 1-form is n such terms, and a wedge with a 2-form, a
+derivation or an even quadratic whose coefficient matrices have no entry
+between two blocks is a Kronecker sum.  The exponential of a Kronecker sum
+is the Kronecker product of the n 16 x 16 exponentials
+(`quaternion_factors`), one term; the Sp(1) actions are such products too,
+written down in closed form (`induced` gives a block's hypercomplex
+rotation as a compound matrix).  `quaternion_product` gathers a term list
+into degree blocks when a block-form operand or an array needs them, and
+`quaternion_matrix` into the dense matrix.
 """
 
 from __future__ import annotations
@@ -118,18 +119,18 @@ def _kron_norm(terms) -> float:
     orthogonalization sweep of tensor-train rounding, Oseledets, SIAM J.
     Sci. Comput. 33, 2011).  Unlike the Gram expansion
     sum_st prod_b tr(F_sb^* F_tb), this keeps the small norm of a
-    difference of nearly equal operators.
-    """
+    difference of nearly equal operators.  Seeded with a row of ones, it
+    takes a one-slot term list too."""
     if not terms:
         return 0.0
     T = len(terms)
     cols = [np.stack([t[b].ravel() for t in terms], axis=1)
             for b in range(len(terms[0]))]
-    R = cols[0]
-    for F in cols[1:-1]:
-        R = np.linalg.qr(R, mode="r")
-        R = (R[:, None, :] * F[None, :, :]).reshape(-1, T)
-    return float(np.linalg.norm(np.linalg.qr(R, mode="r") @ cols[-1].T))
+    R = np.ones((1, T))
+    for F in cols[:-1]:
+        R = np.linalg.qr((R[:, None, :] * F[None, :, :]).reshape(-1, T),
+                         mode="r")
+    return float(np.linalg.norm(R @ cols[-1].T))
 
 
 def _occupied16(F: np.ndarray) -> list[tuple[int, int]]:
@@ -153,24 +154,24 @@ class FiberOperator:
     then read off once.  A product with a lattice operator is left to the
     lattice operator.
 
-    Term form: on an algebra with quaternion blocks (d = 4n, n >= 2) an
-    operator may instead be born as a list of Kronecker terms, each a tuple
-    of n 16 x 16 arrays, one per block; entry (S, T) is
-    sum_t prod_b F_tb[parts[S, b], parts[T, b]].  Products, sums,
-    differences, scalar multiples and adjoints of two term-form operators
-    stay in term form.  A sum or difference merges terms that agree
-    bit for bit in all slots but one into one, which cancels the cross
-    terms of a commutator of Kronecker sums.  Scalar multiples are recorded
-    and applied to the gathered blocks, so c * A is c times A's blocks
-    entry for entry (and A * c A's blocks times c), as in block form.
-    `frobenius_norm` takes the norm of the terms by successive
-    QR of their factor columns, which keeps a small residual of nearly
-    equal operators, and `inner` uses the Gram product
+    Term form: an operator may instead be born as a list of Kronecker
+    terms, each a tuple of n 16 x 16 arrays, one per quaternion block;
+    entry (S, T) is sum_t prod_b F_tb[parts[S, b], parts[T, b]].
+    Products, sums, differences, scalar multiples and adjoints of two
+    term-form operators stay in term form.  A sum or difference merges
+    terms that agree bit for bit in all slots but one into one, which
+    cancels the cross terms of a commutator of Kronecker sums.  Scalar
+    multiples are recorded and applied to the gathered form, so c * A is
+    c times A's blocks entry for entry (and A * c A's blocks times c), as
+    in block form.  `frobenius_norm` takes the norm of the terms by
+    successive QR of their factor columns, which keeps a small residual of
+    nearly equal operators, and `inner` uses the Gram product
     sum_st prod_b tr(F_sb^* G_tb).  The zero operator (no blocks) counts as
     a term form without terms.  Any operation with a block-form operand,
-    `A @ x` for an array, `blocks` and `matrix` gather the degree blocks
-    once (`ExteriorAlgebra.quaternion_product`); they are then held on the
-    operator, as `matrix` is.
+    `A @ x` for an array and `blocks` gather the degree blocks once
+    (`ExteriorAlgebra.quaternion_product`), and `matrix` gathers the dense
+    form straight from the factors (`ExteriorAlgebra.quaternion_matrix`);
+    either is then held on the operator.
 
     `algebra` is the ExteriorAlgebra the operator was built on (None for
     one made from a bare matrix); results inherit it.  Operators are
@@ -221,9 +222,18 @@ class FiberOperator:
     def dim(self) -> int:
         return self._offsets[-1]
 
+    def _scaled_by(self, X: np.ndarray) -> np.ndarray:
+        """X times the recorded scalars, each on its side, in order."""
+        for c, left in self._scales:
+            X = c * X if left else X * c
+        return X
+
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
+        if self._matrix is None and self._terms is not None:
+            self._matrix = self._scaled_by(
+                self.algebra.quaternion_matrix(self._terms))
+        elif self._matrix is None:
             off = self._offsets
             blocks = self.blocks
             dtype = np.result_type(*blocks.values()) if blocks else complex
@@ -238,10 +248,8 @@ class FiberOperator:
         if self._blocks is not None:
             return self._blocks
         if self._terms is not None:
-            blocks = self.algebra.quaternion_product(self._terms)
-            for c, left in self._scales:
-                blocks = {k: c * X if left else X * c
-                          for k, X in blocks.items()}
+            blocks = {k: self._scaled_by(X) for k, X in
+                      self.algebra.quaternion_product(self._terms).items()}
         else:
             off = self._offsets
             starts = off[:-1]
@@ -400,6 +408,8 @@ class ExteriorAlgebra:
     """Wedge, contraction, derivations and the star, as FiberOperators."""
 
     def __init__(self, d: int):
+        if d < 4 or d % 4:
+            raise ValueError(f"the algebra of H^n needs d = 4n >= 4, got {d}")
         self.d = d
         self.basis: list[tuple[int, ...]] = []
         for k in range(d + 1):
@@ -427,25 +437,23 @@ class ExteriorAlgebra:
             self._dst[a] = np.where(has, self._cols, position[masks | (1 << a)])
             self._sign[a] = np.where(has, 0.0, 1.0 - 2.0 * parity)
             parity ^= has
-        # quaternion blocks, for d = 4n with n >= 2 (one block has nothing
-        # to factor): parts[i, b] is the position of the block-b part of
-        # monomial i in the 16-monomial basis of Lambda(H) (same order
-        # convention); _block_parts is parts transposed, each block's row
-        # contiguous.  The monomials inside {0, 1, 2, 3} come in that basis
-        # order.  _quaternion is Lambda(H) itself, on which the term-form
-        # factors are built, and _cross marks the coefficient pairs that
-        # couple two blocks.
-        self.quaternion_blocks = d // 4 if d % 4 == 0 and d >= 8 else 0
-        if self.quaternion_blocks:
-            h_masks = masks[masks < 16]
-            h_position = np.empty(16, dtype=np.intp)
-            h_position[h_masks] = np.arange(16)
-            shifts = 4 * np.arange(self.quaternion_blocks)
-            self.parts = h_position[(masks[:, None] >> shifts) & 15]
-            self._block_parts = np.ascontiguousarray(self.parts.T)
-            self._quaternion = ExteriorAlgebra(4)
-            block = np.arange(d) // 4
-            self._cross = block[:, None] != block[None, :]
+        # quaternion blocks: parts[i, b] is the position of the block-b
+        # part of monomial i in the 16-monomial basis of Lambda(H) (same
+        # order convention); _block_parts is parts transposed, each block's
+        # row contiguous.  The monomials inside {0, 1, 2, 3} come in that
+        # basis order.  _quaternion is Lambda(H), on which the term-form
+        # factors are built (the algebra itself at n = 1), and _cross marks
+        # the coefficient pairs that couple two blocks.
+        self.quaternion_blocks = d // 4
+        h_masks = masks[masks < 16]
+        h_position = np.empty(16, dtype=np.intp)
+        h_position[h_masks] = np.arange(16)
+        shifts = 4 * np.arange(self.quaternion_blocks)
+        self.parts = h_position[(masks[:, None] >> shifts) & 15]
+        self._block_parts = np.ascontiguousarray(self.parts.T)
+        self._quaternion = self if d == 4 else ExteriorAlgebra(4)
+        block = np.arange(d) // 4
+        self._cross = block[:, None] != block[None, :]
 
     def _operator(self, rows, cols, vals) -> FiberOperator:
         """Operator with the given entries, each scattered into the block of
@@ -485,9 +493,6 @@ class ExteriorAlgebra:
     def kronecker(self, terms) -> FiberOperator:
         """The term-form operator sum_t F_t0 (x) ... (x) F_t,n-1, for
         tuples of n 16 x 16 factors, one per quaternion block."""
-        if not self.quaternion_blocks:
-            raise ValueError("an algebra without quaternion blocks has no "
-                             "term form")
         return FiberOperator._from_terms(self, list(terms))
 
     def _block_sum(self, local_entries, odd: bool) -> FiberOperator:
@@ -508,10 +513,10 @@ class ExteriorAlgebra:
         return self.kronecker(terms)
 
     def _splits(self, *coefficient_matrices) -> bool:
-        """Whether the term form applies: quaternion blocks, and no
-        coefficient between two of them."""
-        return bool(self.quaternion_blocks) and not any(
-            np.asarray(M)[self._cross].any() for M in coefficient_matrices)
+        """Whether the term form applies: no coefficient between two
+        quaternion blocks."""
+        return not any(np.asarray(M)[self._cross].any()
+                       for M in coefficient_matrices)
 
     def _one_form_entries(self, coeffs):
         """(images, sources, values) of sum_a coeffs[a] e^a."""
@@ -573,18 +578,14 @@ class ExteriorAlgebra:
     def wedge_1form(self, coeffs) -> FiberOperator:
         """Left wedge with the 1-form sum_a coeffs[a] e^a."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        if self.quaternion_blocks:
-            return self._block_sum(
-                lambda h, s: h._one_form_entries(coeffs[s]), odd=True)
-        return self._operator(*self._one_form_entries(coeffs))
+        return self._block_sum(
+            lambda h, s: h._one_form_entries(coeffs[s]), odd=True)
 
     def contraction(self, vec) -> FiberOperator:
         """Interior product with the (complex) vector sum_a vec[a] e_a."""
         vec = np.asarray(vec, dtype=complex)
-        if self.quaternion_blocks:
-            return self._block_sum(
-                lambda h, s: h._contraction_entries(vec[s]), odd=True)
-        return self._operator(*self._contraction_entries(vec))
+        return self._block_sum(
+            lambda h, s: h._contraction_entries(vec[s]), odd=True)
 
     def wedge_2form(self, coeff_matrix) -> FiberOperator:
         """Left wedge with the 2-form sum_{a<b} w[a,b] e^a ^ e^b."""
@@ -604,18 +605,15 @@ class ExteriorAlgebra:
         return self._operator(*self._derivation_entries(A))
 
     def wedge_minus_contraction(self, coeffs, vec) -> FiberOperator:
-        """wedge_1form(coeffs) - contraction(vec), in one scatter."""
+        """wedge_1form(coeffs) - contraction(vec), one scatter a block."""
         coeffs = np.asarray(coeffs, dtype=complex)
         vec = np.asarray(vec, dtype=complex)
 
-        def entries(alg, s=slice(None)):
-            rows, cols, vals = alg._contraction_entries(vec[s])
-            return _concat(alg._one_form_entries(coeffs[s]),
-                           (rows, cols, -vals))
+        def entries(h, s):
+            rows, cols, vals = h._contraction_entries(vec[s])
+            return _concat(h._one_form_entries(coeffs[s]), (rows, cols, -vals))
 
-        if self.quaternion_blocks:
-            return self._block_sum(entries, odd=True)
-        return self._operator(*entries(self))
+        return self._block_sum(entries, odd=True)
 
     def quadratic(self, W, A, C, scalar) -> FiberOperator:
         """wedge_2form(W) + derivation(A) + wedge_2form(C)^T + scalar, the
@@ -681,19 +679,18 @@ class ExteriorAlgebra:
 
     def quaternion_factors(self, op: FiberOperator) -> list[np.ndarray] | None:
         """16 x 16 factors F_b with op = sum_b 1 (x) .. (x) F_b (x) .. (x) 1,
-        one per quaternion block, or None when op is not such a sum, is in
-        block form, or the algebra has no quaternion blocks to factor.
+        one per quaternion block, or None when op is not such a sum or is
+        in block form.
 
         A term-form op is such a sum when each of its terms has the
         identity in every slot but one; F_b sums the terms' slot b.  Every
         generator that stays inside the quaternion blocks is born in term
         form, so a block-form op is taken as it is.
         """
-        n = self.quaternion_blocks
         terms = op.terms
-        if not n or terms is None:
+        if terms is None:
             return None
-        F = [np.zeros((16, 16), dtype=complex) for _ in range(n)]
+        F = [np.zeros((16, 16), dtype=complex)] * self.quaternion_blocks
         for t in terms:
             moved = [b for b, X in enumerate(t) if X is not _EYE]
             if len(moved) > 1:
@@ -725,3 +722,16 @@ class ExteriorAlgebra:
                     X = X * factors[k][Pa[k]][:, Pb[k]]
                 blocks[a, b] = blocks[a, b] + X if (a, b) in blocks else X
         return dict(sorted(blocks.items()))
+
+    def quaternion_matrix(self, terms) -> np.ndarray:
+        """The dense sum_t F_t0 (x) ... (x) F_t,n-1, gathered from the
+        factors by one index array a slot, multiplied and summed in the
+        order of `quaternion_product`, so it equals those blocks exactly."""
+        P = self._block_parts
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        for factors in terms:
+            X = factors[0][P[0]][:, P[0]]
+            for k in range(1, len(factors)):
+                X = X * factors[k][P[k]][:, P[k]]
+            M += X
+        return M

@@ -13,11 +13,11 @@ antisymmetric d x d coefficient matrix W[a, b] = omega(e_a, e_b).
 Every zeroth-order operator of the paper (Lefschetz operators, type
 derivations, Clifford actions, the star, the Sp(1) rotations, the bidegree
 projectors) maps each exterior degree to one or a few others.  The builders
-here return FiberOperators made block by block, from the degree-block
-scatters of `ExteriorAlgebra` or from per-degree block computations, or,
-for n >= 2, as Kronecker terms of 16 x 16 quaternion-block factors (the
-1-form actions, and the 2-form wedges and type derivations, whose
-coefficients stay inside the blocks), so no 2^{4n} x 2^{4n} array is formed
+here return FiberOperators as Kronecker terms of 16 x 16 quaternion-block
+factors (the 1-form actions, and the 2-form wedges and type derivations,
+whose coefficients stay inside the blocks; one factor a term at n = 1), or
+block by block, from the degree-block scatters of `ExteriorAlgebra` or from
+per-degree block computations, so no 2^{4n} x 2^{4n} array is formed
 unless a caller asks for `.matrix`.
 """
 

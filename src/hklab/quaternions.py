@@ -24,7 +24,7 @@ class TwistorPoint:
     zeta_K: float
 
     def __post_init__(self):
-        if abs(self.norm2() - 1.0) > UNIT_TOL:
+        if not abs(self.norm2() - 1.0) <= UNIT_TOL:  # also rejects nan, inf
             raise ValueError(f"twistor point must be unit: |zeta|^2 = {self.norm2()}")
 
     def norm2(self) -> float:
@@ -64,7 +64,7 @@ class UnitQuaternion:
     z: float
 
     def __post_init__(self):
-        if abs(self.norm2() - 1.0) > UNIT_TOL:
+        if not abs(self.norm2() - 1.0) <= UNIT_TOL:  # also rejects nan, inf
             raise ValueError(f"quaternion must be unit: |eta|^2 = {self.norm2()}")
 
     def norm2(self) -> float:

@@ -121,29 +121,22 @@ def exp_antihermitian(G, t: float = 1.0):
     `torus.theorem_3_10_details` compare them against, and the path of the
     Lefschetz ladder exponentials.
 
-    The result is of the kind of G.  G is split into factors whose
-    Kronecker product structure exp(t G) inherits, and each factor is
-    exponentiated by `_exp_factor`; the number of factors is the only
-    difference between inputs.  A fiber operator that
-    `ExteriorAlgebra.quaternion_factors` writes as a Kronecker sum of n
-    16 x 16 factors, one per quaternion block, has the Kronecker product of
-    their exponentials as its exponential, returned in term form as that
-    one Kronecker term, so neither a degree block nor a 2^{4n} x 2^{4n}
-    array is formed.  Any other operator (one coupling two blocks, one in
-    block form, every n = 1 operator) and a plain array (such as a 1-form
+    The result is of the kind of G; each factor goes to `_exp_factor`.  A
+    fiber operator that `ExteriorAlgebra.quaternion_factors` writes as a
+    Kronecker sum of n 16 x 16 factors, one per quaternion block, has the
+    Kronecker product of their exponentials as its exponential, returned in
+    term form as that one Kronecker term, so neither a degree block nor a
+    2^{4n} x 2^{4n} array is formed.  Any other operator (one coupling two
+    blocks, or one in block form) and a plain array (such as a 1-form
     action) are a single factor, whose exponential is the result.
     """
-    op = G if isinstance(G, FiberOperator) else None
-    alg = op.algebra if op is not None else None
-    factors = alg.quaternion_factors(op) if alg is not None else None
-    if factors is None:
-        factors = [G if op is None else op.matrix]
-    exps = [_exp_factor(F, t) for F in factors]
-    if len(exps) > 1:
-        return alg.kronecker([tuple(exps)])
-    if op is None:
-        return exps[0]
-    return FiberOperator(exps[0], alg)
+    if not isinstance(G, FiberOperator):
+        return _exp_factor(G, t)
+    alg = G.algebra
+    factors = alg.quaternion_factors(G) if alg is not None else None
+    if factors is not None:
+        return alg.kronecker([tuple(_exp_factor(F, t) for F in factors)])
+    return FiberOperator(_exp_factor(G.matrix, t), alg)
 
 
 @dataclass(frozen=True)
@@ -292,14 +285,6 @@ def _sp1_block(fiber: HyperkahlerFiber) -> _Sp1Block:
     return data
 
 
-def _blockwise(fiber: HyperkahlerFiber, F: np.ndarray) -> FiberOperator:
-    """The operator acting as the 16 x 16 F on every quaternion block: the
-    one Kronecker term (F, ..., F) for n >= 2, F itself for n = 1."""
-    if fiber.n == 1:
-        return FiberOperator(F, fiber.algebra)
-    return fiber.algebra.kronecker([(F,) * fiber.n])
-
-
 def rho_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
     """exp(theta ad(J_u)) for eta = cos(theta) + sin(theta) u, in closed form.
 
@@ -314,7 +299,7 @@ def rho_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
     """
     blk = _sp1_block(fiber)
     R = blk.algebra.induced(np.tensordot(eta.as_array(), blk.r1, 1))
-    return _blockwise(fiber, R.matrix)
+    return fiber.algebra.kronecker([(R.matrix,) * fiber.n])
 
 
 def rho_sp1_oneform(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> np.ndarray:
@@ -376,7 +361,7 @@ def rho_j_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
     taken."""
     blk = _sp1_block(fiber)
     F = blk.rest + np.tensordot(eta.as_array(), blk.rho_j, 1)
-    return _blockwise(fiber, F)
+    return fiber.algebra.kronecker([(F,) * fiber.n])
 
 
 def hodge_star_twisted(fiber: HyperkahlerFiber) -> FiberOperator:

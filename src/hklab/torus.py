@@ -433,8 +433,10 @@ def lowest_eigenvalues(M: sp.spmatrix | np.ndarray, k: int, seed: int = 0,
     Lanczos with a seeded start vector, so results are deterministic.  With
     vectors=True the result is (eigenvalues, V) with orthonormal columns V:
     Lanczos Ritz vectors inside a degenerate level need not be
-    orthonormal, so they are orthonormalised by QR.
+    orthonormal, so they are orthonormalised by QR.  k must be at least 1.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not (dense := isinstance(M, np.ndarray)):
         import scipy.sparse.linalg as spla
     norm = np.linalg.norm if dense else spla.norm

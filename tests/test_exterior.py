@@ -146,7 +146,8 @@ def test_blocked_exponential_matches_full_eigh(pair, rng):
     fiber, _ref = pair
     alg = fiber.algebra
     gens = _generators(fiber, rng)
-    # a generator coupling two quaternion blocks (n = 2) or none (n = 1)
+    # a generator coupling two quaternion blocks (n = 2), or at n = 1 a
+    # 1-form action, which has only the one block to act in
     e = np.zeros(fiber.d)
     e[0] = 1.0
     cross = wedge_operator(fiber, e)
@@ -157,7 +158,8 @@ def test_blocked_exponential_matches_full_eigh(pair, rng):
     gens["cross-block"] = cross - cross.adjoint()
     for name, G in gens.items():
         factored = alg.quaternion_factors(G) is not None
-        assert factored == (fiber.n > 1 and name != "cross-block"), name
+        # every n = 1 generator is a one-slot Kronecker term
+        assert factored == (fiber.n == 1 or name != "cross-block"), name
         for t in (math.pi / 2, rng.uniform(-3.0, 3.0)):
             E = exp_antihermitian(G, t)
             assert isinstance(E, FiberOperator)
@@ -165,8 +167,6 @@ def test_blocked_exponential_matches_full_eigh(pair, rng):
     # plain arrays stay plain arrays, on the same path
     M = gens["L - Lambda"].matrix
     assert _close(exp_antihermitian(M, 0.7), dense_exp_antihermitian(M, 0.7))
-    if fiber.n == 1:
-        return
     # an operator made from a matrix is in block form and is one factor,
     # also one entry off a Kronecker sum by 1e-6 (kept anti-Hermitian)
     for name in ("L - Lambda", "iH", "c_J(omega_u)/2"):
@@ -293,7 +293,7 @@ def test_exponentials_have_only_structural_nonzeros():
         ladder = exp_antihermitian(tri.L - tri.Lambda, math.pi / 2).matrix
         assert np.count_nonzero(ladder) <= _block_pattern(ladder_gen).sum() \
             < ladder.size
-        if n == 1:  # a single factor: the array path, bit for bit
+        if n == 1:  # one factor, exponentiated as the array is: bit for bit
             assert np.array_equal(
                 ladder, exp_antihermitian(ladder_gen, math.pi / 2))
         # chi(k) = rho(k) rho_j(k): the product of the two block patterns

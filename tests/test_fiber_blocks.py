@@ -4,8 +4,8 @@ dense matrix arithmetic.
 Operands are builder outputs of every block shape: the ten operators
 (degree shifts -2, 0, +2), a Clifford action (+-1), the twisted star
 (k -> 4n - k), chi(k) (several shifts) and a bidegree projector (one
-diagonal block).  At n = 2 all but the star and the projector are in term
-form, so the mixed pairs also cover the gather into degree blocks.
+diagonal block).  At every n all but the star and the projector are in
+term form, so the mixed pairs also cover the gather into degree blocks.
 """
 
 import itertools
@@ -20,7 +20,7 @@ from hklab.fiber import (FiberOperator, bidegree_projector,
                          complex_structure, kahler_form, standard_fiber)
 from hklab.quaternions import (ZETA_I, ZETA_J, ZETA_K, TwistorPoint,
                                random_twistor_point, random_unit_quaternion)
-from hklab.symmetry import (chi_k, clifford, clifford_2form,
+from hklab.symmetry import (chi, chi_k, clifford, clifford_2form,
                             hodge_star_twisted, rel_residual, rho_j_sp1,
                             rho_sp1, ten_operators)
 from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
@@ -180,7 +180,7 @@ def test_closure_matches_dense_product_loop(n, fiber1, fiber2):
     assert algebra.rank() == 10
 
 
-# ----- Kronecker-term form at n = 2 ------------------------------------------
+# ----- Kronecker-term form ---------------------------------------------------
 
 def _inside_blocks(rng, d: int) -> np.ndarray:
     """A random complex d x d matrix with no entry between two quaternion
@@ -191,8 +191,13 @@ def _inside_blocks(rng, d: int) -> np.ndarray:
     return M
 
 
-def test_term_born_builders_match_dense_reference(fiber2, rng):
-    fiber, alg, ref = fiber2, fiber2.algebra, DenseExterior(8)
+def test_term_born_builders_match_dense_reference(fiber1, fiber2, rng):
+    for fiber in (fiber1, fiber2):
+        _check_term_born_builders(fiber, rng)
+
+
+def _check_term_born_builders(fiber, rng):
+    alg, ref = fiber.algebra, DenseExterior(fiber.d)
     d = fiber.d
     zeta = random_twistor_point(rng)
     J = complex_structure(fiber, zeta)
@@ -226,8 +231,12 @@ def test_term_born_builders_match_dense_reference(fiber2, rng):
     built["H"] = (ops.H, np.diag(ref.degrees - 2.0 * fiber.n))
     for name, (op, want) in built.items():
         assert op.terms is not None, name
-        assert len(op.terms) <= fiber.n, name
+        assert 1 <= len(op.terms) <= fiber.n, name
+        assert all(len(t) == fiber.n and all(F.shape == (16, 16) for F in t)
+                   for t in op.terms), name
         assert _close(op.matrix, want), name
+    if fiber.n == 1:
+        return
     # a coefficient between two blocks keeps the degree-block scatter
     W[0, 4], W[4, 0] = 1.0, -1.0
     cross = alg.wedge_2form(W)
@@ -319,3 +328,54 @@ def test_thm310_and_prop25_products_form_no_degree_block(fiber2,
         assert rel_residual(rho_j_sp1(fiber, e1 * e2),
                             rho_j_sp1(fiber, e1) @ rho_j_sp1(fiber, e2)) \
             < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_term_matrix_is_its_gathered_blocks_bit_for_bit(n):
+    # `matrix` gathers straight from the factors, `blocks` degree block by
+    # degree block; both sum the terms in one order, so they agree exactly
+    ops = _builder_outputs(n)
+    X, c = ops["chi_k"], ops["clifford"]
+    ops["X c X^* - c"] = X @ c @ X.adjoint() - c
+    ops["scaled"] = (0.3 - 1.7j) * c * 2.5
+    termed = [name for name, op in ops.items() if op.terms is not None]
+    assert len(termed) == len(ops) - 2  # all but the star and the projector
+    for name in termed:
+        gathered = FiberOperator._from_blocks(ops[name]._offsets,
+                                              ops[name].blocks)
+        assert np.array_equal(ops[name].matrix, gathered.matrix), name
+
+
+def test_algebra_needs_quaternion_blocks():
+    for d in (0, 2, 6, 9):
+        with pytest.raises(ValueError, match="d = 4n"):
+            ExteriorAlgebra(d)
+    alg = ExteriorAlgebra(4)
+    assert alg.quaternion_blocks == 1 and alg._quaternion is alg
+    assert np.array_equal(alg.parts[:, 0], np.arange(16))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_in_block_builders_never_scatter_into_degree_blocks(n, monkeypatch):
+    # only the stars and cross-block forms are scattered (`_operator`)
+    fiber = standard_fiber(n)
+    rng = np.random.default_rng(5)
+    calls = []
+    scatter = ExteriorAlgebra._operator
+
+    def spy(self, *entries):
+        calls.append(self.d)
+        return scatter(self, *entries)
+
+    monkeypatch.setattr(ExteriorAlgebra, "_operator", spy)
+    zeta, eta = random_twistor_point(rng), random_unit_quaternion(rng)
+    alpha = rng.normal(size=fiber.d) + 1j * rng.normal(size=fiber.d)
+    ten_operators(fiber)
+    clifford(fiber, zeta, alpha)
+    clifford_2form(fiber, zeta, kahler_form(fiber, ZETA_K))
+    rho_sp1(fiber, eta)
+    rho_j_sp1(fiber, eta)
+    chi(fiber, eta, zeta)
+    assert calls == []
+    hodge_star_twisted(fiber)
+    assert calls == [fiber.d]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,18 @@ def test_unit_invariants_enforced():
     with pytest.raises(ValueError):
         UnitQuaternion(1.0, 1.0, 0.0, 0.0)
     TwistorPoint(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_components_rejected(bad):
+    with pytest.raises(ValueError, match="must be unit"):
+        TwistorPoint(bad, 0.0, 0.0)
+    with pytest.raises(ValueError, match="must be unit"):
+        TwistorPoint(0.0, 1.0, bad)
+    with pytest.raises(ValueError, match="must be unit"):
+        UnitQuaternion(bad, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="must be unit"):
+        UnitQuaternion(1.0, 0.0, bad, 0.0)
 
 
 def test_adjoint_axis_examples():

@@ -341,6 +341,19 @@ def test_lowest_eigenvalues_rejects_non_hermitian():
             lowest_eigenvalues(M, 2)
 
 
+def test_lowest_eigenvalues_rejects_k_below_one():
+    # a negative k would slice the top of the spectrum off instead
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            lowest_eigenvalues(np.diag([3.0, 1.0, 2.0]), k)
+    field = build_gauge_field(LatticeSpec(1, 4), 1)
+    P = zero_one_star_projector(model_fiber(1), ZETA_J)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        flux_spectra(field, ZETA_J, [P], -2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        dirac_index(field, ZETA_J, k=-3)
+
+
 @pytest.mark.filterwarnings("ignore:the matrix subclass")
 def test_lowest_eigenvalues_solves_dense_arrays_densely():
     """A dense array is never handed to Lanczos, whatever its size; a
