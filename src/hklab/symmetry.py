@@ -264,8 +264,7 @@ def _sp1_block(fiber: HyperkahlerFiber) -> _Sp1Block:
     if not all(np.array_equal(X, np.kron(np.eye(fiber.n), B))
                for X, B in zip(mats, parts)):
         raise ValueError("the Sp(1) actions need n equal quaternion blocks")
-    block = fiber if fiber.n == 1 else HyperkahlerFiber(
-        1, *parts, algebra=ExteriorAlgebra(4))
+    block = HyperkahlerFiber(1, *parts, algebra=fiber.algebra._quaternion)
     G = np.stack([0.5 * clifford_2form(block, ZETA_J,
                                        kahler_form(block, z)).matrix
                   for z in (ZETA_I, ZETA_J, ZETA_K)])

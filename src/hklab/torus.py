@@ -17,12 +17,11 @@ the gauge field's d + 2 site factors (identity, scalar Laplacian, a central
 difference per axis), named by its number i, times a fiber matrix.
 `LatticeOperator` keeps the terms.  Operator identities are fiber identities
 tensored with the lattice, so their residuals are Frobenius norms taken from
-||sum S_i (x) f_i||^2 = sum_ij <S_i, S_j> <f_i, f_j>: a small site Gram
-matrix and fiber-sized products, never the sites x fiber matrix.  The field
-forms each Gram entry once and keeps it, so all operators built from it
-share them.  A fiber slice restricts on the terms to S_i (x) Q^H f_i Q
-(`LatticeOperator.on_slice`), so eigensolves assemble sites x slice only.
-Dense paths never load scipy: it is imported where a sparse matrix is formed.
+||sum S_i (x) f_i||^2 = sum_ij <S_i, S_j> <f_i, f_j>: fiber-sized products
+and the site Gram table, a closed form of (d, N) (`site_gram`) blind to the
+links, which spectra and indices test.  A fiber slice restricts on the terms
+to S_i (x) Q^H f_i Q (`LatticeOperator.on_slice`), so eigensolves assemble
+sites x slice only.  scipy is imported only where a sparse matrix is formed.
 """
 
 from __future__ import annotations
@@ -79,15 +78,18 @@ class LatticeSpec:
 
 @dataclass(frozen=True, eq=False)  # equal only to itself, as operators need
 class LatticeGaugeField:
-    """U(1) link phases indexed by (site, axis), and the site factors of
-    the operators built from them (`site_factor`): each is formed once and
-    shared, as are their Gram entries (`site_inner`)."""
+    """U(1) link phases indexed by (site, axis), unit as `site_gram` needs,
+    and the site factors of the operators built from them (`site_factor`):
+    each is formed once and shared."""
 
     spec: LatticeSpec
     m: int
     links: np.ndarray
-    _gram: dict[tuple[int, int], complex] = dc_field(
-        default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if (np.shape(self.links) != (self.spec.sites, self.spec.d)
+                or np.abs(np.abs(self.links) - 1.0).max() > 1e-12):
+            raise ValueError("links must be unit phases of shape (sites, d)")
 
     def coords(self) -> np.ndarray:
         return _coords(self.spec)
@@ -123,8 +125,6 @@ class LatticeGaugeField:
     def gauge_transformed(self, site_phases: np.ndarray) -> "LatticeGaugeField":
         """Apply the U(1) gauge transformation s(x): U_a(x) -> s(x) U_a(x) s(x+a)^-1."""
         g = np.asarray(site_phases, dtype=complex)
-        if np.abs(np.abs(g) - 1.0).max() > 1e-12:
-            raise ValueError("gauge transformation must be unit phases")
         new = np.empty_like(self.links)
         for a in range(self.spec.d):
             ia = _shift_index(self.spec, a)
@@ -164,15 +164,21 @@ class LatticeGaugeField:
             return _site_identity(self.spec)
         return self.laplacian if i == 1 else self.differences[i - 2]
 
-    def site_inner(self, i: int, j: int) -> complex:
-        """<S_i, S_j> = sum conj(S_i) * S_j of two site factors
-        (`site_factor`), formed once per ordered pair and kept, so the at
-        most (d + 2)^2 entries are shared by every norm of the operators
-        built from this field."""
-        if (i, j) not in self._gram:
-            self._gram[i, j] = (self.site_factor(i).conj()
-                                .multiply(self.site_factor(j)).sum())
-        return self._gram[i, j]
+
+@lru_cache(maxsize=8)
+def site_gram(spec: LatticeSpec) -> np.ndarray:
+    """Read-only <S_i, S_j> = sum conj(S_i) * S_j of the d + 2 site factors
+    of every field on spec: N^d times <1, 1> = 1, <1, L> = 2d N^2, <L, L> =
+    (4d^2 + 2d) N^4, <grad_a, grad_b> = delta_ab N^2 / 2, else 0.  Unit hops
+    have A_a A_a^* = 1, and at N >= 3 hop products are traceless unless
+    their shifts cancel."""
+    d, N2 = spec.d, spec.N**2
+    G = np.zeros((d + 2, d + 2), dtype=complex)
+    G[:2, :2] = [[1, 2 * d * N2], [2 * d * N2, (4 * d * d + 2 * d) * N2**2]]
+    G[2:, 2:] = np.eye(d) * (N2 / 2)
+    G *= spec.sites
+    G.flags.writeable = False
+    return G
 
 
 def _fiber_matrix(x) -> np.ndarray:
@@ -292,10 +298,9 @@ class LatticeOperator:
         ||.||^2 = sum_ij <S_i, S_j> <f_i, f_j> (Van Loan 2000).  Terms on
         one site factor are summed first, so an identity that holds fiber
         by fiber (X c = c' X) cancels in fiber-sized arithmetic.  The Gram
-        matrix G of the factors left (`LatticeGaugeField.site_inner`) is
-        factored as W diag(lam) W^H and the norm is
-        sqrt(sum_c lam_c ||sum_j conj(W_jc) f_j||^2) with lam clipped at 0;
-        the raw quadratic form can cancel below zero.
+        matrix G of the factors left, a slice of `site_gram`, is positive
+        definite; as W diag(lam) W^H it gives the norm as a sum of squares,
+        sqrt(sum_c lam_c ||sum_j conj(W_jc) f_j||^2).
         """
         merged: dict[int, np.ndarray] = {}
         for i, f in self.terms:
@@ -303,15 +308,10 @@ class LatticeOperator:
         if not merged:
             return 0.0
         keys = list(merged)
-        G = np.empty((len(keys), len(keys)), dtype=complex)
-        for p, i in enumerate(keys):
-            for q in range(p, len(keys)):
-                G[p, q] = self.field.site_inner(i, keys[q])
-                G[q, p] = np.conj(G[p, q])
-        lam, W = np.linalg.eigh(G)
+        lam, W = np.linalg.eigh(site_gram(self.spec)[np.ix_(keys, keys)])
         g = np.tensordot(W.conj().T, np.stack(list(merged.values())), axes=1)
         sq = np.sum(np.abs(g) ** 2, axis=(1, 2))
-        return float(np.sqrt(np.clip(lam, 0.0, None) @ sq))
+        return float(np.sqrt(lam @ sq))
 
     def hermitian_residual(self) -> float:
         return ((self - self.adjoint()).frobenius_norm()

@@ -459,9 +459,10 @@ import sys
 import hklab
 from hklab import cli
 from hklab.fiber import standard_fiber
-from hklab.quaternions import TwistorPoint, ZETA_J
+from hklab.quaternions import QUAT_K, TwistorPoint, ZETA_J
 from hklab.symmetry import check_ids, verify_identity
 from hklab.torus import (LatticeSpec, build_gauge_field, dirac_index,
+                         exact_symmetry_details, lattice_dirac,
                          theorem_3_10_details)
 
 
@@ -479,17 +480,24 @@ assert cli.main(["spectrum", "--N", "4", "--m", "1", "--k", "8",
                  "--out", sys.argv[1]]) == 0
 assert cli.main(["decompose", "--n", "1", "--input", sys.argv[2]]) == 0
 assert not scipy_modules(), scipy_modules()[:3]
-# the assembled lattice path imports scipy where it forms a sparse matrix
-det = theorem_3_10_details(build_gauge_field(LatticeSpec(1, 3), 1))
+# the operator identities take their norms from the closed-form Gram table
+field = build_gauge_field(LatticeSpec(1, 3), 1)
+det = theorem_3_10_details(field)
+det.update(exact_symmetry_details(field, TwistorPoint(0.48, 0.6, 0.64),
+                                  QUAT_K))
 assert max(det.values()) < 1e-10, det
+assert not scipy_modules(), scipy_modules()[:3]
+# an assembled lattice operator imports scipy where it forms a sparse matrix
+assert lattice_dirac(field, ZETA_J).matrix.nnz > 0
 assert "scipy.sparse" in scipy_modules()
 """
 
 
 def test_dense_paths_never_load_scipy(tmp_path):
-    """The import, the fiber registry, plane-separable indices and the
-    spectrum and decompose subcommands run on numpy alone; an assembled
-    lattice operator still works after its lazy scipy import."""
+    """The import, the fiber registry, plane-separable indices, the
+    thm. 3.10 and exact-symmetry identities and the spectrum and decompose
+    subcommands run on numpy alone; an assembled lattice operator still
+    works after its lazy scipy import."""
     element, _brane = _element_and_brane(tmp_path)
     r = subprocess.run([sys.executable, "-c", _DENSE_PATHS,
                         str(tmp_path / "spec.csv"), str(element)],

@@ -22,12 +22,13 @@ from hklab.reptheory import antiholomorphic_triple
 from hklab.symmetry import (chi, chi_k, clifford, clifford_2form,
                             exp_antihermitian, hodge_star_twisted, rho_j_sp1,
                             rho_sp1, ten_operators)
-from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
-                         covariant_laplacian, dolbeault_pair,
+from hklab.torus import (LatticeGaugeField, LatticeOperator, LatticeSpec,
+                         build_gauge_field, covariant_laplacian,
+                         dolbeault_pair,
                          exact_symmetry_details,
                          flux_fiber_matrix, flux_spectra, lattice_dirac,
                          dirac_index, dirac_vs_lichnerowicz,
-                         lichnerowicz_laplacian, model_fiber,
+                         lichnerowicz_laplacian, model_fiber, site_gram,
                          theorem_1_1_details, theorem_3_10_details,
                          theorem_3_1_details)
 
@@ -240,8 +241,8 @@ def test_term_algebra_matches_assembled_algebra(rng):
 
 def test_gram_norm_of_every_own_site_factor(rng):
     """All d + 2 site factors of a field, in shuffled order, with generic
-    complex fibers.  Norms are taken twice, so the second reads the
-    field's kept Gram entries."""
+    complex fibers.  Norms are taken twice, and again on a copy of the
+    field: the Gram table is a function of the spec alone."""
     field = build_gauge_field(LatticeSpec(1, 3), 1)
     order = rng.permutation(field.spec.d + 2)
     terms = tuple((int(i), rng.normal(size=(16, 16))
@@ -250,12 +251,71 @@ def test_gram_norm_of_every_own_site_factor(rng):
     for A in (op, op, op - 0.5j * op.adjoint()):
         want = spla.norm(A.matrix)
         assert abs(A.frobenius_norm() - want) <= 1e-13 * want
-        # kept entries are the ones a fresh field forms, bit for bit
+        # a copy of the field reads the same table, bit for bit
         assert A.frobenius_norm() == replace(
             A, field=replace(field)).frobenius_norm()
     # the adjoint's site-factor signs against the assembled adjoint
     want = spla.norm(op.matrix)
     assert spla.norm(op.adjoint().matrix - op.matrix.getH()) <= 1e-13 * want
+
+
+def _random_links(spec, rng):
+    """Unit links of no constant curvature and no plane-separated form."""
+    return LatticeGaugeField(
+        spec, 0, np.exp(2j * np.pi * rng.random((spec.sites, spec.d))))
+
+
+def _assert_gram_table(spec, want):
+    """`site_gram(spec)` against a Gram table formed from site factors:
+    to roundoff of its largest entry, and each nonzero entry to its own."""
+    got = site_gram(spec)
+    assert got.shape == want.shape == (spec.d + 2,) * 2
+    err = np.abs(got - want)
+    assert err.max() <= 1e-12 * np.abs(want).max()
+    nonzero = got != 0
+    assert np.all(err[nonzero] <= 1e-12 * np.abs(want)[nonzero])
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_site_gram_against_dense_site_factors(N, rng):
+    """The closed-form table against the Gram of the dense oracle factors
+    (`oracles.dense_site_factors`), on constant-flux, gauge-transformed
+    and random unit links."""
+    field = build_gauge_field(LatticeSpec(1, N), 2)
+    for f in (field, field.gauge_transformed(
+            np.exp(2j * np.pi * rng.random(field.spec.sites))),
+            _random_links(field.spec, rng)):
+        lap, diffs = dense_site_factors(f)
+        factors = [np.eye(f.spec.sites), lap, *diffs]
+        _assert_gram_table(f.spec, np.array(
+            [[np.sum(np.conj(S) * T) for T in factors] for S in factors]))
+
+
+def test_site_gram_against_sparse_site_factors_at_n2(rng):
+    """At n = 2 a dense site factor has 6561^2 entries, so the table is
+    checked against the library's own sparse factors there."""
+    spec = LatticeSpec(2, 3)
+    for f in (build_gauge_field(spec, 1), _random_links(spec, rng)):
+        factors = [f.site_factor(i) for i in range(spec.d + 2)]
+        _assert_gram_table(spec, np.array(
+            [[S.conj().multiply(T).sum() for T in factors]
+             for S in factors]))
+
+
+def test_links_must_be_unit_phases_of_the_lattice_shape():
+    spec = LatticeSpec(1, 3)
+    links = build_gauge_field(spec, 1).links.copy()
+    LatticeGaugeField(spec, 1, links)
+    bad = links.copy()
+    bad[5, 2] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="unit phases"):
+        LatticeGaugeField(spec, 1, bad)
+    with pytest.raises(ValueError, match="unit phases"):
+        LatticeGaugeField(spec, 1, np.zeros_like(links))
+    for shape in ((spec.sites, spec.d - 1), (spec.sites * spec.d,),
+                  (spec.d, spec.sites)):
+        with pytest.raises(ValueError, match="unit phases of shape"):
+            LatticeGaugeField(spec, 1, np.ones(shape, dtype=complex))
 
 
 def test_nnz_counts_terms_without_assembly():
@@ -403,8 +463,8 @@ def test_scalar_laplacian_is_shared_per_field(rng):
 
 
 def test_repeated_identity_checks_form_no_site_products(monkeypatch, rng):
-    """A field's own site Gram entries are formed once: a second pass of
-    the thm. 3.10 and exact-symmetry checks multiplies no site matrices."""
+    """The site Gram table is a closed form: a second pass of the
+    thm. 3.10 and exact-symmetry checks multiplies no site matrices."""
     fields = [build_gauge_field(LatticeSpec(1, 4), m) for m in (3, 1)]
     zeta, eta = random_twistor_point(rng), random_unit_quaternion(rng)
 
