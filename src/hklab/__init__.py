@@ -1,10 +1,10 @@
 """hklab: exact fiberwise hyperkahler operator algebra and flux-torus spectra."""
 
 from .exterior import ExteriorAlgebra
-from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projector,
+from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projectors,
                     complex_structure, contraction_operator,
-                    holomorphic_symplectic, kahler_form, standard_fiber,
-                    wedge_operator, zero_one_star_projector)
+                    holomorphic_symplectic, kahler_form, slice_basis,
+                    standard_fiber, wedge_operator)
 from .gengeo import (GCStructure, GeneralizedTangentSpace, GHCFamily,
                      LinearBraneDatum, brane_condition, fiber_families,
                      gc_from_complex, gc_from_symplectic, generalized_metric,

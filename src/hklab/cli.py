@@ -22,8 +22,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import torus
-from .fiber import standard_fiber, zero_one_star_projector
+from .fiber import standard_fiber
 from .gengeo import LinearBraneDatum, fiber_families, hyperbrane_condition
 from .quaternions import TwistorPoint, sample_zetas, random_twistor_point, \
     random_unit_quaternion
@@ -245,13 +244,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     spec = LatticeSpec(cfg["n"], cfg["N"])
     field = build_gauge_field(spec, cfg["m"])
-    fiber = torus.model_fiber(cfg["n"])
+    zero_star = range(2 * cfg["n"] + 1)
     zetas = _zeta_list(cfg["zetas"])
     t0 = time.time()
 
     def one(z: TwistorPoint) -> list[str]:
-        P = zero_one_star_projector(fiber, z)
-        [(w, _dim)] = flux_spectra(field, z, [P], cfg["k"], seed=cfg["seed"])
+        [(w, _dim)] = flux_spectra(field, z, [zero_star], cfg["k"],
+                                   seed=cfg["seed"])
         return spectrum_csv_rows(z, "0*", w)
 
     with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:

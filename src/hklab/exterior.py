@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +56,21 @@ def _degree_offsets(dim: int) -> tuple[int, ...]:
 def _const(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+@lru_cache(maxsize=None)
+def _lex_subsets(m: int, k: int) -> np.ndarray:
+    """The lex k-subsets of range(m) as a (C(m, k), k) index array."""
+    return _const(np.array(list(itertools.combinations(range(m), k)),
+                           dtype=np.intp).reshape(math.comb(m, k), k))
+
+
+def compound(r: np.ndarray, k: int) -> np.ndarray:
+    """The k-th compound matrix of r: its k x k minors det r[S, T], S and T
+    over the lex k-subsets of r's rows and columns, in one batched
+    determinant (1 for k = 0).  Row S is the degree-k monomial e^S."""
+    S, T = _lex_subsets(r.shape[0], k), _lex_subsets(r.shape[1], k)
+    return np.linalg.det(r[S[:, None, :, None], T[None, :, None, :]])
 
 
 # Lambda(H): exterior degree of each of its 16 monomials, the starts of its
@@ -411,12 +426,10 @@ class ExteriorAlgebra:
         if d < 4 or d % 4:
             raise ValueError(f"the algebra of H^n needs d = 4n >= 4, got {d}")
         self.d = d
-        self.basis: list[tuple[int, ...]] = []
-        for k in range(d + 1):
-            self.basis.extend(itertools.combinations(range(d), k))
-        self.dim = len(self.basis)
-        self.index = {s: i for i, s in enumerate(self.basis)}
-        self.degrees = np.array([len(s) for s in self.basis])
+        basis = [s for k in range(d + 1)
+                 for s in itertools.combinations(range(d), k)]
+        self.dim = len(basis)
+        self.degrees = np.array([len(s) for s in basis])
         self.offsets = _degree_offsets(self.dim)
         self._count = np.bincount(self.degrees)
         self._cols = np.arange(self.dim)
@@ -425,7 +438,7 @@ class ExteriorAlgebra:
         # e^a e^S = _sign[a, i] e^{_dst[a, i]} for S = basis[i]; _sign is 0
         # (and _dst is i) where a is in S, so killed sources stay killed
         # under composition.  Contractions are the transposed maps.
-        masks = np.array([sum(1 << a for a in s) for s in self.basis])
+        masks = np.array([sum(1 << a for a in s) for s in basis])
         self._masks = masks
         position = np.empty(1 << d, dtype=np.intp)
         position[masks] = self._cols
@@ -531,9 +544,6 @@ class ExteriorAlgebra:
         rows, cols, vals = self._one_form_entries(vec)
         return cols, rows, vals
 
-    def multi_indices(self, k: int) -> list[tuple[int, ...]]:
-        return list(itertools.combinations(range(self.d), k))
-
     def _two_form_entries(self, coeff_matrix):
         """(images, sources, values) of sum_{a<b} w[a,b] e^a ^ e^b."""
         w = np.asarray(coeff_matrix, dtype=complex)
@@ -628,25 +638,14 @@ class ExteriorAlgebra:
                 odd=False)
         return self._operator(*self._quadratic_entries(W, A, C, scalar))
 
-    @cached_property
-    def _subsets(self) -> list[np.ndarray]:
-        """The degree-k monomials as a (C(d, k), k) array of indices, for
-        k = 1..d."""
-        return [np.array(self.multi_indices(k), dtype=np.intp)
-                for k in range(1, self.d + 1)]
-
     def induced(self, r) -> FiberOperator:
         """Lambda(r), the algebra map extending the 1-form map r (acting on
         coefficients, e^b -> sum_a r[a, b] e^a): e^T goes to the wedge of
         the images of its generators, so the degree-k block is the k-th
-        compound matrix of r, the k x k minors det r[S, T] over the lex
-        multi-indices S, T.  One batched determinant a degree."""
+        `compound` matrix of r."""
         r = np.asarray(r)
-        blocks = {(0, 0): np.ones((1, 1), dtype=r.dtype)}
-        for k, S in enumerate(self._subsets, start=1):
-            blocks[k, k] = np.linalg.det(
-                r[S[:, None, :, None], S[None, :, None, :]])
-        return self.blocked(blocks)
+        return self.blocked({(k, k): compound(r, k)
+                             for k in range(self.d + 1)})
 
     def degree_projector(self, k: int) -> np.ndarray:
         return np.diag((self.degrees == k).astype(float))

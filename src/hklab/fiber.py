@@ -19,15 +19,21 @@ whose coefficients stay inside the blocks; one factor a term at n = 1), or
 block by block, from the degree-block scatters of `ExteriorAlgebra` or from
 per-degree block computations, so no 2^{4n} x 2^{4n} array is formed
 unless a caller asks for `.matrix`.
+
+The spectra live on the (0, q)_zeta slices.  The fiber checks read them
+through the bidegree projectors; `slice_basis` writes down an orthonormal
+basis instead, the q x q minors of a frame of (0, 1)-forms, so the
+spectrum paths form no projector and diagonalize nothing wider than d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
-from .exterior import ExteriorAlgebra, FiberOperator
+from .exterior import ExteriorAlgebra, FiberOperator, compound
 from .quaternions import ZETA_I, ZETA_K, TwistorPoint
 
 
@@ -188,30 +194,27 @@ def bidegree_projectors(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     return out
 
 
-def bidegree_projector(fiber: HyperkahlerFiber, zeta: TwistorPoint,
-                       p: int, q: int) -> FiberOperator:
-    """Spectral projector onto the (p, q)_{J_zeta} slice of the algebra."""
-    return bidegree_projectors(fiber, zeta, [(p, q)])[p, q]
+def slice_basis(fiber: HyperkahlerFiber, zeta: TwistorPoint,
+                degrees) -> np.ndarray:
+    """Orthonormal columns spanning the (0, q)_zeta slices, q in `degrees`.
 
-
-def slice_basis(fiber: HyperkahlerFiber, projector: FiberOperator) -> np.ndarray:
-    """Orthonormal column basis of the range of an (orthogonal) projector."""
-    w, V = np.linalg.eigh(0.5 * (projector.matrix + projector.matrix.conj().T))
-    cols = V[:, w > 0.5]
-    # re-orthonormalize against roundoff
-    Q, _ = np.linalg.qr(cols)
-    return Q
-
-
-def zero_one_star_projector(fiber: HyperkahlerFiber, zeta: TwistorPoint,
-                            parity: str = "all") -> FiberOperator:
-    """Projector onto (0, *)_zeta, optionally restricted to even or odd q."""
-    qs = range(0, 2 * fiber.n + 1)
-    if parity == "even":
-        qs = range(0, 2 * fiber.n + 1, 2)
-    elif parity == "odd":
-        qs = range(1, 2 * fiber.n + 1, 2)
-    elif parity != "all":
-        raise ValueError("parity must be 'all', 'even' or 'odd'")
-    projectors = bidegree_projectors(fiber, zeta, [(0, q) for q in qs])
-    return sum(projectors.values(), FiberOperator.zero(fiber.dim))
+    (0, *)_zeta is the exterior algebra of the (0, 1)-forms, the +1
+    eigenvectors of sqrt(-1) J_zeta^T (the -sqrt(-1) ones of the type
+    derivation on 1-forms).  With U an orthonormal d x 2n frame of them,
+    column block q holds the q-th `compound` matrix of U in the degree-q
+    rows: the wedges of q frame vectors, in lex order.  By Cauchy-Binet
+    its Gram matrix is the compound of U^H U = 1, so the columns are
+    orthonormal, and they span (0, q)_zeta.
+    """
+    n, off = fiber.n, fiber.algebra.offsets
+    degrees = list(degrees)
+    if not all(0 <= q <= 2 * n for q in degrees):
+        raise ValueError(f"degrees {degrees} out of range 0..{2 * n}")
+    _w, V = np.linalg.eigh(1j * complex_structure(fiber, zeta).T)
+    U = V[:, 2 * n:]
+    blocks = []
+    for q in degrees:
+        C = np.zeros((fiber.dim, comb(2 * n, q)), dtype=complex)
+        C[off[q]:off[q + 1]] = compound(U, q)
+        blocks.append(C)
+    return np.hstack(blocks)

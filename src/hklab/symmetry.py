@@ -100,7 +100,7 @@ def _exp_factor(G: np.ndarray, t: float) -> np.ndarray:
     H = 1j * G
     Hc = H.conj().T.copy()  # contiguous: strided sums are much slower
     herm = float(np.linalg.norm(H - Hc) / max(1.0, np.linalg.norm(H)))
-    if herm > 1e-10:
+    if not herm <= 1e-10:
         raise ValueError(f"generator is not anti-Hermitian (residual {herm:.1e})")
     H = 0.5 * (H + Hc)
     out = np.zeros_like(H)

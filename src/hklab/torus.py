@@ -21,7 +21,10 @@ tensored with the lattice, so their residuals are Frobenius norms taken from
 and the site Gram table, a closed form of (d, N) (`site_gram`) blind to the
 links, which spectra and indices test.  A fiber slice restricts on the terms
 to S_i (x) Q^H f_i Q (`LatticeOperator.on_slice`), so eigensolves assemble
-sites x slice only.  scipy is imported only where a sparse matrix is formed.
+sites x slice only.  The slices are sums of (0, q)_zeta slices, named by
+their degrees q; their bases Q are the closed forms of
+`fiber.slice_basis`, so no spectrum forms a projector.  scipy is imported
+only where a sparse matrix is formed.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projector,
-                    bidegree_projectors, complex_structure, kahler_form,
-                    slice_basis, standard_fiber, zero_one_star_projector)
+from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projectors,
+                    complex_structure, kahler_form, slice_basis,
+                    standard_fiber)
 from .quaternions import (QUAT_J, TwistorPoint, UnitQuaternion, ZETA_J,
                           adjoint_action, hopf_section)
 from .report import CheckResult
@@ -88,7 +91,7 @@ class LatticeGaugeField:
 
     def __post_init__(self):
         if (np.shape(self.links) != (self.spec.sites, self.spec.d)
-                or np.abs(np.abs(self.links) - 1.0).max() > 1e-12):
+                or not np.abs(np.abs(self.links) - 1.0).max() <= 1e-12):
             raise ValueError("links must be unit phases of shape (sites, d)")
 
     def coords(self) -> np.ndarray:
@@ -313,10 +316,6 @@ class LatticeOperator:
         sq = np.sum(np.abs(g) ** 2, axis=(1, 2))
         return float(np.sqrt(lam @ sq))
 
-    def hermitian_residual(self) -> float:
-        return ((self - self.adjoint()).frobenius_norm()
-                / max(1.0, self.frobenius_norm()))
-
 
 @lru_cache(maxsize=8)
 def _coords(spec: LatticeSpec) -> np.ndarray:
@@ -441,7 +440,7 @@ def lowest_eigenvalues(M: sp.spmatrix | np.ndarray, k: int, seed: int = 0,
         import scipy.sparse.linalg as spla
     norm = np.linalg.norm if dense else spla.norm
     herm = norm(M - M.conj().T) / max(1.0, norm(M))
-    if herm > 1e-10:
+    if not herm <= 1e-10:
         raise ValueError(f"operator is not Hermitian on the slice ({herm:.1e})")
     dim = M.shape[0]
     k = min(k, dim)
@@ -530,33 +529,34 @@ def _window(k: int, dim: int) -> int:
 
 
 def flux_spectra(field: LatticeGaugeField, zeta: TwistorPoint,
-                 projectors: list[FiberOperator], k: int,
+                 slices: list, k: int,
                  seed: int = 0) -> list[tuple[np.ndarray, int]]:
     """(k lowest eigenvalues, slice dim) of the flux Laplacian per slice.
 
-    The operator is `lichnerowicz_laplacian(field, zeta)` restricted to
-    each projector's range.  When the field is plane-separable the
-    spectra come from `separable_spectrum`, with exact multiplicities,
-    and neither the site Laplacian nor any lattice operator is built; the
-    plane Laplacians and the flux fiber matrix are formed once for all
-    projectors.  Any other field is restricted to each slice on its terms
-    (`LatticeOperator.on_slice`), assembled there and solved by
-    `lowest_eigenvalues`.
+    Each slice is a set of degrees q, naming the sum of the (0, q)_zeta
+    slices (`slice_basis`).  The operator is
+    `lichnerowicz_laplacian(field, zeta)` restricted to each.  When the
+    field is plane-separable the spectra come from `separable_spectrum`,
+    with exact multiplicities, and neither the site Laplacian nor any
+    lattice operator is built; the plane Laplacians and the flux fiber
+    matrix are formed once for all slices.  Any other field is restricted
+    to each slice on its terms (`LatticeOperator.on_slice`), assembled
+    there and solved by `lowest_eigenvalues`.
     """
     fiber = model_fiber(field.spec.n)
     planes = plane_laplacians(field)
     if planes is None:
         delta = lichnerowicz_laplacian(field, zeta)
 
-        def assembled(P: FiberOperator) -> tuple[np.ndarray, int]:
-            M = delta.on_slice(slice_basis(fiber, P)).matrix
+        def assembled(degrees) -> tuple[np.ndarray, int]:
+            M = delta.on_slice(slice_basis(fiber, zeta, degrees)).matrix
             dim = M.shape[0]
             return lowest_eigenvalues(M, _window(k, dim), seed=seed), dim
 
-        return [assembled(P) for P in projectors]
+        return [assembled(degrees) for degrees in slices]
     F = flux_fiber_matrix(field, zeta)
-    return [separable_spectrum(planes, F, slice_basis(fiber, P), k)
-            for P in projectors]
+    return [separable_spectrum(planes, F, slice_basis(fiber, zeta, degrees), k)
+            for degrees in slices]
 
 
 CLUSTER_RATIO = 6.0
@@ -663,12 +663,11 @@ def dirac_index(field: LatticeGaugeField, zeta: TwistorPoint,
     max(8, 2 m^2 + 6).
     """
     n = field.spec.n
-    fiber = model_fiber(n)
     if k is None:
         k = max(2 ** (2 * n + 1), 2 * field.m ** (2 * n) + 6)
     parities = ("even", "odd")
-    slices = flux_spectra(field, zeta, [
-        zero_one_star_projector(fiber, zeta, p) for p in parities], k, seed)
+    slices = flux_spectra(field, zeta, [range(0, 2 * n + 1, 2),
+                                        range(1, 2 * n + 1, 2)], k, seed)
     out = {p: w for p, (w, _dim) in zip(parities, slices)}
     complete = {p: len(w) == dim for p, (w, dim) in zip(parities, slices)}
     cluster = near_zero_cluster(np.concatenate([out["even"], out["odd"]]))
@@ -731,14 +730,12 @@ def theorem_1_1_details(field: LatticeGaugeField, zeta: TwistorPoint,
     X = chi(fiber, eta, zeta)
     conj_residual = ((X @ dz - dzp @ X).frobenius_norm()
                      / max(1.0, dz.frobenius_norm()))
-    [(wz, _)] = flux_spectra(field, zeta,
-                             [zero_one_star_projector(fiber, zeta)], k, seed)
-    [(wp, _)] = flux_spectra(field, zp,
-                             [zero_one_star_projector(fiber, zp)], k, seed)
+    zero_star = range(2 * fiber.n + 1)
+    [(wz, _)] = flux_spectra(field, zeta, [zero_star], k, seed)
+    [(wp, _)] = flux_spectra(field, zp, [zero_star], k, seed)
 
     def dirac_square_spec(z):
-        D2 = _dirac_square_slice(
-            field, z, slice_basis(fiber, zero_one_star_projector(fiber, z)))
+        D2 = _dirac_square_slice(field, z, slice_basis(fiber, z, zero_star))
         return lowest_eigenvalues(D2, k, seed=seed)
 
     dev_dirac = float(np.abs(dirac_square_spec(zeta)
@@ -767,17 +764,14 @@ def theorem_3_1_details(field: LatticeGaugeField, zetas: list[TwistorPoint],
     conj_residual = ((R @ half - half @ R).frobenius_norm()
                      / max(1.0, half.frobenius_norm()))
 
-    def dolbeault_spectra(z, projectors):
-        return [0.5 * w
-                for w, _ in flux_spectra(field, z, projectors, k, seed)]
+    def dolbeault_spectra(z, slices):
+        return [0.5 * w for w, _ in flux_spectra(field, z, slices, k, seed)]
 
-    spectra = np.array([
-        dolbeault_spectra(z, [zero_one_star_projector(fiber, z)])[0]
-        for z in zetas])
+    degrees = range(2 * fiber.n + 1)
+    spectra = np.array([dolbeault_spectra(z, [degrees])[0] for z in zetas])
     deviation = float(np.abs(spectra - spectra[0]).max())
     counts = [_kernel_count(w, tau=0.5) for w in dolbeault_spectra(
-        zetas[0], [bidegree_projector(fiber, zetas[0], 0, q)
-                   for q in range(2 * fiber.n + 1)])]
+        zetas[0], [(q,) for q in degrees])]
     return {"conjugation_residual": conj_residual,
             "spectral_deviation": deviation,
             "harmonic_counts": counts}
@@ -786,11 +780,10 @@ def theorem_3_1_details(field: LatticeGaugeField, zetas: list[TwistorPoint],
 def corollary_1_2_details(field: LatticeGaugeField,
                           zetas: list[TwistorPoint], seed: int = 0) -> dict:
     """Smallest (0, odd) eigenvalue of the flux Laplacian per sampled zeta."""
-    fiber = model_fiber(field.spec.n)
+    odd = range(1, 2 * field.spec.n + 1, 2)
     gaps = []
     for z in zetas:
-        [(w, _dim)] = flux_spectra(
-            field, z, [zero_one_star_projector(fiber, z, "odd")], 2, seed)
+        [(w, _dim)] = flux_spectra(field, z, [odd], 2, seed)
         gaps.append(float(w[0]))
     gaps = np.array(gaps)
     return {"gaps": gaps, "min_gap": float(gaps.min()),
@@ -847,8 +840,8 @@ def _thm31_residual(det: dict, field: LatticeGaugeField) -> float:
 
 
 def _cor12_residual(det: dict, field: LatticeGaugeField) -> float:
-    # require at least a quarter of the continuum gap 4 pi m
-    vanishing_ok = det["min_gap"] > np.pi * max(field.m, 1)
+    # require at least a quarter of the continuum gap 4 pi |m|
+    vanishing_ok = det["min_gap"] > np.pi * max(abs(field.m), 1)
     return det["deviation"] if vanishing_ok else float("inf")
 
 
@@ -968,7 +961,7 @@ def dirac_vs_lichnerowicz(field: LatticeGaugeField, zeta: TwistorPoint,
     difference decays like 1/N^2.
     """
     fiber = model_fiber(field.spec.n)
-    basis = slice_basis(fiber, zero_one_star_projector(fiber, zeta))
+    basis = slice_basis(fiber, zeta, range(2 * fiber.n + 1))
     delta = lichnerowicz_laplacian(field, zeta).on_slice(basis).matrix
     d2 = _dirac_square_slice(field, zeta, basis)
     dim = delta.shape[0]

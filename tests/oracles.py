@@ -9,7 +9,9 @@ exterior algebra built from the subset-and-sign definition of the wedge,
 the commutator closure of an operator list by dense products, the dense
 site Laplacian and differences of a gauge field's links, and the
 sites x fiber lifts 1 (x) f and slice restrictions (1 (x) Q)^H M (1 (x) Q)
-of assembled lattice operators.
+of assembled lattice operators.  The (0, *) projectors are the library's
+`bidegree_projectors` (interpolants of the type derivation), the side that
+the closed-form slice bases of `slice_basis` are checked against.
 """
 
 from __future__ import annotations
@@ -305,11 +307,40 @@ def lift_fiber(field_or_spec, op) -> sp.csr_matrix:
                    sp.csr_matrix(getattr(op, "matrix", op)), format="csr")
 
 
-def slice_isometry(field_or_spec, fiber, projector) -> sp.csr_matrix:
-    """1 (x) Q: the isometry from sites x slice onto the projector range."""
+def slice_isometry(field_or_spec, fiber, zeta, degrees) -> sp.csr_matrix:
+    """1 (x) Q: the isometry from sites x slice onto the sum of the
+    (0, q)_zeta slices, q in degrees."""
     from hklab.fiber import slice_basis
 
-    return lift_fiber(field_or_spec, slice_basis(fiber, projector))
+    return lift_fiber(field_or_spec, slice_basis(fiber, zeta, degrees))
+
+
+def bidegree_projector(fiber, zeta, p: int, q: int):
+    """The (p, q)_zeta projector of the library's `bidegree_projectors`,
+    the Lagrange interpolant of the type derivation: a path that shares
+    nothing with `slice_basis` and raises on a bidegree out of range."""
+    from hklab.fiber import bidegree_projectors
+
+    return bidegree_projectors(fiber, zeta, [(p, q)])[p, q]
+
+
+def zero_one_star_projector(fiber, zeta, degrees=None):
+    """The sum of the (0, q)_zeta projectors over q in degrees (every q
+    by default), from `bidegree_projectors`."""
+    from hklab.exterior import FiberOperator
+    from hklab.fiber import bidegree_projectors
+
+    if degrees is None:
+        degrees = range(2 * fiber.n + 1)
+    parts = bidegree_projectors(fiber, zeta, [(0, q) for q in degrees])
+    return sum(parts.values(), FiberOperator.zero(fiber.dim))
+
+
+def hermitian_residual(op) -> float:
+    """||op - op^H||_F / max(1, ||op||_F) of a lattice operator, from its
+    terms (`LatticeOperator.frobenius_norm`)."""
+    return ((op - op.adjoint()).frobenius_norm()
+            / max(1.0, op.frobenius_norm()))
 
 
 def restrict(op, isometry: sp.spmatrix) -> sp.csr_matrix:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hklab.fiber import standard_fiber, zero_one_star_projector
+from hklab.fiber import standard_fiber
 from hklab.gengeo import (GeneralizedTangentSpace, LinearBraneDatum,
                           fiber_families, generalized_metric,
                           hyperbrane_condition)

@@ -294,6 +294,34 @@ def test_spectrum_builds_no_lattice_operator(monkeypatch, tmp_path):
         assert np.abs(w - oracle).max() < 1e-9
 
 
+def test_spectrum_paths_build_no_projector(monkeypatch, tmp_path):
+    """`dirac_index` and `hklab spectrum` take their slices from the minors
+    of a (0, 1)-frame: they build no bidegree projector and take no eigh
+    of a matrix as wide as the fiber algebra (16 at n = 1)."""
+    from hklab import fiber, torus
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built a bidegree projector")
+
+    eigh = np.linalg.eigh
+
+    def narrow_eigh(a, *args, **kwargs):
+        assert np.shape(a)[-1] < 16, "eigendecomposed a fiber-wide matrix"
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(fiber, "bidegree_projectors", fail)
+    monkeypatch.setattr(torus, "bidegree_projectors", fail)
+    monkeypatch.setattr(np.linalg, "eigh", narrow_eigh)
+    field = torus.build_gauge_field(torus.LatticeSpec(1, 4), 1)
+    for zeta in cli._zeta_list("axes"):
+        assert torus.dirac_index(field, zeta).value == 1
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--N", "4", "--m", "1", "--k", "12",
+                     "--zetas", "axes", "--workers", "1",
+                     "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 6 * 12
+
+
 def test_index_honours_k(tmp_path):
     """--k (or a config-file k) reaches dirac_index; k = 2 ends the even
     list inside the 4-fold cluster, so the index is indeterminate."""

@@ -16,11 +16,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from hklab.exterior import ExteriorAlgebra
-from hklab.fiber import (FiberOperator, HyperkahlerFiber,
-                         bidegree_projector, complex_structure,
+from hklab.fiber import (FiberOperator, HyperkahlerFiber, complex_structure,
                          contraction_operator, holomorphic_symplectic,
-                         kahler_form, standard_fiber, type_derivation,
-                         wedge_operator, zero_one_star_projector)
+                         kahler_form, slice_basis, standard_fiber,
+                         type_derivation, wedge_operator)
 from hklab.quaternions import (QUAT_J, QUAT_K, ZETA_I, ZETA_J, ZETA_K,
                                TwistorPoint, UnitQuaternion, adjoint_action,
                                hopf_section, random_twistor_point,
@@ -32,7 +31,8 @@ from hklab.symmetry import (chi, chi_k, clifford, clifford_2form,
                             rho_sp1, rho_sp1_oneform, ten_operators)
 from hklab.torus import model_fiber
 
-from .oracles import DenseExterior, dense_exp_antihermitian
+from .oracles import (DenseExterior, bidegree_projector,
+                      dense_exp_antihermitian, zero_one_star_projector)
 
 TOL = 1e-13
 
@@ -99,8 +99,30 @@ def test_fiber_builders_match_dense_reference(pair, rng):
     assert _close(tri.Lambda.matrix, L.conj().T)
     assert _close(tri.H.matrix, L @ L.conj().T - L.conj().T @ L)
     want = ref.bidegree_projectors(J)
-    assert _close(zero_one_star_projector(fiber, zeta, "odd").matrix,
-                  sum(want[0, q] for q in range(1, 2 * fiber.n + 1, 2)))
+    odd = range(1, 2 * fiber.n + 1, 2)
+    want_odd = sum(want[0, q] for q in odd)
+    assert _close(zero_one_star_projector(fiber, zeta, odd).matrix, want_odd)
+    Q = slice_basis(fiber, zeta, odd)
+    assert _close(Q @ Q.conj().T, want_odd)
+
+
+def test_slice_basis_spans_the_dense_zero_star_slices(pair, rng):
+    """Q^H Q = 1 and P Q = Q, with P the dense reference's (0, q)
+    projectors, at the six axis points and three seeded ones, for every
+    degree set: all, even, odd and each single q."""
+    fiber, ref = pair
+    qs = range(2 * fiber.n + 1)
+    zetas = [ZETA_I, ZETA_J, ZETA_K, -ZETA_I, -ZETA_J, -ZETA_K,
+             *(random_twistor_point(rng) for _ in range(3))]
+    for zeta in zetas:
+        want = ref.bidegree_projectors(complex_structure(fiber, zeta))
+        for degrees in (qs, qs[::2], qs[1::2], *((q,) for q in qs)):
+            Q = slice_basis(fiber, zeta, degrees)
+            width = sum(math.comb(2 * fiber.n, q) for q in degrees)
+            assert Q.shape == (fiber.dim, width)
+            assert np.abs(Q.conj().T @ Q - np.eye(width)).max() <= 1e-14
+            P = sum(want[0, q] for q in degrees)
+            assert np.abs(P @ Q - Q).max() <= 1e-13
 
 
 def test_clifford_2form_matches_dense_reference(pair, rng):

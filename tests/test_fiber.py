@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklab.exterior import ExteriorAlgebra
-from hklab.fiber import (HyperkahlerFiber, bidegree_projector,
-                         complex_structure, contraction_operator,
-                         holomorphic_symplectic, kahler_form, standard_fiber,
-                         wedge_operator, zero_one_star_projector)
+from hklab.fiber import (HyperkahlerFiber, complex_structure,
+                         contraction_operator, holomorphic_symplectic,
+                         kahler_form, slice_basis, standard_fiber,
+                         type_derivation, wedge_operator)
 from hklab.quaternions import (TwistorPoint, ZETA_I, ZETA_J, ZETA_K,
                                adjoint_action, fibonacci_sphere,
                                random_twistor_point, random_unit_quaternion)
 from hklab.reptheory import lefschetz_triple
 from hklab.symmetry import clifford, clifford_2form
+
+from .oracles import bidegree_projector, zero_one_star_projector
 
 
 def test_standard_fiber_basis_convention(fiber1):
@@ -61,7 +64,7 @@ def test_twistor_rotation_matches_quaternion_conjugation(fiber1, rng):
 
 
 def test_kahler_forms_derived_values(fiber1):
-    pairs = fiber1.algebra.multi_indices(2)
+    pairs = list(itertools.combinations(range(4), 2))
     wi = {(a, b): kahler_form(fiber1, ZETA_I)[a, b] for a, b in pairs}
     assert wi[(0, 1)] == 1 and wi[(2, 3)] == 1
     assert sum(abs(v) for k, v in wi.items() if k not in ((0, 1), (2, 3))) == 0
@@ -175,12 +178,31 @@ def test_kahler_form_is_fixed_by_11_projector(fiber1):
 def test_zero_one_star_parity_split(fiber1, rng):
     z = random_twistor_point(rng)
     total = zero_one_star_projector(fiber1, z).matrix
-    even = zero_one_star_projector(fiber1, z, "even").matrix
-    odd = zero_one_star_projector(fiber1, z, "odd").matrix
+    even = zero_one_star_projector(fiber1, z, (0, 2)).matrix
+    odd = zero_one_star_projector(fiber1, z, (1,)).matrix
     assert np.abs(total - even - odd).max() < 1e-12
     assert abs(np.trace(total).real - 4) < 1e-9
     with pytest.raises(ValueError):
-        zero_one_star_projector(fiber1, z, "sideways")
+        zero_one_star_projector(fiber1, z, (3,))
+
+
+def test_slice_basis_at_n3_diagonalizes_the_type_derivation():
+    """At n = 3 (4096 monomials) the columns are isometric, and those of
+    degree q are eigenvectors of the type derivation with eigenvalue
+    -q sqrt(-1): (0, q)_zeta."""
+    fiber = standard_fiber(3)
+    zeta = random_twistor_point(np.random.default_rng(3))
+    Q = slice_basis(fiber, zeta, range(7))
+    assert np.abs(Q.conj().T @ Q - np.eye(64)).max() <= 1e-14
+    q = np.repeat(np.arange(7), [math.comb(6, q) for q in range(7)])
+    DQ = type_derivation(fiber, zeta) @ Q
+    assert np.abs(DQ - Q * (-1j * q)).max() <= 1e-12
+
+
+def test_slice_basis_rejects_degrees_out_of_range(fiber1):
+    for degrees in ((3,), (-1,), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            slice_basis(fiber1, ZETA_J, degrees)
 
 
 def test_form_coefficients_are_validated(fiber1):

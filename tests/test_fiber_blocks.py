@@ -16,8 +16,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from hklab.exterior import ExteriorAlgebra
-from hklab.fiber import (FiberOperator, bidegree_projector,
-                         complex_structure, kahler_form, standard_fiber)
+from hklab.fiber import (FiberOperator, complex_structure, kahler_form,
+                         standard_fiber)
 from hklab.quaternions import (ZETA_I, ZETA_J, ZETA_K, TwistorPoint,
                                random_twistor_point, random_unit_quaternion)
 from hklab.symmetry import (chi, chi_k, clifford, clifford_2form,
@@ -26,8 +26,8 @@ from hklab.symmetry import (chi, chi_k, clifford, clifford_2form,
 from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
                          lattice_dirac)
 
-from .oracles import (DenseExterior, dense_closure, dense_exp_antihermitian,
-                      lift_fiber)
+from .oracles import (DenseExterior, bidegree_projector, dense_closure,
+                      dense_exp_antihermitian, lift_fiber)
 
 TOL = 1e-13
 # the order of OperatorAlgebra.as_list

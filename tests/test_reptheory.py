@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hklab.fiber import bidegree_projector, holomorphic_symplectic, kahler_form
+from hklab.fiber import holomorphic_symplectic, kahler_form
 from hklab.quaternions import ZETA_J, random_twistor_point
 from hklab.reptheory import (antiholomorphic_triple, irrep_operators,
                              irrep_sp1_eval, irrep_sp1_generator,
@@ -12,7 +12,8 @@ from hklab.reptheory import (antiholomorphic_triple, irrep_operators,
                              reconstruct)
 from scipy.linalg import expm
 
-from .oracles import primitive_dimension, sl2_joint_spectrum_prediction
+from .oracles import (bidegree_projector, primitive_dimension,
+                      sl2_joint_spectrum_prediction)
 
 
 def test_irrep_m1_ladder():

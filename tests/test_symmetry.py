@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hklab.fiber import (bidegree_projector, kahler_form,
-                         holomorphic_symplectic, wedge_operator,
-                         zero_one_star_projector)
+from hklab.fiber import holomorphic_symplectic, kahler_form, wedge_operator
 from hklab.quaternions import (QUAT_J, QUAT_K, UnitQuaternion, ZETA_I, ZETA_J,
                                ZETA_K, TwistorPoint, adjoint_action,
                                random_twistor_point, random_unit_quaternion)
@@ -14,6 +12,8 @@ from hklab.symmetry import (chi, chi_k, check_ids, clifford, clifford_2form,
                             exp_antihermitian, hodge_star_twisted,
                             rel_residual, rho_j_sp1, rho_sp1,
                             rho_sp1_oneform, ten_operators, verify_identity)
+
+from .oracles import bidegree_projector, zero_one_star_projector
 
 MINUS_J = TwistorPoint(0.0, -1.0, 0.0)
 
@@ -154,6 +154,15 @@ def test_clifford_preserves_zero_star_towers(fiber1, rng):
     assert rel_residual(P @ C @ P, C @ P) < 1e-12
 
 
+
+def test_exp_antihermitian_rejects_non_finite_generators():
+    """A NaN entry fails the anti-Hermitian check, which compares with <=,
+    instead of giving a NaN exponential."""
+    G = np.zeros((4, 4))
+    G[0, 1], G[1, 0] = np.nan, -np.nan
+    with pytest.raises(ValueError, match="not anti-Hermitian"):
+        exp_antihermitian(G)
+
 # ----- the Clifford Sp(1) action and Hodge star -----------------------------
 
 def test_rho_j_closed_forms(fiber1):
@@ -241,7 +250,7 @@ def test_chi_family_contract(fiber1, rng):
         B = clifford_2form(fiber1, zp, wJ).matrix
         assert rel_residual(X @ A, B @ X) < 1e-11
         # parity of the antiholomorphic degree is preserved
-        for parity in ("even", "odd"):
+        for parity in ((0, 2), (1,)):
             Q0 = zero_one_star_projector(fiber1, zeta, parity).matrix
             Q1 = zero_one_star_projector(fiber1, zp, parity).matrix
             assert rel_residual(Q1 @ X @ Q0, X @ Q0) < 1e-11

@@ -9,13 +9,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklab.fiber import (bidegree_projector, slice_basis,
-                         zero_one_star_projector)
+from hklab.fiber import slice_basis
 from hklab.quaternions import (QUAT_K, TwistorPoint, UnitQuaternion, ZETA_J,
                                fibonacci_sphere, random_twistor_point,
                                random_unit_quaternion, sample_zetas)
-from hklab.torus import (LatticeGaugeField, LatticeOperator, LatticeSpec,
-                         build_gauge_field, corollary_1_2_details,
+from hklab.torus import (THEOREMS, LatticeGaugeField, LatticeOperator,
+                         LatticeSpec, build_gauge_field, corollary_1_2_details,
                          covariant_laplacian, dirac_index,
                          dirac_vs_lichnerowicz, dolbeault_pair, flux_spectra,
                          lattice_dirac, lichnerowicz_laplacian,
@@ -24,10 +23,11 @@ from hklab.torus import (LatticeGaugeField, LatticeOperator, LatticeSpec,
                          theorem_3_10_details, theorem_3_1_details,
                          verify_theorem)
 
-from .oracles import (chern_weil_index, flux_slice_spectrum,
-                      flux_zero_one_star_spectrum, free_mode_energy,
-                      hodge_numbers, landau_ground, lift_fiber, restrict,
-                      slice_isometry, theta_ground_count)
+from .oracles import (bidegree_projector, chern_weil_index,
+                      flux_slice_spectrum, flux_zero_one_star_spectrum,
+                      free_mode_energy, hermitian_residual, hodge_numbers,
+                      landau_ground, lift_fiber, restrict, slice_isometry,
+                      theta_ground_count, zero_one_star_projector)
 
 MINUS_J = TwistorPoint(0.0, -1.0, 0.0)
 
@@ -90,11 +90,11 @@ def test_gauge_transformation_preserves_spectrum(rng):
 def test_covariant_laplacian_flat_kernel():
     f0 = build_gauge_field(LatticeSpec(1, 4), 0)
     lap = covariant_laplacian(f0)
-    assert lap.hermitian_residual() < 1e-12
+    assert hermitian_residual(lap) < 1e-12
     v = np.ones(lap.dim, dtype=complex)
     assert np.linalg.norm(lap.matrix @ v) < 1e-10
     fiber = model_fiber(1)
-    Q = slice_basis(fiber, bidegree_projector(fiber, ZETA_J, 0, 0))
+    Q = slice_basis(fiber, ZETA_J, (0,))
     w = lowest_eigenvalues(lap.on_slice(Q).matrix, 2)
     assert abs(w[0]) < 1e-10
     assert abs(w[1] - free_mode_energy(4, [1])) < 1e-9
@@ -118,10 +118,10 @@ def test_dirac_hermitian_and_parity(rng):
     f1 = build_gauge_field(LatticeSpec(1, 3), 1)
     z = random_twistor_point(rng)
     D = lattice_dirac(f1, z)
-    assert D.hermitian_residual() < 1e-12
+    assert hermitian_residual(D) < 1e-12
     fiber = model_fiber(1)
-    even = slice_isometry(f1, fiber, zero_one_star_projector(fiber, z, "even"))
-    odd = slice_isometry(f1, fiber, zero_one_star_projector(fiber, z, "odd"))
+    even = slice_isometry(f1, fiber, z, (0, 2))
+    odd = slice_isometry(f1, fiber, z, (1,))
     # D maps the even tower into the odd tower
     block = (even.getH() @ D.matrix @ even)
     assert spla.norm(block) < 1e-11
@@ -188,7 +188,7 @@ def test_lichnerowicz_slice_shifts():
     delta = lichnerowicz_laplacian(f1, ZETA_J)
     cov = covariant_laplacian(f1)
     for q, shift in ((0, -4 * np.pi), (1, 0.0), (2, +4 * np.pi)):
-        V = slice_isometry(f1, fiber, bidegree_projector(fiber, ZETA_J, 0, q))
+        V = slice_isometry(f1, fiber, ZETA_J, (q,))
         M = restrict(delta, V) - restrict(cov, V)
         eye = np.eye(M.shape[0])
         assert np.abs(M.toarray() - shift * eye).max() < 1e-10
@@ -210,13 +210,12 @@ def test_spectrum_matches_plane_separated_oracle():
     f1 = build_gauge_field(LatticeSpec(1, N), m)
     fiber = model_fiber(1)
     delta = lichnerowicz_laplacian(f1, ZETA_J)
-    cases = [(bidegree_projector(fiber, ZETA_J, 0, q), 8,
-              flux_slice_spectrum(N, m, q, 8)) for q in range(3)]
-    cases.append((zero_one_star_projector(fiber, ZETA_J), 12,
-                  flux_zero_one_star_spectrum(N, m, 12)))
-    for P, k, oracle in cases:
-        [(w, dim)] = flux_spectra(f1, ZETA_J, [P], k)
-        M = delta.on_slice(slice_basis(fiber, P)).matrix
+    cases = [((q,), 8, flux_slice_spectrum(N, m, q, 8)) for q in range(3)]
+    cases.append((range(3), 12, flux_zero_one_star_spectrum(N, m, 12)))
+    for degrees, k, oracle in cases:
+        [(w, dim)] = flux_spectra(f1, ZETA_J, [degrees], k)
+        M = delta.on_slice(slice_basis(fiber, ZETA_J, degrees)).matrix
+        P = zero_one_star_projector(fiber, ZETA_J, degrees)
         for got, got_dim in ((w, dim),
                              (lowest_eigenvalues(M, k), M.shape[0])):
             assert got_dim == f1.spec.sites * round(np.trace(P.matrix).real)
@@ -253,10 +252,10 @@ def test_separable_spectrum_equals_assembled_dense(N, m, zeta_seed, k, part):
     f = build_gauge_field(LatticeSpec(1, N), m)
     z = random_twistor_point(np.random.default_rng(zeta_seed))
     fiber = model_fiber(1)
-    P = (zero_one_star_projector(fiber, z, part) if isinstance(part, str)
-         else bidegree_projector(fiber, z, 0, part))
-    [(w, dim)] = flux_spectra(f, z, [P], k)
-    M = lichnerowicz_laplacian(f, z).on_slice(slice_basis(fiber, P)).matrix
+    degrees = {"all": range(3), "even": (0, 2), "odd": (1,)}.get(part, (part,))
+    [(w, dim)] = flux_spectra(f, z, [degrees], k)
+    M = lichnerowicz_laplacian(f, z).on_slice(
+        slice_basis(fiber, z, degrees)).matrix
     assert dim == M.shape[0]
     assert np.abs(w - lowest_eigenvalues(M, k)).max() < 1e-9
 
@@ -289,11 +288,9 @@ def test_non_separable_field_takes_assembled_path(monkeypatch, rng):
         return matrix(op)
 
     monkeypatch.setattr(torus.LatticeOperator, "matrix", property(spy))
-    fiber = model_fiber(1)
-    P = zero_one_star_projector(fiber, ZETA_J)
-    [(a, dim_a)] = flux_spectra(f, ZETA_J, [P], 12)
+    [(a, dim_a)] = flux_spectra(f, ZETA_J, [range(3)], 12)
     assert assembled == []
-    [(b, dim_b)] = flux_spectra(g, ZETA_J, [P], 12)
+    [(b, dim_b)] = flux_spectra(g, ZETA_J, [range(3)], 12)
     assert [x is g for x in assembled] == [True] and dim_a == dim_b
     assert np.abs(a - b).max() < 1e-9
     res_f, res_g = dirac_index(f, ZETA_J), dirac_index(g, ZETA_J)
@@ -320,7 +317,7 @@ def test_cross_solver_agreement(monkeypatch):
     import hklab.torus as torus
     f1 = build_gauge_field(LatticeSpec(1, 4), 1)
     fiber = model_fiber(1)
-    V = slice_isometry(f1, fiber, zero_one_star_projector(fiber, ZETA_J))
+    V = slice_isometry(f1, fiber, ZETA_J, range(3))
     M = restrict(lichnerowicz_laplacian(f1, ZETA_J), V)
     dense = lowest_eigenvalues(M, 15)
     monkeypatch.setattr(torus, "DENSE_LIMIT", 0)  # force the Lanczos path
@@ -341,15 +338,24 @@ def test_lowest_eigenvalues_rejects_non_hermitian():
             lowest_eigenvalues(M, 2)
 
 
+def test_lowest_eigenvalues_rejects_non_finite_input():
+    """A NaN entry fails the Hermitian check instead of reaching LAPACK or
+    ARPACK."""
+    A = np.eye(6)
+    A[2, 2] = np.nan
+    for M in (A, sp.csr_matrix(A)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            lowest_eigenvalues(M, 2)
+
+
 def test_lowest_eigenvalues_rejects_k_below_one():
     # a negative k would slice the top of the spectrum off instead
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):
             lowest_eigenvalues(np.diag([3.0, 1.0, 2.0]), k)
     field = build_gauge_field(LatticeSpec(1, 4), 1)
-    P = zero_one_star_projector(model_fiber(1), ZETA_J)
     with pytest.raises(ValueError, match="k must be >= 1"):
-        flux_spectra(field, ZETA_J, [P], -2)
+        flux_spectra(field, ZETA_J, [range(3)], -2)
     with pytest.raises(ValueError, match="k must be >= 1"):
         dirac_index(field, ZETA_J, k=-3)
 
@@ -390,8 +396,7 @@ def test_eigensolves_only_in_lowest_eigenvalues():
 def test_spectrum_determinism_and_truncation(rng):
     f1 = build_gauge_field(LatticeSpec(1, 3), 1)
     g = f1.gauge_transformed(np.exp(2j * np.pi * rng.random(f1.spec.sites)))
-    fiber = model_fiber(1)
-    P = bidegree_projector(fiber, ZETA_J, 0, 0)
+    P = (0,)
     [(a, _)] = flux_spectra(g, ZETA_J, [P], 4, seed=5)
     [(b, _)] = flux_spectra(g, ZETA_J, [P], 4, seed=5)
     assert np.array_equal(a, b)
@@ -410,11 +415,9 @@ def test_lichnerowicz_conjugation_exact(rng):
 
 def test_spectral_sp1_invariance_k32():
     f1 = build_gauge_field(LatticeSpec(1, 4), 1)
-    fiber = model_fiber(1)
     base = None
     for z in fibonacci_sphere(20):
-        [(w, _dim)] = flux_spectra(f1, z, [zero_one_star_projector(fiber, z)],
-                                   32)
+        [(w, _dim)] = flux_spectra(f1, z, [range(3)], 32)
         if base is None:
             base = w
         else:
@@ -455,6 +458,16 @@ def test_verify_corollary_1_2_and_flat_control(rng):
     det0 = corollary_1_2_details(f0, [ZETA_J])
     assert det0["min_gap"] < 1e-8
     assert not verify_theorem("cor1.2", f0, [ZETA_J]).verdict
+
+
+def test_cor12_gap_bound_is_a_quarter_of_the_continuum_gap_for_any_sign():
+    """The vanishing bound is pi max(|m|, 1), a quarter of 4 pi |m|: a gap
+    of 1.5 pi fails at m = -2 and passes at m = 1."""
+    reduce = THEOREMS["cor1.2"][3]
+    det = {"min_gap": 1.5 * np.pi, "deviation": 0.0}
+    spec = LatticeSpec(1, 3)
+    assert reduce(det, build_gauge_field(spec, -2)) == np.inf
+    assert reduce(det, build_gauge_field(spec, 1)) == 0.0
 
 
 def test_verify_theorem_3_10_generic_bundle():
@@ -599,10 +612,8 @@ def test_exact_symmetry_invariants(rng):
 def test_sliced_spectrum_gauge_invariance(rng):
     f = build_gauge_field(LatticeSpec(1, 3), 1)
     g = f.gauge_transformed(np.exp(2j * np.pi * rng.random(f.spec.sites)))
-    fiber = model_fiber(1)
-    P = zero_one_star_projector(fiber, ZETA_J)
-    [(a, _)] = flux_spectra(f, ZETA_J, [P], 12)
-    [(b, _)] = flux_spectra(g, ZETA_J, [P], 12)
+    [(a, _)] = flux_spectra(f, ZETA_J, [range(3)], 12)
+    [(b, _)] = flux_spectra(g, ZETA_J, [range(3)], 12)
     assert np.abs(a - b).max() < 1e-10
 
 
