@@ -8,10 +8,7 @@ transposes.
 Each wedge generator e^a is a signed partial permutation of this basis:
 it sends e^S to +-e^{S + a} when a is not in S and kills it otherwise.  It
 is stored as index arrays over the source monomials, never as a dim x dim
-matrix.  Every operator built here shifts the exterior degree by a fixed
-amount or a few; one that does not factor over the quaternion blocks
-(below) has its entries scattered straight into their (degree out, degree
-in) blocks.  The dense matrix exists only when a caller asks for it.
+matrix.
 
 For d = 4n the algebra is also the tensor product of n copies of
 Lambda(H), one per quaternion block {4b, .., 4b+3}: the blocks are
@@ -26,13 +23,16 @@ passing the generators of the blocks before b; an even one-block operator
 is 1 (x) .. (x) X_b (x) .. (x) 1.  So a wedge, contraction or Clifford
 action of a 1-form is n such terms, and a wedge with a 2-form, a
 derivation or an even quadratic whose coefficient matrices have no entry
-between two blocks is a Kronecker sum.  The exponential of a Kronecker sum
-is the Kronecker product of the n 16 x 16 exponentials
-(`quaternion_factors`), one term; the Sp(1) actions are such products too,
-written down in closed form (`induced` gives a block's hypercomplex
-rotation as a compound matrix).  `quaternion_product` gathers a term list
-into degree blocks when a block-form operand or an array needs them, and
-`quaternion_matrix` into the dense matrix.
+between two blocks is a Kronecker sum.  The twisted star is one product of
+n Lambda(H) twisted stars.  The exponential of a Kronecker sum is the
+Kronecker product of the n 16 x 16 exponentials (`quaternion_factors`),
+one term; the Sp(1) actions are such products too, written down in closed
+form (`induced` gives a block's hypercomplex rotation as a compound
+matrix).  A term operator acts on an array slot by slot
+(`quaternion_apply`), and `quaternion_matrix` gathers its dense matrix.
+The operators that do not factor (forms coupling two blocks, the
+untwisted star, `induced`) have their entries scattered into a dense
+matrix.
 """
 
 from __future__ import annotations
@@ -148,45 +148,44 @@ def _kron_norm(terms) -> float:
     return float(np.linalg.norm(R @ cols[-1].T))
 
 
-def _occupied16(F: np.ndarray) -> list[tuple[int, int]]:
-    """(k_out, k_in) of the nonzero degree blocks of a 16 x 16 factor."""
-    starts = _H_OFFSETS[:-1]
+def _occupied(F: np.ndarray, offsets) -> list[tuple[int, int]]:
+    """(k_out, k_in) of the nonzero degree blocks of F, whose exterior
+    degrees start at `offsets`."""
+    starts = offsets[:-1]
     occupied = np.logical_or.reduceat(
         np.logical_or.reduceat(F != 0, starts, axis=0), starts, axis=1)
     return list(zip(*map(np.ndarray.tolist, np.nonzero(occupied))))
 
 
 class FiberOperator:
-    """Complex matrix acting on Lambda(V* (x) C).
+    """Complex matrix acting on Lambda(V* (x) C), in one of two forms.
 
-    Block form: the operator is held as `blocks`, a dict from (k_out, k_in)
-    to the block that maps exterior degree k_in to degree k_out; every
-    block missing from it is exactly zero.  Products with another
-    FiberOperator, sums, differences, scalar multiples, the adjoint,
-    `inner`, `frobenius_norm` and products with an array act on blocks.
-    `matrix`, the dense 2^d x 2^d form, is assembled on first use.  An
-    operator may also be made from a dense matrix, whose nonzero blocks are
-    then read off once.  A product with a lattice operator is left to the
-    lattice operator.
+    Term form: a list of Kronecker terms, each a tuple of n 16 x 16 arrays,
+    one per quaternion block; entry (S, T) is
+    sum_t prod_b F_tb[parts[S, b], parts[T, b]].  Every builder whose
+    coefficients stay inside the quaternion blocks returns this form, the
+    twisted star and the bidegree projectors among them.  Products, sums,
+    differences, scalar multiples and adjoints of two term operators stay
+    in term form.  A sum or difference merges terms that agree bit for bit
+    in all slots but one into one, which cancels the cross terms of a
+    commutator of Kronecker sums.  Scalar multiples are recorded and
+    applied to the gathered matrix, so (c * A).matrix is c * A.matrix
+    entry for entry (and (A * c).matrix is A.matrix * c).
+    `frobenius_norm` takes the norm of the terms by successive QR of their
+    factor columns, which keeps a small residual of nearly equal
+    operators, and `inner` uses the Gram product
+    sum_st prod_b tr(F_sb^* G_tb).  `A @ x` for an array applies each
+    factor to its slot of x, laid out as an n-slot tensor
+    (`ExteriorAlgebra.quaternion_apply`).  The zero operator is a term
+    operator without terms.
 
-    Term form: an operator may instead be born as a list of Kronecker
-    terms, each a tuple of n 16 x 16 arrays, one per quaternion block;
-    entry (S, T) is sum_t prod_b F_tb[parts[S, b], parts[T, b]].
-    Products, sums, differences, scalar multiples and adjoints of two
-    term-form operators stay in term form.  A sum or difference merges
-    terms that agree bit for bit in all slots but one into one, which
-    cancels the cross terms of a commutator of Kronecker sums.  Scalar
-    multiples are recorded and applied to the gathered form, so c * A is
-    c times A's blocks entry for entry (and A * c A's blocks times c), as
-    in block form.  `frobenius_norm` takes the norm of the terms by
-    successive QR of their factor columns, which keeps a small residual of
-    nearly equal operators, and `inner` uses the Gram product
-    sum_st prod_b tr(F_sb^* G_tb).  The zero operator (no blocks) counts as
-    a term form without terms.  Any operation with a block-form operand,
-    `A @ x` for an array and `blocks` gather the degree blocks once
-    (`ExteriorAlgebra.quaternion_product`), and `matrix` gathers the dense
-    form straight from the factors (`ExteriorAlgebra.quaternion_matrix`);
-    either is then held on the operator.
+    Dense form: the 2^d x 2^d matrix, for the operators that do not
+    factor: forms coupling two blocks, the untwisted star, `induced`,
+    operators made from a matrix and the fallback of
+    `exp_antihermitian`.  An operation with a dense operand takes the
+    other operand's `matrix`, which a term operator gathers from its
+    factors on first use (`ExteriorAlgebra.quaternion_matrix`) and keeps.
+    A product with a lattice operator is left to the lattice operator.
 
     `algebra` is the ExteriorAlgebra the operator was built on (None for
     one made from a bare matrix); results inherit it.  Operators are
@@ -196,46 +195,32 @@ class FiberOperator:
     def __init__(self, matrix: np.ndarray,
                  algebra: "ExteriorAlgebra | None" = None):
         self._matrix = np.asarray(matrix)
-        self._blocks = None
+        self.dim = _degree_offsets(self._matrix.shape[0])[-1]
         self._terms, self._scales = None, ()
-        self._offsets = _degree_offsets(self._matrix.shape[0])
         self.algebra = algebra
 
     @classmethod
-    def _from_blocks(cls, offsets, blocks: dict,
-                     algebra=None) -> "FiberOperator":
+    def _from_terms(cls, dim: int, algebra: "ExteriorAlgebra | None",
+                    terms: list, scales: tuple = ()) -> "FiberOperator":
         op = cls.__new__(cls)
-        op._matrix, op._blocks, op._offsets = None, blocks, offsets
-        op._terms, op._scales = None, ()
-        op.algebra = algebra
-        return op
-
-    @classmethod
-    def _from_terms(cls, algebra: "ExteriorAlgebra", terms: list,
-                    scales: tuple = ()) -> "FiberOperator":
-        op = cls._from_blocks(algebra.offsets, None, algebra)
+        op._matrix, op.dim, op.algebra = None, dim, algebra
         op._terms, op._scales = terms, scales
         return op
 
     @classmethod
     def zero(cls, dim: int) -> "FiberOperator":
-        return cls._from_blocks(_degree_offsets(dim), {})
+        return cls._from_terms(_degree_offsets(dim)[-1], None, [])
 
-    def _new(self, blocks: dict,
-             other: "FiberOperator | None" = None) -> "FiberOperator":
+    def _like(self, other=None, *, terms=None,
+              matrix=None) -> "FiberOperator":
+        """A result with the given terms or matrix, on self's algebra, or
+        on other's when self has none."""
         algebra = self.algebra
         if algebra is None and other is not None:
             algebra = other.algebra
-        return self._from_blocks(self._offsets, blocks, algebra)
-
-    def _termed(self, terms: list,
-                other: "FiberOperator | None" = None) -> "FiberOperator":
-        algebra = self.algebra if self.algebra is not None else other.algebra
-        return self._from_terms(algebra, terms)
-
-    @property
-    def dim(self) -> int:
-        return self._offsets[-1]
+        if terms is None:
+            return FiberOperator(matrix, algebra)
+        return self._from_terms(self.dim, algebra, terms)
 
     def _scaled_by(self, X: np.ndarray) -> np.ndarray:
         """X times the recorded scalars, each on its side, in order."""
@@ -245,73 +230,40 @@ class FiberOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None and self._terms is not None:
+        if self._matrix is None:
             self._matrix = self._scaled_by(
-                self.algebra.quaternion_matrix(self._terms))
-        elif self._matrix is None:
-            off = self._offsets
-            blocks = self.blocks
-            dtype = np.result_type(*blocks.values()) if blocks else complex
-            M = np.zeros((self.dim, self.dim), dtype=dtype)
-            for (a, b), X in blocks.items():
-                M[off[a]:off[a + 1], off[b]:off[b + 1]] = X
-            self._matrix = M
+                self.algebra.quaternion_matrix(self._terms) if self._terms
+                else np.zeros((self.dim, self.dim), dtype=complex))
         return self._matrix
-
-    @property
-    def blocks(self) -> dict:
-        if self._blocks is not None:
-            return self._blocks
-        if self._terms is not None:
-            blocks = {k: self._scaled_by(X) for k, X in
-                      self.algebra.quaternion_product(self._terms).items()}
-        else:
-            off = self._offsets
-            starts = off[:-1]
-            occupied = np.logical_or.reduceat(
-                np.logical_or.reduceat(self._matrix != 0, starts, axis=0),
-                starts, axis=1)
-            blocks = {
-                (a, b): self._matrix[off[a]:off[a + 1], off[b]:off[b + 1]]
-                for a, b in zip(*map(np.ndarray.tolist, np.nonzero(occupied)))}
-        self._blocks = blocks
-        return blocks
 
     @property
     def terms(self) -> list[tuple] | None:
         """The Kronecker terms with the recorded scalars taken into each,
-        or None for a block-form operator."""
+        or None for a dense operator."""
         if self._terms is None or not self._scales:
             return self._terms
         c = math.prod(c for c, _left in self._scales)
         return [_scaled(t, c) for t in self._terms]
 
     def _term_pair(self, other: "FiberOperator"):
-        """Both operands' terms when their result stays in term form: one
-        is in term form and the other is too or is the zero operator."""
-        if self._terms is None and other._terms is None:
+        """Both operands' terms when both are term operators, else None."""
+        if self._terms is None or other._terms is None:
             return None
-        pair = []
-        for op in (self, other):
-            if op._terms is not None:
-                pair.append(op.terms)
-            elif op._matrix is None and not op._blocks:
-                pair.append([])
-            else:
-                return None
-        return pair
+        return self.terms, other.terms
 
     def degree_shifts(self) -> set[int]:
-        """k_out - k_in over the nonzero degree blocks; in term form, the
-        sums of the factors' shifts, read without gathering."""
+        """k_out - k_in over the nonzero degree blocks; for a term
+        operator, the sums of the factors' shifts, read without
+        gathering."""
         if self._terms is None:
-            return {a - b for a, b in self.blocks}
-        shifts = [[{a - b for a, b in _occupied16(F)} for F in t]
+            return {a - b for a, b in
+                    _occupied(self._matrix, _degree_offsets(self.dim))}
+        shifts = [[{a - b for a, b in _occupied(F, _H_OFFSETS)} for F in t]
                   for t in self._terms]
         return {sum(s) for t in shifts for s in itertools.product(*t)}
 
     def _check_space(self, other: "FiberOperator") -> None:
-        if other._offsets != self._offsets:
+        if other.dim != self.dim:
             raise ValueError(f"operators of dimension {self.dim} and "
                              f"{other.dim} act on different algebras")
 
@@ -323,45 +275,29 @@ class FiberOperator:
         self._check_space(other)
         pair = self._term_pair(other)
         if pair is not None:
-            return self._termed([tuple(map(_times, s, t))
-                                 for s in pair[0] for t in pair[1]], other)
-        rows: dict[int, list] = {}
-        for (b, c), Y in other.blocks.items():
-            rows.setdefault(b, []).append((c, Y))
-        out: dict = {}
-        for (a, b), X in self.blocks.items():
-            for c, Y in rows.get(b, ()):
-                P = X @ Y
-                # not +=: blocks of one operator may differ in dtype
-                out[a, c] = out[a, c] + P if (a, c) in out else P
-        return self._new(out, other)
+            return self._like(other, terms=[tuple(map(_times, s, t))
+                                            for s in pair[0] for t in pair[1]])
+        return self._like(other, matrix=self.matrix @ other.matrix)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """self @ x for a vector or a matrix of column vectors, by blocks."""
+        """self @ x for a vector or a matrix of column vectors."""
         if x.shape[0] != self.dim:
             raise ValueError(f"operator of dimension {self.dim} applied to "
                              f"an array of {x.shape[0]} rows")
-        off = self._offsets
-        out = np.zeros(x.shape, dtype=np.result_type(x, complex))
-        for (a, b), X in self.blocks.items():
-            out[off[a]:off[a + 1]] += X @ x[off[b]:off[b + 1]]
-        return out
+        if self._terms is None:
+            return self._matrix @ x
+        if not self._terms:
+            return np.zeros(x.shape, dtype=np.result_type(x, complex))
+        return self._scaled_by(self.algebra.quaternion_apply(self._terms, x))
 
     def _combine(self, other: "FiberOperator", sign: int) -> "FiberOperator":
         self._check_space(other)
         pair = self._term_pair(other)
         if pair is not None:
             theirs = pair[1] if sign > 0 else [_scaled(t, -1) for t in pair[1]]
-            return self._termed(_merged(pair[0] + theirs), other)
-        # a block missing on one side enters as the scalar 0, entry for
-        # entry what the dense sum or difference computes; the result keeps
-        # its blocks in (k_out, k_in) order, as the builders' scatters do,
-        # so products and norms of sums accumulate in a fixed order
-        out = dict(self.blocks)
-        for key, Y in other.blocks.items():
-            X = out[key] if key in out else 0
-            out[key] = X + Y if sign > 0 else X - Y
-        return self._new(dict(sorted(out.items())), other)
+            return self._like(other, terms=_merged(pair[0] + theirs))
+        X, Y = self.matrix, other.matrix
+        return self._like(other, matrix=X + Y if sign > 0 else X - Y)
 
     def __add__(self, other: "FiberOperator") -> "FiberOperator":
         return self._combine(other, 1)
@@ -371,10 +307,10 @@ class FiberOperator:
 
     def _times_scalar(self, c, left: bool) -> "FiberOperator":
         if self._terms is not None:
-            return self._from_terms(self.algebra, self._terms,
+            return self._from_terms(self.dim, self.algebra, self._terms,
                                     self._scales + ((c, left),))
-        return self._new({k: c * X if left else X * c
-                          for k, X in self.blocks.items()})
+        M = self._matrix
+        return self._like(matrix=c * M if left else M * c)
 
     def __mul__(self, c) -> "FiberOperator":
         return self._times_scalar(c, left=False)
@@ -383,35 +319,30 @@ class FiberOperator:
         return self._times_scalar(c, left=True)
 
     def __neg__(self) -> "FiberOperator":
-        if self._terms is not None:
-            return self._times_scalar(-1, left=True)
-        return self._new({k: -X for k, X in self.blocks.items()})
+        return self._times_scalar(-1, left=True)
 
     def adjoint(self) -> "FiberOperator":
         if self._terms is not None:
             return self._from_terms(
-                self.algebra, [tuple(map(_adjoint, t)) for t in self._terms],
+                self.dim, self.algebra,
+                [tuple(map(_adjoint, t)) for t in self._terms],
                 tuple((np.conj(c), left) for c, left in self._scales))
-        return self._new({(b, a): X.conj().T
-                          for (a, b), X in self.blocks.items()})
+        return self._like(matrix=self._matrix.conj().T)
 
     def inner(self, other: "FiberOperator") -> complex:
-        """Frobenius inner product tr(self^* other): over shared blocks, or
-        in term form sum_st prod_b tr(F_sb^* G_tb)."""
+        """Frobenius inner product tr(self^* other); for two term
+        operators sum_st prod_b tr(F_sb^* G_tb)."""
         self._check_space(other)
         pair = self._term_pair(other)
         if pair is not None:
             return sum((math.prod(np.vdot(x, y) for x, y in zip(s, t))
                         for s in pair[0] for t in pair[1]), 0j)
-        theirs = other.blocks
-        return sum((np.vdot(X, theirs[k]) for k, X in self.blocks.items()
-                    if k in theirs), 0j)
+        return complex(np.vdot(self.matrix, other.matrix))
 
     def frobenius_norm(self) -> float:
         if self._terms is not None:
             return _kron_norm(self.terms)
-        return math.sqrt(sum(np.vdot(X, X).real
-                             for X in self.blocks.values()))
+        return float(np.linalg.norm(self._matrix))
 
 
 def _concat(*entries):
@@ -431,10 +362,7 @@ class ExteriorAlgebra:
         self.dim = len(basis)
         self.degrees = np.array([len(s) for s in basis])
         self.offsets = _degree_offsets(self.dim)
-        self._count = np.bincount(self.degrees)
         self._cols = np.arange(self.dim)
-        # position of each monomial inside its degree block
-        self._local = self._cols - np.asarray(self.offsets)[self.degrees]
         # e^a e^S = _sign[a, i] e^{_dst[a, i]} for S = basis[i]; _sign is 0
         # (and _dst is i) where a is in S, so killed sources stay killed
         # under composition.  Contractions are the transposed maps.
@@ -453,60 +381,33 @@ class ExteriorAlgebra:
         # quaternion blocks: parts[i, b] is the position of the block-b
         # part of monomial i in the 16-monomial basis of Lambda(H) (same
         # order convention); _block_parts is parts transposed, each block's
-        # row contiguous.  The monomials inside {0, 1, 2, 3} come in that
-        # basis order.  _quaternion is Lambda(H), on which the term-form
-        # factors are built (the algebra itself at n = 1), and _cross marks
-        # the coefficient pairs that couple two blocks.
-        self.quaternion_blocks = d // 4
+        # row contiguous, and _slots[i] the position of monomial i in the
+        # C-ordered n-slot tensor of Lambda(H) parts.  The monomials inside
+        # {0, 1, 2, 3} come in that basis order.  _quaternion is Lambda(H),
+        # on which the term-form factors are built (the algebra itself at
+        # n = 1), and _cross marks the coefficient pairs that couple two
+        # blocks.
+        n = self.quaternion_blocks = d // 4
         h_masks = masks[masks < 16]
         h_position = np.empty(16, dtype=np.intp)
         h_position[h_masks] = np.arange(16)
-        shifts = 4 * np.arange(self.quaternion_blocks)
-        self.parts = h_position[(masks[:, None] >> shifts) & 15]
+        self.parts = h_position[(masks[:, None] >> 4 * np.arange(n)) & 15]
         self._block_parts = np.ascontiguousarray(self.parts.T)
+        self._slots = self.parts @ 16 ** np.arange(n - 1, -1, -1)
         self._quaternion = self if d == 4 else ExteriorAlgebra(4)
         block = np.arange(d) // 4
         self._cross = block[:, None] != block[None, :]
 
-    def _operator(self, rows, cols, vals) -> FiberOperator:
-        """Operator with the given entries, each scattered into the block of
-        its degree pair; entries sharing a position add up in their order.
-        The blocks are views of one buffer, laid out in (k_out, k_in) order."""
-        width = self.d + 1
-        count = self._count
-        deg_in = self.degrees[cols]
-        key = self.degrees[rows] * width + deg_in
-        occupied = np.zeros(width * width, dtype=bool)
-        occupied[key] = True
-        present = np.flatnonzero(occupied)
-        out_deg, in_deg = np.divmod(present, width)
-        sizes = count[out_deg] * count[in_deg]
-        start = np.zeros(width * width, dtype=np.intp)
-        start[present] = np.cumsum(sizes) - sizes
-        buf = np.zeros(int(sizes.sum()), dtype=vals.dtype)
-        np.add.at(buf, start[key] + self._local[rows] * count[deg_in]
-                  + self._local[cols], vals)
-        blocks = {}
-        for a, b, s in zip(out_deg.tolist(), in_deg.tolist(),
-                           start[present].tolist()):
-            blocks[a, b] = buf[s:s + count[a] * count[b]].reshape(
-                count[a], count[b])
-        return self.blocked(blocks)
-
     def _dense(self, rows, cols, vals) -> np.ndarray:
         """The dim x dim array with the given entries, added in order."""
-        M = np.zeros((self.dim, self.dim), dtype=complex)
+        M = np.zeros((self.dim, self.dim), dtype=vals.dtype)
         np.add.at(M, (rows, cols), vals)
         return M
 
-    def blocked(self, blocks: dict) -> FiberOperator:
-        """The operator on this algebra with the given degree blocks."""
-        return FiberOperator._from_blocks(self.offsets, blocks, self)
-
     def kronecker(self, terms) -> FiberOperator:
-        """The term-form operator sum_t F_t0 (x) ... (x) F_t,n-1, for
-        tuples of n 16 x 16 factors, one per quaternion block."""
-        return FiberOperator._from_terms(self, list(terms))
+        """The term operator sum_t F_t0 (x) ... (x) F_t,n-1, for tuples of
+        n 16 x 16 factors, one per quaternion block."""
+        return FiberOperator._from_terms(self.dim, self, list(terms))
 
     def _block_sum(self, local_entries, odd: bool) -> FiberOperator:
         """sum_b S (x) .. (x) S (x) X_b (x) 1 (x) .. (x) 1 in term form.
@@ -603,7 +504,7 @@ class ExteriorAlgebra:
         if self._splits(W):
             return self._block_sum(
                 lambda h, s: h._two_form_entries(W[s, s]), odd=False)
-        return self._operator(*self._two_form_entries(W))
+        return FiberOperator(self._dense(*self._two_form_entries(W)), self)
 
     def derivation(self, A) -> FiberOperator:
         """Degree-0 derivation acting on 1-form coefficients by the matrix A,
@@ -612,10 +513,10 @@ class ExteriorAlgebra:
         if self._splits(A):
             return self._block_sum(
                 lambda h, s: h._derivation_entries(A[s, s]), odd=False)
-        return self._operator(*self._derivation_entries(A))
+        return FiberOperator(self._dense(*self._derivation_entries(A)), self)
 
     def wedge_minus_contraction(self, coeffs, vec) -> FiberOperator:
-        """wedge_1form(coeffs) - contraction(vec), one scatter a block."""
+        """wedge_1form(coeffs) - contraction(vec), one scatter a factor."""
         coeffs = np.asarray(coeffs, dtype=complex)
         vec = np.asarray(vec, dtype=complex)
 
@@ -636,16 +537,18 @@ class ExteriorAlgebra:
                 lambda h, s: h._quadratic_entries(
                     W[s, s], A[s, s], C[s, s], scalar if s.start == 0 else 0),
                 odd=False)
-        return self._operator(*self._quadratic_entries(W, A, C, scalar))
+        return FiberOperator(self._dense(*self._quadratic_entries(W, A, C, scalar)), self)
 
     def induced(self, r) -> FiberOperator:
         """Lambda(r), the algebra map extending the 1-form map r (acting on
         coefficients, e^b -> sum_a r[a, b] e^a): e^T goes to the wedge of
-        the images of its generators, so the degree-k block is the k-th
-        `compound` matrix of r."""
-        r = np.asarray(r)
-        return self.blocked({(k, k): compound(r, k)
-                             for k in range(self.d + 1)})
+        the images of its generators, so the degree-k diagonal block is the
+        k-th `compound` matrix of r."""
+        blocks = [compound(np.asarray(r), k) for k in range(self.d + 1)]
+        M = np.zeros((self.dim, self.dim), dtype=np.result_type(*blocks))
+        for k, (lo, hi) in enumerate(itertools.pairwise(self.offsets)):
+            M[lo:hi, lo:hi] = blocks[k]
+        return FiberOperator(M, self)
 
     def degree_projector(self, k: int) -> np.ndarray:
         return np.diag((self.degrees == k).astype(float))
@@ -667,24 +570,35 @@ class ExteriorAlgebra:
 
     def hodge_star(self) -> FiberOperator:
         """Hodge star for the identity metric and volume form e^0 ^ ... ^ e^{d-1}."""
-        return self._operator(*self._star_entries())
+        return FiberOperator(self._dense(*self._star_entries()), self)
 
     def twisted_star(self) -> FiberOperator:
-        """Star with the extra (-1)^{k(k+1)/2} sign on each source degree k."""
-        k = self.degrees
+        """Star with the extra (-1)^{k(k+1)/2} sign on each source degree k:
+        one Kronecker term, the product of the n Lambda(H) twisted stars.
+
+        Let e^S have parts S_b of degrees k_b, k = sum_b k_b.  The shuffle
+        (S, S^c) is the n block shuffles (S_b, S_b^c) followed by moving
+        each S_c past the complements of the blocks before it,
+        sum_{b<c} (4 - k_b) k_c transpositions, and k(k+1)/2 =
+        sum_b k_b(k_b+1)/2 + sum_{b<c} k_b k_c.  The two cross parts have
+        the same parity, so their signs cancel and each block keeps its
+        own twisted star."""
+        h = self._quaternion
+        k = h.degrees
         signs = 1.0 - 2.0 * ((k * (k + 1) // 2) % 2)
-        rows, cols, vals = self._star_entries()
-        return self._operator(rows, cols, vals * signs[cols])
+        rows, cols, vals = h._star_entries()
+        star = h._dense(rows, cols, vals * signs[cols])
+        return self.kronecker([(star,) * self.quaternion_blocks])
 
     def quaternion_factors(self, op: FiberOperator) -> list[np.ndarray] | None:
         """16 x 16 factors F_b with op = sum_b 1 (x) .. (x) F_b (x) .. (x) 1,
         one per quaternion block, or None when op is not such a sum or is
-        in block form.
+        dense.
 
-        A term-form op is such a sum when each of its terms has the
+        A term operator is such a sum when each of its terms has the
         identity in every slot but one; F_b sums the terms' slot b.  Every
         generator that stays inside the quaternion blocks is born in term
-        form, so a block-form op is taken as it is.
+        form, so a dense op is taken as it is.
         """
         terms = op.terms
         if terms is None:
@@ -698,39 +612,35 @@ class ExteriorAlgebra:
             F[b] = F[b] + t[b]
         return F
 
-    def quaternion_product(self, terms) -> dict:
-        """Degree blocks of sum_t F_t0 (x) ... (x) F_t,n-1, for tuples of
-        16 x 16 factors, one per quaternion block: entry (S, T) sums over
-        the terms the product of the factors' entries (S_b, T_b), read
-        through `parts`.  A term enters a degree block only if each of its
-        factors has a nonzero block of degrees adding up to it; terms
-        meeting in a block add up in their order."""
-        P, off = self._block_parts, self.offsets
-        blocks: dict = {}
-        for factors in terms:
-            pairs = {(0, 0)}
-            for Fb in factors:
-                occupied = _occupied16(Fb)
-                pairs = {(a + a2, b + b2)
-                         for a, b in pairs for a2, b2 in occupied}
-            for a, b in sorted(pairs):
-                Pa, Pb = P[:, off[a]:off[a + 1]], P[:, off[b]:off[b + 1]]
-                # rows, then columns: two 1-d takes beat one 2-d gather
-                X = factors[0][Pa[0]][:, Pb[0]]
-                for k in range(1, len(factors)):
-                    X = X * factors[k][Pa[k]][:, Pb[k]]
-                blocks[a, b] = blocks[a, b] + X if (a, b) in blocks else X
-        return dict(sorted(blocks.items()))
-
     def quaternion_matrix(self, terms) -> np.ndarray:
         """The dense sum_t F_t0 (x) ... (x) F_t,n-1, gathered from the
-        factors by one index array a slot, multiplied and summed in the
-        order of `quaternion_product`, so it equals those blocks exactly."""
+        factors by one index array a slot and summed in the order given;
+        real when every factor is."""
         P = self._block_parts
-        M = np.zeros((self.dim, self.dim), dtype=complex)
+        real = all(F.dtype.kind != "c" for t in terms for F in t)
+        M = np.zeros((self.dim, self.dim), dtype=float if real else complex)
         for factors in terms:
             X = factors[0][P[0]][:, P[0]]
             for k in range(1, len(factors)):
                 X = X * factors[k][P[k]][:, P[k]]
             M += X
         return M
+
+    def quaternion_apply(self, terms, x: np.ndarray) -> np.ndarray:
+        """(sum_t F_t0 (x) ... (x) F_t,n-1) x for a vector or a matrix of
+        column vectors, without gathering: x is laid out as an n-slot
+        tensor of Lambda(H) coefficients through `parts`, each factor
+        contracts its slot (identity slots are skipped), and the terms'
+        images add up in the order given."""
+        slots = self._slots
+        cols = x.reshape(self.dim, -1)
+        X = np.empty(cols.shape, dtype=cols.dtype)
+        X[slots] = cols
+        out = np.zeros(cols.shape, dtype=np.result_type(x, complex))
+        for factors in terms:
+            Y = X
+            for b, F in enumerate(factors):
+                if F is not _EYE:
+                    Y = (F @ Y.reshape(16 ** b, 16, -1)).reshape(cols.shape)
+            out += Y
+        return out[slots].reshape(x.shape)

@@ -12,13 +12,14 @@ antisymmetric d x d coefficient matrix W[a, b] = omega(e_a, e_b).
 
 Every zeroth-order operator of the paper (Lefschetz operators, type
 derivations, Clifford actions, the star, the Sp(1) rotations, the bidegree
-projectors) maps each exterior degree to one or a few others.  The builders
-here return FiberOperators as Kronecker terms of 16 x 16 quaternion-block
-factors (the 1-form actions, and the 2-form wedges and type derivations,
-whose coefficients stay inside the blocks; one factor a term at n = 1), or
-block by block, from the degree-block scatters of `ExteriorAlgebra` or from
-per-degree block computations, so no 2^{4n} x 2^{4n} array is formed
-unless a caller asks for `.matrix`.
+projectors) acts on Lambda(H^n) = Lambda(H)^{(x) n} quaternion block by
+quaternion block.  The builders here return FiberOperators as Kronecker
+terms of 16 x 16 quaternion-block factors (one factor a term at n = 1):
+the 1-form actions, the 2-form wedges and type derivations whose
+coefficients stay inside the blocks, the twisted star (one product) and
+the bidegree projectors (Kronecker sums of Lambda(H) projectors).  Only a
+form coupling two blocks is a dense matrix, so no 2^{4n} x 2^{4n} array
+is formed unless a caller asks for `.matrix`.
 
 The spectra live on the (0, q)_zeta slices.  The fiber checks read them
 through the bidegree projectors; `slice_basis` writes down an orthonormal
@@ -28,12 +29,14 @@ spectrum paths form no projector and diagonalize nothing wider than d.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
-from .exterior import ExteriorAlgebra, FiberOperator, compound
+from .exterior import (ExteriorAlgebra, FiberOperator, _degree_offsets,
+                       compound)
 from .quaternions import ZETA_I, ZETA_K, TwistorPoint
 
 
@@ -160,37 +163,55 @@ def type_derivation(fiber: HyperkahlerFiber,
     return fiber.algebra.derivation(complex_structure(fiber, zeta).T)
 
 
-def _bidegrees_of_degree(n: int, k: int) -> list[tuple[int, int]]:
-    return [(k - q, q) for q in range(k + 1) if k - q <= 2 * n and q <= 2 * n]
+def _factor_projectors(D: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """The spectral projectors of a 16 x 16 type-derivation factor D on
+    Lambda(H), by bidegree: each is the Lagrange interpolant of D on its
+    degree-(p + q) block, where (p, q) has the eigenvalue (p - q) sqrt(-1)."""
+    off = _degree_offsets(16)
+    out = {}
+    for k in range(5):
+        lo, hi = off[k], off[k + 1]
+        Dk, eye = D[lo:hi, lo:hi], np.eye(hi - lo)
+        same = [(k - q, q) for q in range(k + 1) if k - q <= 2 and q <= 2]
+        for p, q in same:
+            B = eye.astype(complex)
+            for p2, q2 in same:
+                if (p2, q2) != (p, q):
+                    lam, lam2 = (p - q) * 1j, (p2 - q2) * 1j
+                    B = (Dk - lam2 * eye) @ B / (lam - lam2)
+            F = np.zeros((16, 16), dtype=complex)
+            F[lo:hi, lo:hi] = B
+            out[p, q] = F
+    return out
 
 
 def bidegree_projectors(fiber: HyperkahlerFiber, zeta: TwistorPoint,
                         bidegrees) -> dict[tuple[int, int], FiberOperator]:
     """Spectral projectors onto the (p, q)_{J_zeta} slices, by bidegree.
 
-    Each is the Lagrange interpolant of the type derivation on the
-    total-degree-(p+q) block alone (size C(4n, p+q)), so one code path
-    serves every zeta; the derivation is built once for all of them, and
-    each projector is the one diagonal block it occupies.
+    The type derivation is a Kronecker sum of 16 x 16 factors D_b, one
+    per quaternion block, so the (p, q) projector is the Kronecker sum
+    over the (p_b, q_b) with sum_b p_b = p and sum_b q_b = q of the
+    products of the factor projectors P_b(p_b, q_b), Lagrange
+    interpolants of D_b (`_factor_projectors`).  One code path serves
+    every zeta, and the derivation is built once for all of them.  A
+    J_zeta that couples two blocks raises ValueError.
     """
     n, alg = fiber.n, fiber.algebra
-    D = type_derivation(fiber, zeta).blocks
+    D = alg.quaternion_factors(type_derivation(fiber, zeta))
+    if D is None:
+        raise ValueError("the bidegree projectors need a J_zeta with no "
+                         "entry between two quaternion blocks")
+    factors = [_factor_projectors(Db) for Db in D]
+    terms: dict[tuple[int, int], list] = {}
+    for split in itertools.product(factors[0], repeat=n):  # (p_b, q_b)_b
+        terms.setdefault(tuple(map(sum, zip(*split))), []).append(
+            tuple(P[pq] for P, pq in zip(factors, split)))
     out = {}
     for p, q in bidegrees:
         if not (0 <= p <= 2 * n and 0 <= q <= 2 * n):
             raise ValueError(f"bidegree ({p}, {q}) out of range for n = {n}")
-        k = p + q
-        size = alg.offsets[k + 1] - alg.offsets[k]
-        Dk = D.get((k, k), np.zeros((size, size), dtype=complex))
-        eye = np.eye(size)
-        B = eye.astype(complex)
-        lam = (p - q) * 1j
-        for (p2, q2) in _bidegrees_of_degree(n, k):
-            if (p2, q2) == (p, q):
-                continue
-            lam2 = (p2 - q2) * 1j
-            B = (Dk - lam2 * eye) @ B / (lam - lam2)
-        out[p, q] = alg.blocked({(k, k): B})
+        out[p, q] = alg.kronecker(terms[p, q])
     return out
 
 
@@ -204,12 +225,15 @@ def slice_basis(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     column block q holds the q-th `compound` matrix of U in the degree-q
     rows: the wedges of q frame vectors, in lex order.  By Cauchy-Binet
     its Gram matrix is the compound of U^H U = 1, so the columns are
-    orthonormal, and they span (0, q)_zeta.
+    orthonormal, and they span (0, q)_zeta.  A degree given twice would
+    repeat its columns, so it raises ValueError.
     """
     n, off = fiber.n, fiber.algebra.offsets
     degrees = list(degrees)
     if not all(0 <= q <= 2 * n for q in degrees):
         raise ValueError(f"degrees {degrees} out of range 0..{2 * n}")
+    if len(set(degrees)) < len(degrees):
+        raise ValueError(f"degrees {degrees} repeat a degree")
     _w, V = np.linalg.eigh(1j * complex_structure(fiber, zeta).T)
     U = V[:, 2 * n:]
     blocks = []

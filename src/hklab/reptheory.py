@@ -8,6 +8,7 @@ U_m (x) primitives onto the ladder span.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -118,8 +119,7 @@ def antiholomorphic_triple(fiber: HyperkahlerFiber) -> LefschetzTriple:
 
 def _weight_projectors(fiber: HyperkahlerFiber) -> dict[int, FiberOperator]:
     """Projectors onto the antiholomorphic-degree-q slices of J, each the
-    blockwise sum of the (p, q)_J projectors over p (one diagonal degree
-    block apiece), from one type derivation."""
+    sum of the (p, q)_J projectors over p, from one type derivation."""
     nn = 2 * fiber.n
     projectors = bidegree_projectors(
         fiber, ZETA_J, [(p, q) for q in range(nn + 1) for p in range(nn + 1)])
@@ -224,19 +224,21 @@ def primitive_space_dimension(fiber: HyperkahlerFiber, q: int,
                               triple: LefschetzTriple | None = None) -> int:
     """dim of the primitive (., q)_J subspace by brute-force kernel computation.
 
-    The range of the weight projector is spanned degree block by degree
-    block, and Lambda maps each degree to its own target degree, so the
-    kernel is counted per block.
+    The range of the weight projector is spanned degree by degree, from
+    the diagonal blocks of its matrix, and Lambda maps each degree to its
+    own target degree, so the kernel is counted per degree.
     """
     if triple is None:
         triple = antiholomorphic_triple(fiber)
-    P = _weight_projectors(fiber)[q]
-    off = fiber.algebra.offsets
+    P = _weight_projectors(fiber)[q].matrix
     count = 0
-    for (k, _k), B in P.blocks.items():
+    for lo, hi in itertools.pairwise(fiber.algebra.offsets):
+        B = P[lo:hi, lo:hi]
+        if not B.any():
+            continue
         w, V = np.linalg.eigh(0.5 * (B + B.conj().T))
-        cols = np.zeros((P.dim, int(np.sum(w > 0.5))), dtype=complex)
-        cols[off[k]:off[k + 1]] = V[:, w > 0.5]
+        cols = np.zeros((len(P), int(np.sum(w > 0.5))), dtype=complex)
+        cols[lo:hi] = V[:, w > 0.5]
         sv = np.linalg.svd(triple.Lambda @ cols, compute_uv=False)
         count += cols.shape[1] - int(np.sum(sv > 1e-9))
     return count

@@ -52,10 +52,11 @@ def rel_residual(A, B) -> float:
     """||A - B||_F / max(1, ||A||_F, ||B||_F).
 
     When either side is a FiberOperator both are taken as FiberOperators.
-    The norms are summed over degree blocks, or, when A and B are both in
-    term form, taken from their Kronecker terms by successive QR
-    (`FiberOperator.frobenius_norm`), so A - B is never gathered and its
-    small norm is not lost to cancellation as in a Gram expansion.
+    When A and B are both term operators the norms are taken from their
+    Kronecker terms by successive QR (`FiberOperator.frobenius_norm`), so
+    A - B is never gathered and its small norm is not lost to
+    cancellation as in a Gram expansion; otherwise they are the norms of
+    the dense matrices.
     """
     if isinstance(A, FiberOperator) or isinstance(B, FiberOperator):
         A, B = (X if isinstance(X, FiberOperator) else FiberOperator(X)
@@ -125,10 +126,10 @@ def exp_antihermitian(G, t: float = 1.0):
     fiber operator that `ExteriorAlgebra.quaternion_factors` writes as a
     Kronecker sum of n 16 x 16 factors, one per quaternion block, has the
     Kronecker product of their exponentials as its exponential, returned in
-    term form as that one Kronecker term, so neither a degree block nor a
-    2^{4n} x 2^{4n} array is formed.  Any other operator (one coupling two
-    blocks, or one in block form) and a plain array (such as a 1-form
-    action) are a single factor, whose exponential is the result.
+    term form as that one Kronecker term, so no 2^{4n} x 2^{4n} array is
+    formed.  Any other operator (one coupling two blocks, or a dense one)
+    and a plain array (such as a 1-form action) are a single factor, whose
+    exponential is the result, a dense operator or an array.
     """
     if not isinstance(G, FiberOperator):
         return _exp_factor(G, t)
@@ -162,7 +163,7 @@ class OperatorAlgebra:
         """Eigenpairs of the Frobenius Gram matrix tr(A_i^* A_j) of the ten
         operators, and the mask of eigenvalues above GRAM_RTOL times the
         largest (the Gram's own roundoff is a few eps times the largest).
-        Formed once per algebra, over degree blocks."""
+        Formed once per algebra, from the operators' Kronecker terms."""
         ops = self.as_list()
         G = np.zeros((len(ops), len(ops)), dtype=complex)
         for i, A in enumerate(ops):
@@ -337,8 +338,10 @@ def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     With c(e^a) = sqrt(2) (wedge(u_a) - iota(v_a)), u_a and v_a the columns
     of U and V below, the anticommutation relations turn the sum into
     wedge(2 U W U^T) + derivation(-2 U W V^T) + (contraction by the 2-form
-    2 V W V^T) - sum_ab W_ab (V^T U)_ab, scattered into degree blocks at
-    once, so no dense product is formed.
+    2 V W V^T) - sum_ab W_ab (V^T U)_ab, scattered at once
+    (`ExteriorAlgebra.quadratic`: a 16 x 16 factor per quaternion block,
+    or one dense matrix if the coefficients couple two blocks), so no dense
+    product is formed.
     """
     W = form_coefficients(fiber, W, degrees=(2,))
     A = complex_structure(fiber, zeta).T
@@ -365,7 +368,7 @@ def rho_j_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
 
 def hodge_star_twisted(fiber: HyperkahlerFiber) -> FiberOperator:
     """Degree-signed Hodge star: * s = (-1)^{k(k+1)/2} star s on degree k."""
-    # complex blocks, as every other fiber operator has
+    # complex entries, as every other fiber operator has
     return (1 + 0j) * fiber.algebra.twisted_star()
 
 

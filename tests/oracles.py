@@ -10,8 +10,9 @@ the commutator closure of an operator list by dense products, the dense
 site Laplacian and differences of a gauge field's links, and the
 sites x fiber lifts 1 (x) f and slice restrictions (1 (x) Q)^H M (1 (x) Q)
 of assembled lattice operators.  The (0, *) projectors are the library's
-`bidegree_projectors` (interpolants of the type derivation), the side that
-the closed-form slice bases of `slice_basis` are checked against.
+`bidegree_projectors` (Kronecker sums of Lagrange interpolants of the type
+derivation's 16 x 16 factors), the side that the closed-form slice bases
+of `slice_basis` are checked against.
 """
 
 from __future__ import annotations
@@ -317,8 +318,9 @@ def slice_isometry(field_or_spec, fiber, zeta, degrees) -> sp.csr_matrix:
 
 def bidegree_projector(fiber, zeta, p: int, q: int):
     """The (p, q)_zeta projector of the library's `bidegree_projectors`,
-    the Lagrange interpolant of the type derivation: a path that shares
-    nothing with `slice_basis` and raises on a bidegree out of range."""
+    a Kronecker sum of Lagrange interpolants of the type derivation's
+    factors: a path that shares nothing with `slice_basis` and raises on a
+    bidegree out of range."""
     from hklab.fiber import bidegree_projectors
 
     return bidegree_projectors(fiber, zeta, [(p, q)])[p, q]

@@ -1,9 +1,10 @@
 """Structured exterior-algebra operators against the dense reference.
 
 The library stores each wedge generator as index arrays, builds every
-operator by degree blocks, exponentiates generators as Kronecker products
-of quaternion-block factors and writes the two Sp(1) actions in closed
-form; `oracles.DenseExterior` builds the same operators as sums of
+operator that stays inside the quaternion blocks as Kronecker terms of
+16 x 16 factors (the others as dense matrices), exponentiates generators
+as Kronecker products of quaternion-block factors and writes the two Sp(1)
+actions in closed form; `oracles.DenseExterior` builds the same operators as sums of
 products of dense generator matrices, and `oracles.dense_exp_antihermitian`
 exponentiates with one full eigh.
 """
@@ -189,7 +190,7 @@ def test_blocked_exponential_matches_full_eigh(pair, rng):
     # plain arrays stay plain arrays, on the same path
     M = gens["L - Lambda"].matrix
     assert _close(exp_antihermitian(M, 0.7), dense_exp_antihermitian(M, 0.7))
-    # an operator made from a matrix is in block form and is one factor,
+    # an operator made from a matrix is dense and is one factor,
     # also one entry off a Kronecker sum by 1e-6 (kept anti-Hermitian)
     for name in ("L - Lambda", "iH", "c_J(omega_u)/2"):
         M = gens[name].matrix.copy()

@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklab.exterior import ExteriorAlgebra
-from hklab.fiber import (HyperkahlerFiber, complex_structure,
-                         contraction_operator, holomorphic_symplectic,
-                         kahler_form, slice_basis, standard_fiber,
-                         type_derivation, wedge_operator)
+from hklab.fiber import (HyperkahlerFiber, bidegree_projectors,
+                         complex_structure, contraction_operator,
+                         holomorphic_symplectic, kahler_form, slice_basis,
+                         standard_fiber, type_derivation, wedge_operator)
 from hklab.quaternions import (TwistorPoint, ZETA_I, ZETA_J, ZETA_K,
                                adjoint_action, fibonacci_sphere,
                                random_twistor_point, random_unit_quaternion)
 from hklab.reptheory import lefschetz_triple
 from hklab.symmetry import clifford, clifford_2form
+from hklab.torus import LatticeSpec, build_gauge_field, flux_spectra
 
 from .oracles import bidegree_projector, zero_one_star_projector
 
@@ -205,6 +206,17 @@ def test_slice_basis_rejects_degrees_out_of_range(fiber1):
             slice_basis(fiber1, ZETA_J, degrees)
 
 
+def test_slice_basis_rejects_repeated_degrees(fiber1):
+    # a repeated degree would repeat its columns: Q^H Q = 1 fails and every
+    # multiplicity of a slice spectrum doubles
+    for degrees in ((1, 1), (0, 2, 0)):
+        with pytest.raises(ValueError, match="repeat"):
+            slice_basis(fiber1, ZETA_J, degrees)
+    field = build_gauge_field(LatticeSpec(1, 4), 1)
+    with pytest.raises(ValueError, match="repeat"):
+        flux_spectra(field, ZETA_J, [(1, 1)], 6)
+
+
 def test_form_coefficients_are_validated(fiber1):
     """A form is a length-d vector (1-form) or an antisymmetric d x d
     matrix (2-form); each entry point rejects every other array."""
@@ -231,6 +243,15 @@ def test_form_coefficients_are_validated(fiber1):
             clifford(fiber1, ZETA_J, bad)
 
 
+def _rotated(fiber, rng):
+    """The fiber with I, J, K conjugated by a random orthogonal matrix,
+    which at n >= 2 couples the quaternion blocks."""
+    n = fiber.n
+    Q, _ = np.linalg.qr(rng.normal(size=(4 * n, 4 * n)))
+    I, J, K = (Q @ X @ Q.T for X in (fiber.I, fiber.J, fiber.K))
+    return HyperkahlerFiber(n, fiber.g, I, J, K, algebra=fiber.algebra)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_two_forms_are_exactly_antisymmetric(n):
     """The Kahler forms at random zeta, Omega and conj(Omega) satisfy
@@ -247,9 +268,7 @@ def test_two_forms_are_exactly_antisymmetric(n):
         assert wj[b, b + 2] == 1 and wj[b + 1, b + 3] == -1
     # in a rotated orthonormal basis g J_zeta is antisymmetric only to
     # roundoff; its Kahler form still is exactly, and is accepted
-    Q, _ = np.linalg.qr(rng.normal(size=(4 * n, 4 * n)))
-    I, J, K = (Q @ X @ Q.T for X in (fiber.I, fiber.J, fiber.K))
-    rotated = HyperkahlerFiber(n, fiber.g, I, J, K, algebra=fiber.algebra)
+    rotated = _rotated(fiber, rng)
     z = random_twistor_point(rng)
     W = kahler_form(rotated, z)
     assert np.array_equal(W, -W.T)
@@ -270,3 +289,21 @@ def test_twisted_star_degree_signs():
     # column scaling gives the product with the sign diagonal bit for bit
     signs = (-1.0) ** (alg.degrees * (alg.degrees + 1) // 2 % 2)
     assert tw.tobytes() == (star @ np.diag(signs)).tobytes()
+
+
+def test_bidegree_projectors_reject_a_rotated_fiber(fiber1, fiber2):
+    # the projectors are Kronecker sums over the quaternion blocks: a
+    # rotation inside the one block of n = 1 keeps that form, one that
+    # couples the blocks of n = 2 has no such form and raises
+    rng = np.random.default_rng(2)
+    z = random_twistor_point(rng)
+    one = _rotated(fiber1, rng)
+    proj = bidegree_projectors(one, z, [(p, q) for p in range(3)
+                                        for q in range(3)])
+    total = sum(P.matrix for P in proj.values())
+    assert np.abs(total - np.eye(16)).max() < 1e-13
+    D = type_derivation(one, z).matrix
+    P = proj[1, 1].matrix
+    assert np.abs(D @ P).max() < 1e-13
+    with pytest.raises(ValueError, match="between two quaternion blocks"):
+        bidegree_projectors(_rotated(fiber2, rng), z, [(1, 1)])

@@ -1,11 +1,12 @@
-"""Degree-block and Kronecker-term arithmetic of FiberOperator against
-dense matrix arithmetic.
+"""Kronecker-term and dense arithmetic of FiberOperator against dense
+matrix arithmetic.
 
-Operands are builder outputs of every block shape: the ten operators
+Operands are builder outputs of every degree shape: the ten operators
 (degree shifts -2, 0, +2), a Clifford action (+-1), the twisted star
-(k -> 4n - k), chi(k) (several shifts) and a bidegree projector (one
-diagonal block).  At every n all but the star and the projector are in
-term form, so the mixed pairs also cover the gather into degree blocks.
+(k -> 4n - k), chi(k) (several shifts) and a bidegree projector (shift
+0), all in term form, and one dense operand (an operator made from a
+matrix at n = 1, a 2-form coupling two quaternion blocks at n = 2), so
+the pairs cover term x term, term x dense and dense x dense.
 """
 
 import itertools
@@ -50,6 +51,14 @@ def _builder_outputs(n: int) -> dict[str, FiberOperator]:
     ops["star"] = hodge_star_twisted(fiber)
     ops["chi_k"] = chi_k(fiber)
     ops["P(1,1)"] = bidegree_projector(fiber, zeta, 1, 1)
+    if n == 1:
+        ops["dense"] = FiberOperator(
+            rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)),
+            fiber.algebra)
+    else:
+        W = np.zeros((fiber.d, fiber.d))
+        W[0, 4], W[4, 0] = 1.0, -1.0
+        ops["dense"] = fiber.algebra.wedge_2form(W)
     return ops
 
 
@@ -59,23 +68,19 @@ def outputs(request):
 
 
 def test_block_shapes_cover_every_kind(outputs):
-    def shifts(op):
-        return {a - b for a, b in op.blocks}
-
     d = outputs["H"].dim.bit_length() - 1
-    assert shifts(outputs["L_omegaI"]) == {2}
-    assert shifts(outputs["Lambda_omegaJ"]) == {-2}
-    assert shifts(outputs["ad(K)"]) == {0}
-    assert shifts(outputs["clifford"]) == {-1, 1}
-    assert {a + b for a, b in outputs["star"].blocks} == {d}
-    assert len(shifts(outputs["chi_k"])) > 1
-    assert len(outputs["P(1,1)"].blocks) == 1
-
-
-def test_blocks_hold_every_nonzero(outputs):
-    for op in outputs.values():
-        rebuilt = FiberOperator._from_blocks(op._offsets, op.blocks)
-        assert np.array_equal(rebuilt.matrix, op.matrix)
+    assert outputs["L_omegaI"].degree_shifts() == {2}
+    assert outputs["Lambda_omegaJ"].degree_shifts() == {-2}
+    assert outputs["ad(K)"].degree_shifts() == {0}
+    assert outputs["clifford"].degree_shifts() == {-1, 1}
+    assert outputs["star"].degree_shifts() == set(range(-d, d + 1, 2))
+    assert len(outputs["chi_k"].degree_shifts()) > 1
+    assert outputs["P(1,1)"].degree_shifts() == {0}
+    dense = outputs["dense"]
+    assert dense.terms is None
+    assert dense.degree_shifts() == ({2} if d > 4 else set(range(-d, d + 1)))
+    assert all(op.terms is not None for name, op in outputs.items()
+               if name != "dense")
 
 
 def test_unary_arithmetic_matches_dense(outputs):
@@ -121,8 +126,8 @@ def test_zero_operator_is_neutral(outputs):
 
 
 def test_real_and_complex_blocks_accumulate(outputs):
-    # (1 + L) (1 + Lambda): each diagonal block sums a real product and
-    # a complex one
+    # (1 + L) (1 + Lambda): a real dense identity summed with complex
+    # term operators, so each product entry sums real and complex parts
     one = FiberOperator(np.eye(outputs["H"].dim))
     A = one + outputs["L_omegaI"]
     B = one + outputs["Lambda_omegaI"]
@@ -145,18 +150,22 @@ def test_products_with_arrays_are_blockwise_and_lattice_operators_defer(
 
     for n in (1, 2):
         ops = _builder_outputs(n)
-        X = ops["chi_k"] @ ops["star"]
-        dim = X.dim
-        v = np.arange(dim) + 1j
-        V = np.stack([v, 1.0 - 2j * v[::-1], np.ones(dim)], axis=1)
-        want_v, want_V = X.matrix @ v, X.matrix @ V
-        # a fresh operator, whose dense form the products must not assemble
-        X = ops["chi_k"] @ ops["star"]
-        with monkeypatch.context() as m:
-            m.setattr(FiberOperator, "matrix", property(no_matrix))
-            got_v, got_V = X @ v, X @ V
-        assert got_v.shape == (dim,) and got_V.shape == (dim, 3)
-        assert _close(got_v, want_v) and _close(got_V, want_V)
+        for scale in (1.0, 0.3 - 1.7j):
+            # the Clifford action differs from block to block, so a slot
+            # laid out in the wrong place shows
+            X = (ops["chi_k"] @ ops["star"] @ ops["clifford"]) * scale
+            dim = X.dim
+            v = np.arange(dim) + 1j
+            V = np.stack([v, 1.0 - 2j * v[::-1], np.ones(dim)], axis=1)
+            want_v, want_V = X.matrix @ v, X.matrix @ V
+            # a fresh operator, whose dense form the products must not
+            # assemble
+            X = (ops["chi_k"] @ ops["star"] @ ops["clifford"]) * scale
+            with monkeypatch.context() as m:
+                m.setattr(FiberOperator, "matrix", property(no_matrix))
+                got_v, got_V = X @ v, X @ V
+            assert got_v.shape == (dim,) and got_V.shape == (dim, 3)
+            assert _close(got_v, want_v) and _close(got_V, want_V)
         with pytest.raises(ValueError, match="applied to an array"):
             X @ v[1:]
     field = build_gauge_field(LatticeSpec(1, 3), 1)
@@ -307,19 +316,26 @@ def test_term_norm_keeps_a_small_difference(fiber2):
 def test_thm310_and_prop25_products_form_no_degree_block(fiber2,
                                                           monkeypatch):
     # the checks' Clifford products and representation pairs run on
-    # Kronecker terms alone: no degree block is gathered or scattered
+    # Kronecker terms alone: no dense matrix is gathered from the terms
+    # or scattered at the full width 2^d
     fiber = fiber2
     ck = chi_k(fiber)
     rng = np.random.default_rng(3)
     pairs = [(random_unit_quaternion(rng), random_unit_quaternion(rng))
              for _ in range(4)]
     minus_j = TwistorPoint(0.0, -1.0, 0.0)
+    scatter = ExteriorAlgebra._dense
 
-    def no_block(*args, **kwargs):
-        raise AssertionError("formed a degree block")
+    def no_gather(*args, **kwargs):
+        raise AssertionError("gathered a dense matrix")
 
-    monkeypatch.setattr(ExteriorAlgebra, "quaternion_product", no_block)
-    monkeypatch.setattr(ExteriorAlgebra, "_operator", no_block)
+    def no_full_scatter(self, *entries):
+        if self.d == fiber.d:
+            raise AssertionError("scattered a full-width matrix")
+        return scatter(self, *entries)
+
+    monkeypatch.setattr(ExteriorAlgebra, "quaternion_matrix", no_gather)
+    monkeypatch.setattr(ExteriorAlgebra, "_dense", no_full_scatter)
     for a in range(fiber.d):
         e = np.eye(fiber.d)[a]
         assert rel_residual(ck @ clifford(fiber, ZETA_J, e),
@@ -328,22 +344,6 @@ def test_thm310_and_prop25_products_form_no_degree_block(fiber2,
         assert rel_residual(rho_j_sp1(fiber, e1 * e2),
                             rho_j_sp1(fiber, e1) @ rho_j_sp1(fiber, e2)) \
             < 1e-13
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_term_matrix_is_its_gathered_blocks_bit_for_bit(n):
-    # `matrix` gathers straight from the factors, `blocks` degree block by
-    # degree block; both sum the terms in one order, so they agree exactly
-    ops = _builder_outputs(n)
-    X, c = ops["chi_k"], ops["clifford"]
-    ops["X c X^* - c"] = X @ c @ X.adjoint() - c
-    ops["scaled"] = (0.3 - 1.7j) * c * 2.5
-    termed = [name for name, op in ops.items() if op.terms is not None]
-    assert len(termed) == len(ops) - 2  # all but the star and the projector
-    for name in termed:
-        gathered = FiberOperator._from_blocks(ops[name]._offsets,
-                                              ops[name].blocks)
-        assert np.array_equal(ops[name].matrix, gathered.matrix), name
 
 
 def test_algebra_needs_quaternion_blocks():
@@ -357,25 +357,37 @@ def test_algebra_needs_quaternion_blocks():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_in_block_builders_never_scatter_into_degree_blocks(n, monkeypatch):
-    # only the stars and cross-block forms are scattered (`_operator`)
+    # the in-block builders and the twisted star return Kronecker terms and
+    # scatter and gather only 16 x 16 factors: at n = 2 nothing is
+    # scattered or gathered at the full width 2^d (at n = 1 the factors
+    # are full width); the untwisted star is dense and is scattered at
+    # full width
     fiber = standard_fiber(n)
     rng = np.random.default_rng(5)
     calls = []
-    scatter = ExteriorAlgebra._operator
+    scatter = ExteriorAlgebra._dense
+    gather = ExteriorAlgebra.quaternion_matrix
 
-    def spy(self, *entries):
-        calls.append(self.d)
+    def spy_scatter(self, *entries):
+        if n > 1 and self.d == fiber.d:
+            calls.append(("scatter", self.d))
         return scatter(self, *entries)
 
-    monkeypatch.setattr(ExteriorAlgebra, "_operator", spy)
+    def spy_gather(self, terms):
+        if n > 1 and self.d == fiber.d:
+            calls.append(("gather", self.d))
+        return gather(self, terms)
+
+    monkeypatch.setattr(ExteriorAlgebra, "_dense", spy_scatter)
+    monkeypatch.setattr(ExteriorAlgebra, "quaternion_matrix", spy_gather)
     zeta, eta = random_twistor_point(rng), random_unit_quaternion(rng)
     alpha = rng.normal(size=fiber.d) + 1j * rng.normal(size=fiber.d)
-    ten_operators(fiber)
-    clifford(fiber, zeta, alpha)
-    clifford_2form(fiber, zeta, kahler_form(fiber, ZETA_K))
-    rho_sp1(fiber, eta)
-    rho_j_sp1(fiber, eta)
-    chi(fiber, eta, zeta)
+    built = [*ten_operators(fiber).as_list(),
+             clifford(fiber, zeta, alpha),
+             clifford_2form(fiber, zeta, kahler_form(fiber, ZETA_K)),
+             rho_sp1(fiber, eta), rho_j_sp1(fiber, eta),
+             chi(fiber, eta, zeta), hodge_star_twisted(fiber)]
     assert calls == []
-    hodge_star_twisted(fiber)
-    assert calls == [fiber.d]
+    assert all(op.terms is not None for op in built)
+    assert fiber.algebra.hodge_star().terms is None
+    assert calls == ([("scatter", fiber.d)] if n > 1 else [])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hklab.fiber import holomorphic_symplectic, kahler_form, wedge_operator
+from hklab.fiber import (holomorphic_symplectic, kahler_form, standard_fiber,
+                         wedge_operator)
 from hklab.quaternions import (QUAT_J, QUAT_K, UnitQuaternion, ZETA_I, ZETA_J,
                                ZETA_K, TwistorPoint, adjoint_action,
                                random_twistor_point, random_unit_quaternion)
@@ -322,9 +323,9 @@ def test_registry_checks_pass_n1(cid, fiber1):
     assert res.params == {"n": 1, "seed": 7}
 
 
-def test_registry_never_assembles_at_n2(fiber2, monkeypatch):
-    # every n = 2 check runs on degree blocks: no 256 x 256 fiber matrix
-    # is assembled or wrapped
+def test_registry_never_assembles_at_n2_and_n3(fiber2, monkeypatch):
+    # every check at n = 2 and n = 3 (4096 monomials) runs on Kronecker
+    # terms: no fiber matrix of dimension 256 or more is gathered or wrapped
     from hklab.fiber import FiberOperator
 
     dense, init = FiberOperator.matrix, FiberOperator.__init__
@@ -337,14 +338,16 @@ def test_registry_never_assembles_at_n2(fiber2, monkeypatch):
 
     def no_dense_init(op, matrix, *args, **kwargs):
         if np.shape(matrix)[0] >= 256:
-            raise AssertionError("wrapped a dense 256 x 256 fiber matrix")
+            raise AssertionError("wrapped a dense fiber matrix of "
+                                 f"dimension {np.shape(matrix)[0]}")
         init(op, matrix, *args, **kwargs)
 
     monkeypatch.setattr(FiberOperator, "matrix", property(no_matrix))
     monkeypatch.setattr(FiberOperator, "__init__", no_dense_init)
-    for cid in check_ids():
-        res = verify_identity(cid, fiber2, seed=5)
-        assert res.verdict, res.summary_line()
+    for fiber in (fiber2, standard_fiber(3)):
+        for cid in check_ids():
+            res = verify_identity(cid, fiber, seed=5)
+            assert res.verdict, res.summary_line()
 
 
 def test_registry_unknown_id(fiber1):
