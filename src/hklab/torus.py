@@ -23,8 +23,12 @@ links, which spectra and indices test.  A fiber slice restricts on the terms
 to S_i (x) Q^H f_i Q (`LatticeOperator.on_slice`), so eigensolves assemble
 sites x slice only.  The slices are sums of (0, q)_zeta slices, named by
 their degrees q; their bases Q are the closed forms of
-`fiber.slice_basis`, so no spectrum forms a projector.  scipy is imported
-only where a sparse matrix is formed.
+`fiber.slice_basis`, so no spectrum forms a projector.  On a
+plane-separable field the site half of a flux Laplacian is a Kronecker sum
+of plane Laplacians that no zeta touches, so their spectra are solved once
+per field (`LatticeGaugeField.plane_spectra`) and every zeta and slice
+adds only its fiber block.  scipy is imported only where a sparse matrix
+is formed.
 """
 
 from __future__ import annotations
@@ -82,8 +86,10 @@ class LatticeSpec:
 @dataclass(frozen=True, eq=False)  # equal only to itself, as operators need
 class LatticeGaugeField:
     """U(1) link phases indexed by (site, axis), unit as `site_gram` needs,
-    and the site factors of the operators built from them (`site_factor`):
-    each is formed once and shared."""
+    the site factors of the operators built from them (`site_factor`) and
+    the spectra of its flux planes (`plane_spectra`): each is formed once
+    and shared by every zeta and slice.  `links` is made read-only (in
+    place, not copied) so none of these can go stale."""
 
     spec: LatticeSpec
     m: int
@@ -93,6 +99,7 @@ class LatticeGaugeField:
         if (np.shape(self.links) != (self.spec.sites, self.spec.d)
                 or not np.abs(np.abs(self.links) - 1.0).max() <= 1e-12):
             raise ValueError("links must be unit phases of shape (sites, d)")
+        self.links.flags.writeable = False
 
     def coords(self) -> np.ndarray:
         return _coords(self.spec)
@@ -166,6 +173,21 @@ class LatticeGaugeField:
         if i == 0:
             return _site_identity(self.spec)
         return self.laplacian if i == 1 else self.differences[i - 2]
+
+    @cached_property
+    def plane_spectra(self) -> tuple[np.ndarray, ...] | None:
+        """Ascending, read-only eigenvalues of each of `plane_laplacians`,
+        or None when the field is not plane-separable (None is kept too,
+        so the separability test also runs once).  No zeta enters the
+        planes, so every zeta and slice of `flux_spectra` shares these
+        solves."""
+        planes = plane_laplacians(self)
+        if planes is None:
+            return None
+        spectra = tuple(lowest_eigenvalues(H, len(H)) for H in planes)
+        for w in spectra:
+            w.flags.writeable = False
+        return spectra
 
 
 @lru_cache(maxsize=8)
@@ -472,6 +494,7 @@ def plane_laplacians(field: LatticeGaugeField) -> list[np.ndarray] | None:
     scalar Laplacian is exactly the Kronecker sum of these.  Otherwise (a
     generic gauge transform, say) the result is None: the test is exact
     equality, so a field is never treated as separable by approximation.
+    A field solves its planes once, as `LatticeGaugeField.plane_spectra`.
     """
     spec = field.spec
     N, d = spec.N, spec.d
@@ -498,26 +521,27 @@ def plane_laplacians(field: LatticeGaugeField) -> list[np.ndarray] | None:
     return out
 
 
-def separable_spectrum(planes: list[np.ndarray], fiber_matrix: np.ndarray,
-                       basis: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+def separable_spectrum(plane_spectra: tuple[np.ndarray, ...],
+                       fiber_matrix: np.ndarray, basis: np.ndarray,
+                       k: int) -> tuple[np.ndarray, int]:
     """k lowest eigenvalues of sum_P H_P (x) 1 + 1 (x) Q^H F Q, and its dim.
 
     This is the operator scalar (x) 1 + 1 (x) F restricted to sites x
     range(Q) when the scalar part is the Kronecker sum of the plane
-    Laplacians H_P.  Every factor is a dense array, so `lowest_eigenvalues`
-    diagonalizes it densely (F numerically, so any fiber operator works),
-    and the sorted lists are folded into their k smallest sums.  The k
-    smallest sums of two sorted lists use only the first k entries of
-    each, so the fold is exact and returns every copy of a degenerate
-    level.
+    Laplacians H_P.  Their ascending spectra are given, solved once per
+    field (`LatticeGaugeField.plane_spectra`); only the fiber block is
+    diagonalized here, densely by `lowest_eigenvalues` (F numerically, so
+    any fiber operator works).  The sorted lists are folded into their k
+    smallest sums.  The k smallest sums of two sorted lists use only the
+    first k entries of each, so the fold is exact and returns every copy
+    of a degenerate level.
     """
-    factors = [*planes, basis.conj().T @ fiber_matrix @ basis]
-    dim = int(np.prod([len(H) for H in factors]))
+    block = basis.conj().T @ fiber_matrix @ basis
+    dim = len(block) * int(np.prod([len(w) for w in plane_spectra]))
     k = _window(k, dim)
     sums = np.zeros(1)
-    for H in factors:
-        w = lowest_eigenvalues(H, k)
-        sums = np.sort(np.add.outer(sums, w), axis=None)[:k]
+    for w in (*plane_spectra, lowest_eigenvalues(block, k)):
+        sums = np.sort(np.add.outer(sums, w[:k]), axis=None)[:k]
     return sums, dim
 
 
@@ -538,14 +562,15 @@ def flux_spectra(field: LatticeGaugeField, zeta: TwistorPoint,
     `lichnerowicz_laplacian(field, zeta)` restricted to each.  When the
     field is plane-separable the spectra come from `separable_spectrum`,
     with exact multiplicities, and neither the site Laplacian nor any
-    lattice operator is built; the plane Laplacians and the flux fiber
-    matrix are formed once for all slices.  Any other field is restricted
-    to each slice on its terms (`LatticeOperator.on_slice`), assembled
-    there and solved by `lowest_eigenvalues`.
+    lattice operator is built; the plane spectra are solved once per field
+    (`LatticeGaugeField.plane_spectra`) and shared by every zeta and slice,
+    and the flux fiber matrix is formed once per call.  Any other field is
+    restricted to each slice on its terms (`LatticeOperator.on_slice`),
+    assembled there and solved by `lowest_eigenvalues`.
     """
     fiber = model_fiber(field.spec.n)
-    planes = plane_laplacians(field)
-    if planes is None:
+    spectra = field.plane_spectra
+    if spectra is None:
         delta = lichnerowicz_laplacian(field, zeta)
 
         def assembled(degrees) -> tuple[np.ndarray, int]:
@@ -555,7 +580,8 @@ def flux_spectra(field: LatticeGaugeField, zeta: TwistorPoint,
 
         return [assembled(degrees) for degrees in slices]
     F = flux_fiber_matrix(field, zeta)
-    return [separable_spectrum(planes, F, slice_basis(fiber, zeta, degrees), k)
+    return [separable_spectrum(spectra, F,
+                               slice_basis(fiber, zeta, degrees), k)
             for degrees in slices]
 
 

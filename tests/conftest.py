@@ -26,3 +26,19 @@ def fiber2():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def plane_solves(monkeypatch):
+    """The fields of every library call of `plane_laplacians`, in order."""
+    from hklab import torus
+
+    calls = []
+    planes = torus.plane_laplacians
+
+    def spy(field):
+        calls.append(field)
+        return planes(field)
+
+    monkeypatch.setattr(torus, "plane_laplacians", spy)
+    return calls

@@ -294,6 +294,35 @@ def test_spectrum_builds_no_lattice_operator(monkeypatch, tmp_path):
         assert np.abs(w - oracle).max() < 1e-9
 
 
+def test_spectrum_solves_the_field_planes_once(tmp_path, plane_solves):
+    """Every zeta of `--zetas full` shares the field's one plane solve."""
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--N", "4", "--m", "1", "--k", "8",
+                     "--zetas", "full", "--workers", "1",
+                     "--out", str(out)]) == 0
+    zetas = len(cli._zeta_list("full"))
+    assert len(out.read_text().splitlines()) == 1 + zetas * 8
+    assert len(plane_solves) == 1
+
+
+def test_spectrum_bytes_do_not_depend_on_pool_size(tmp_path):
+    """The pool's threads share one field's cached plane spectra; one
+    worker and three, switched between often, write the same bytes."""
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in ("1", "3"):
+            out = tmp_path / f"spec{workers}.csv"
+            assert cli.main(["spectrum", "--N", "4", "--m", "1", "--k", "8",
+                             "--zetas", "full", "--workers", workers,
+                             "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert outs[0] == outs[1]
+
+
 def test_spectrum_paths_build_no_projector(monkeypatch, tmp_path):
     """`dirac_index` and `hklab spectrum` take their slices from the minors
     of a (0, 1)-frame: they build no bidegree projector and take no eigh

@@ -327,6 +327,20 @@ def test_links_must_be_finite():
         LatticeGaugeField(spec, 1, links)
 
 
+def test_links_are_made_read_only_in_place():
+    """A field keeps the array it is given, read-only, so the site factors
+    and plane spectra it caches cannot go stale; a gauge transform still
+    builds its own links."""
+    spec = LatticeSpec(1, 3)
+    links = build_gauge_field(spec, 1).links.copy()
+    field = LatticeGaugeField(spec, 1, links)
+    assert field.links is links
+    with pytest.raises(ValueError):
+        field.links[0, 0] = 1
+    g = field.gauge_transformed(np.ones(spec.sites))
+    assert np.array_equal(g.links, links) and not g.links.flags.writeable
+
+
 def test_nnz_counts_terms_without_assembly():
     field = build_gauge_field(LatticeSpec(1, 4), 1)
     op = lichnerowicz_laplacian(field, ZETA_J)

@@ -273,7 +273,8 @@ def test_separable_engine_never_assembles(monkeypatch):
     assert det["deviation"] < 1e-9
 
 
-def test_non_separable_field_takes_assembled_path(monkeypatch, rng):
+def test_non_separable_field_takes_assembled_path(monkeypatch, rng,
+                                                  plane_solves):
     import hklab.torus as torus
 
     f = build_gauge_field(LatticeSpec(1, 4), 2)
@@ -297,6 +298,35 @@ def test_non_separable_field_takes_assembled_path(monkeypatch, rng):
     assert res_f.value == res_g.value == 4
     assert np.abs(res_f.even_eigenvalues
                   - res_g.even_eigenvalues).max() < 1e-9
+    # the separability test ran once per field, and None was kept
+    assert plane_solves == [f, g] and g.plane_spectra is None
+    assert [x is g for x in assembled] == [True, True, True]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_field_solves_its_planes_once(rng, plane_solves, n):
+    """`dirac_index` at j and at a generic zeta (both parities each) share
+    one plane solve of the field; the kept spectra are the planes' own
+    eigenvalues, read-only."""
+    f = build_gauge_field(LatticeSpec(n, 4), 1)
+    for z in (ZETA_J, random_twistor_point(rng)):
+        assert dirac_index(f, z).value == 1
+    assert plane_solves == [f]
+    planes = plane_laplacians(f)
+    assert len(f.plane_spectra) == len(planes) == 2 * n
+    for w, H in zip(f.plane_spectra, planes):
+        assert np.array_equal(w, np.linalg.eigvalsh(H))
+        assert not w.flags.writeable
+
+
+def test_theorem_1_1_solves_the_planes_once(rng, plane_solves):
+    """Thm. 1.1's spectra at zeta and eta zeta eta^-1 share one plane
+    solve."""
+    f = build_gauge_field(LatticeSpec(1, 3), 1)
+    det = theorem_1_1_details(f, random_twistor_point(rng),
+                              random_unit_quaternion(rng), k=10)
+    assert det["spectral_deviation"] < 1e-10
+    assert plane_solves == [f]
 
 
 def test_library_does_not_import_tests():
