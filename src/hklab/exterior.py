@@ -105,8 +105,7 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
 
 def _merged(terms) -> list[tuple]:
     """Terms that agree bit for bit in all slots but one summed into one,
-    in the order given (as `LatticeOperator.frobenius_norm` merges terms
-    on one site factor); terms with a zero slot, exactly zero, dropped."""
+    in the order given; terms with a zero slot, exactly zero, dropped."""
     out: list[tuple] = []
     for t in terms:
         for i, s in enumerate(out):
@@ -408,6 +407,10 @@ class ExteriorAlgebra:
         """The term operator sum_t F_t0 (x) ... (x) F_t,n-1, for tuples of
         n 16 x 16 factors, one per quaternion block."""
         return FiberOperator._from_terms(self.dim, self, list(terms))
+
+    def identity(self) -> FiberOperator:
+        """The identity, one term whose slots all hold the identity."""
+        return self.kronecker([(_EYE,) * self.quaternion_blocks])
 
     def _block_sum(self, local_entries, odd: bool) -> FiberOperator:
         """sum_b S (x) .. (x) S (x) X_b (x) 1 (x) .. (x) 1 in term form.

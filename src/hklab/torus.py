@@ -14,15 +14,15 @@ Dirac operator; a Richardson test reconciles the two at rate 1/N^2.
 
 Every lattice operator is a short sum of Kronecker terms S_i (x) f_i: one of
 the gauge field's d + 2 site factors (identity, scalar Laplacian, a central
-difference per axis), named by its number i, times a fiber matrix.
-`LatticeOperator` keeps the terms.  Operator identities are fiber identities
-tensored with the lattice, so their residuals are Frobenius norms taken from
-||sum S_i (x) f_i||^2 = sum_ij <S_i, S_j> <f_i, f_j>: fiber-sized products
-and the site Gram table, a closed form of (d, N) (`site_gram`) blind to the
-links, which spectra and indices test.  A fiber slice restricts on the terms
-to S_i (x) Q^H f_i Q (`LatticeOperator.on_slice`), so eigensolves assemble
-sites x slice only.  The slices are sums of (0, q)_zeta slices, named by
-their degrees q; their bases Q are the closed forms of
+difference per axis), named by its number i, times a `FiberOperator` in
+Kronecker terms.  `LatticeOperator` keeps the terms.  Operator identities
+are fiber identities tensored with the lattice, so their residuals are the
+norms of sum_i L[:, i] (x) f_i, G = L^H L the site Gram table, a closed
+form of (d, N) (`site_gram`) blind to the links, which spectra and indices
+test: no site or 2^d-wide fiber matrix is formed.  A fiber slice restricts
+on the terms to S_i (x) Q^H (f_i Q) (`LatticeOperator.on_slice`), so
+eigensolves assemble sites x slice only.  The slices are sums of (0, q)_zeta
+slices, named by their degrees q; their bases Q are the closed forms of
 `fiber.slice_basis`, so no spectrum forms a projector.  On a
 plane-separable field the site half of a flux Laplacian is a Kronecker sum
 of plane Laplacians that no zeta touches, so their spectra are solved once
@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .exterior import _kron_norm
 from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projectors,
                     complex_structure, kahler_form, slice_basis,
                     standard_fiber)
@@ -206,10 +207,6 @@ def site_gram(spec: LatticeSpec) -> np.ndarray:
     return G
 
 
-def _fiber_matrix(x) -> np.ndarray:
-    return x.matrix if isinstance(x, FiberOperator) else np.asarray(x)
-
-
 @lru_cache(maxsize=8)
 def _site_identity(spec: LatticeSpec) -> sp.csr_matrix:
     import scipy.sparse as sp
@@ -221,21 +218,21 @@ class LatticeOperator:
     """Operator on (sites x form fiber) space as a short sum of Kronecker terms.
 
     `terms` are (i, f) pairs, i the number of one of `field`'s site
-    factors (`LatticeGaugeField.site_factor`) and f a dense fiber matrix;
-    the operator is sum_i S_i (x) f_i on the field's sites times a fiber of
-    `fiber_dim`.  Sums, scalar multiples, products with a fiber lift
-    1 (x) x on either side (`x @ op`, `op @ x` for a FiberOperator or a
-    fiber-sized array x), the adjoint and `on_slice` act on the terms
-    (two operators add only when they share one field object), and
-    `frobenius_norm` never forms the sites x fiber matrix.  `matrix`
-    assembles sites x `fiber_dim`, once, for the eigensolvers.
+    factors (`LatticeGaugeField.site_factor`) and f a FiberOperator; the
+    operator is sum_i S_i (x) f_i on the field's sites times the 2^d-wide
+    form fiber.  Sums, scalar multiples, products with a fiber lift
+    1 (x) x on either side (`x @ op`, `op @ x` for a FiberOperator x) and
+    the adjoint act on the terms by FiberOperator arithmetic (two operators
+    add only when they share one field object), and `frobenius_norm`
+    gathers no fiber matrix.  Fiber parts become dense only as the blocks
+    Q^H (f Q) of `on_slice`, which assembles sites x slice for the
+    eigensolvers (`matrix`, built once, for the whole fiber).
     """
 
     terms: tuple
     field: LatticeGaugeField
-    fiber_dim: int
 
-    # ndarray @ op defers to __rmatmul__ instead of broadcasting over op
+    # numpy operands defer to the reflected operators, not broadcast
     __array_ufunc__ = None
 
     @property
@@ -244,51 +241,57 @@ class LatticeOperator:
 
     @property
     def dim(self) -> int:
-        return self.spec.sites * self.fiber_dim
+        return self.spec.sites << self.spec.d
 
     @property
     def nnz(self) -> int:
-        """Entries the terms store: site nonzeros plus dense fiber entries."""
-        return sum(self.field.site_factor(i).nnz + f.size
+        """Entries the terms store, counted without gathering: site
+        nonzeros plus fiber factor entries (dim^2 for a dense part)."""
+        return sum(self.field.site_factor(i).nnz
+                   + (f.dim ** 2 if f.terms is None
+                      else sum(F.size for t in f.terms for F in t))
                    for i, f in self.terms)
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """sum_i S_i (x) f_i as one CSR matrix, built once.
+        """sum_i S_i (x) f_i as one CSR matrix: the whole fiber's slice."""
+        return self.on_slice(np.eye(1 << self.spec.d))
 
-        The terms' Kronecker products are summed for a batch of site rows
-        at a time, in term order, and the batches are stacked into one CSR
-        matrix.  Each entry is thus summed (and dropped when it is zero)
-        as adding the whole products would, while only one batch of them
-        is ever held.
+    def on_slice(self, Q: np.ndarray) -> sp.csr_matrix:
+        """(1 (x) Q)^H op (1 (x) Q) for a fiber isometry Q, as one CSR
+        matrix on sites x range(Q): V^H (S (x) f) V = S (x) Q^H (f Q) for
+        V = 1 (x) Q (Van Loan 2000), f Q applied on f's terms.
+
+        The Kronecker products are summed for a batch of site rows at a
+        time, in term order, and the batches are stacked.  Each entry is
+        thus summed (and dropped when it is zero) as adding the whole
+        products would, while only one batch of them is ever held.
         """
         import scipy.sparse as sp
+        Qh, width = Q.conj().T, Q.shape[1]
         sites = [self.field.site_factor(i) for i, _ in self.terms]
-        fibers = [sp.csr_matrix(f) for _, f in self.terms]
+        fibers = [sp.csr_matrix(Qh @ (f @ Q)) for _, f in self.terms]
         per_row = sum(S.nnz * f.nnz for S, f in zip(sites, fibers))
         step = max(1, ASSEMBLY_BATCH * self.spec.sites // max(1, per_row))
         batches = []
         for x0 in range(0, self.spec.sites, step):
-            rows = min(step, self.spec.sites - x0) * self.fiber_dim
-            B = sp.csr_matrix((rows, self.dim), dtype=complex)
+            rows = min(step, self.spec.sites - x0) * width
+            B = sp.csr_matrix((rows, self.spec.sites * width), dtype=complex)
             for S, f in zip(sites, fibers):
                 B = B + sp.kron(S[x0:x0 + step], f, format="csr")
             batches.append(B)
         return sp.vstack(batches, format="csr")
 
-    def _with(self, terms,
-              other: "LatticeOperator | None" = None) -> "LatticeOperator":
-        if other is not None and (other.field is not self.field
-                                  or other.fiber_dim != self.fiber_dim):
-            raise ValueError("operators act on different spaces")
-        return LatticeOperator(tuple(terms), self.field, self.fiber_dim)
+    def _with(self, terms) -> "LatticeOperator":
+        return LatticeOperator(tuple(terms), self.field)
 
     def __add__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return self._with(self.terms + other.terms, other)
+        if other.field is not self.field:
+            raise ValueError("operators act on different spaces")
+        return self._with(self.terms + other.terms)
 
     def __sub__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return self._with(self.terms + tuple((i, -f) for i, f in other.terms),
-                          other)
+        return self + -1 * other
 
     def __mul__(self, c) -> "LatticeOperator":
         return self._with((i, c * f) for i, f in self.terms)
@@ -296,47 +299,39 @@ class LatticeOperator:
     __rmul__ = __mul__
 
     def __matmul__(self, x) -> "LatticeOperator":
-        x = _fiber_matrix(x)
+        if not isinstance(x, FiberOperator):
+            return NotImplemented
         return self._with((i, f @ x) for i, f in self.terms)
 
     def __rmatmul__(self, x) -> "LatticeOperator":
-        x = _fiber_matrix(x)
+        if not isinstance(x, FiberOperator):
+            return NotImplemented
         return self._with((i, x @ f) for i, f in self.terms)
 
     def adjoint(self) -> "LatticeOperator":
         """sum_i S_i^H (x) f_i^H, with S_i^H = S_i for the identity and the
         Laplacian and -S_i for the differences (`site_factor`)."""
-        return self._with((i, f.conj().T if i < 2 else -f.conj().T)
+        return self._with((i, f.adjoint() if i < 2 else -f.adjoint())
                           for i, f in self.terms)
 
-    def on_slice(self, Q: np.ndarray) -> "LatticeOperator":
-        """(1 (x) Q)^H op (1 (x) Q) for a fiber isometry Q, on the terms:
-        V^H (S (x) f) V = S (x) Q^H f Q for V = 1 (x) Q (Van Loan 2000).
-        The result keeps the field; its fiber_dim is Q.shape[1]."""
-        Qh = Q.conj().T
-        return LatticeOperator(tuple((i, Qh @ f @ Q) for i, f in self.terms),
-                               self.field, Q.shape[1])
-
     def frobenius_norm(self) -> float:
-        """||sum_i S_i (x) f_i||_F from the site Gram matrix.
+        """||sum_i S_i (x) f_i||_F from the terms and the site Gram matrix.
 
-        ||.||^2 = sum_ij <S_i, S_j> <f_i, f_j> (Van Loan 2000).  Terms on
-        one site factor are summed first, so an identity that holds fiber
-        by fiber (X c = c' X) cancels in fiber-sized arithmetic.  The Gram
-        matrix G of the factors left, a slice of `site_gram`, is positive
-        definite; as W diag(lam) W^H it gives the norm as a sum of squares,
-        sqrt(sum_c lam_c ||sum_j conj(W_jc) f_j||^2).
+        Terms on one site factor are summed first (FiberOperator +), so an
+        identity that holds fiber by fiber (X c = c' X) cancels in
+        fiber-sized arithmetic.  With G = `site_gram` = L^H L (Cholesky),
+        this is the norm of sum_i L[:, i] (x) f_i, taken on its Kronecker
+        terms by successive QR (`_kron_norm`); beside a dense part every
+        part is one dense slot, as in FiberOperator arithmetic.
         """
-        merged: dict[int, np.ndarray] = {}
+        merged: dict[int, FiberOperator] = {}
         for i, f in self.terms:
             merged[i] = merged[i] + f if i in merged else f
-        if not merged:
-            return 0.0
-        keys = list(merged)
-        lam, W = np.linalg.eigh(site_gram(self.spec)[np.ix_(keys, keys)])
-        g = np.tensordot(W.conj().T, np.stack(list(merged.values())), axes=1)
-        sq = np.sum(np.abs(g) ** 2, axis=(1, 2))
-        return float(np.sqrt(lam @ sq))
+        L = np.linalg.cholesky(site_gram(self.spec)).conj().T
+        if any(f.terms is None for f in merged.values()):
+            return _kron_norm([(L[:, i], f.matrix) for i, f in merged.items()])
+        return _kron_norm([(L[:, i],) + t for i, f in merged.items()
+                           for t in f.terms])
 
 
 @lru_cache(maxsize=8)
@@ -393,8 +388,8 @@ def _hop(field: LatticeGaugeField, a: int) -> sp.csr_matrix:
 
 def covariant_laplacian(field: LatticeGaugeField) -> LatticeOperator:
     """nabla* nabla on form-valued sections: scalar Laplacian (x) identity."""
-    fdim = 1 << field.spec.d  # the fiber algebra Lambda(R^{4n}) (x) C
-    return LatticeOperator(((1, np.eye(fdim, dtype=complex)),), field, fdim)
+    return LatticeOperator(
+        ((1, model_fiber(field.spec.n).algebra.identity()),), field)
 
 
 def lichnerowicz_laplacian(field: LatticeGaugeField,
@@ -405,40 +400,41 @@ def lichnerowicz_laplacian(field: LatticeGaugeField,
     by the fiberwise intertwiners; spectra on (0, *) slices are zeta
     independent to solver precision.
     """
-    cov = covariant_laplacian(field)
-    return LatticeOperator(
-        cov.terms + ((0, flux_fiber_matrix(field, zeta)),), field,
-        cov.fiber_dim)
+    return covariant_laplacian(field) + LatticeOperator(
+        ((0, flux_fiber_matrix(field, zeta)),), field)
+
+
+def _flux_term(field: LatticeGaugeField, zeta: TwistorPoint,
+               W: np.ndarray) -> FiberOperator:
+    """-2 pi i m c_zeta(W), the flux term of the 2-form W."""
+    fiber = model_fiber(field.spec.n)
+    return -(2j * np.pi * field.m) * clifford_2form(fiber, zeta, W)
 
 
 def flux_fiber_matrix(field: LatticeGaugeField,
-                      zeta: TwistorPoint) -> np.ndarray:
-    """F = -2 pi i m c_zeta(omega_J), the fiber part of the flux Laplacian."""
-    fiber = model_fiber(field.spec.n)
-    cw = clifford_2form(fiber, zeta, kahler_form(fiber, ZETA_J)).matrix
-    return -((2j * np.pi * field.m) * cw)
+                      zeta: TwistorPoint) -> FiberOperator:
+    """The fiber operator F = -2 pi i m c_zeta(omega_J) of the flux
+    Laplacian, in Kronecker terms."""
+    return _flux_term(field, zeta, kahler_form(model_fiber(field.spec.n),
+                                               ZETA_J))
 
 
 def lattice_dirac(field: LatticeGaugeField, zeta: TwistorPoint) -> LatticeOperator:
     """D = sum_a c_zeta(e^a) nabla_a with symmetric differences; Hermitian."""
     fiber = model_fiber(field.spec.n)
-    terms = tuple((2 + a, clifford(fiber, zeta, np.eye(fiber.d)[a]).matrix)
+    terms = tuple((2 + a, clifford(fiber, zeta, np.eye(fiber.d)[a]))
                   for a in range(fiber.d))
-    return LatticeOperator(terms, field, fiber.dim)
+    return LatticeOperator(terms, field)
 
 
 def dolbeault_pair(field: LatticeGaugeField,
                    zeta: TwistorPoint) -> tuple[LatticeOperator, LatticeOperator]:
     """(dbar, dbar*) built from central differences and (0,1) wedge symbols."""
     fiber = model_fiber(field.spec.n)
-    alg = fiber.algebra
     A = complex_structure(fiber, zeta).T
-    terms = []
-    for a in range(fiber.d):
-        e = np.eye(fiber.d)[a]
-        terms.append((2 + a,
-                      alg.wedge_1form(0.5 * (e + 1j * (A @ e))).matrix))
-    dbar = LatticeOperator(tuple(terms), field, fiber.dim)
+    dbar = LatticeOperator(tuple(
+        (2 + a, fiber.algebra.wedge_1form(0.5 * (e + 1j * (A @ e))))
+        for a, e in enumerate(np.eye(fiber.d))), field)
     return dbar, dbar.adjoint()
 
 
@@ -522,21 +518,22 @@ def plane_laplacians(field: LatticeGaugeField) -> list[np.ndarray] | None:
 
 
 def separable_spectrum(plane_spectra: tuple[np.ndarray, ...],
-                       fiber_matrix: np.ndarray, basis: np.ndarray,
+                       fiber_matrix: FiberOperator, basis: np.ndarray,
                        k: int) -> tuple[np.ndarray, int]:
     """k lowest eigenvalues of sum_P H_P (x) 1 + 1 (x) Q^H F Q, and its dim.
 
     This is the operator scalar (x) 1 + 1 (x) F restricted to sites x
     range(Q) when the scalar part is the Kronecker sum of the plane
     Laplacians H_P.  Their ascending spectra are given, solved once per
-    field (`LatticeGaugeField.plane_spectra`); only the fiber block is
-    diagonalized here, densely by `lowest_eigenvalues` (F numerically, so
-    any fiber operator works).  The sorted lists are folded into their k
+    field (`LatticeGaugeField.plane_spectra`).  F is a fiber operator,
+    applied to Q on its terms; only the block Q^H (F Q) is formed and
+    diagonalized, densely by `lowest_eigenvalues` (numerically, so any
+    fiber operator works).  The sorted lists are folded into their k
     smallest sums.  The k smallest sums of two sorted lists use only the
     first k entries of each, so the fold is exact and returns every copy
     of a degenerate level.
     """
-    block = basis.conj().T @ fiber_matrix @ basis
+    block = basis.conj().T @ (fiber_matrix @ basis)
     dim = len(block) * int(np.prod([len(w) for w in plane_spectra]))
     k = _window(k, dim)
     sums = np.zeros(1)
@@ -564,9 +561,10 @@ def flux_spectra(field: LatticeGaugeField, zeta: TwistorPoint,
     with exact multiplicities, and neither the site Laplacian nor any
     lattice operator is built; the plane spectra are solved once per field
     (`LatticeGaugeField.plane_spectra`) and shared by every zeta and slice,
-    and the flux fiber matrix is formed once per call.  Any other field is
-    restricted to each slice on its terms (`LatticeOperator.on_slice`),
-    assembled there and solved by `lowest_eigenvalues`.
+    and the flux fiber operator is built once per call and applied to each
+    slice basis on its terms.  Any other field is restricted to each slice
+    on its terms and assembled there (`LatticeOperator.on_slice`), then
+    solved by `lowest_eigenvalues`.
     """
     fiber = model_fiber(field.spec.n)
     spectra = field.plane_spectra
@@ -574,7 +572,7 @@ def flux_spectra(field: LatticeGaugeField, zeta: TwistorPoint,
         delta = lichnerowicz_laplacian(field, zeta)
 
         def assembled(degrees) -> tuple[np.ndarray, int]:
-            M = delta.on_slice(slice_basis(fiber, zeta, degrees)).matrix
+            M = delta.on_slice(slice_basis(fiber, zeta, degrees))
             dim = M.shape[0]
             return lowest_eigenvalues(M, _window(k, dim), seed=seed), dim
 
@@ -735,7 +733,7 @@ def _dirac_square_slice(field: LatticeGaugeField, zeta: TwistorPoint,
     Each c_zeta(e^a) maps (0, *)_zeta into itself, so D does, and the slice
     of D^2 is the square of D's slice.
     """
-    D = lattice_dirac(field, zeta).on_slice(basis).matrix
+    D = lattice_dirac(field, zeta).on_slice(basis)
     return D @ D
 
 
@@ -931,10 +929,8 @@ def exact_symmetry_details(field: LatticeGaugeField, zeta: TwistorPoint,
 
     def anchored(xi: TwistorPoint) -> LatticeOperator:
         # family anchored at j: scalar part plus the rotated flux remainder
-        cw = clifford_2form(fiber, ZETA_J, kahler_form(fiber, xi)).matrix
-        return LatticeOperator(
-            cov.terms + ((0, -(2j * np.pi * field.m) * cw),), field,
-            fiber.dim)
+        return cov + LatticeOperator(
+            ((0, _flux_term(field, ZETA_J, kahler_form(fiber, xi))),), field)
 
     out = {}
     # scalar Laplacian commutes with all ten fiber operators
@@ -943,17 +939,17 @@ def exact_symmetry_details(field: LatticeGaugeField, zeta: TwistorPoint,
         (cov @ op - op @ cov).frobenius_norm() / scale
         for op in ten_operators(fiber).as_list())
     # Hopf-section conjugation onto the anchored family
-    R = rho_sp1(fiber, hopf_section(zeta)).matrix
+    R = rho_sp1(fiber, hopf_section(zeta))
     dz = lichnerowicz_laplacian(field, zeta)
     mirrored = adjoint_action(QUAT_J, zeta)
     out["hopf_conjugation"] = (
-        (R.conj().T @ dz @ R - anchored(mirrored)).frobenius_norm()
+        (R.adjoint() @ dz @ R - anchored(mirrored)).frobenius_norm()
         / max(1.0, dz.frobenius_norm()))
     # Clifford rotation moves the anchored family by the adjoint action
-    Rj = rho_j_sp1(fiber, eta).matrix
+    Rj = rho_j_sp1(fiber, eta)
     rhs = anchored(adjoint_action(eta, mirrored))
     out["clifford_rotation"] = (
-        (Rj @ anchored(mirrored) @ Rj.conj().T - rhs).frobenius_norm()
+        (Rj @ anchored(mirrored) @ Rj.adjoint() - rhs).frobenius_norm()
         / max(1.0, rhs.frobenius_norm()))
     return out
 
@@ -988,7 +984,7 @@ def dirac_vs_lichnerowicz(field: LatticeGaugeField, zeta: TwistorPoint,
     """
     fiber = model_fiber(field.spec.n)
     basis = slice_basis(fiber, zeta, range(2 * fiber.n + 1))
-    delta = lichnerowicz_laplacian(field, zeta).on_slice(basis).matrix
+    delta = lichnerowicz_laplacian(field, zeta).on_slice(basis)
     d2 = _dirac_square_slice(field, zeta, basis)
     dim = delta.shape[0]
     extra = max(4, num_modes // 2)

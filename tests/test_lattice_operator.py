@@ -13,6 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hklab import cli
+from hklab.exterior import FiberOperator
 from hklab.fiber import kahler_form, slice_basis, standard_fiber
 from hklab.quaternions import (QUAT_J, TwistorPoint, ZETA_J, adjoint_action,
                                hopf_section, random_twistor_point,
@@ -164,8 +165,7 @@ def _planted_dirac(field, zeta, wrong):
     D = lattice_dirac(field, zeta)
     (i, _), *rest = D.terms
     return LatticeOperator(
-        ((i, clifford(fiber, wrong, np.eye(fiber.d)[0]).matrix), *rest),
-        field, D.fiber_dim)
+        ((i, clifford(fiber, wrong, np.eye(fiber.d)[0])), *rest), field)
 
 
 def test_planted_defect_is_seen_by_both_paths(rng):
@@ -192,17 +192,19 @@ def test_planted_defect_is_seen_by_both_paths(rng):
 
 
 def test_n2_structured_norm_matches_assembled():
-    """At n = 2 every full residual assembles >= 28M nonzeros, so two
+    """At n = 2 every full residual assembles >= 28M nonzeros, so three
     planted operators stand in: 1 (x) c_0(j) - 1 (x) c_0(-j), one site
-    factor in two terms, and 1 (x) F.  The reference sums ~1e7 squares in
-    BLAS order, so its own relative error is up to nnz * eps."""
+    factor in two terms, 1 (x) F, and a dense fiber part beside a term
+    one, grad_0 (x) c_0(-j) + 1 (x) c_0(j) with c_0(j) given as its
+    matrix.  The reference sums ~1e7 squares in BLAS order, so its own
+    relative error is up to nnz * eps."""
     field = build_gauge_field(LatticeSpec(2, 3), 1)
     fiber = model_fiber(2)
-    c0 = [clifford(fiber, z, np.eye(fiber.d)[0]).matrix
-          for z in (ZETA_J, MINUS_J)]
+    c0 = [clifford(fiber, z, np.eye(fiber.d)[0]) for z in (ZETA_J, MINUS_J)]
     for terms in (((0, c0[0]), (0, -c0[1])),
-                  ((0, flux_fiber_matrix(field, ZETA_J)),)):
-        op = LatticeOperator(terms, field, fiber.dim)
+                  ((0, flux_fiber_matrix(field, ZETA_J)),),
+                  ((2, c0[1]), (0, FiberOperator(c0[0].matrix)))):
+        op = LatticeOperator(terms, field)
         want, nnz = spla.norm(op.matrix), op.matrix.nnz
         assert want > 1.0
         assert abs(op.frobenius_norm() - want) \
@@ -223,13 +225,16 @@ def test_term_algebra_matches_assembled_algebra(rng):
         (D - 0.5 * delta, D.matrix - 0.5 * delta.matrix),
         (X @ D, Xl @ D.matrix),
         (D @ X, D.matrix @ Xl),
-        (X.matrix @ D @ X, Xl @ D.matrix @ Xl),
+        (X @ D @ X, Xl @ D.matrix @ Xl),
         ((X @ D).adjoint(), (Xl @ D.matrix).getH()),
     ]
     for op, want in cases:
         assert spla.norm(op.matrix - want) <= 1e-13 * spla.norm(want)
         assert abs(op.frobenius_norm() - spla.norm(want)) \
             <= 1e-13 * spla.norm(want)
+    # a fiber part is a FiberOperator: a bare array is not lifted
+    with pytest.raises(TypeError):
+        X.matrix @ D
     with pytest.raises(ValueError, match="different spaces"):
         D + lattice_dirac(build_gauge_field(LatticeSpec(1, 4), 2), zeta)
     # one spec, but another field: its site factors are not D's
@@ -244,10 +249,15 @@ def test_gram_norm_of_every_own_site_factor(rng):
     complex fibers.  Norms are taken twice, and again on a copy of the
     field: the Gram table is a function of the spec alone."""
     field = build_gauge_field(LatticeSpec(1, 3), 1)
+    alg = model_fiber(1).algebra
     order = rng.permutation(field.spec.d + 2)
-    terms = tuple((int(i), rng.normal(size=(16, 16))
-                   + 1j * rng.normal(size=(16, 16))) for i in order)
-    op = LatticeOperator(terms, field, 16)
+
+    def generic_fiber():
+        return alg.kronecker([(rng.normal(size=(16, 16))
+                               + 1j * rng.normal(size=(16, 16)),)])
+
+    op = LatticeOperator(tuple((int(i), generic_fiber()) for i in order),
+                         field)
     for A in (op, op, op - 0.5j * op.adjoint()):
         want = spla.norm(A.matrix)
         assert abs(A.frobenius_norm() - want) <= 1e-13 * want
@@ -349,17 +359,60 @@ def test_nnz_counts_terms_without_assembly():
     assert op.dim == op.matrix.shape[0] == field.spec.sites * 16
 
 
+def _forbid_full_fiber_assembly(monkeypatch):
+    """Make every sites x fiber assembly raise: `matrix`, and `on_slice`
+    of a full-width Q.  Sites x slice assembly still runs."""
+    on_slice = LatticeOperator.on_slice
+
+    def slice_only(op, Q):
+        if Q.shape[1] == 1 << op.spec.d:
+            raise AssertionError("assembled a sites x fiber matrix")
+        return on_slice(op, Q)
+
+    def full_fiber(op):
+        raise AssertionError("assembled a sites x fiber matrix")
+
+    monkeypatch.setattr(LatticeOperator, "matrix", property(full_fiber))
+    monkeypatch.setattr(LatticeOperator, "on_slice", slice_only)
+
+
+def test_n2_lattice_identities_gather_no_fiber_matrix(monkeypatch, rng):
+    """At n = 2 the lattice identities and the separable index keep every
+    fiber part in Kronecker terms: no FiberOperator of dimension 256 is
+    gathered on them, no sites x fiber matrix is assembled, and every
+    residual is roundoff."""
+    gathered = []
+    matrix = FiberOperator.matrix.fget
+
+    def spy(op):
+        if op.dim >= 256:
+            gathered.append(op.dim)
+        return matrix(op)
+
+    monkeypatch.setattr(FiberOperator, "matrix", property(spy))
+    _forbid_full_fiber_assembly(monkeypatch)
+    spec = LatticeSpec(2, 3)
+    det = theorem_3_10_details(build_gauge_field(spec, 3))
+    assert len(det) == 6 and max(det.values()) < 1e-10
+    det = exact_symmetry_details(build_gauge_field(spec, 1),
+                                 random_twistor_point(rng),
+                                 random_unit_quaternion(rng))
+    assert len(det) == 3 and max(det.values()) < 1e-10
+    field = build_gauge_field(LatticeSpec(2, 4), 1)
+    for zeta in (ZETA_J, random_twistor_point(rng)):
+        assert dirac_index(field, zeta).value == 1
+    assert gathered == []
+
+
 # ----- no assembly, no Lanczos ------------------------------------------------
 
 def test_identity_checks_and_cli_spectrum_never_assemble(monkeypatch, tmp_path,
                                                          rng):
-    import hklab.torus as torus
-
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled a sites x fiber matrix")
 
-    monkeypatch.setattr(torus.LatticeOperator, "matrix",
-                        property(no_assembly))
+    monkeypatch.setattr(LatticeOperator, "matrix", property(no_assembly))
+    monkeypatch.setattr(LatticeOperator, "on_slice", no_assembly)
     det = theorem_3_10_details(build_gauge_field(LatticeSpec(1, 4), 3))
     assert max(det.values()) < 1e-10
     det = exact_symmetry_details(build_gauge_field(LatticeSpec(1, 4), 1),
@@ -383,16 +436,7 @@ def _gauge_transformed(N, m, rng):
 def test_slice_paths_never_assemble_the_full_fiber(monkeypatch, rng):
     """D^2 slices, the D^2 - Delta residual and the non-separable spectrum
     and index assemble sites x slice matrices only."""
-    import hklab.torus as torus
-
-    assemble = torus.LatticeOperator.matrix.func
-
-    def slice_only(op):
-        if op.fiber_dim == 1 << op.spec.d:
-            raise AssertionError("assembled a sites x fiber matrix")
-        return assemble(op)
-
-    monkeypatch.setattr(torus.LatticeOperator, "matrix", property(slice_only))
+    _forbid_full_fiber_assembly(monkeypatch)
     field = build_gauge_field(LatticeSpec(1, 3), 1)
     with pytest.raises(AssertionError, match="sites x fiber"):
         lattice_dirac(field, ZETA_J).matrix
@@ -421,9 +465,9 @@ def test_on_slice_matches_dense_restriction(N, rng):
     D = lattice_dirac(field, zeta)
     for op in (lichnerowicz_laplacian(field, zeta), D):
         on = op.on_slice(Q)
-        assert (on.fiber_dim, on.spec, on.field) == (4, field.spec, field)
-        assert abs(on.matrix - restrict(op, V)).max() <= 1e-12
-    Dq = D.on_slice(Q).matrix
+        assert on.shape == (field.spec.sites * 4,) * 2
+        assert abs(on - restrict(op, V)).max() <= 1e-12
+    Dq = D.on_slice(Q)
     want = V.getH() @ (D.matrix @ D.matrix) @ V
     assert abs(Dq @ Dq - want).max() <= 1e-12
 
@@ -453,6 +497,7 @@ def test_theorem_3_1_runs_on_the_separable_engine(monkeypatch, rng):
     monkeypatch.setattr(spla, "eigsh", no_lanczos)
     monkeypatch.setattr(torus.LatticeOperator, "matrix",
                         property(no_lanczos))
+    monkeypatch.setattr(torus.LatticeOperator, "on_slice", no_lanczos)
     f0 = build_gauge_field(LatticeSpec(1, 6), 0)
     zetas = [random_twistor_point(rng) for _ in range(3)]
     det = theorem_3_1_details(f0, zetas, random_unit_quaternion(rng))
@@ -541,19 +586,20 @@ def test_one_pass_assembly_equals_termwise_sum(batch, monkeypatch, rng):
     # three terms on one site factor, generic values: the summation order
     # shows in the last bits, and the first two cancel exactly
     i = dj.terms[0][0]
-    f = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
-    f[:, rng.random((16, 16)) < 0.5] = 0.0
+    F = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
+    F[:, rng.random((16, 16)) < 0.5] = 0.0
+    f = [model_fiber(1).algebra.kronecker([(x,)]) for x in F]
     ops = [dj, dj - dmj, lichnerowicz_laplacian(field, zeta),
            LatticeOperator((dj.terms[0], (dj.terms[0][0], -dmj.terms[0][1])),
-                           field, dj.fiber_dim),
+                           field),
            2.0 * dolbeault_pair(field, zeta)[1],
-           LatticeOperator(((i, f[0]), (i, f[1]), (i, f[2])), field, 16),
-           LatticeOperator(((i, f[0]), (i, -f[0]), (i, f[2])), field, 16)]
+           LatticeOperator(((i, f[0]), (i, f[1]), (i, f[2])), field),
+           LatticeOperator(((i, f[0]), (i, -f[0]), (i, f[2])), field)]
     for op in ops:
         want = sp.csr_matrix((op.dim, op.dim), dtype=complex)
         for i, f in op.terms:
-            want = want + sp.kron(field.site_factor(i), sp.csr_matrix(f),
-                                  format="csr")
+            want = want + sp.kron(field.site_factor(i),
+                                  sp.csr_matrix(f.matrix), format="csr")
         got = op.matrix
         assert got.shape == want.shape
         assert np.array_equal(got.indptr, want.indptr)
