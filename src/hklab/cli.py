@@ -106,7 +106,7 @@ _SUITES = ("fiber", "torus", "all")
 
 # every flag and config key, in the order they are checked
 _SETTINGS = {
-    "workers": _Setting(int, 0, "worker pool size (env HKLAB_WORKERS)",
+    "workers": _Setting(int, None, "worker pool size (env HKLAB_WORKERS)",
                         _require(lambda v: v >= 1, "workers >= 1 required")),
     "seed": _Setting(int, 0, "seed of the random samples (default 0)",
                      _require(lambda v: v >= 0, "seed >= 0 required")),
@@ -160,7 +160,7 @@ def _resolve(args: argparse.Namespace, **defaults) -> dict:
     for key in keys:
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
-    if cfg.get("workers") == 0:  # the default: HKLAB_WORKERS or CPU count
+    if "workers" in cfg and cfg["workers"] is None:  # HKLAB_WORKERS or CPUs
         try:
             cfg["workers"] = int(os.environ.get("HKLAB_WORKERS",
                                                 os.cpu_count() or 1))

@@ -408,26 +408,27 @@ class ExteriorAlgebra:
         n 16 x 16 factors, one per quaternion block."""
         return FiberOperator._from_terms(self.dim, self, list(terms))
 
+    def kronecker_sum(self, factors, before=_EYE) -> FiberOperator:
+        """sum_b S (x) .. (x) S (x) F_b (x) 1 (x) .. (x) 1, S = `before`, over
+        the F_b not None; at S = 1 the inverse of `quaternion_factors`."""
+        n = len(factors)
+        return self.kronecker([(before,) * b + (F,) + (_EYE,) * (n - b - 1)
+                               for b, F in enumerate(factors) if F is not None])
+
     def identity(self) -> FiberOperator:
         """The identity, one term whose slots all hold the identity."""
         return self.kronecker([(_EYE,) * self.quaternion_blocks])
 
     def _block_sum(self, local_entries, odd: bool) -> FiberOperator:
-        """sum_b S (x) .. (x) S (x) X_b (x) 1 (x) .. (x) 1 in term form.
-
-        X_b is the operator on Lambda(H) with the entries
-        local_entries(Lambda(H), slice of block b), left out when it has
-        none.  S is (-1)^deg when X_b is odd, as it passes the generators of
-        the blocks before b, and 1 when it is even."""
-        n, h = self.quaternion_blocks, self._quaternion
-        before = _PARITY if odd else _EYE
-        terms = []
-        for b in range(n):
-            rows, cols, vals = local_entries(h, slice(4 * b, 4 * b + 4))
-            if len(vals):
-                terms.append((before,) * b + (h._dense(rows, cols, vals),)
-                             + (_EYE,) * (n - b - 1))
-        return self.kronecker(terms)
+        """The `kronecker_sum` of the X_b, X_b the operator on Lambda(H)
+        with the entries local_entries(Lambda(H), slice of block b), left
+        out when it has none.  S is (-1)^deg when X_b is odd, as it passes
+        the generators of the blocks before b, and 1 when it is even."""
+        h = self._quaternion
+        entries = [local_entries(h, slice(4 * b, 4 * b + 4))
+                   for b in range(self.quaternion_blocks)]
+        return self.kronecker_sum([h._dense(*e) if len(e[2]) else None
+                                   for e in entries], _PARITY if odd else _EYE)
 
     def _splits(self, *coefficient_matrices) -> bool:
         """Whether the term form applies: no coefficient between two

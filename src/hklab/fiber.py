@@ -51,7 +51,7 @@ class HyperkahlerFiber:
     K: np.ndarray
     algebra: ExteriorAlgebra = field(repr=False, default=None)
     # data derived from the fiber on first use and kept with it (the
-    # closed-form Sp(1) block of `symmetry`)
+    # closed-form Sp(1) block of `symmetry`, `torus`'s flux coefficients)
     derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property

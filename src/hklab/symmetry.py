@@ -46,6 +46,7 @@ from .reptheory import antiholomorphic_triple, irrep_operators, \
 
 DEFAULT_TOL = 1e-10
 GRAM_RTOL = 1e-12
+_UPPER = np.triu_indices(4)  # the pairs i <= j of `zeta_monomials`
 
 
 def rel_residual(A, B) -> float:
@@ -326,6 +327,15 @@ def clifford(fiber: HyperkahlerFiber, zeta: TwistorPoint, alpha) -> FiberOperato
     return math.sqrt(2.0) * M
 
 
+def _clifford_pair(W, P, Q) -> tuple:
+    """`clifford_2form`'s coefficients, bilinear in its (U, V) = P, Q."""
+    (U, V), (U2, V2) = P, Q
+    # iota_k iota_l = (e^l e^k)^T, so sum Y_kl iota_k iota_l is the
+    # transpose of the wedge with -Y
+    return (2.0 * U @ W @ U2.T, -2.0 * U @ W @ V2.T, -2.0 * V @ W @ V2.T,
+            -np.sum(W * (V.T @ U2)))
+
+
 def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
                    W) -> FiberOperator:
     """Quantization of a 2-form: sum_{a<b} W_ab c(e^a) c(e^b), for W its
@@ -341,18 +351,41 @@ def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     2 V W V^T) - sum_ab W_ab (V^T U)_ab, scattered at once
     (`ExteriorAlgebra.quadratic`: a 16 x 16 factor per quaternion block,
     or one dense matrix if the coefficients couple two blocks), so no dense
-    product is formed.
+    product is formed.  It is quadratic in zeta, as U and V are affine.
     """
     W = form_coefficients(fiber, W, degrees=(2,))
     A = complex_structure(fiber, zeta).T
     eye = np.eye(fiber.d)
     U = 0.5 * (eye + 1j * A)
     V = np.linalg.solve(fiber.g, 0.5 * (eye - 1j * A))
-    # iota_k iota_l = (e^l e^k)^T, so sum Y_kl iota_k iota_l is the
-    # transpose of the wedge with -Y
-    return fiber.algebra.quadratic(
-        2.0 * U @ W @ U.T, -2.0 * U @ W @ V.T, -2.0 * V @ W @ V.T,
-        -np.sum(W * (V.T @ U)))
+    return fiber.algebra.quadratic(*_clifford_pair(W, (U, V), (U, V)))
+
+
+def zeta_monomials(zeta: TwistorPoint) -> np.ndarray:
+    """z_i z_j, i <= j, of z = (1, zeta_I, zeta_J, zeta_K) as given."""
+    z = np.concatenate(([1.0], zeta.as_array()))
+    return np.outer(z, z)[_UPPER]
+
+
+def clifford_2form_coefficients(fiber: HyperkahlerFiber, W) -> np.ndarray:
+    """(10, n, 16, 16) factors C: c_zeta(W) is the Kronecker sum over the
+    blocks b of sum_k p_k C[k, b], p = `zeta_monomials(zeta)`.  With
+    U_0 = 1/2, U_a = (i/2) X_a^T (X = I, J, K) and V_i = g^-1 conj(U_i),
+    `clifford_2form`'s (U, V) is sum_i z_i (U_i, V_i), so C for z_i z_j is
+    pair(i, j) + pair(j, i), halved if i = j (W inside the blocks)."""
+    W = form_coefficients(fiber, W, degrees=(2,))
+    U = [0.5 * np.eye(fiber.d)] + [0.5j * X.T
+                                   for X in (fiber.I, fiber.J, fiber.K)]
+    P = [(Ui, np.linalg.solve(fiber.g, Ui.conj())) for Ui in U]
+    out = []
+    for i, j in zip(*_UPPER):
+        parts = [(x + y) * (0.5 if i == j else 1.0) for x, y in zip(
+            _clifford_pair(W, P[i], P[j]), _clifford_pair(W, P[j], P[i]))]
+        out.append(fiber.algebra.quaternion_factors(
+            fiber.algebra.quadratic(*parts)))
+    if out[0] is None:
+        raise ValueError("the 2-form couples two quaternion blocks")
+    return np.array(out)
 
 
 def rho_j_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:

@@ -50,6 +50,7 @@ from .quaternions import (QUAT_J, TwistorPoint, UnitQuaternion, ZETA_J,
 from .report import CheckResult
 from .reptheory import antiholomorphic_triple
 from .symmetry import (chi, chi_k, clifford, clifford_2form,
+                       clifford_2form_coefficients, zeta_monomials,
                        exp_antihermitian, hodge_star_twisted, rho_j_sp1,
                        rho_sp1, ten_operators)
 
@@ -413,10 +414,15 @@ def _flux_term(field: LatticeGaugeField, zeta: TwistorPoint,
 
 def flux_fiber_matrix(field: LatticeGaugeField,
                       zeta: TwistorPoint) -> FiberOperator:
-    """The fiber operator F = -2 pi i m c_zeta(omega_J) of the flux
-    Laplacian, in Kronecker terms."""
-    return _flux_term(field, zeta, kahler_form(model_fiber(field.spec.n),
-                                               ZETA_J))
+    """F = -2 pi i m c_zeta(omega_J) of the flux Laplacian: one contraction
+    of `zeta_monomials(zeta)` with the ten zeta-coefficients
+    (`clifford_2form_coefficients`), built once per model fiber."""
+    fiber = model_fiber(field.spec.n)
+    if "flux" not in fiber.derived:
+        fiber.derived["flux"] = clifford_2form_coefficients(
+            fiber, kahler_form(fiber, ZETA_J))
+    return -(2j * np.pi * field.m) * fiber.algebra.kronecker_sum(
+        np.tensordot(zeta_monomials(zeta), fiber.derived["flux"], 1))
 
 
 def lattice_dirac(field: LatticeGaugeField, zeta: TwistorPoint) -> LatticeOperator:
@@ -525,13 +531,13 @@ def separable_spectrum(plane_spectra: tuple[np.ndarray, ...],
     This is the operator scalar (x) 1 + 1 (x) F restricted to sites x
     range(Q) when the scalar part is the Kronecker sum of the plane
     Laplacians H_P.  Their ascending spectra are given, solved once per
-    field (`LatticeGaugeField.plane_spectra`).  F is a fiber operator,
+    field (`LatticeGaugeField.plane_spectra`).  F is a fiber operator (the
+    flux one evaluated from ten zeta-coefficients, not scattered per zeta),
     applied to Q on its terms; only the block Q^H (F Q) is formed and
     diagonalized, densely by `lowest_eigenvalues` (numerically, so any
     fiber operator works).  The sorted lists are folded into their k
-    smallest sums.  The k smallest sums of two sorted lists use only the
-    first k entries of each, so the fold is exact and returns every copy
-    of a degenerate level.
+    smallest sums, which use only the first k entries of each list, so
+    the fold is exact and returns every copy of a degenerate level.
     """
     block = basis.conj().T @ (fiber_matrix @ basis)
     dim = len(block) * int(np.prod([len(w) for w in plane_spectra]))
@@ -561,10 +567,10 @@ def flux_spectra(field: LatticeGaugeField, zeta: TwistorPoint,
     with exact multiplicities, and neither the site Laplacian nor any
     lattice operator is built; the plane spectra are solved once per field
     (`LatticeGaugeField.plane_spectra`) and shared by every zeta and slice,
-    and the flux fiber operator is built once per call and applied to each
-    slice basis on its terms.  Any other field is restricted to each slice
-    on its terms and assembled there (`LatticeOperator.on_slice`), then
-    solved by `lowest_eigenvalues`.
+    and F = `flux_fiber_matrix` is evaluated once per call and applied to
+    each slice basis on its terms.  Any other field is restricted to each
+    slice on its terms and assembled there (`LatticeOperator.on_slice`),
+    then solved by `lowest_eigenvalues`.
     """
     fiber = model_fiber(field.spec.n)
     spectra = field.plane_spectra

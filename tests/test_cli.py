@@ -508,6 +508,28 @@ def test_workers_reach_only_pooled_subcommands(monkeypatch, tmp_path,
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_workers_zero_is_rejected_from_every_source(monkeypatch, tmp_path,
+                                                    capsys, source):
+    """An explicit workers = 0 reaches the check whether it comes from the
+    flag, the config file or HKLAB_WORKERS; only an unset value falls back
+    to the environment or the CPU count."""
+    argv = ["spectrum", "--N", "3", "--m", "1", "--k", "2", "--zetas", "j",
+            "--out", str(tmp_path / "spec.csv")]
+    monkeypatch.delenv("HKLAB_WORKERS", raising=False)
+    if source == "flag":
+        argv += ["--workers", "0"]
+    elif source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 0\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("HKLAB_WORKERS", "0")
+    assert cli.main(argv) == 2
+    assert "workers >= 1 required" in capsys.readouterr().err
+    assert not (tmp_path / "spec.csv").exists()
+
+
 # Run in a fresh interpreter: argv[1] is a spectrum output path, argv[2] a
 # decompose input file.
 _DENSE_PATHS = """

@@ -9,21 +9,24 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklab.fiber import slice_basis
+from hklab.exterior import ExteriorAlgebra
+from hklab.fiber import complex_structure, kahler_form, slice_basis
 from hklab.quaternions import (QUAT_K, TwistorPoint, UnitQuaternion, ZETA_J,
-                               fibonacci_sphere, random_twistor_point,
-                               random_unit_quaternion, sample_zetas)
+                               axis_points, fibonacci_sphere,
+                               random_twistor_point, random_unit_quaternion,
+                               sample_zetas)
 from hklab.torus import (THEOREMS, LatticeGaugeField, LatticeOperator,
-                         LatticeSpec, build_gauge_field, corollary_1_2_details,
-                         covariant_laplacian, dirac_index,
-                         dirac_vs_lichnerowicz, dolbeault_pair, flux_spectra,
-                         lattice_dirac, lichnerowicz_laplacian,
-                         lowest_eigenvalues, model_fiber, near_zero_cluster,
-                         plane_laplacians, theorem_1_1_details,
+                         LatticeSpec, _flux_term, build_gauge_field,
+                         corollary_1_2_details, covariant_laplacian,
+                         dirac_index, dirac_vs_lichnerowicz, dolbeault_pair,
+                         flux_fiber_matrix, flux_spectra, lattice_dirac,
+                         lichnerowicz_laplacian, lowest_eigenvalues,
+                         model_fiber, near_zero_cluster, plane_laplacians,
+                         separable_spectrum, theorem_1_1_details,
                          theorem_3_10_details, theorem_3_1_details,
                          verify_theorem)
 
-from .oracles import (bidegree_projector, chern_weil_index,
+from .oracles import (DenseExterior, bidegree_projector, chern_weil_index,
                       flux_slice_spectrum, flux_zero_one_star_spectrum,
                       free_mode_energy, hermitian_residual, hodge_numbers,
                       landau_ground, lift_fiber, restrict, slice_isometry,
@@ -326,6 +329,77 @@ def test_theorem_1_1_solves_the_planes_once(rng, plane_solves):
                               random_unit_quaternion(rng), k=10)
     assert det["spectral_deviation"] < 1e-10
     assert plane_solves == [f]
+
+
+def _flux_scatter(field, zeta):
+    """-2 pi i m c_zeta(omega_J) scattered entry by entry at this zeta."""
+    return _flux_term(field, zeta, kahler_form(model_fiber(field.spec.n),
+                                               ZETA_J))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flux_polynomial_equals_the_scatter(n):
+    """`flux_fiber_matrix` evaluates c_zeta(omega_J)'s ten coefficients:
+    bit for bit the per-zeta scatter at the six axis points, and within
+    1e-14 relative of it and of the dense reference elsewhere."""
+    f = build_gauge_field(LatticeSpec(n, 3), 2)
+    fiber, ref = model_fiber(n), DenseExterior(4 * n)
+    wJ = kahler_form(fiber, ZETA_J)
+    for z in axis_points():
+        assert np.array_equal(flux_fiber_matrix(f, z).matrix,
+                              _flux_scatter(f, z).matrix)
+    rng = np.random.default_rng(27)
+    zetas = sample_zetas("full") + [random_twistor_point(rng)
+                                    for _ in range(5)]
+    for z in zetas:
+        got = flux_fiber_matrix(f, z).matrix
+        dense = -(2j * np.pi * f.m) * ref.clifford_2form(
+            complex_structure(fiber, z), wJ)
+        for want in (_flux_scatter(f, z).matrix, dense):
+            assert (np.linalg.norm(got - want)
+                    <= 1e-14 * np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flux_spectra_match_the_scatter_spectra(n):
+    """Even and odd slice spectra of `flux_spectra` against those of the
+    scattered F, through the same separable fold."""
+    f = build_gauge_field(LatticeSpec(n, 3), 1)
+    fiber = model_fiber(n)
+    qs = range(2 * n + 1)
+    rng = np.random.default_rng(127)
+    for z in axis_points()[:2] + [random_twistor_point(rng)
+                                  for _ in range(3)]:
+        got = flux_spectra(f, z, [qs[::2], qs[1::2]], 12)
+        for degrees, (w, dim) in zip((qs[::2], qs[1::2]), got):
+            want, want_dim = separable_spectrum(
+                f.plane_spectra, _flux_scatter(f, z),
+                slice_basis(fiber, z, degrees), 12)
+            assert dim == want_dim
+            assert np.abs(w - want).max() <= 1e-12
+
+
+def test_flux_sweep_scatters_only_the_ten_coefficients(monkeypatch):
+    """A cold fiber builds its ten coefficient operators once, one
+    `ExteriorAlgebra.quadratic` scatter each; a second 20-zeta sweep
+    scatters nothing."""
+    scatters = []
+    quadratic = ExteriorAlgebra.quadratic
+
+    def spy(alg, *args):
+        scatters.append(alg)
+        return quadratic(alg, *args)
+
+    monkeypatch.delitem(model_fiber(1).derived, "flux", raising=False)
+    monkeypatch.setattr(ExteriorAlgebra, "quadratic", spy)
+    f = build_gauge_field(LatticeSpec(1, 4), 1)
+    zetas = sample_zetas("fibonacci")
+    assert len(zetas) == 20
+    for expected in (10, 0):
+        scatters.clear()
+        for z in zetas:
+            flux_spectra(f, z, [range(3)], 8)
+        assert len(scatters) <= expected
 
 
 def test_library_does_not_import_tests():
