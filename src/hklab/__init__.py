@@ -23,7 +23,7 @@ from .symmetry import (OperatorAlgebra, check_ids, chi, chi_k, clifford,
 from .torus import (IndexResult, LatticeGaugeField, LatticeOperator,
                     LatticeSpec, build_gauge_field, covariant_laplacian,
                     dirac_index, dirac_vs_lichnerowicz, dolbeault_pair,
-                    flux_spectra, lattice_dirac, lichnerowicz_laplacian,
-                    verify_theorem)
+                    flux_spectra, flux_sweep, lattice_dirac,
+                    lichnerowicz_laplacian, verify_theorem)
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .reptheory import antiholomorphic_triple, primitive_decompose, \
     reconstruct
 from .symmetry import DEFAULT_TOL, check_ids, verify_identity
 from .torus import (THEOREMS, LatticeSpec, build_gauge_field, dirac_index,
-                    flux_spectra, verify_theorem)
+                    flux_sweep, verify_theorem)
 
 
 class ConfigError(Exception):
@@ -106,7 +106,9 @@ _SUITES = ("fiber", "torus", "all")
 
 # every flag and config key, in the order they are checked
 _SETTINGS = {
-    "workers": _Setting(int, None, "worker pool size (env HKLAB_WORKERS)",
+    "workers": _Setting(int, None, "worker threads; spectrum splits its "
+                        "zetas into one contiguous chunk a worker (env "
+                        "HKLAB_WORKERS)",
                         _require(lambda v: v >= 1, "workers >= 1 required")),
     "seed": _Setting(int, 0, "seed of the random samples (default 0)",
                      _require(lambda v: v >= 0, "seed >= 0 required")),
@@ -242,19 +244,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    spec = LatticeSpec(cfg["n"], cfg["N"])
-    field = build_gauge_field(spec, cfg["m"])
-    zero_star = range(2 * cfg["n"] + 1)
     zetas = _zeta_list(cfg["zetas"])
+    field = build_gauge_field(LatticeSpec(cfg["n"], cfg["N"]), cfg["m"])
+    zero_star = range(2 * cfg["n"] + 1)
     t0 = time.time()
 
-    def one(z: TwistorPoint) -> list[str]:
-        [(w, _dim)] = flux_spectra(field, z, [zero_star], cfg["k"],
-                                   seed=cfg["seed"])
-        return spectrum_csv_rows(z, "0*", w)
+    def sweep(chunk: list[TwistorPoint]) -> list[str]:
+        spectra = flux_sweep(field, chunk, [zero_star], cfg["k"],
+                             seed=cfg["seed"])
+        return [row for z, [(w, _dim)] in zip(chunk, spectra)
+                for row in spectrum_csv_rows(z, "0*", w)]
 
-    with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-        blocks = list(pool.map(one, zetas))
+    # one contiguous chunk of zetas a worker, so none is left empty
+    size = -(-len(zetas) // cfg["workers"])
+    chunks = [zetas[i:i + size] for i in range(0, len(zetas), size)]
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        blocks = list(pool.map(sweep, chunks))
     rows = [row for block in blocks for row in block]
     _log(f"spectrum over {len(zetas)} zetas in {time.time() - t0:.1f}s")
     _write("".join(line + "\n" for line in [SPECTRUM_CSV_HEADER, *rows]),
@@ -266,9 +271,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     # k stays None unless a flag or the config file sets it, so dirac_index
     # keeps its own default rule
     cfg = _resolve(args, k=None)
-    spec = LatticeSpec(cfg["n"], cfg["N"])
-    field = build_gauge_field(spec, cfg["m"])
     zetas = _zeta_list(cfg["zetas"])
+    field = build_gauge_field(LatticeSpec(cfg["n"], cfg["N"]), cfg["m"])
     t0 = time.time()
     results = [dirac_index(field, z, tau=cfg["tau"], k=cfg["k"],
                            seed=cfg["seed"]) for z in zetas]

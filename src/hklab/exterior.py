@@ -68,9 +68,10 @@ def _lex_subsets(m: int, k: int) -> np.ndarray:
 def compound(r: np.ndarray, k: int) -> np.ndarray:
     """The k-th compound matrix of r: its k x k minors det r[S, T], S and T
     over the lex k-subsets of r's rows and columns, in one batched
-    determinant (1 for k = 0).  Row S is the degree-k monomial e^S."""
-    S, T = _lex_subsets(r.shape[0], k), _lex_subsets(r.shape[1], k)
-    return np.linalg.det(r[S[:, None, :, None], T[None, :, None, :]])
+    determinant (1 for k = 0).  Row S is the degree-k monomial e^S.  r
+    may be a stack: the minors are those of its last two axes."""
+    S, T = _lex_subsets(r.shape[-2], k), _lex_subsets(r.shape[-1], k)
+    return np.linalg.det(r[..., S[:, None, :, None], T[None, :, None, :]])
 
 
 # Lambda(H): exterior degree of each of its 16 monomials, the starts of its
@@ -410,7 +411,9 @@ class ExteriorAlgebra:
 
     def kronecker_sum(self, factors, before=_EYE) -> FiberOperator:
         """sum_b S (x) .. (x) S (x) F_b (x) 1 (x) .. (x) 1, S = `before`, over
-        the F_b not None; at S = 1 the inverse of `quaternion_factors`."""
+        the F_b not None; at S = 1 the inverse of `quaternion_factors`.
+        Factors stacked as (Z, 16, 16) give the terms of Z operators at
+        once, for `quaternion_apply` on a stack of arrays."""
         n = len(factors)
         return self.kronecker([(before,) * b + (F,) + (_EYE,) * (n - b - 1)
                                for b, F in enumerate(factors) if F is not None])
@@ -635,16 +638,20 @@ class ExteriorAlgebra:
         column vectors, without gathering: x is laid out as an n-slot
         tensor of Lambda(H) coefficients through `parts`, each factor
         contracts its slot (identity slots are skipped), and the terms'
-        images add up in the order given."""
+        images add up in the order given.  A stack of Z operators, factors
+        of shape (Z, 16, 16), applies to a stack of Z matrices (Z, dim,
+        cols), each operator to its own matrix by the same products."""
         slots = self._slots
-        cols = x.reshape(self.dim, -1)
+        cols = x.reshape(x.shape[:-2] + (self.dim, -1))
+        lead = cols.shape[:-2]
         X = np.empty(cols.shape, dtype=cols.dtype)
-        X[slots] = cols
+        X[..., slots, :] = cols
         out = np.zeros(cols.shape, dtype=np.result_type(x, complex))
         for factors in terms:
             Y = X
             for b, F in enumerate(factors):
                 if F is not _EYE:
-                    Y = (F @ Y.reshape(16 ** b, 16, -1)).reshape(cols.shape)
+                    Y = (F[..., None, :, :] @ Y.reshape(
+                        lead + (16 ** b, 16, -1))).reshape(cols.shape)
             out += Y
-        return out[slots].reshape(x.shape)
+        return out[..., slots, :].reshape(x.shape)

@@ -22,8 +22,9 @@ form coupling two blocks is a dense matrix, so no 2^{4n} x 2^{4n} array
 is formed unless a caller asks for `.matrix`.
 
 The spectra live on the (0, q)_zeta slices.  The fiber checks read them
-through the bidegree projectors; `slice_basis` writes down an orthonormal
-basis instead, the q x q minors of a frame of (0, 1)-forms, so the
+through the bidegree projectors; `slice_bases` writes down orthonormal
+bases instead, the q x q minors of a frame of (0, 1)-forms
+(`zero_one_frames`, one stacked eigh for every zeta of a sweep), so the
 spectrum paths form no projector and diagonalize nothing wider than d.
 """
 
@@ -215,18 +216,31 @@ def bidegree_projectors(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     return out
 
 
-def slice_basis(fiber: HyperkahlerFiber, zeta: TwistorPoint,
-                degrees) -> np.ndarray:
-    """Orthonormal columns spanning the (0, q)_zeta slices, q in `degrees`.
+def zero_one_frames(fiber: HyperkahlerFiber, zetas) -> np.ndarray:
+    """Orthonormal d x 2n frames of the (0, 1)_zeta-forms, stacked over
+    the zetas: the +1 eigenvectors of sqrt(-1) J_zeta^T (the -sqrt(-1)
+    ones of the type derivation on 1-forms), from one stacked eigh.
+    J_zeta is formed entry by entry as `complex_structure` forms it, and
+    each matrix of the stack is solved on its own, so a zeta's frame does
+    not depend on the others."""
+    z = np.array([zeta.as_array() for zeta in zetas]).reshape(-1, 3, 1, 1)
+    J = z[:, 0] * fiber.I + z[:, 1] * fiber.J + z[:, 2] * fiber.K
+    _w, V = np.linalg.eigh(1j * J.swapaxes(-1, -2))
+    return V[..., 2 * fiber.n:]
 
-    (0, *)_zeta is the exterior algebra of the (0, 1)-forms, the +1
-    eigenvectors of sqrt(-1) J_zeta^T (the -sqrt(-1) ones of the type
-    derivation on 1-forms).  With U an orthonormal d x 2n frame of them,
-    column block q holds the q-th `compound` matrix of U in the degree-q
-    rows: the wedges of q frame vectors, in lex order.  By Cauchy-Binet
-    its Gram matrix is the compound of U^H U = 1, so the columns are
-    orthonormal, and they span (0, q)_zeta.  A degree given twice would
-    repeat its columns, so it raises ValueError.
+
+def slice_bases(fiber: HyperkahlerFiber, frames: np.ndarray,
+                degrees) -> np.ndarray:
+    """Orthonormal columns spanning the (0, q)_zeta slices, q in `degrees`,
+    one basis per frame of a stack (`zero_one_frames`): (Z, dim, width).
+
+    (0, *)_zeta is the exterior algebra of the (0, 1)-forms.  With U an
+    orthonormal d x 2n frame of them, column block q holds the q-th
+    `compound` matrix of U in the degree-q rows: the wedges of q frame
+    vectors, in lex order.  By Cauchy-Binet its Gram matrix is the
+    compound of U^H U = 1, so the columns are orthonormal, and they span
+    (0, q)_zeta.  All degree sets of one zeta share its frame.  A degree
+    given twice would repeat its columns, so it raises ValueError.
     """
     n, off = fiber.n, fiber.algebra.offsets
     degrees = list(degrees)
@@ -234,11 +248,17 @@ def slice_basis(fiber: HyperkahlerFiber, zeta: TwistorPoint,
         raise ValueError(f"degrees {degrees} out of range 0..{2 * n}")
     if len(set(degrees)) < len(degrees):
         raise ValueError(f"degrees {degrees} repeat a degree")
-    _w, V = np.linalg.eigh(1j * complex_structure(fiber, zeta).T)
-    U = V[:, 2 * n:]
-    blocks = []
-    for q in degrees:
-        C = np.zeros((fiber.dim, comb(2 * n, q)), dtype=complex)
-        C[off[q]:off[q + 1]] = compound(U, q)
-        blocks.append(C)
-    return np.hstack(blocks)
+    widths = [comb(2 * n, q) for q in degrees]
+    Q = np.zeros((len(frames), fiber.dim, sum(widths)), dtype=complex)
+    col = 0
+    for q, width in zip(degrees, widths):
+        Q[:, off[q]:off[q + 1], col:col + width] = compound(frames, q)
+        col += width
+    return Q
+
+
+def slice_basis(fiber: HyperkahlerFiber, zeta: TwistorPoint,
+                degrees) -> np.ndarray:
+    """The dim x width basis of `slice_bases` at one zeta: the one-point
+    case of the stacked frames."""
+    return slice_bases(fiber, zero_one_frames(fiber, [zeta]), degrees)[0]

@@ -361,15 +361,17 @@ def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     return fiber.algebra.quadratic(*_clifford_pair(W, (U, V), (U, V)))
 
 
-def zeta_monomials(zeta: TwistorPoint) -> np.ndarray:
-    """z_i z_j, i <= j, of z = (1, zeta_I, zeta_J, zeta_K) as given."""
-    z = np.concatenate(([1.0], zeta.as_array()))
-    return np.outer(z, z)[_UPPER]
+def zeta_monomials(zetas) -> np.ndarray:
+    """z_i z_j, i <= j, of z = (1, zeta_I, zeta_J, zeta_K) as given, one
+    row of ten per twistor point."""
+    v = np.array([zeta.as_array() for zeta in zetas]).reshape(-1, 3)
+    z = np.concatenate((np.ones((len(v), 1)), v), axis=1)
+    return (z[:, :, None] * z[:, None, :])[:, _UPPER[0], _UPPER[1]]
 
 
 def clifford_2form_coefficients(fiber: HyperkahlerFiber, W) -> np.ndarray:
     """(10, n, 16, 16) factors C: c_zeta(W) is the Kronecker sum over the
-    blocks b of sum_k p_k C[k, b], p = `zeta_monomials(zeta)`.  With
+    blocks b of sum_k p_k C[k, b], p = `zeta_monomials([zeta])[0]`.  With
     U_0 = 1/2, U_a = (i/2) X_a^T (X = I, J, K) and V_i = g^-1 conj(U_i),
     `clifford_2form`'s (U, V) is sum_i z_i (U_i, V_i), so C for z_i z_j is
     pair(i, j) + pair(j, i), halved if i = j (W inside the blocks)."""

@@ -23,12 +23,15 @@ test: no site or 2^d-wide fiber matrix is formed.  A fiber slice restricts
 on the terms to S_i (x) Q^H (f_i Q) (`LatticeOperator.on_slice`), so
 eigensolves assemble sites x slice only.  The slices are sums of (0, q)_zeta
 slices, named by their degrees q; their bases Q are the closed forms of
-`fiber.slice_basis`, so no spectrum forms a projector.  On a
+`fiber.slice_bases`, so no spectrum forms a projector.  On a
 plane-separable field the site half of a flux Laplacian is a Kronecker sum
 of plane Laplacians that no zeta touches, so their spectra are solved once
 per field (`LatticeGaugeField.plane_spectra`) and every zeta and slice
-adds only its fiber block.  scipy is imported only where a sparse matrix
-is formed.
+adds only its fiber block.  zeta enters the fiber half only as a
+3-vector, so `flux_sweep` evaluates a set of twistor points as one stacked
+call: their (0, 1)-frames, flux factors, fiber blocks and block spectra
+are each one stacked numpy call, and `flux_spectra` is its one-point case.
+scipy is imported only where a sparse matrix is formed.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ import numpy as np
 
 from .exterior import _kron_norm
 from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projectors,
-                    complex_structure, kahler_form, slice_basis,
-                    standard_fiber)
+                    complex_structure, kahler_form, slice_bases, slice_basis,
+                    standard_fiber, zero_one_frames)
 from .quaternions import (QUAT_J, TwistorPoint, UnitQuaternion, ZETA_J,
                           adjoint_action, hopf_section)
 from .report import CheckResult
@@ -61,6 +64,9 @@ DENSE_LIMIT = 1200
 # entries generated per batch of site rows while assembling a lattice
 # operator; bounds the working memory, not the result
 ASSEMBLY_BATCH = 1 << 19
+# slice-basis entries formed per batch of zetas in a sweep (a (0, *)
+# basis has 2^{6n}); bounds the working memory, not the result
+SWEEP_BATCH = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ class LatticeGaugeField:
         """Ascending, read-only eigenvalues of each of `plane_laplacians`,
         or None when the field is not plane-separable (None is kept too,
         so the separability test also runs once).  No zeta enters the
-        planes, so every zeta and slice of `flux_spectra` shares these
+        planes, so every zeta and slice of `flux_sweep` shares these
         solves."""
         planes = plane_laplacians(self)
         if planes is None:
@@ -412,17 +418,28 @@ def _flux_term(field: LatticeGaugeField, zeta: TwistorPoint,
     return -(2j * np.pi * field.m) * clifford_2form(fiber, zeta, W)
 
 
-def flux_fiber_matrix(field: LatticeGaugeField,
-                      zeta: TwistorPoint) -> FiberOperator:
-    """F = -2 pi i m c_zeta(omega_J) of the flux Laplacian: one contraction
-    of `zeta_monomials(zeta)` with the ten zeta-coefficients
-    (`clifford_2form_coefficients`), built once per model fiber."""
-    fiber = model_fiber(field.spec.n)
+def _flux_factors(fiber: HyperkahlerFiber, zetas) -> np.ndarray:
+    """(Z, n, 16, 16) quaternion-block factors of c_zeta(omega_J), stacked
+    over the zetas: the (Z, 10) `zeta_monomials` contracted with the ten
+    zeta-coefficients (`clifford_2form_coefficients`, built once per model
+    fiber).  Each zeta is its own vector-matrix product in the one stacked
+    matmul, so its factors do not depend on the rest of the stack."""
     if "flux" not in fiber.derived:
         fiber.derived["flux"] = clifford_2form_coefficients(
             fiber, kahler_form(fiber, ZETA_J))
+    C = fiber.derived["flux"]
+    P = zeta_monomials(zetas)
+    return (P[:, None, :] @ C.reshape(len(C), -1)).reshape(
+        (len(P),) + C.shape[1:])
+
+
+def flux_fiber_matrix(field: LatticeGaugeField,
+                      zeta: TwistorPoint) -> FiberOperator:
+    """F = -2 pi i m c_zeta(omega_J) of the flux Laplacian: the one-point
+    case of the stacked factors of `flux_sweep` (`_flux_factors`)."""
+    fiber = model_fiber(field.spec.n)
     return -(2j * np.pi * field.m) * fiber.algebra.kronecker_sum(
-        np.tensordot(zeta_monomials(zeta), fiber.derived["flux"], 1))
+        _flux_factors(fiber, [zeta])[0])
 
 
 def lattice_dirac(field: LatticeGaugeField, zeta: TwistorPoint) -> LatticeOperator:
@@ -450,30 +467,40 @@ def lowest_eigenvalues(M: sp.spmatrix | np.ndarray, k: int, seed: int = 0,
     """k smallest eigenvalues of a Hermitian matrix, ascending.
 
     The library's one eigensolve.  M, sparse or a dense array, is first
-    checked Hermitian to a relative 1e-10.  A dense array, a matrix of at
-    most DENSE_LIMIT rows, or a request for more than a third of the
-    spectrum (or all of it but one) is solved densely; any other matrix by
-    Lanczos with a seeded start vector, so results are deterministic.  With
-    vectors=True the result is (eigenvalues, V) with orthonormal columns V:
-    Lanczos Ritz vectors inside a degenerate level need not be
-    orthonormal, so they are orthonormalised by QR.  k must be at least 1.
+    checked Hermitian to a relative 1e-10.  A dense array may be a stack
+    of matrices (..., dim, dim): each is checked, and all are solved in
+    one stacked call, with results stacked the same way.  A dense array, a
+    matrix of at most DENSE_LIMIT rows, or a request for more than a third
+    of the spectrum (or all of it but one) is solved densely; any other
+    matrix by Lanczos with a seeded start vector, so results are
+    deterministic.  With vectors=True the result is (eigenvalues, V) with
+    orthonormal columns V: Lanczos Ritz vectors inside a degenerate level
+    need not be orthonormal, so they are orthonormalised by QR.  k must be
+    at least 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not (dense := isinstance(M, np.ndarray)):
+    if dense := isinstance(M, np.ndarray):
+        M = np.asarray(M)
+        D = M - M.conj().swapaxes(-1, -2)
+        # no block's |D| / max(1, |M|) exceeds |D| of the whole stack
+        herm = np.linalg.norm(D)
+        if not herm <= 1e-10:
+            herm = np.max(np.linalg.norm(D, axis=(-2, -1)) / np.maximum(
+                1.0, np.linalg.norm(M, axis=(-2, -1))))
+    else:
         import scipy.sparse.linalg as spla
-    norm = np.linalg.norm if dense else spla.norm
-    herm = norm(M - M.conj().T) / max(1.0, norm(M))
+        herm = spla.norm(M - M.conj().T) / max(1.0, spla.norm(M))
     if not herm <= 1e-10:
         raise ValueError(f"operator is not Hermitian on the slice ({herm:.1e})")
-    dim = M.shape[0]
+    dim = M.shape[-1]
     k = min(k, dim)
     if dense or dim <= DENSE_LIMIT or 3 * k > dim or k >= dim - 1:
-        A = np.asarray(M if dense else M.todense())
+        A = M if dense else np.asarray(M.todense())
         if not vectors:
-            return np.linalg.eigvalsh(A)[:k]
+            return np.linalg.eigvalsh(A)[..., :k]
         w, V = np.linalg.eigh(A)
-        return w[:k], V[:, :k]
+        return w[..., :k], V[..., :k]
     rng = np.random.default_rng(0xC0FFEE ^ seed ^ dim)
     v0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     ncv = min(dim - 1, max(2 * k + 20, 40))
@@ -523,29 +550,29 @@ def plane_laplacians(field: LatticeGaugeField) -> list[np.ndarray] | None:
     return out
 
 
-def separable_spectrum(plane_spectra: tuple[np.ndarray, ...],
-                       fiber_matrix: FiberOperator, basis: np.ndarray,
-                       k: int) -> tuple[np.ndarray, int]:
-    """k lowest eigenvalues of sum_P H_P (x) 1 + 1 (x) Q^H F Q, and its dim.
+def separable_spectra(plane_spectra: tuple[np.ndarray, ...],
+                      blocks: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """k lowest eigenvalues of sum_P H_P (x) 1 + 1 (x) B for each fiber
+    block B of a stack (Z, width, width), as a (Z, k) array, and the dim.
 
     This is the operator scalar (x) 1 + 1 (x) F restricted to sites x
-    range(Q) when the scalar part is the Kronecker sum of the plane
-    Laplacians H_P.  Their ascending spectra are given, solved once per
-    field (`LatticeGaugeField.plane_spectra`).  F is a fiber operator (the
-    flux one evaluated from ten zeta-coefficients, not scattered per zeta),
-    applied to Q on its terms; only the block Q^H (F Q) is formed and
-    diagonalized, densely by `lowest_eigenvalues` (numerically, so any
-    fiber operator works).  The sorted lists are folded into their k
-    smallest sums, which use only the first k entries of each list, so
-    the fold is exact and returns every copy of a degenerate level.
+    range(Q), B = Q^H F Q, when the scalar part is the Kronecker sum of the
+    plane Laplacians H_P.  Their ascending spectra are given, solved once
+    per field (`LatticeGaugeField.plane_spectra`), and folded once for the
+    whole stack.  The blocks are diagonalized numerically, in one stacked
+    call of `lowest_eigenvalues`, so any Hermitian blocks work.  The sorted
+    lists are folded into their k smallest sums, which use only the first
+    k entries of each list, so the fold is exact and returns every copy of
+    a degenerate level; the blocks' lists are folded along the stack axis.
     """
-    block = basis.conj().T @ (fiber_matrix @ basis)
-    dim = len(block) * int(np.prod([len(w) for w in plane_spectra]))
+    dim = blocks.shape[-1] * int(np.prod([len(w) for w in plane_spectra]))
     k = _window(k, dim)
+    fiber = lowest_eigenvalues(blocks, k)
     sums = np.zeros(1)
-    for w in (*plane_spectra, lowest_eigenvalues(block, k)):
+    for w in plane_spectra:
         sums = np.sort(np.add.outer(sums, w[:k]), axis=None)[:k]
-    return sums, dim
+    sums = (sums[:, None] + fiber[:, None, :]).reshape(len(fiber), -1)
+    return np.sort(sums, axis=-1)[:, :k], dim
 
 
 def _window(k: int, dim: int) -> int:
@@ -555,38 +582,71 @@ def _window(k: int, dim: int) -> int:
     return min(k, dim)
 
 
+def flux_sweep(field: LatticeGaugeField, zetas, slices: list, k: int,
+               seed: int = 0) -> list[list[tuple[np.ndarray, int]]]:
+    """(k lowest eigenvalues, slice dim) of the flux Laplacian, per zeta
+    and per slice: result[z][s] for zetas[z] and slices[s].
+
+    Each slice is a set of degrees q, naming the sum of the (0, q)_zeta
+    slices (`fiber.slice_bases`).  The operator is
+    `lichnerowicz_laplacian(field, zeta)` restricted to each.  zeta enters
+    only as a 3-vector, so the sweep is one stacked evaluation: one eigh
+    gives every zeta's (0, 1)-frame, shared by all its slices
+    (`zero_one_frames`); one matmul gives every zeta's flux factors
+    (`_flux_factors`).  When the field is plane-separable, the blocks
+    Q^H F Q of every zeta come from a stacked `quaternion_apply` and a
+    stacked product a slice (in batches of at most SWEEP_BATCH basis
+    entries: one batch for up to 256 zetas at n = 2, 4 at n = 3), and
+    `separable_spectra` solves them in one stacked eigensolve and folds
+    them with the field's plane spectra
+    (`LatticeGaugeField.plane_spectra`), with exact multiplicities; no
+    site Laplacian or lattice operator is built.  Any other field is
+    restricted to each zeta's slices on its terms and assembled there
+    (`LatticeOperator.on_slice`), then solved by `lowest_eigenvalues`.
+    Every stacked step treats each zeta on its own, so a zeta's spectra do
+    not depend on the other zetas of the call.
+    """
+    zetas = list(zetas)
+    if not zetas:
+        return []
+    fiber = model_fiber(field.spec.n)
+    frames = zero_one_frames(fiber, zetas)
+    planes = field.plane_spectra
+    if planes is None:
+        out = []
+        for z, zeta in enumerate(zetas):
+            delta = lichnerowicz_laplacian(field, zeta)
+            row = []
+            for degrees in slices:
+                M = delta.on_slice(
+                    slice_bases(fiber, frames[z:z + 1], degrees)[0])
+                dim = M.shape[0]
+                row.append((lowest_eigenvalues(M, _window(k, dim), seed=seed),
+                            dim))
+            out.append(row)
+        return out
+    alg = fiber.algebra
+    factors = _flux_factors(fiber, zetas)
+    step = max(1, SWEEP_BATCH >> 6 * fiber.n)
+    blocks = [[] for _ in slices]
+    for z in range(0, len(zetas), step):
+        terms = alg.kronecker_sum(
+            list(factors[z:z + step].swapaxes(0, 1))).terms
+        for degrees, out in zip(slices, blocks):
+            Q = slice_bases(fiber, frames[z:z + step], degrees)
+            FQ = -(2j * np.pi * field.m) * alg.quaternion_apply(terms, Q)
+            out.append(Q.conj().swapaxes(-1, -2) @ FQ)
+    per_slice = [separable_spectra(planes, np.concatenate(b), k)
+                 for b in blocks]
+    return [[(w[z], dim) for w, dim in per_slice] for z in range(len(zetas))]
+
+
 def flux_spectra(field: LatticeGaugeField, zeta: TwistorPoint,
                  slices: list, k: int,
                  seed: int = 0) -> list[tuple[np.ndarray, int]]:
-    """(k lowest eigenvalues, slice dim) of the flux Laplacian per slice.
-
-    Each slice is a set of degrees q, naming the sum of the (0, q)_zeta
-    slices (`slice_basis`).  The operator is
-    `lichnerowicz_laplacian(field, zeta)` restricted to each.  When the
-    field is plane-separable the spectra come from `separable_spectrum`,
-    with exact multiplicities, and neither the site Laplacian nor any
-    lattice operator is built; the plane spectra are solved once per field
-    (`LatticeGaugeField.plane_spectra`) and shared by every zeta and slice,
-    and F = `flux_fiber_matrix` is evaluated once per call and applied to
-    each slice basis on its terms.  Any other field is restricted to each
-    slice on its terms and assembled there (`LatticeOperator.on_slice`),
-    then solved by `lowest_eigenvalues`.
-    """
-    fiber = model_fiber(field.spec.n)
-    spectra = field.plane_spectra
-    if spectra is None:
-        delta = lichnerowicz_laplacian(field, zeta)
-
-        def assembled(degrees) -> tuple[np.ndarray, int]:
-            M = delta.on_slice(slice_basis(fiber, zeta, degrees))
-            dim = M.shape[0]
-            return lowest_eigenvalues(M, _window(k, dim), seed=seed), dim
-
-        return [assembled(degrees) for degrees in slices]
-    F = flux_fiber_matrix(field, zeta)
-    return [separable_spectrum(spectra, F,
-                               slice_basis(fiber, zeta, degrees), k)
-            for degrees in slices]
+    """(k lowest eigenvalues, slice dim) of the flux Laplacian per slice at
+    one zeta: the one-point case of `flux_sweep`."""
+    return flux_sweep(field, [zeta], slices, k, seed)[0]
 
 
 CLUSTER_RATIO = 6.0
@@ -761,8 +821,8 @@ def theorem_1_1_details(field: LatticeGaugeField, zeta: TwistorPoint,
     conj_residual = ((X @ dz - dzp @ X).frobenius_norm()
                      / max(1.0, dz.frobenius_norm()))
     zero_star = range(2 * fiber.n + 1)
-    [(wz, _)] = flux_spectra(field, zeta, [zero_star], k, seed)
-    [(wp, _)] = flux_spectra(field, zp, [zero_star], k, seed)
+    [[(wz, _)], [(wp, _)]] = flux_sweep(field, [zeta, zp], [zero_star], k,
+                                        seed)
 
     def dirac_square_spec(z):
         D2 = _dirac_square_slice(field, z, slice_basis(fiber, z, zero_star))
@@ -794,14 +854,14 @@ def theorem_3_1_details(field: LatticeGaugeField, zetas: list[TwistorPoint],
     conj_residual = ((R @ half - half @ R).frobenius_norm()
                      / max(1.0, half.frobenius_norm()))
 
-    def dolbeault_spectra(z, slices):
-        return [0.5 * w for w, _ in flux_spectra(field, z, slices, k, seed)]
-
+    # the (0, *) slice at every zeta, and each (0, q) slice, counted at
+    # the first zeta, in one sweep
     degrees = range(2 * fiber.n + 1)
-    spectra = np.array([dolbeault_spectra(z, [degrees])[0] for z in zetas])
+    sweep = flux_sweep(field, zetas, [degrees, *((q,) for q in degrees)],
+                       k, seed)
+    spectra = np.array([0.5 * row[0][0] for row in sweep])
     deviation = float(np.abs(spectra - spectra[0]).max())
-    counts = [_kernel_count(w, tau=0.5) for w in dolbeault_spectra(
-        zetas[0], [(q,) for q in degrees])]
+    counts = [_kernel_count(0.5 * w, tau=0.5) for w, _ in sweep[0][1:]]
     return {"conjugation_residual": conj_residual,
             "spectral_deviation": deviation,
             "harmonic_counts": counts}
@@ -811,11 +871,8 @@ def corollary_1_2_details(field: LatticeGaugeField,
                           zetas: list[TwistorPoint], seed: int = 0) -> dict:
     """Smallest (0, odd) eigenvalue of the flux Laplacian per sampled zeta."""
     odd = range(1, 2 * field.spec.n + 1, 2)
-    gaps = []
-    for z in zetas:
-        [(w, _dim)] = flux_spectra(field, z, [odd], 2, seed)
-        gaps.append(float(w[0]))
-    gaps = np.array(gaps)
+    gaps = np.array([float(w[0]) for [(w, _dim)]
+                     in flux_sweep(field, zetas, [odd], 2, seed)])
     return {"gaps": gaps, "min_gap": float(gaps.min()),
             "deviation": float(np.abs(gaps - gaps[0]).max())}
 

@@ -323,6 +323,60 @@ def test_spectrum_bytes_do_not_depend_on_pool_size(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("zetas,workers", [("j", "4"), ("axes", "8")])
+def test_spectrum_bytes_do_not_depend_on_the_chunks(tmp_path, zetas,
+                                                     workers):
+    """More workers than zetas, or chunks of one zeta, write the bytes of
+    one sweep over them all."""
+    outs = []
+    for w in ("1", workers):
+        out = tmp_path / f"spec{w}.csv"
+        assert cli.main(["spectrum", "--N", "4", "--m", "2", "--k", "12",
+                         "--zetas", zetas, "--workers", w,
+                         "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("workers", [1, 4, 8, 100])
+def test_pool_gets_one_contiguous_chunk_a_worker(monkeypatch, tmp_path,
+                                                 workers):
+    """The pool receives at most min(workers, #zetas) tasks, none empty,
+    which are the zetas in order."""
+    tasks = []
+
+    class Pool(cli.ThreadPoolExecutor):
+        def map(self, fn, chunks):
+            tasks.append(list(chunks))
+            return super().map(fn, tasks[-1])
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+    for spec in ("j", "axes", "full"):
+        tasks.clear()
+        assert cli.main(["spectrum", "--N", "3", "--m", "1", "--k", "2",
+                         "--zetas", spec, "--workers", str(workers),
+                         "--out", str(tmp_path / "spec.csv")]) == 0
+        zetas = cli._zeta_list(spec)
+        [chunks] = tasks
+        assert 1 <= len(chunks) <= min(workers, len(zetas))
+        assert all(chunks)
+        assert [z for chunk in chunks for z in chunk] == zetas
+
+
+@pytest.mark.parametrize("command", ["spectrum", "index"])
+@pytest.mark.parametrize("zetas", ["bogus", "list:0,0,0"])
+def test_bad_zetas_exit_before_the_field_is_built(monkeypatch, capsys,
+                                                  tmp_path, command, zetas):
+    def fail(*args, **kwargs):
+        raise AssertionError("built the gauge field")
+
+    monkeypatch.setattr(cli, "build_gauge_field", fail)
+    assert cli.main([command, "--n", "2", "--N", "6", "--zetas", zetas,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectrum_paths_build_no_projector(monkeypatch, tmp_path):
     """`dirac_index` and `hklab spectrum` take their slices from the minors
     of a (0, 1)-frame: they build no bidegree projector and take no eigh

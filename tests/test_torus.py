@@ -19,10 +19,11 @@ from hklab.torus import (THEOREMS, LatticeGaugeField, LatticeOperator,
                          LatticeSpec, _flux_term, build_gauge_field,
                          corollary_1_2_details, covariant_laplacian,
                          dirac_index, dirac_vs_lichnerowicz, dolbeault_pair,
-                         flux_fiber_matrix, flux_spectra, lattice_dirac,
-                         lichnerowicz_laplacian, lowest_eigenvalues,
-                         model_fiber, near_zero_cluster, plane_laplacians,
-                         separable_spectrum, theorem_1_1_details,
+                         flux_fiber_matrix, flux_spectra, flux_sweep,
+                         lattice_dirac, lichnerowicz_laplacian,
+                         lowest_eigenvalues, model_fiber, near_zero_cluster,
+                         plane_laplacians, separable_spectra,
+                         theorem_1_1_details,
                          theorem_3_10_details, theorem_3_1_details,
                          verify_theorem)
 
@@ -363,7 +364,7 @@ def test_flux_polynomial_equals_the_scatter(n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_flux_spectra_match_the_scatter_spectra(n):
     """Even and odd slice spectra of `flux_spectra` against those of the
-    scattered F, through the same separable fold."""
+    scattered F, through the same separable fold (a stack of one block)."""
     f = build_gauge_field(LatticeSpec(n, 3), 1)
     fiber = model_fiber(n)
     qs = range(2 * n + 1)
@@ -372,11 +373,96 @@ def test_flux_spectra_match_the_scatter_spectra(n):
                                   for _ in range(3)]:
         got = flux_spectra(f, z, [qs[::2], qs[1::2]], 12)
         for degrees, (w, dim) in zip((qs[::2], qs[1::2]), got):
-            want, want_dim = separable_spectrum(
-                f.plane_spectra, _flux_scatter(f, z),
-                slice_basis(fiber, z, degrees), 12)
+            Q = slice_basis(fiber, z, degrees)
+            block = Q.conj().T @ (_flux_scatter(f, z) @ Q)
+            [want], want_dim = separable_spectra(f.plane_spectra,
+                                                 block[None], 12)
             assert dim == want_dim
             assert np.abs(w - want).max() <= 1e-12
+
+
+def _bits(rows):
+    """A sweep's result, each eigenvalue list as its bytes."""
+    return [[(w.tobytes(), dim) for w, dim in row] for row in rows]
+
+
+@pytest.mark.parametrize("n,N,m", [(1, 4, 2), (1, 5, 3), (1, 6, 1),
+                                   (2, 3, 1)])
+def test_flux_sweep_equals_single_calls_wherever_it_is_cut(n, N, m):
+    """One sweep over the 26 points of `full` gives each zeta the bits of
+    its own one-point call, and so does the sweep cut in two anywhere;
+    at n = 1 the (0, *) spectra are the oracle's."""
+    f = build_gauge_field(LatticeSpec(n, N), m)
+    zetas = sample_zetas("full")
+    qs = range(2 * n + 1)
+    slices = [qs, qs[::2], qs[1::2]]
+    whole = _bits(flux_sweep(f, zetas, slices, 16))
+    assert whole == _bits(flux_spectra(f, z, slices, 16) for z in zetas)
+    for cut in (1, 7, 13, 25):
+        assert whole == _bits(flux_sweep(f, zetas[:cut], slices, 16)
+                              + flux_sweep(f, zetas[cut:], slices, 16))
+    if n == 1:
+        oracle = flux_zero_one_star_spectrum(N, m, 16)
+        for [(w, _dim), *_parities] in flux_sweep(f, zetas, slices, 16):
+            assert np.abs(w - oracle).max() < 1e-9
+
+
+@pytest.fixture()
+def eigensolves(monkeypatch):
+    """The shapes handed to np.linalg.eigh and eigvalsh, by name."""
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, log in calls.items():
+        def spy(a, *args, _solve=getattr(np.linalg, name), _log=log,
+                **kwargs):
+            _log.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_sweep_batches_bound_the_stack_not_the_result(monkeypatch,
+                                                      eigensolves):
+    """With batches of 3 zetas (SWEEP_BATCH basis entries, 64 a zeta at
+    n = 1) the sweep forms its blocks batch by batch and returns the same
+    bits, still from one frame eigh and one eigvalsh a slice set."""
+    import hklab.torus as torus
+
+    f = build_gauge_field(LatticeSpec(1, 4), 2)
+    zetas = sample_zetas("full")
+    slices = [range(3), (0, 2), (1,)]
+    whole = _bits(flux_sweep(f, zetas, slices, 12))
+    monkeypatch.setattr(torus, "SWEEP_BATCH", 3 * 64)
+    for log in eigensolves.values():
+        log.clear()
+    assert _bits(flux_sweep(f, zetas, slices, 12)) == whole
+    assert eigensolves["eigh"] == [(26, 4, 4)]
+    assert [s[0] for s in eigensolves["eigvalsh"]] == [26] * 3
+
+
+def test_sweep_takes_one_frame_and_one_eigensolve_a_slice_set(eigensolves):
+    """Whatever the number of zetas, a sweep takes one stacked eigh (every
+    zeta's (0, 1)-frame) and one stacked eigvalsh per slice set (every
+    zeta's fiber block); the field's planes were solved before."""
+    f = build_gauge_field(LatticeSpec(1, 4), 1)
+    assert f.plane_spectra is not None
+    slices = [range(3), (0, 2), (1,)]
+    for zetas in (sample_zetas("j"), sample_zetas("axes"),
+                  sample_zetas("full")):
+        for log in eigensolves.values():
+            log.clear()
+        flux_sweep(f, zetas, slices, 8)
+        assert eigensolves["eigh"] == [(len(zetas), 4, 4)]
+        assert [s[0] for s in eigensolves["eigvalsh"]] == [len(zetas)] * 3
+
+
+def test_dirac_index_takes_one_frame_for_both_parities(eigensolves):
+    f = build_gauge_field(LatticeSpec(2, 4), 1)
+    assert f.plane_spectra is not None
+    eigensolves["eigvalsh"].clear()
+    assert dirac_index(f, random_twistor_point(
+        np.random.default_rng(28))).value == 1
+    assert eigensolves["eigh"] == [(1, 8, 8)]
+    assert eigensolves["eigvalsh"] == [(1, 8, 8)] * 2
 
 
 def test_flux_sweep_scatters_only_the_ten_coefficients(monkeypatch):
@@ -439,6 +525,33 @@ def test_lowest_eigenvalues_rejects_non_hermitian():
     for M in (A, sp.csr_matrix(A)):
         with pytest.raises(ValueError, match="not Hermitian"):
             lowest_eigenvalues(M, 2)
+
+
+def test_lowest_eigenvalues_checks_every_block_of_a_stack():
+    """A stack of dense blocks is solved block by block in one call; one
+    non-Hermitian block anywhere in it is rejected."""
+    rng = np.random.default_rng(28)
+    X = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+    H = X + X.conj().swapaxes(-1, -2)
+    w = lowest_eigenvalues(H, 4)
+    assert w.shape == (5, 4)
+    for block, got in zip(H, w):
+        assert np.array_equal(got, lowest_eigenvalues(block, 4))
+    for bad in (0, 3):
+        M = H.copy()
+        M[bad, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            lowest_eigenvalues(M, 4)
+    # a defect above 1e-10 in absolute terms but not relative to its block
+    M = 1e6 * H
+    M[:, 0, 1] += 1e-5
+    assert lowest_eigenvalues(M, 4).shape == (5, 4)
+    # a small block's defect counts against its own norm, not the stack's
+    M = H.copy()
+    M[0] *= 1e12
+    M[3, 0, 1] += 1e-7
+    with pytest.raises(ValueError, match="not Hermitian"):
+        lowest_eigenvalues(M, 4)
 
 
 def test_lowest_eigenvalues_rejects_non_finite_input():
