@@ -8,11 +8,16 @@ Exit codes: 0 success, 1 check failure, 2 configuration (input) error,
 3 indeterminate index.  Only ConfigError maps to 2; any other exception is
 a program fault and propagates.  Identical configuration and seed produce
 byte-identical artifacts; timings are printed to stderr only.
+
+The parser is built once per process, on the first `main`; `main` then
+looks its `cmd_*` function up by the subcommand's name, so a `cmd_*` (or
+a name it reads) replaced at run time is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -262,8 +267,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         blocks = list(pool.map(sweep, chunks))
     rows = [row for block in blocks for row in block]
     _log(f"spectrum over {len(zetas)} zetas in {time.time() - t0:.1f}s")
-    _write("".join(line + "\n" for line in [SPECTRUM_CSV_HEADER, *rows]),
-           cfg["out"])
+    _write("\n".join([SPECTRUM_CSV_HEADER, *rows, ""]), cfg["out"])
     return 0
 
 
@@ -399,6 +403,7 @@ def cmd_brane_check(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hklab",
@@ -406,34 +411,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "constant-flux torus Dirac operators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, about):
+    def add(name, about):
         p = sub.add_parser(name, help=about)
         for key in (*_READS[name], "out"):
             setting = _SETTINGS[key]
             p.add_argument(f"--{key}", type=setting.type,
                            choices=setting.choices, help=setting.help)
         p.add_argument("--config", help="flat key=value config file")
-        p.set_defaults(func=func)
         return p
 
-    add("verify", cmd_verify, "run identity and theorem checks")
-    add("spectrum", cmd_spectrum, "eigenvalue sweep over twistor points")
-    add("index", cmd_index, "even/odd kernel index of the flux Dirac")
-    p = add("decompose", cmd_decompose, "primitive decomposition of a fiber "
-                                        "element file")
+    add("verify", "run identity and theorem checks")
+    add("spectrum", "eigenvalue sweep over twistor points")
+    add("index", "even/odd kernel index of the flux Dirac")
+    p = add("decompose", "primitive decomposition of a fiber element file")
     p.add_argument("--input", required=True)
-    p = add("brane-check", cmd_brane_check, "hyperbrane condition for a "
-                                            "subspace/field-strength file")
+    p = add("brane-check", "hyperbrane condition for a "
+                           "subspace/field-strength file")
     p.add_argument("--input", required=True)
     p.add_argument("--family", choices=("BBB", "ABA"), required=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

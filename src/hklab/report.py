@@ -54,14 +54,16 @@ def report_json(results: list[CheckResult]) -> str:
 
 
 def spectrum_csv_rows(zeta, slice_label: str, eigenvalues) -> list[str]:
-    """Rows of the spectrum CSV: zeta_i,zeta_j,zeta_k,slice,rank,eigenvalue."""
+    """Rows of the spectrum CSV: zeta_i,zeta_j,zeta_k,slice,rank,eigenvalue.
+
+    The zeta_i,zeta_j,zeta_k,slice prefix is formatted once for all rows."""
     if "," in slice_label:
         raise ValueError("slice label must not contain commas")
-    zi, zj, zk = (FLOAT_FMT % c for c in zeta.as_array())
-    return [
-        f"{zi},{zj},{zk},{slice_label},{rank},{FLOAT_FMT % float(ev)}"
-        for rank, ev in enumerate(np.asarray(eigenvalues))
-    ]
+    prefix = ",".join([*(FLOAT_FMT % c for c in zeta.as_array().tolist()),
+                       slice_label])
+    values = np.asarray(eigenvalues, dtype=float).tolist()
+    return [f"{prefix},{rank},{FLOAT_FMT % ev}"
+            for rank, ev in enumerate(values)]
 
 
 SPECTRUM_CSV_HEADER = "zeta_i,zeta_j,zeta_k,slice,rank,eigenvalue"

@@ -27,15 +27,18 @@ slices, named by their degrees q; their bases Q are the closed forms of
 plane-separable field the site half of a flux Laplacian is a Kronecker sum
 of plane Laplacians that no zeta touches, so their spectra are solved once
 per field (`LatticeGaugeField.plane_spectra`) and every zeta and slice
-adds only its fiber block.  zeta enters the fiber half only as a
-3-vector, so `flux_sweep` evaluates a set of twistor points as one stacked
-call: their (0, 1)-frames, flux factors, fiber blocks and block spectra
-are each one stacked numpy call, and `flux_spectra` is its one-point case.
+adds only its fiber block; `build_gauge_field` builds one field per
+(spec, m), so every caller of one (spec, m) shares that solve.  zeta
+enters the fiber half only as a 3-vector, so `flux_sweep` evaluates a set
+of twistor points as one stacked call: their (0, 1)-frames, flux factors,
+fiber blocks and block spectra are each one stacked numpy call, and
+`flux_spectra` is its one-point case.
 scipy is imported only where a sparse matrix is formed.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
@@ -97,13 +100,16 @@ class LatticeGaugeField:
     the site factors of the operators built from them (`site_factor`) and
     the spectra of its flux planes (`plane_spectra`): each is formed once
     and shared by every zeta and slice.  `links` is made read-only (in
-    place, not copied) so none of these can go stale."""
+    place, not copied) so none of these can go stale, and a field can be
+    shared: `build_gauge_field` returns one field per (spec, m).  The flux
+    m must be an integer; it is kept as an int."""
 
     spec: LatticeSpec
     m: int
     links: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer_flux(self.m))
         if (np.shape(self.links) != (self.spec.sites, self.spec.d)
                 or not np.abs(np.abs(self.links) - 1.0).max() <= 1e-12):
             raise ValueError("links must be unit phases of shape (sites, d)")
@@ -371,7 +377,25 @@ def build_gauge_field(spec: LatticeSpec, m: int) -> LatticeGaugeField:
     Per quaternionic block b the (4b, 4b+2)-plane carries flux -2 pi m/N^2
     per plaquette and the (4b+1, 4b+3)-plane +2 pi m/N^2, matching curvature
     m omega_J for omega_J = e^{4b,4b+2} - e^{4b+1,4b+3} per block.
+
+    The field is built once per (spec, m) and shared, like `model_fiber`
+    (the last 8 are kept): its links are read-only, so the site factors
+    and plane spectra it caches cannot go stale.
     """
+    return _gauge_field(spec, _integer_flux(m))
+
+
+def _integer_flux(m) -> int:
+    """m as an int; a field's m must be an integer (numpy integers too),
+    else the seam breaks the uniform holonomy."""
+    try:
+        return operator.index(m)
+    except TypeError:
+        raise ValueError(f"flux m must be an integer, not {m!r}") from None
+
+
+@lru_cache(maxsize=8)
+def _gauge_field(spec: LatticeSpec, m: int) -> LatticeGaugeField:
     N = spec.N
     c = _coords(spec)
     links = np.ones((spec.sites, spec.d), dtype=complex)

@@ -30,9 +30,13 @@ def rng():
 
 @pytest.fixture()
 def plane_solves(monkeypatch):
-    """The fields of every library call of `plane_laplacians`, in order."""
+    """The fields of every library call of `plane_laplacians`, in order.
+
+    Fields built before are dropped from `build_gauge_field`'s cache, so a
+    field the test builds solves its planes while the spy watches."""
     from hklab import torus
 
+    torus._gauge_field.cache_clear()
     calls = []
     planes = torus.plane_laplacians
 

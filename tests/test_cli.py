@@ -305,6 +305,32 @@ def test_spectrum_solves_the_field_planes_once(tmp_path, plane_solves):
     assert len(plane_solves) == 1
 
 
+def test_spectrum_calls_share_one_field_and_one_parser(monkeypatch, tmp_path,
+                                                       plane_solves):
+    """Two in-process `spectrum` calls on one (N, m) make one plane solve
+    and one parser, and write the bytes of a cold `python -m hklab.cli`."""
+    roots = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(parser, *args, **kwargs):
+        roots.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli.build_parser.cache_clear()
+    argv = ["spectrum", "--N", "5", "--m", "-1", "--k", "7",
+            "--zetas", "list:1,2,3;0,0,-1", "--workers", "1", "--out"]
+    outs = []
+    for name in ("a.csv", "b.csv"):
+        assert cli.main(argv + [str(tmp_path / name)]) == 0
+        outs.append((tmp_path / name).read_bytes())
+    assert len(plane_solves) == 1
+    assert roots.count("hklab") == 1
+    r = run_cli(*argv, str(tmp_path / "cold.csv"))
+    assert r.returncode == 0, r.stderr
+    assert outs[0] == outs[1] == (tmp_path / "cold.csv").read_bytes()
+
+
 def test_spectrum_bytes_do_not_depend_on_pool_size(tmp_path):
     """The pool's threads share one field's cached plane spectra; one
     worker and three, switched between often, write the same bytes."""

@@ -78,6 +78,39 @@ def test_flux_integrality(m):
     assert np.array_equal(F, expected)
 
 
+def test_one_field_per_spec_and_flux():
+    """`build_gauge_field` returns one shared field per (spec, m), numpy
+    integers included; another spec or m, or a gauge transform, is another
+    field."""
+    spec = LatticeSpec(1, 4)
+    f = build_gauge_field(spec, 2)
+    assert build_gauge_field(spec, 2) is f
+    assert build_gauge_field(LatticeSpec(1, 4), np.int64(2)) is f
+    assert type(f.m) is int
+    others = [build_gauge_field(spec, 1),
+              build_gauge_field(LatticeSpec(1, 5), 2),
+              build_gauge_field(LatticeSpec(2, 3), 2),
+              f.gauge_transformed(np.ones(spec.sites))]
+    assert all(g is not f for g in others)
+    assert len({id(g) for g in others}) == len(others)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, np.float64(1.0), "1", None])
+def test_flux_must_be_an_integer(m):
+    """A non-integer flux breaks the seam's uniform holonomy (1.5 gave
+    flux_integers row [0, 0, -1, 0]) and an integral float broke
+    `dirac_index`'s k window: neither builds a field, hits a cached
+    integer one or is accepted by a hand-built field."""
+    spec = LatticeSpec(1, 4)
+    links = build_gauge_field(spec, 1).links.copy()
+    build_gauge_field(spec, 2)
+    with pytest.raises(ValueError, match="flux m must be an integer"):
+        build_gauge_field(spec, m)
+    with pytest.raises(ValueError, match="flux m must be an integer"):
+        LatticeGaugeField(spec, m, links)
+    assert type(LatticeGaugeField(spec, np.int8(1), links).m) is int
+
+
 def test_gauge_transformation_preserves_spectrum(rng):
     f1 = build_gauge_field(LatticeSpec(1, 4), 1)
     phases = np.exp(2j * np.pi * rng.random(f1.spec.sites))
