@@ -52,7 +52,8 @@ class HyperkahlerFiber:
     K: np.ndarray
     algebra: ExteriorAlgebra = field(repr=False, default=None)
     # data derived from the fiber on first use and kept with it (the
-    # closed-form Sp(1) block of `symmetry`, `torus`'s flux coefficients)
+    # closed-form Sp(1) block of `symmetry`, `torus`'s flux coefficients,
+    # `reptheory`'s antiholomorphic triple)
     derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,15 +158,23 @@ def fibonacci_sphere(count: int) -> list[TwistorPoint]:
 
 
 def sample_zetas(kind: str = "axes", count: int = 20) -> list[TwistorPoint]:
-    """Named twistor samples: 'axes', 'fibonacci', 'j', or 'full' (axes + fibonacci)."""
+    """Named twistor samples: 'axes', 'fibonacci', 'j', or 'full' (axes + fibonacci).
+
+    Each (kind, count) is built once per process (`_named_sample`); every
+    call returns a new list of its points, which are frozen values."""
+    return list(_named_sample(kind, count))
+
+
+@lru_cache(maxsize=8)
+def _named_sample(kind: str, count: int) -> tuple[TwistorPoint, ...]:
     if kind == "axes":
-        return axis_points()
+        return tuple(axis_points())
     if kind == "fibonacci":
-        return fibonacci_sphere(count)
+        return tuple(fibonacci_sphere(count))
     if kind == "j":
-        return [ZETA_J]
+        return (ZETA_J,)
     if kind == "full":
-        return axis_points() + fibonacci_sphere(count)
+        return tuple(axis_points() + fibonacci_sphere(count))
     raise ValueError(f"unknown zeta sample kind: {kind!r}")
 
 

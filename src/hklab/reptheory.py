@@ -113,8 +113,16 @@ def lefschetz_triple(fiber: HyperkahlerFiber, phi) -> LefschetzTriple:
 
 
 def antiholomorphic_triple(fiber: HyperkahlerFiber) -> LefschetzTriple:
-    """The triple of conj(Omega), where Omega = (omega_K + i omega_I)/2."""
-    return lefschetz_triple(fiber, holomorphic_symplectic(fiber).conj())
+    """The triple of conj(Omega), where Omega = (omega_K + i omega_I)/2.
+
+    Built and checked (`sl2_residual`) on first use and kept in
+    `fiber.derived`, so every later call returns the same triple; it is
+    frozen and its operators are values."""
+    triple = fiber.derived.get("antiholomorphic")
+    if triple is None:
+        triple = lefschetz_triple(fiber, holomorphic_symplectic(fiber).conj())
+        fiber.derived["antiholomorphic"] = triple
+    return triple
 
 
 def _weight_projectors(fiber: HyperkahlerFiber) -> dict[int, FiberOperator]:

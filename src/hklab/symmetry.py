@@ -24,7 +24,6 @@ Orientation facts of this realization, fixed by the basis convention of
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -143,7 +142,13 @@ def exp_antihermitian(G, t: float = 1.0):
 
 @dataclass(frozen=True)
 class OperatorAlgebra:
-    """The ten zeroth-order operators L_w, Lambda_w, ad(.), H of a fiber."""
+    """The ten zeroth-order operators L_w, Lambda_w, ad(.), H of a fiber.
+
+    Each is a Kronecker sum of n 16 x 16 quaternion-block factors, and
+    `gram`, `rank` and `closure` run on a (10, n, 16, 16) stack of those
+    factors, in coordinates where the Frobenius geometry is Euclidean
+    (`_frobenius_coordinates`); no operator product or sum is formed.
+    """
 
     fiber: HyperkahlerFiber
     L: dict
@@ -160,18 +165,28 @@ class OperatorAlgebra:
                 + [self.H])
 
     @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ten operators' factors F, (10, slots, width, width), and
+        their `_frobenius_coordinates`.  Each operator is the Kronecker sum
+        of its n 16 x 16 quaternion-block factors; if one of them is not
+        (a fiber whose forms couple the blocks), every operator is one
+        slot holding its dense matrix, the only place `.matrix` is read."""
+        ops = self.as_list()
+        factors = [self.fiber.algebra.quaternion_factors(op) for op in ops]
+        if any(f is None for f in factors):
+            factors = [[op.matrix] for op in ops]
+        F = np.array(factors, dtype=complex)
+        return F, _frobenius_coordinates(F)
+
+    @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Eigenpairs of the Frobenius Gram matrix tr(A_i^* A_j) of the ten
         operators, and the mask of eigenvalues above GRAM_RTOL times the
         largest (the Gram's own roundoff is a few eps times the largest).
-        Formed once per algebra, from the operators' Kronecker terms."""
-        ops = self.as_list()
-        G = np.zeros((len(ops), len(ops)), dtype=complex)
-        for i, A in enumerate(ops):
-            for j in range(i, len(ops)):
-                G[i, j] = A.inner(ops[j])
-                G[j, i] = np.conj(G[i, j])
-        w, Q = np.linalg.eigh(G)
+        Formed once per algebra, as the Euclidean Gram of the operators'
+        `_frobenius_coordinates`."""
+        V = self._frame[1]
+        w, Q = np.linalg.eigh(V.conj() @ V.T)
         return w, Q, w > GRAM_RTOL * w.max()
 
     def rank(self) -> int:
@@ -181,38 +196,57 @@ class OperatorAlgebra:
     def closure(self) -> tuple[float, np.ndarray]:
         """Least-squares closure of the span under commutators.
 
-        Returns the worst relative projection residual and the table of
-        expansion coefficients, one row per ordered commutator pair.  The
-        projection solves the normal equations through one decomposition
-        of the 10 x 10 Gram matrix.  Each operator shifts the exterior
-        degree by one amount (-2, 0 or +2), so a commutator shifts it by
-        the sum, and only the operators with that shift enter its right
-        hand side and its projection: the others share no block with it.
-        The shifts are read without gathering a term-form operator.
+        Returns the worst relative projection residual
+        ||P C - C|| / max(1, ||P C||, ||C||) and the table of expansion
+        coefficients, one row per pair i < j in `itertools.combinations`
+        order.  The projection solves the normal equations through one
+        decomposition of the 10 x 10 Gram matrix.  The commutator of two
+        Kronecker sums is the Kronecker sum of the factors' commutators,
+        [A, B] = sum_b [A_b, B_b] in slot b, so the whole check runs on
+        the factors: the commutators of operator i with the operators
+        after it are formed as one stack, one row of the table at a time,
+        and their right hand sides, projections and residuals are taken
+        in `_frobenius_coordinates`.  The residual is the norm of the
+        coordinates of P C - C itself, so its small size is not lost to
+        cancellation as in a Gram expansion.
         """
-        ops = self.as_list()
-        by_shift: dict[int, list[int]] = {}
-        shifts = []
-        for k, op in enumerate(ops):
-            (shift,) = op.degree_shifts()
-            shifts.append(shift)
-            by_shift.setdefault(shift, []).append(k)
+        F, V = self._frame
         w, Q, ok = self.gram
         w_inv = np.zeros_like(w)
         w_inv[ok] = 1.0 / w[ok]
         worst = 0.0
         rows = []
-        for i, j in itertools.combinations(range(len(ops)), 2):
-            C = ops[i] @ ops[j] - ops[j] @ ops[i]
-            same = by_shift.get(shifts[i] + shifts[j], [])
-            b = np.zeros(len(ops), dtype=complex)
-            for k in same:
-                b[k] = ops[k].inner(C)
-            x = Q @ (w_inv * (Q.conj().T @ b))
-            proj = sum((x[k] * ops[k] for k in same), FiberOperator.zero(C.dim))
-            worst = max(worst, rel_residual(proj, C))
-            rows.append(x)
-        return worst, np.array(rows)
+        for i in range(len(F) - 1):
+            C = _frobenius_coordinates(F[i] @ F[i + 1:] - F[i + 1:] @ F[i])
+            x = Q @ (w_inv[:, None] * (Q.conj().T @ (V.conj() @ C.T)))
+            P = x.T @ V
+            den = np.maximum(1.0, np.maximum(np.linalg.norm(P, axis=1),
+                                             np.linalg.norm(C, axis=1)))
+            worst = max(worst,
+                        float((np.linalg.norm(P - C, axis=1) / den).max()))
+            rows.append(x.T)
+        return worst, np.concatenate(rows)
+
+
+def _frobenius_coordinates(F: np.ndarray) -> np.ndarray:
+    """Coordinates of Kronecker sums A = sum_b 1 (x) .. (x) F_b (x) .. (x) 1
+    of s slots of width m, given as factors F (..., s, m, m), in which the
+    Frobenius inner product is the Euclidean one.
+
+    With a_b = tr F_b / m and F_b = a_b 1 + F_b', A = (sum_b a_b) 1 +
+    sum_b F_b' (slot b), and the s + 1 parts are Frobenius-orthogonal, as
+    every F_b' is traceless: tr(A^* B) = m^s conj(sum a) (sum a') +
+    m^(s-1) sum_b tr(F_b'^* G_b') (Van Loan, "The ubiquitous Kronecker
+    product", 2000).  The coordinates are sqrt(m^s) sum_b a_b, then the
+    entries of sqrt(m^(s-1)) F_b', b = 0 .. s-1: (..., 1 + s m^2).  m is a
+    power of 16, so the weights are exact powers of two."""
+    s, m = F.shape[-3], F.shape[-1]
+    a = np.trace(F, axis1=-2, axis2=-1) / m
+    traceless = F - a[..., None, None] * np.eye(m)
+    return np.concatenate(
+        (math.sqrt(m ** s) * a.sum(axis=-1)[..., None],
+         math.sqrt(m ** (s - 1)) * traceless.reshape(F.shape[:-3] + (-1,))),
+        axis=-1)
 
 
 def ten_operators(fiber: HyperkahlerFiber) -> OperatorAlgebra:

@@ -331,6 +331,33 @@ def test_spectrum_calls_share_one_field_and_one_parser(monkeypatch, tmp_path,
     assert outs[0] == outs[1] == (tmp_path / "cold.csv").read_bytes()
 
 
+def test_spectrum_calls_share_one_zeta_sample(monkeypatch, tmp_path):
+    """A named sample is built once per process: two `--zetas fibonacci`
+    runs make one `fibonacci_sphere` call and write the bytes of a cold
+    `python -m hklab.cli`."""
+    from hklab import quaternions
+
+    calls = []
+    sphere = quaternions.fibonacci_sphere
+
+    def spy(count):
+        calls.append(count)
+        return sphere(count)
+
+    quaternions._named_sample.cache_clear()
+    monkeypatch.setattr(quaternions, "fibonacci_sphere", spy)
+    argv = ["spectrum", "--N", "4", "--m", "1", "--k", "6",
+            "--zetas", "fibonacci", "--workers", "1", "--out"]
+    outs = []
+    for name in ("a.csv", "b.csv"):
+        assert cli.main(argv + [str(tmp_path / name)]) == 0
+        outs.append((tmp_path / name).read_bytes())
+    assert calls == [20]
+    r = run_cli(*argv, str(tmp_path / "cold.csv"))
+    assert r.returncode == 0, r.stderr
+    assert outs[0] == outs[1] == (tmp_path / "cold.csv").read_bytes()
+
+
 def test_spectrum_bytes_do_not_depend_on_pool_size(tmp_path):
     """The pool's threads share one field's cached plane spectra; one
     worker and three, switched between often, write the same bytes."""

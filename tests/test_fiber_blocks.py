@@ -9,6 +9,7 @@ matrix at n = 1, a 2-form coupling two quaternion blocks at n = 2), so
 the pairs cover term x term, term x dense and dense x dense.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -29,6 +30,7 @@ from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
 
 from .oracles import (DenseExterior, bidegree_projector, dense_closure,
                       dense_exp_antihermitian, lift_fiber)
+from .test_fiber import _rotated
 
 TOL = 1e-13
 # the order of OperatorAlgebra.as_list
@@ -187,6 +189,62 @@ def test_closure_matches_dense_product_loop(n, fiber1, fiber2):
     assert abs(worst - want_worst) <= 1e-13
     assert np.abs(table - want_table).max() <= 1e-13
     assert algebra.rank() == 10
+
+
+def test_closure_at_n3_has_the_n1_structure_constants(fiber1):
+    # n = 3 (4096 monomials) is out of the dense oracle's reach; the
+    # structure constants do not depend on n
+    algebra = ten_operators(standard_fiber(3))
+    worst, table = algebra.closure()
+    assert algebra.rank() == 10
+    assert worst <= 1e-15
+    assert np.abs(table - ten_operators(fiber1).closure()[1]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closure_detects_an_operator_outside_the_algebra(n, fiber1, fiber2):
+    # H replaced by the derivation of a random real A inside the blocks:
+    # the span stays ten-dimensional but is no longer closed
+    fiber = fiber1 if n == 1 else fiber2
+    A = _inside_blocks(np.random.default_rng(40 + n), fiber.d).real
+    algebra = dataclasses.replace(ten_operators(fiber),
+                                  H=fiber.algebra.derivation(A))
+    worst, table = algebra.closure()
+    want_worst, want_table = dense_closure(
+        [op.matrix for op in algebra.as_list()])
+    assert algebra.rank() == 10
+    assert worst > 1e-3
+    assert abs(worst - want_worst) <= 1e-12
+    assert np.abs(table - want_table).max() <= 1e-12
+
+
+def test_closure_of_a_fiber_coupling_the_blocks(fiber2):
+    # a rotation that couples the two blocks leaves the Lefschetz and type
+    # operators dense: every operator is taken as one slot
+    rotated = _rotated(fiber2, np.random.default_rng(3))
+    algebra = ten_operators(rotated)
+    assert algebra.L["I"].terms is None
+    worst, table = algebra.closure()
+    want_worst, want_table = dense_closure(
+        [op.matrix for op in algebra.as_list()])
+    assert algebra.rank() == 10
+    assert abs(worst - want_worst) <= 1e-12
+    assert np.abs(table - want_table).max() <= 1e-12
+
+
+def test_closure_makes_no_operator_arithmetic(fiber2, monkeypatch):
+    # Gram, commutators and residuals are taken on the factors: no
+    # FiberOperator product, sum, scalar multiple or inner product
+    algebra = ten_operators(fiber2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closure did FiberOperator arithmetic")
+
+    for name in ("__matmul__", "_combine", "_times_scalar", "inner"):
+        monkeypatch.setattr(FiberOperator, name, forbidden)
+    worst, table = algebra.closure()
+    assert algebra.rank() == 10
+    assert worst <= 1e-15 and table.shape == (45, 10)
 
 
 # ----- Kronecker-term form ---------------------------------------------------

@@ -87,6 +87,14 @@ def test_fibonacci_sphere_deterministic_and_unit():
     assert len(axis_points()) == 6
 
 
+def test_sample_zetas_returns_a_new_list_each_call():
+    a = sample_zetas("full")
+    b = sample_zetas("full")
+    assert a == b and a is not b
+    a.clear()
+    assert len(sample_zetas("full")) == 26
+
+
 def test_sample_zetas_unknown_kind():
     with pytest.raises(ValueError):
         sample_zetas("nope")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hklab.fiber import holomorphic_symplectic, kahler_form
+from hklab.fiber import holomorphic_symplectic, kahler_form, standard_fiber
 from hklab.quaternions import ZETA_J, random_twistor_point
 from hklab.reptheory import (antiholomorphic_triple, irrep_operators,
                              irrep_sp1_eval, irrep_sp1_generator,
@@ -64,6 +64,30 @@ def test_antiholomorphic_weights(fiber1):
         P = sum(bidegree_projector(fiber1, ZETA_J, p, q).matrix
                 for p in range(3))
         assert np.abs(tri.H.matrix @ P - (q - 1) * P).max() < 1e-12
+
+
+def test_antiholomorphic_triple_is_built_once_per_fiber(monkeypatch):
+    # kept in fiber.derived: later calls, and the checks that use it, get
+    # the same triple without validating it again
+    from hklab.reptheory import LefschetzTriple
+    from hklab.symmetry import check_ids, verify_identity
+
+    calls = []
+    residual = LefschetzTriple.sl2_residual
+
+    def spy(triple):
+        calls.append(triple)
+        return residual(triple)
+
+    monkeypatch.setattr(LefschetzTriple, "sl2_residual", spy)
+    fibers = [standard_fiber(1), standard_fiber(2)]
+    for fiber in fibers:
+        first = antiholomorphic_triple(fiber)
+        assert antiholomorphic_triple(fiber) is first
+        for cid in check_ids():
+            assert verify_identity(cid, fiber, seed=2).verdict
+        assert antiholomorphic_triple(fiber) is first
+    assert len(calls) == len(fibers)
 
 
 def test_kahler_triples_degree_weights(fiber1, rng):
