@@ -215,11 +215,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
                           "already covers m = 0)")
     results: list[CheckResult] = []
     rng = np.random.default_rng(cfg["seed"])
+
+    def timed(check, cid, *inputs, **kw) -> CheckResult:
+        t = time.perf_counter()
+        result = check(cid, *inputs, **kw)
+        _log(f"check {cid} n={cfg['n']}: "
+             f"{1e3 * (time.perf_counter() - t):.1f} ms")
+        return result
+
     t0 = time.time()
     if suite in ("fiber", "all"):
         fiber = standard_fiber(cfg["n"])
         tol = DEFAULT_TOL if cfg["tol"] is None else cfg["tol"]
-        results.extend(verify_identity(cid, fiber, cfg["seed"], tol)
+        results.extend(timed(verify_identity, cid, fiber, cfg["seed"], tol)
                        for cid in check_ids())
     if torus_suite:
         spec = LatticeSpec(cfg["n"], cfg["N"])
@@ -233,8 +241,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "cor1.2": (field_m, sample_zetas("axes")),
             "thm3.10": (build_gauge_field(spec, 3),),
         }
-        results.extend(verify_theorem(cid, *inputs[cid], seed=cfg["seed"],
-                                      tolerance=cfg["tol"])
+        results.extend(timed(verify_theorem, cid, *inputs[cid],
+                             seed=cfg["seed"], tolerance=cfg["tol"])
                        for cid in THEOREMS)
     _log(f"verify suite={suite} ran in {time.time() - t0:.1f}s")
     for r in results:

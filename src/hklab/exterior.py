@@ -30,16 +30,20 @@ one term; the Sp(1) actions are such products too, written down in closed
 form (`induced` gives a block's hypercomplex rotation as a compound
 matrix).  A term operator acts on an array slot by slot
 (`quaternion_apply`), and `quaternion_matrix` gathers its dense matrix.
-The operators that do not factor (forms coupling two blocks, the
-untwisted star, `induced`) have their entries scattered into a dense
-matrix.
+The in-block builders contract their coefficients with the Lambda(H)
+generators (`_generators`); the operators that do not factor (forms
+coupling two blocks, the untwisted star, `induced`) have their entries
+scattered into a dense matrix.  A factor may carry a leading sample axis,
+(Z, 16, 16): the term operator is then Z operators, which the builders
+return for coefficients stacked as (Z, d) or (Z, d, d).  One QR sweep
+over two operators' terms gives ||A||, ||B|| and ||A - B|| (`_kron_norms`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,7 +105,12 @@ def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _adjoint(x: np.ndarray) -> np.ndarray:
-    return x if x is _EYE else x.conj().T
+    return x if x is _EYE else x.conj().swapaxes(-1, -2)
+
+
+def _per_sample(x: np.ndarray):
+    """A float for one operator, the array of values for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _merged(terms) -> list[tuple]:
@@ -125,36 +134,48 @@ def _merged(terms) -> list[tuple]:
     return [t for t in out if all(F.any() for F in t)]
 
 
-def _kron_norm(terms) -> float:
-    """||sum_t F_t0 (x) ... (x) F_t,n-1||_F by successive QR.
+def _columns(factors) -> np.ndarray:
+    """vec of each factor as a column, (Z, size, T); the members of a
+    stack (Z, ., .) go down the first axis, and every other factor (a
+    vector or a matrix) is one column that they share (Z = 1 if none)."""
+    z = max((len(F) for F in factors if F.ndim > 2), default=1)
+    size = max(F[0].size if F.ndim > 2 else F.size for F in factors)
+    out = np.empty((z, size, len(factors)), dtype=np.result_type(*factors))
+    for t, F in enumerate(factors):
+        out[:, :, t] = F.reshape(len(F) if F.ndim > 2 else 1, -1)
+    return out
+
+
+def _kron_norms(terms, weights=None) -> np.ndarray:
+    """||sum_t w_t F_t0 (x) ... (x) F_t,n-1||_F for each row w of the K x T
+    `weights` (ones if None) by successive QR: (K,), or (K, Z) for a stack.
 
     The columns vec(F_t0) are factored as Q R; Q is an isometry, so the
-    norm is that of sum_t R[:, t] (x) F_t1 (x) ..., whose first factors are
-    the columns of R (x)-ed with vec(F_t1) and are factored in turn (the
-    orthogonalization sweep of tensor-train rounding, Oseledets, SIAM J.
-    Sci. Comput. 33, 2011).  Unlike the Gram expansion
-    sum_st prod_b tr(F_sb^* F_tb), this keeps the small norm of a
-    difference of nearly equal operators.  Seeded with a row of ones, it
-    takes a one-slot term list too."""
+    norm is that of sum_t w_t R[:, t] (x) F_t1 (x) ..., whose first
+    factors are the columns of R (x)-ed with vec(F_t1) and are factored in
+    turn (the orthogonalization sweep of tensor-train rounding, Oseledets,
+    SIAM J. Sci. Comput. 33, 2011).  The weights enter at the last slot
+    only, so one sweep over A's terms and then B's gives ||A||, ||B|| and
+    ||A - B|| (weights (1, 0), (0, 1), (1, -1)).  Unlike the Gram
+    expansion sum_st prod_b tr(F_sb^* F_tb), this keeps the small norm of
+    a difference of nearly equal operators.  In a stack, a slot's columns
+    are first factored on their own, as batched QR costs per member."""
+    weights = np.ones((1, len(terms))) if weights is None else np.asarray(
+        weights)
     if not terms:
-        return 0.0
+        return np.zeros(len(weights))
     T = len(terms)
-    cols = [np.stack([t[b].ravel() for t in terms], axis=1)
-            for b in range(len(terms[0]))]
-    R = np.ones((1, T))
-    for F in cols[:-1]:
-        R = np.linalg.qr((R[:, None, :] * F[None, :, :]).reshape(-1, T),
-                         mode="r")
-    return float(np.linalg.norm(R @ cols[-1].T))
-
-
-def _occupied(F: np.ndarray, offsets) -> list[tuple[int, int]]:
-    """(k_out, k_in) of the nonzero degree blocks of F, whose exterior
-    degrees start at `offsets`."""
-    starts = offsets[:-1]
-    occupied = np.logical_or.reduceat(
-        np.logical_or.reduceat(F != 0, starts, axis=0), starts, axis=1)
-    return list(zip(*map(np.ndarray.tolist, np.nonzero(occupied))))
+    R = np.ones((1, 1, T))
+    for b, F in enumerate(_columns(slot) for slot in zip(*terms)):
+        if b and max(len(F), len(R)) > 1:  # a stack: F's own R stands for F
+            F = np.linalg.qr(F, mode="r")
+        if b < len(terms[0]) - 1:
+            X = R[:, :, None, :] * F[:, None, :, :]
+            R = np.linalg.qr(X.reshape(len(X), -1, T), mode="r")
+    last = (R[:, None] * weights[:, None, :]) @ F.swapaxes(-1, -2)[:, None]
+    norms = np.linalg.norm(last.reshape(last.shape[:2] + (-1,)), axis=-1)
+    stacked = any(F.ndim > 2 for t in terms for F in t)
+    return norms.T if stacked else norms[0]
 
 
 class FiberOperator:
@@ -172,12 +193,15 @@ class FiberOperator:
     applied to the gathered matrix, so (c * A).matrix is c * A.matrix
     entry for entry (and (A * c).matrix is A.matrix * c).
     `frobenius_norm` takes the norm of the terms by successive QR of their
-    factor columns, which keeps a small residual of nearly equal
-    operators, and `inner` uses the Gram product
-    sum_st prod_b tr(F_sb^* G_tb).  `A @ x` for an array applies each
-    factor to its slot of x, laid out as an n-slot tensor
+    factor columns (`_kron_norms`), and `residual_norms` that of two
+    operators and of their difference from one such sweep; both keep a
+    small residual of nearly equal operators.  `A @ x` for an array
+    applies each factor to its slot of x, laid out as an n-slot tensor
     (`ExteriorAlgebra.quaternion_apply`).  The zero operator is a term
-    operator without terms.
+    operator without terms.  A factor (Z, 16, 16) makes a stack of Z
+    operators: arithmetic acts member by member, a scalar may be one
+    value a member, (Z, 1, 1), `matrix` is (Z, dim, dim) and a norm is
+    one value a member.
 
     Dense form: the 2^d x 2^d matrix, for the operators that do not
     factor: forms coupling two blocks, the untwisted star, `induced`,
@@ -192,10 +216,12 @@ class FiberOperator:
     values: no form is modified after it is made.
     """
 
+    __array_ufunc__ = None  # numpy operands (per-sample scalars) defer
+
     def __init__(self, matrix: np.ndarray,
                  algebra: "ExteriorAlgebra | None" = None):
         self._matrix = np.asarray(matrix)
-        self.dim = _degree_offsets(self._matrix.shape[0])[-1]
+        self.dim = _degree_offsets(self._matrix.shape[-1])[-1]
         self._terms, self._scales = None, ()
         self.algebra = algebra
 
@@ -250,17 +276,6 @@ class FiberOperator:
         if self._terms is None or other._terms is None:
             return None
         return self.terms, other.terms
-
-    def degree_shifts(self) -> set[int]:
-        """k_out - k_in over the nonzero degree blocks; for a term
-        operator, the sums of the factors' shifts, read without
-        gathering."""
-        if self._terms is None:
-            return {a - b for a, b in
-                    _occupied(self._matrix, _degree_offsets(self.dim))}
-        shifts = [[{a - b for a, b in _occupied(F, _H_OFFSETS)} for F in t]
-                  for t in self._terms]
-        return {sum(s) for t in shifts for s in itertools.product(*t)}
 
     def _check_space(self, other: "FiberOperator") -> None:
         if other.dim != self.dim:
@@ -327,27 +342,25 @@ class FiberOperator:
                 self.dim, self.algebra,
                 [tuple(map(_adjoint, t)) for t in self._terms],
                 tuple((np.conj(c), left) for c, left in self._scales))
-        return self._like(matrix=self._matrix.conj().T)
+        return self._like(matrix=_adjoint(self._matrix))
 
-    def inner(self, other: "FiberOperator") -> complex:
-        """Frobenius inner product tr(self^* other); for two term
-        operators sum_st prod_b tr(F_sb^* G_tb)."""
+    def frobenius_norm(self):
+        """||self||_F, a float, or one value a member of a stack."""
+        if self._terms is not None:
+            return _per_sample(_kron_norms(self.terms)[0])
+        return _per_sample(np.linalg.norm(self._matrix, axis=(-2, -1)))
+
+    def residual_norms(self, other: "FiberOperator") -> tuple:
+        """(||self||, ||other||, ||self - other||)_F as `frobenius_norm`
+        gives them: for two term operators from one `_kron_norms` sweep,
+        forming no self - other; else from the dense matrices."""
         self._check_space(other)
         pair = self._term_pair(other)
-        if pair is not None:
-            return sum((math.prod(np.vdot(x, y) for x, y in zip(s, t))
-                        for s in pair[0] for t in pair[1]), 0j)
-        return complex(np.vdot(self.matrix, other.matrix))
-
-    def frobenius_norm(self) -> float:
-        if self._terms is not None:
-            return _kron_norm(self.terms)
-        return float(np.linalg.norm(self._matrix))
-
-
-def _concat(*entries):
-    """One (images, sources, values) list from several, in the order given."""
-    return tuple(np.concatenate(parts) for parts in zip(*entries))
+        if pair is None:
+            return (self.frobenius_norm(), other.frobenius_norm(),
+                    (self - other).frobenius_norm())
+        w = np.repeat([[1, 0], [0, 1], [1, -1]], list(map(len, pair)), axis=1)
+        return tuple(map(_per_sample, _kron_norms(pair[0] + pair[1], w)))
 
 
 class ExteriorAlgebra:
@@ -413,7 +426,7 @@ class ExteriorAlgebra:
         """sum_b S (x) .. (x) S (x) F_b (x) 1 (x) .. (x) 1, S = `before`, over
         the F_b not None; at S = 1 the inverse of `quaternion_factors`.
         Factors stacked as (Z, 16, 16) give the terms of Z operators at
-        once, for `quaternion_apply` on a stack of arrays."""
+        once, a stack (see `FiberOperator`)."""
         n = len(factors)
         return self.kronecker([(before,) * b + (F,) + (_EYE,) * (n - b - 1)
                                for b, F in enumerate(factors) if F is not None])
@@ -422,35 +435,54 @@ class ExteriorAlgebra:
         """The identity, one term whose slots all hold the identity."""
         return self.kronecker([(_EYE,) * self.quaternion_blocks])
 
-    def _block_sum(self, local_entries, odd: bool) -> FiberOperator:
-        """The `kronecker_sum` of the X_b, X_b the operator on Lambda(H)
-        with the entries local_entries(Lambda(H), slice of block b), left
-        out when it has none.  S is (-1)^deg when X_b is odd, as it passes
-        the generators of the blocks before b, and 1 when it is even."""
-        h = self._quaternion
-        entries = [local_entries(h, slice(4 * b, 4 * b + 4))
-                   for b in range(self.quaternion_blocks)]
-        return self.kronecker_sum([h._dense(*e) if len(e[2]) else None
-                                   for e in entries], _PARITY if odd else _EYE)
+    @cached_property
+    def _generators(self) -> dict[str, np.ndarray]:
+        """The Lambda(H) operators (this algebra, d = 4) that term-form
+        builders contract coefficients with, flattened as (count, 256) on
+        first use: for 1-forms e^a, then iota_a = (e^a)^T; for `quadratic`
+        e^a ^ e^b (zero unless a < b), e^a iota_b, (e^a ^ e^b)^T and 1."""
+        e = np.zeros((4, 16, 16), dtype=complex)
+        for a in range(4):
+            e[a, self._dst[a], self._cols] = self._sign[a]
+        eT = e.swapaxes(-1, -2)
+        two = (np.triu(np.ones((4, 4)), 1)[:, :, None, None]
+               * (e[:, None] @ e[None, :])).reshape(16, 16, 16)
+        kinds = {"1-form": (e, eT),
+                 "quadratic": (two, (e[:, None] @ eT[None, :]).reshape(
+                     16, 16, 16), two.swapaxes(-1, -2), _EYE[None])}
+        return {k: _const(np.concatenate(G).reshape(-1, 256))
+                for k, G in kinds.items()}
+
+    def _block_sum(self, coeffs, kind: str) -> FiberOperator:
+        """The `kronecker_sum` of the X_b = sum_g coeffs[b, ..., g] G_g
+        over the `_generators` G of the kind (samples between b and g),
+        X_b left out when its coefficients are all zero; S is (-1)^deg for
+        the odd 1-forms and 1 for the even quadratics."""
+        X = coeffs @ self._quaternion._generators[kind]
+        X = X.reshape(X.shape[:-1] + (16, 16))
+        return self.kronecker_sum([X[b] if coeffs[b].any() else None
+                                   for b in range(self.quaternion_blocks)],
+                                  _PARITY if kind == "1-form" else _EYE)
 
     def _splits(self, *coefficient_matrices) -> bool:
         """Whether the term form applies: no coefficient between two
         quaternion blocks."""
-        return not any(np.asarray(M)[self._cross].any()
+        return not any(np.asarray(M)[..., self._cross].any()
                        for M in coefficient_matrices)
 
-    def _one_form_entries(self, coeffs):
-        """(images, sources, values) of sum_a coeffs[a] e^a."""
-        a = np.flatnonzero(coeffs)
-        vals = coeffs[a][:, None] * self._sign[a]
-        keep = vals != 0
-        src = np.broadcast_to(self._cols, vals.shape)
-        return self._dst[a][keep], src[keep], vals[keep]
-
-    def _contraction_entries(self, vec):
-        """(images, sources, values) of the interior product with vec."""
-        rows, cols, vals = self._one_form_entries(vec)
-        return cols, rows, vals
+    def _blocks(self, coeffs, width: int) -> np.ndarray:
+        """Coefficients (..., d) or (..., d, d) split into the quaternion
+        blocks as (n, ..., width): a vector's 4 entries a block (width 4),
+        or a matrix's diagonal 4 x 4 block flattened (width 16)."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        n = self.quaternion_blocks
+        if width == 4:
+            X = coeffs.reshape(coeffs.shape[:-1] + (n, 4))
+            return X if X.ndim == 2 else np.moveaxis(X, -2, 0)
+        lead, b = coeffs.shape[:-2], np.arange(n)
+        # the two block indices are apart, so their axis comes first
+        return coeffs.reshape(lead + (n, 4, n, 4))[..., b, :, b, :].reshape(
+            (n,) + lead + (16,))
 
     def _two_form_entries(self, coeff_matrix):
         """(images, sources, values) of sum_{a<b} w[a,b] e^a ^ e^b."""
@@ -491,70 +523,62 @@ class ExteriorAlgebra:
         if scalar != 0:
             parts.append((self._cols, self._cols,
                           np.full(self.dim, scalar, dtype=complex)))
-        return _concat(*parts)
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
     def wedge_1form(self, coeffs) -> FiberOperator:
         """Left wedge with the 1-form sum_a coeffs[a] e^a."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        return self._block_sum(
-            lambda h, s: h._one_form_entries(coeffs[s]), odd=True)
+        return self.wedge_minus_contraction(coeffs, np.zeros(np.shape(coeffs)))
 
     def contraction(self, vec) -> FiberOperator:
         """Interior product with the (complex) vector sum_a vec[a] e_a."""
-        vec = np.asarray(vec, dtype=complex)
-        return self._block_sum(
-            lambda h, s: h._contraction_entries(vec[s]), odd=True)
+        vec = np.asarray(vec)
+        return self.wedge_minus_contraction(np.zeros(vec.shape), -vec)
 
     def wedge_2form(self, coeff_matrix) -> FiberOperator:
         """Left wedge with the 2-form sum_{a<b} w[a,b] e^a ^ e^b."""
-        W = np.asarray(coeff_matrix)
-        if self._splits(W):
-            return self._block_sum(
-                lambda h, s: h._two_form_entries(W[s, s]), odd=False)
-        return FiberOperator(self._dense(*self._two_form_entries(W)), self)
+        zero = np.zeros(np.shape(coeff_matrix))
+        return self.quadratic(coeff_matrix, zero, zero, 0)
 
     def derivation(self, A) -> FiberOperator:
         """Degree-0 derivation acting on 1-form coefficients by the matrix A,
         sum_{a,b} A[a,b] e^a iota_b."""
-        A = np.asarray(A)
-        if self._splits(A):
-            return self._block_sum(
-                lambda h, s: h._derivation_entries(A[s, s]), odd=False)
-        return FiberOperator(self._dense(*self._derivation_entries(A)), self)
+        zero = np.zeros(np.shape(A))
+        return self.quadratic(zero, A, zero, 0)
 
     def wedge_minus_contraction(self, coeffs, vec) -> FiberOperator:
-        """wedge_1form(coeffs) - contraction(vec), one scatter a factor."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        vec = np.asarray(vec, dtype=complex)
-
-        def entries(h, s):
-            rows, cols, vals = h._contraction_entries(vec[s])
-            return _concat(h._one_form_entries(coeffs[s]), (rows, cols, -vals))
-
-        return self._block_sum(entries, odd=True)
+        """wedge_1form(coeffs) - contraction(vec), one contraction a
+        factor."""
+        return self._block_sum(np.concatenate(
+            (self._blocks(coeffs, 4), -self._blocks(vec, 4)), axis=-1),
+            "1-form")
 
     def quadratic(self, W, A, C, scalar) -> FiberOperator:
         """wedge_2form(W) + derivation(A) + wedge_2form(C)^T + scalar, the
-        general even quadratic in wedges and contractions, in one scatter;
-        wedge_2form(C)^T is the contraction by the 2-form -C.  In term form
-        the scalar joins the factor of block 0."""
+        general even quadratic in wedges and contractions, in one
+        contraction a factor (one scatter when dense); wedge_2form(C)^T is
+        the contraction by the 2-form -C.  In term form the scalar joins
+        the factor of block 0; with samples it is one value a sample."""
         W, A, C = map(np.asarray, (W, A, C))
         if self._splits(W, A, C):
-            return self._block_sum(
-                lambda h, s: h._quadratic_entries(
-                    W[s, s], A[s, s], C[s, s], scalar if s.start == 0 else 0),
-                odd=False)
+            blocks = [self._blocks(X, 16) for X in (W, A, C)]
+            identity = np.zeros(blocks[0].shape[:-1] + (1,), dtype=complex)
+            identity[0, ..., 0] = scalar  # block 0's
+            return self._block_sum(np.concatenate(blocks + [identity], -1),
+                                   "quadratic")
         return FiberOperator(self._dense(*self._quadratic_entries(W, A, C, scalar)), self)
 
     def induced(self, r) -> FiberOperator:
         """Lambda(r), the algebra map extending the 1-form map r (acting on
         coefficients, e^b -> sum_a r[a, b] e^a): e^T goes to the wedge of
         the images of its generators, so the degree-k diagonal block is the
-        k-th `compound` matrix of r."""
-        blocks = [compound(np.asarray(r), k) for k in range(self.d + 1)]
-        M = np.zeros((self.dim, self.dim), dtype=np.result_type(*blocks))
+        k-th `compound` matrix of r.  A stack of r gives the stack of
+        maps."""
+        r = np.asarray(r)
+        blocks = [compound(r, k) for k in range(self.d + 1)]
+        M = np.zeros(r.shape[:-2] + (self.dim, self.dim),
+                     dtype=np.result_type(*blocks))
         for k, (lo, hi) in enumerate(itertools.pairwise(self.offsets)):
-            M[lo:hi, lo:hi] = blocks[k]
+            M[..., lo:hi, lo:hi] = blocks[k]
         return FiberOperator(M, self)
 
     def degree_projector(self, k: int) -> np.ndarray:
@@ -622,14 +646,17 @@ class ExteriorAlgebra:
     def quaternion_matrix(self, terms) -> np.ndarray:
         """The dense sum_t F_t0 (x) ... (x) F_t,n-1, gathered from the
         factors by one index array a slot and summed in the order given;
-        real when every factor is."""
+        real when every factor is, and a stack (Z, dim, dim) when a factor
+        is."""
         P = self._block_parts
         real = all(F.dtype.kind != "c" for t in terms for F in t)
-        M = np.zeros((self.dim, self.dim), dtype=float if real else complex)
+        lead = np.broadcast_shapes(*(F.shape[:-2] for t in terms for F in t))
+        M = np.zeros(lead + (self.dim, self.dim),
+                     dtype=float if real else complex)
         for factors in terms:
-            X = factors[0][P[0]][:, P[0]]
+            X = factors[0][..., P[0][:, None], P[0]]
             for k in range(1, len(factors)):
-                X = X * factors[k][P[k]][:, P[k]]
+                X = X * factors[k][..., P[k][:, None], P[k]]
             M += X
         return M
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .exterior import (ExteriorAlgebra, FiberOperator, _degree_offsets,
                        compound)
-from .quaternions import ZETA_I, ZETA_K, TwistorPoint
+from .quaternions import ZETA_I, ZETA_K, TwistorPoint, components
 
 
 @dataclass(frozen=True, eq=False)  # equal only to itself, as `derived` needs
@@ -111,16 +111,18 @@ def standard_fiber(n: int) -> HyperkahlerFiber:
 
 
 def complex_structure(fiber: HyperkahlerFiber, zeta: TwistorPoint) -> np.ndarray:
-    """J_zeta = zeta_I I + zeta_J J + zeta_K K."""
-    return zeta.zeta_I * fiber.I + zeta.zeta_J * fiber.J + zeta.zeta_K * fiber.K
+    """J_zeta = zeta_I I + zeta_J J + zeta_K K; their stack for a list."""
+    zI, zJ, zK = components(zeta).T[..., None, None]
+    return zI * fiber.I + zJ * fiber.J + zK * fiber.K
 
 
 def kahler_form(fiber: HyperkahlerFiber, zeta: TwistorPoint) -> np.ndarray:
     """omega_zeta(u, v) = g(J_zeta u, v), as its coefficient matrix
     W[a, b] = omega_zeta(e_a, e_b) = (g J_zeta)[b, a], antisymmetrized so
-    that roundoff in g J_zeta (a rotated basis) cannot break W == -W.T."""
-    M = (fiber.g @ complex_structure(fiber, zeta)).T
-    return (0.5 * (M - M.T)).astype(complex)
+    that roundoff in g J_zeta (a rotated basis) cannot break W == -W.T
+    (stacked for a list of zetas)."""
+    M = (fiber.g @ complex_structure(fiber, zeta)).swapaxes(-1, -2)
+    return (0.5 * (M - M.swapaxes(-1, -2))).astype(complex)
 
 
 def holomorphic_symplectic(fiber: HyperkahlerFiber) -> np.ndarray:
@@ -131,7 +133,10 @@ def holomorphic_symplectic(fiber: HyperkahlerFiber) -> np.ndarray:
 def form_coefficients(fiber: HyperkahlerFiber, form,
                       degrees=(1, 2)) -> np.ndarray:
     """The coefficients of a form of one of the given degrees: a length-d
-    vector for a 1-form, an antisymmetric d x d matrix for a 2-form."""
+    vector for a 1-form, an antisymmetric d x d matrix for a 2-form.  A
+    list of forms is a sequence of samples, checked one by one, stacked."""
+    if isinstance(form, list):
+        return np.stack([form_coefficients(fiber, f, degrees) for f in form])
     form = np.asarray(form)
     shapes = [(fiber.d,) * k for k in degrees]
     if form.shape not in shapes:
@@ -143,16 +148,18 @@ def form_coefficients(fiber: HyperkahlerFiber, form,
 
 
 def wedge_operator(fiber: HyperkahlerFiber, form) -> FiberOperator:
-    """Left exterior multiplication by a 1-form or a 2-form."""
-    form = form_coefficients(fiber, form)
-    if form.ndim == 1:
-        return fiber.algebra.wedge_1form(form)
-    return fiber.algebra.wedge_2form(form)
+    """Left exterior multiplication by a 1-form or a 2-form; by each of a
+    list of forms of one degree, as one stacked operator."""
+    coeffs = form_coefficients(fiber, form)
+    if coeffs.ndim - isinstance(form, list) == 1:
+        return fiber.algebra.wedge_1form(coeffs)
+    return fiber.algebra.wedge_2form(coeffs)
 
 
 def contraction_operator(fiber: HyperkahlerFiber, vector) -> FiberOperator:
-    """Interior product with a (complex) fiber vector."""
-    return fiber.algebra.contraction(vector)
+    """Interior product with a (complex) fiber vector, or a stack of them
+    for a list."""
+    return fiber.algebra.contraction(form_coefficients(fiber, vector, (1,)))
 
 
 def type_derivation(fiber: HyperkahlerFiber,

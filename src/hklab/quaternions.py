@@ -117,6 +117,14 @@ QUAT_J = UnitQuaternion(0.0, 0.0, 1.0, 0.0)
 QUAT_K = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
 
 
+def components(points) -> np.ndarray:
+    """`as_array` of a TwistorPoint or a UnitQuaternion, stacked as
+    (Z, 3) or (Z, 4) for a list of them (a sequence of samples)."""
+    if isinstance(points, list):
+        return np.array([p.as_array() for p in points])
+    return points.as_array()
+
+
 def adjoint_action(eta: UnitQuaternion, zeta: TwistorPoint) -> TwistorPoint:
     """eta . zeta = eta zeta eta^-1, a rotation of the twistor sphere."""
     q = eta * zeta.as_quaternion() * eta.conjugate()

@@ -36,7 +36,7 @@ from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projectors,
                     form_coefficients, holomorphic_symplectic, kahler_form,
                     type_derivation, wedge_operator)
 from .quaternions import (QUAT_J, QUAT_K, TwistorPoint, UnitQuaternion,
-                          ZETA_I, ZETA_J, ZETA_K, adjoint_action,
+                          ZETA_I, ZETA_J, ZETA_K, adjoint_action, components,
                           hopf_section, random_twistor_point,
                           random_unit_quaternion)
 from .report import CheckResult
@@ -48,21 +48,23 @@ GRAM_RTOL = 1e-12
 _UPPER = np.triu_indices(4)  # the pairs i <= j of `zeta_monomials`
 
 
-def rel_residual(A, B) -> float:
-    """||A - B||_F / max(1, ||A||_F, ||B||_F).
+def rel_residual(A, B):
+    """||A - B||_F / max(1, ||A||_F, ||B||_F), a float, or one value a
+    sample when either side is a stack of operators.
 
     When either side is a FiberOperator both are taken as FiberOperators.
-    When A and B are both term operators the norms are taken from their
-    Kronecker terms by successive QR (`FiberOperator.frobenius_norm`), so
-    A - B is never gathered and its small norm is not lost to
-    cancellation as in a Gram expansion; otherwise they are the norms of
-    the dense matrices.
+    For two term operators the three norms come from one
+    orthogonalization sweep over A's Kronecker terms followed by B's
+    (`FiberOperator.residual_norms`), batched over the samples: A - B is
+    never formed, and its small norm is not lost to cancellation as in a
+    Gram expansion.  Otherwise they are the norms of the dense matrices.
     """
     if isinstance(A, FiberOperator) or isinstance(B, FiberOperator):
         A, B = (X if isinstance(X, FiberOperator) else FiberOperator(X)
                 for X in (A, B))
-        den = max(1.0, A.frobenius_norm(), B.frobenius_norm())
-        return (A - B).frobenius_norm() / den
+        a, b, diff = A.residual_norms(B)
+        r = diff / np.maximum(1.0, np.maximum(a, b))
+        return r if np.ndim(r) else float(r)
     A = np.asarray(A)
     B = np.asarray(B)
     den = max(1.0, float(np.linalg.norm(A)), float(np.linalg.norm(B)))
@@ -330,10 +332,10 @@ def rho_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
     4 x 4 r1 (`ExteriorAlgebra.induced`).  No exponential is taken.
 
     Acts as sqrt(-1)^{p-q} on the (p, q)-slice of J_eta when eta is a
-    twistor point.
+    twistor point.  A list of etas gives one stacked operator.
     """
     blk = _sp1_block(fiber)
-    R = blk.algebra.induced(np.tensordot(eta.as_array(), blk.r1, 1))
+    R = blk.algebra.induced(np.tensordot(components(eta), blk.r1, 1))
     return fiber.algebra.kronecker([(R.matrix,) * fiber.n])
 
 
@@ -350,14 +352,16 @@ def clifford(fiber: HyperkahlerFiber, zeta: TwistorPoint, alpha) -> FiberOperato
 
     alpha is the length-d coefficient vector of sum_a alpha_a e^a.
     c_zeta(alpha) = sqrt(2) (alpha^{0,1} wedge - sharp(alpha^{1,0}) contraction);
-    real covectors satisfy c(a) c(b) + c(b) c(a) = -2 g(a, b).
+    real covectors satisfy c(a) c(b) + c(b) c(a) = -2 g(a, b).  zeta, alpha
+    or both may be lists of samples, which give one stacked operator.
     """
     alpha = form_coefficients(fiber, alpha, degrees=(1,)).astype(complex)
-    A = complex_structure(fiber, zeta).T
-    a10 = 0.5 * (alpha - 1j * (A @ alpha))
-    a01 = 0.5 * (alpha + 1j * (A @ alpha))
+    A = complex_structure(fiber, zeta).swapaxes(-1, -2)
+    A_alpha = (A @ alpha[..., None])[..., 0]
+    a10 = 0.5 * (alpha - 1j * A_alpha)
+    a01 = 0.5 * (alpha + 1j * A_alpha)
     M = fiber.algebra.wedge_minus_contraction(
-        a01, np.linalg.solve(fiber.g, a10))
+        a01, np.linalg.solve(fiber.g, a10.T).T)
     return math.sqrt(2.0) * M
 
 
@@ -366,8 +370,9 @@ def _clifford_pair(W, P, Q) -> tuple:
     (U, V), (U2, V2) = P, Q
     # iota_k iota_l = (e^l e^k)^T, so sum Y_kl iota_k iota_l is the
     # transpose of the wedge with -Y
-    return (2.0 * U @ W @ U2.T, -2.0 * U @ W @ V2.T, -2.0 * V @ W @ V2.T,
-            -np.sum(W * (V.T @ U2)))
+    U2t, V2t = U2.swapaxes(-1, -2), V2.swapaxes(-1, -2)
+    return (2.0 * U @ W @ U2t, -2.0 * U @ W @ V2t, -2.0 * V @ W @ V2t,
+            -np.sum(W * (V.swapaxes(-1, -2) @ U2), axis=(-2, -1)))
 
 
 def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
@@ -386,9 +391,11 @@ def clifford_2form(fiber: HyperkahlerFiber, zeta: TwistorPoint,
     (`ExteriorAlgebra.quadratic`: a 16 x 16 factor per quaternion block,
     or one dense matrix if the coefficients couple two blocks), so no dense
     product is formed.  It is quadratic in zeta, as U and V are affine.
+    zeta, W or both may be lists of samples, which give one stacked
+    operator.
     """
     W = form_coefficients(fiber, W, degrees=(2,))
-    A = complex_structure(fiber, zeta).T
+    A = complex_structure(fiber, zeta).swapaxes(-1, -2)
     eye = np.eye(fiber.d)
     U = 0.5 * (eye + 1j * A)
     V = np.linalg.solve(fiber.g, 0.5 * (eye - 1j * A))
@@ -429,9 +436,9 @@ def rho_j_sp1(fiber: HyperkahlerFiber, eta: UnitQuaternion) -> FiberOperator:
     closed form: on each quaternion block it is affine in eta,
     (1 - P) + eta_0 P + eta_1 G_I + eta_2 G_J + eta_3 G_K with
     G_a = c_j(omega_a)/2 and P = -G_J^2 (`_Sp1Block`).  No exponential is
-    taken."""
+    taken.  A list of etas gives one stacked operator."""
     blk = _sp1_block(fiber)
-    F = blk.rest + np.tensordot(eta.as_array(), blk.rho_j, 1)
+    F = blk.rest + np.tensordot(components(eta), blk.rho_j, 1)
     return fiber.algebra.kronecker([(F,) * fiber.n])
 
 
@@ -495,17 +502,17 @@ def _check_prop25_factor(fiber, rng) -> float:
     """Generator correspondence with the sl(2) triple, the axis forms, the
     representation property and the U_1 model.  The axis forms compare the
     closed-form rho_j (affine in eta) against the eigendecomposition of
-    the ladder generators L - Lambda, i H and i (L + Lambda)."""
+    the ladder generators L - Lambda, i H and i (L + Lambda).  Each loop
+    of random samples is one stacked operator."""
     triple = antiholomorphic_triple(fiber)
     L, A, H = triple.L, triple.Lambda, triple.H
-    worst = 0.0
     # generator correspondence: c_j(omega_u)/2 against the sl(2) basis image
-    for _ in range(4):
-        u = random_twistor_point(rng)
-        G = 0.5 * clifford_2form(fiber, ZETA_J, kahler_form(fiber, u))
-        model = (u.zeta_J * 1j * H + u.zeta_K * (L - A)
-                 + u.zeta_I * 1j * (L + A))
-        worst = max(worst, rel_residual(G, model))
+    us = [random_twistor_point(rng) for _ in range(4)]
+    zI, zJ, zK = components(us).T[:, :, None, None]
+    G = 0.5 * clifford_2form(fiber, ZETA_J, [kahler_form(fiber, u)
+                                             for u in us])
+    model = zJ * 1j * H + zK * (L - A) + zI * 1j * (L + A)
+    worst = float(rel_residual(G, model).max())
     # closed forms of the axis elements
     worst = max(worst, rel_residual(rho_j_sp1(fiber, QUAT_K),
                                     exp_antihermitian(L - A, math.pi / 2)))
@@ -515,12 +522,12 @@ def _check_prop25_factor(fiber, rng) -> float:
         rho_j_sp1(fiber, UnitQuaternion(0, 1, 0, 0)),
         exp_antihermitian(1j * (L + A), math.pi / 2)))
     # representation property on random pairs
-    for _ in range(4):
-        e1 = random_unit_quaternion(rng)
-        e2 = random_unit_quaternion(rng)
-        worst = max(worst, rel_residual(
-            rho_j_sp1(fiber, e1 * e2),
-            rho_j_sp1(fiber, e1) @ rho_j_sp1(fiber, e2)))
+    pairs = [(random_unit_quaternion(rng), random_unit_quaternion(rng))
+             for _ in range(4)]
+    e1, e2 = map(list, zip(*pairs))
+    worst = max(worst, float(rel_residual(
+        rho_j_sp1(fiber, [a * b for a, b in pairs]),
+        rho_j_sp1(fiber, e1) @ rho_j_sp1(fiber, e2)).max()))
     # U_1 irrep matches the 2 x 2 model
     L1, A1, H1 = (M.astype(complex) for M in irrep_operators(1))
     worst = max(worst, rel_residual(L1 @ A1 - A1 @ L1, H1))
@@ -528,18 +535,18 @@ def _check_prop25_factor(fiber, rng) -> float:
 
 
 def _check_prop26_equivariance(fiber, rng) -> float:
-    worst = 0.0
-    for _ in range(6):
-        eta = random_unit_quaternion(rng)
-        zeta = random_twistor_point(rng)
-        alpha = rng.normal(size=fiber.d) + 1j * rng.normal(size=fiber.d)
-        R = rho_sp1(fiber, eta)
-        r1 = rho_sp1_oneform(fiber, eta)
-        lhs = R @ clifford(fiber, zeta, alpha) @ R.adjoint()
-        zrot = adjoint_action(eta.conjugate(), zeta)
-        rhs = clifford(fiber, zrot, r1 @ alpha)
-        worst = max(worst, rel_residual(lhs, rhs))
-    return worst
+    samples = [(random_unit_quaternion(rng), random_twistor_point(rng),
+                rng.normal(size=fiber.d) + 1j * rng.normal(size=fiber.d))
+               for _ in range(6)]
+    etas, zetas, alphas = map(list, zip(*samples))
+    R = rho_sp1(fiber, etas)
+    lhs = R @ clifford(fiber, zetas, alphas) @ R.adjoint()
+    rhs = clifford(fiber,
+                   [adjoint_action(eta.conjugate(), zeta)
+                    for eta, zeta in zip(etas, zetas)],
+                   [rho_sp1_oneform(fiber, eta) @ alpha
+                    for eta, alpha in zip(etas, alphas)])
+    return float(rel_residual(lhs, rhs).max())
 
 
 def _check_lemma311_weil(fiber, rng) -> float:
@@ -574,22 +581,21 @@ def _check_lemma313_commute(fiber, rng) -> float:
     triple = antiholomorphic_triple(fiber)
     L, A = triple.L, triple.Lambda
     minus_j = TwistorPoint(0.0, -1.0, 0.0)
-    worst = 0.0
-    for _ in range(4):
-        xi = rng.normal(size=fiber.d) + 1j * rng.normal(size=fiber.d)
-        c = clifford(fiber, minus_j, xi)
-        worst = max(worst, rel_residual(L @ c, c @ L))
-        worst = max(worst, rel_residual(A @ c, c @ A))
+    xis = [rng.normal(size=fiber.d) + 1j * rng.normal(size=fiber.d)
+           for _ in range(4)]
+    c = clifford(fiber, minus_j, xis)
+    worst = max(float(rel_residual(L @ c, c @ L).max()),
+                float(rel_residual(A @ c, c @ A).max()))
     # Kahler-identity symbol: [L_omega, -iota(sharp xi)] = wedge(J_zeta xi)
-    for _ in range(4):
-        zeta = random_twistor_point(rng)
-        xi = rng.normal(size=fiber.d)
-        Lw = wedge_operator(fiber, kahler_form(fiber, zeta))
-        sym = -contraction_operator(fiber, np.linalg.solve(fiber.g, xi))
-        Jz = complex_structure(fiber, zeta)
-        wedge = wedge_operator(fiber, Jz @ xi)
-        worst = max(worst, rel_residual(Lw @ sym - sym @ Lw, wedge))
-    return worst
+    samples = [(random_twistor_point(rng), rng.normal(size=fiber.d))
+               for _ in range(4)]
+    Lw = wedge_operator(fiber, [kahler_form(fiber, zeta)
+                                for zeta, _xi in samples])
+    sym = -contraction_operator(fiber, [np.linalg.solve(fiber.g, xi)
+                                        for _zeta, xi in samples])
+    wedge = wedge_operator(fiber, [complex_structure(fiber, zeta) @ xi
+                                   for zeta, xi in samples])
+    return max(worst, float(rel_residual(Lw @ sym - sym @ Lw, wedge).max()))
 
 
 def _check_thm310_fiber(fiber, rng) -> float:
@@ -599,11 +605,10 @@ def _check_thm310_fiber(fiber, rng) -> float:
     worst = rel_residual(
         ck, exp_antihermitian(triple.L - triple.Lambda, -math.pi / 2) @ star)
     minus_j = TwistorPoint(0.0, -1.0, 0.0)
-    for a in range(fiber.d):
-        e = np.eye(fiber.d)[a]
-        worst = max(worst, rel_residual(ck @ clifford(fiber, ZETA_J, e),
-                                        clifford(fiber, minus_j, e) @ ck))
-    return worst
+    basis = list(np.eye(fiber.d))
+    return max(worst, float(rel_residual(
+        ck @ clifford(fiber, ZETA_J, basis),
+        clifford(fiber, minus_j, basis) @ ck).max()))
 
 
 CHECKS = {

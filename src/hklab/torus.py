@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exterior import _kron_norm
+from .exterior import _kron_norms
 from .fiber import (FiberOperator, HyperkahlerFiber, bidegree_projectors,
                     complex_structure, kahler_form, slice_bases, slice_basis,
                     standard_fiber, zero_one_frames)
@@ -334,17 +334,19 @@ class LatticeOperator:
         identity that holds fiber by fiber (X c = c' X) cancels in
         fiber-sized arithmetic.  With G = `site_gram` = L^H L (Cholesky),
         this is the norm of sum_i L[:, i] (x) f_i, taken on its Kronecker
-        terms by successive QR (`_kron_norm`); beside a dense part every
-        part is one dense slot, as in FiberOperator arithmetic.
+        terms by successive QR (`_kron_norms`, as FiberOperator norms);
+        beside a dense part every part is one dense slot, as in
+        FiberOperator arithmetic.
         """
         merged: dict[int, FiberOperator] = {}
         for i, f in self.terms:
             merged[i] = merged[i] + f if i in merged else f
         L = np.linalg.cholesky(site_gram(self.spec)).conj().T
         if any(f.terms is None for f in merged.values()):
-            return _kron_norm([(L[:, i], f.matrix) for i, f in merged.items()])
-        return _kron_norm([(L[:, i],) + t for i, f in merged.items()
-                           for t in f.terms])
+            return float(_kron_norms([(L[:, i], f.matrix)
+                                      for i, f in merged.items()])[0])
+        return float(_kron_norms([(L[:, i],) + t for i, f in merged.items()
+                                  for t in f.terms])[0])
 
 
 @lru_cache(maxsize=8)

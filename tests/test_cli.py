@@ -37,6 +37,24 @@ def test_verify_fiber_suite_passes(tmp_path):
     assert {"prop2.1-closure", "eq2.4", "lemma3.11-weil"} <= ids
 
 
+def test_verify_logs_each_check_time_to_stderr(tmp_path, capsys):
+    # one stderr line a check with its id, n and wall time; stdout keeps
+    # only the summary lines and the artifact holds no timing
+    from hklab.symmetry import check_ids
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "fiber", "--n", "1", "--seed", "7",
+                     "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    logged = [line for line in captured.err.splitlines()
+              if line.startswith("check ")]
+    assert [line.split()[1] for line in logged] == check_ids()
+    assert all(line.split()[2] == "n=1:" and line.endswith(" ms")
+               and float(line.split()[3]) >= 0.0 for line in logged)
+    assert all(line.startswith("[pass] ")
+               for line in captured.out.splitlines())
+    assert all(e["runtime_ms"] == 0 for e in json.loads(out.read_text()))
+
+
 def test_verify_torus_suite_includes_theorem_entries(tmp_path):
     out = tmp_path / "report.json"
     r = run_cli("verify", "--suite", "torus", "--N", "3", "--m", "1",

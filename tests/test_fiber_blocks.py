@@ -9,6 +9,7 @@ matrix at n = 1, a 2-form coupling two quaternion blocks at n = 2), so
 the pairs cover term x term, term x dense and dense x dense.
 """
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -18,13 +19,15 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from hklab.exterior import ExteriorAlgebra
-from hklab.fiber import (FiberOperator, complex_structure, kahler_form,
-                         standard_fiber)
+from hklab import symmetry
+from hklab.fiber import (FiberOperator, complex_structure,
+                         contraction_operator, kahler_form, standard_fiber,
+                         wedge_operator)
 from hklab.quaternions import (ZETA_I, ZETA_J, ZETA_K, TwistorPoint,
                                random_twistor_point, random_unit_quaternion)
 from hklab.symmetry import (chi, chi_k, clifford, clifford_2form,
                             hodge_star_twisted, rel_residual, rho_j_sp1,
-                            rho_sp1, ten_operators)
+                            rho_sp1, ten_operators, verify_identity)
 from hklab.torus import (LatticeOperator, LatticeSpec, build_gauge_field,
                          lattice_dirac)
 
@@ -70,17 +73,8 @@ def outputs(request):
 
 
 def test_block_shapes_cover_every_kind(outputs):
-    d = outputs["H"].dim.bit_length() - 1
-    assert outputs["L_omegaI"].degree_shifts() == {2}
-    assert outputs["Lambda_omegaJ"].degree_shifts() == {-2}
-    assert outputs["ad(K)"].degree_shifts() == {0}
-    assert outputs["clifford"].degree_shifts() == {-1, 1}
-    assert outputs["star"].degree_shifts() == set(range(-d, d + 1, 2))
-    assert len(outputs["chi_k"].degree_shifts()) > 1
-    assert outputs["P(1,1)"].degree_shifts() == {0}
     dense = outputs["dense"]
     assert dense.terms is None
-    assert dense.degree_shifts() == ({2} if d > 4 else set(range(-d, d + 1)))
     assert all(op.terms is not None for name, op in outputs.items()
                if name != "dense")
 
@@ -104,8 +98,6 @@ def test_binary_arithmetic_matches_dense(outputs):
         assert _close((A @ B).matrix, MA @ MB)
         assert _close((A + B).matrix, MA + MB)
         assert _close((A - B).matrix, MA - MB)
-        assert abs(A.inner(B) - np.vdot(MA, MB)) \
-            <= TOL * max(1.0, np.linalg.norm(MA) * np.linalg.norm(MB))
         want = rel_residual(MA, MB)
         assert abs(rel_residual(A, B) - want) <= TOL
         assert abs(rel_residual(A, MB) - want) <= TOL
@@ -234,13 +226,14 @@ def test_closure_of_a_fiber_coupling_the_blocks(fiber2):
 
 def test_closure_makes_no_operator_arithmetic(fiber2, monkeypatch):
     # Gram, commutators and residuals are taken on the factors: no
-    # FiberOperator product, sum, scalar multiple or inner product
+    # FiberOperator product, sum, scalar multiple or norm
     algebra = ten_operators(fiber2)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("closure did FiberOperator arithmetic")
 
-    for name in ("__matmul__", "_combine", "_times_scalar", "inner"):
+    for name in ("__matmul__", "_combine", "_times_scalar",
+                 "residual_norms"):
         monkeypatch.setattr(FiberOperator, name, forbidden)
     worst, table = algebra.closure()
     assert algebra.rank() == 10
@@ -369,6 +362,132 @@ def test_term_norm_keeps_a_small_difference(fiber2):
     assert len(diff.terms) == 2
     want = np.linalg.norm(np.kron(X, Y) - np.kron(X + delta, Y))
     assert abs(diff.frobenius_norm() - want) <= 1e-4 * want
+
+
+def test_residual_keeps_a_small_difference(fiber2):
+    # the same pair through rel_residual, whose one sweep forms no A - B:
+    # once alone, and once as member 0 of a stack whose member 1 differs
+    # by O(1), each member's residual against the dense one
+    rng = np.random.default_rng(2011)
+    alg = fiber2.algebra
+    X, Y, Z = _unitary(rng, 16), _unitary(rng, 16), _unitary(rng, 16)
+    delta = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    delta *= 1e-11 / np.linalg.norm(delta)
+
+    def dense_residual(X2):
+        return rel_residual(np.kron(X, Y), np.kron(X2, Y))
+
+    got = rel_residual(alg.kronecker([(X, Y)]),
+                       alg.kronecker([(2.0 * (X + delta), 0.5 * Y)]))
+    want = dense_residual(X + delta)
+    assert isinstance(got, float) and abs(got - want) <= 1e-4 * want
+    got = rel_residual(
+        alg.kronecker([(np.stack([X, X]), Y)]),
+        alg.kronecker([(2.0 * np.stack([X + delta, Z]), 0.5 * Y)]))
+    assert got.shape == (2,)
+    assert abs(got[0] - want) <= 1e-4 * want
+    assert abs(got[1] - dense_residual(Z)) <= 1e-13
+    assert got[1] > 0.1
+
+
+def test_stacked_term_operators_match_their_members(fiber2, rng):
+    # kronecker_sum of a (3, 16, 16) factor: adjoint, gathered matrix and
+    # norms per member against each member's own operator
+    alg = fiber2.algebra
+    F = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
+    for op in (alg.kronecker_sum([F, None]), alg.kronecker_sum([None, F])):
+        members = [alg.kronecker_sum([F[z], None] if op.terms[0][0].ndim > 2
+                                     else [None, F[z]]).matrix
+                   for z in range(3)]
+        assert [G.shape for G in op.adjoint().terms[0]] == [
+            G.shape for G in op.terms[0]]
+        assert op.matrix.shape == (3, 256, 256)
+        adjoint, scaled = op.adjoint().matrix, (op * (0.5 - 2j)).matrix
+        norms, (a, b, diff) = op.frobenius_norm(), op.residual_norms(
+            alg.identity())
+        for z, M in enumerate(members):
+            assert np.array_equal(op.matrix[z], M)
+            assert np.array_equal(adjoint[z], M.conj().T)
+            assert np.array_equal(scaled[z], M * (0.5 - 2j))
+            assert abs(norms[z] - np.linalg.norm(M)) <= TOL * norms[z]
+            assert abs(a[z] - norms[z]) <= TOL * norms[z]
+            assert abs(b[z] - 16.0) <= TOL * 16.0
+            assert abs(diff[z] - np.linalg.norm(M - np.eye(256))) \
+                <= TOL * diff[z]
+
+
+def _member(op, z):
+    """Member z of a stacked term operator's terms."""
+    return [tuple(F[z] if F.ndim > 2 else F for F in t) for t in op.terms]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_builders_match_single_samples(n):
+    # each builder given a list of samples: member z of its factors is the
+    # factor of the builder given sample z alone
+    fiber = standard_fiber(n)
+    rng = np.random.default_rng(60 + n)
+    d = fiber.d
+    zetas = [random_twistor_point(rng) for _ in range(3)]
+    etas = [random_unit_quaternion(rng) for _ in range(3)]
+    alphas = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(3)]
+    forms = [kahler_form(fiber, z) for z in zetas]
+    builders = {
+        "clifford": lambda s: clifford(fiber, s(zetas), s(alphas)),
+        "clifford at j": lambda s: clifford(fiber, ZETA_J, s(alphas)),
+        "clifford_2form": lambda s: clifford_2form(fiber, s(zetas),
+                                                   s(forms)),
+        "rho_sp1": lambda s: rho_sp1(fiber, s(etas)),
+        "rho_j_sp1": lambda s: rho_j_sp1(fiber, s(etas)),
+        "wedge 1-form": lambda s: wedge_operator(fiber, s(alphas)),
+        "wedge 2-form": lambda s: wedge_operator(fiber, s(forms)),
+        "contraction": lambda s: contraction_operator(fiber, s(alphas)),
+    }
+    for name, build in builders.items():
+        stacked = build(lambda samples: samples)
+        assert stacked.matrix.shape == (3, fiber.dim, fiber.dim), name
+        for z in range(3):
+            single = build(lambda samples: samples[z])
+            got, want = _member(stacked, z), single.terms
+            assert len(got) == len(want), name
+            for s, t in zip(got, want):
+                for x, y in zip(s, t):
+                    assert x.shape == y.shape == (16, 16), name
+                    assert np.abs(x - y).max() <= 1e-15 * max(
+                        1.0, np.abs(y).max()), name
+            assert _close(stacked.matrix[z], single.matrix), name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_loop_checks_make_one_builder_call_per_loop(n, monkeypatch):
+    # each loop of random samples is one stacked builder call; the axis
+    # forms and chi(k) stay single calls
+    fiber = standard_fiber(n)
+    want = {
+        "prop2.5-factor": {"clifford_2form": 1, "rho_j_sp1": 6},
+        "prop2.6-equivariance": {"rho_sp1": 1, "clifford": 2},
+        "lemma3.13-commute": {"clifford": 1, "wedge_operator": 2,
+                              "contraction_operator": 1},
+        "thm3.10-fiber": {"clifford": 2, "rho_sp1": 1, "rho_j_sp1": 1},
+    }
+    for cid in want:  # the fiber's derived data, formed before the spy
+        verify_identity(cid, fiber, seed=3)
+    calls = collections.Counter()
+
+    def spy(name, builder):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return builder(*args, **kwargs)
+        return counted
+
+    for name in ("clifford", "clifford_2form", "rho_sp1", "rho_j_sp1",
+                 "wedge_operator", "contraction_operator"):
+        monkeypatch.setattr(symmetry, name, spy(name, getattr(symmetry,
+                                                              name)))
+    for cid, counts in want.items():
+        calls.clear()
+        assert verify_identity(cid, fiber, seed=3).verdict
+        assert dict(calls) == counts, cid
 
 
 def test_thm310_and_prop25_products_form_no_degree_block(fiber2,
