@@ -158,8 +158,8 @@ def _kron_norms(terms, weights=None) -> np.ndarray:
     only, so one sweep over A's terms and then B's gives ||A||, ||B|| and
     ||A - B|| (weights (1, 0), (0, 1), (1, -1)).  Unlike the Gram
     expansion sum_st prod_b tr(F_sb^* F_tb), this keeps the small norm of
-    a difference of nearly equal operators.  In a stack, a slot's columns
-    are first factored on their own, as batched QR costs per member."""
+    a difference of nearly equal operators.  Each later slot's columns
+    are first factored on their own, which keeps the products T x T."""
     weights = np.ones((1, len(terms))) if weights is None else np.asarray(
         weights)
     if not terms:
@@ -167,7 +167,7 @@ def _kron_norms(terms, weights=None) -> np.ndarray:
     T = len(terms)
     R = np.ones((1, 1, T))
     for b, F in enumerate(_columns(slot) for slot in zip(*terms)):
-        if b and max(len(F), len(R)) > 1:  # a stack: F's own R stands for F
+        if b:  # F's own R stands for its columns: T x T, not 256 x T
             F = np.linalg.qr(F, mode="r")
         if b < len(terms[0]) - 1:
             X = R[:, :, None, :] * F[:, None, :, :]
